@@ -190,29 +190,13 @@ mod tests {
 
     #[test]
     fn software_validation_invariants() {
+        // Only host-independent facts are asserted; how the chained and
+        // modeled times compare depends on host speed and core count, so
+        // `hsdp bench` reports those numbers instead.
         let v = software_validation(400, 1234);
+        assert_eq!(v.messages, 400);
         // Both stages did real work.
         assert!(v.serialize_us > 0.0 && v.sha3_us > 0.0);
-        // The chained pipeline never beats the slowest stage alone by much,
-        // and never loses to sequential by much. On a single hardware
-        // thread the two pipeline stages time-slice one core, so the
-        // crossing-thread overhead dwarfs the compute and only a very
-        // loose bound is meaningful (generous CI-safe bounds).
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let slowdown_bound = if cores >= 2 { 2.0 } else { 20.0 };
-        assert!(
-            v.chained_measured_us < v.sequential_us * slowdown_bound,
-            "chained {} vs sequential {} (bound {slowdown_bound}x)",
-            v.chained_measured_us,
-            v.sequential_us
-        );
-        // The model estimate is in the right ballpark of the measurement.
-        assert!(
-            v.model_vs_measured.abs() < 1.0,
-            "model {} vs measured {}",
-            v.chained_modeled_us,
-            v.chained_measured_us
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ fn quick() -> Criterion {
 }
 
 fn bench(c: &mut Criterion) {
-    let runs = exhibits::run_profiled_fleet(exhibits::bench_fleet_config());
+    let runs = hsdp_bench::fleet::profile_fleet(exhibits::bench_fleet_config());
     println!("\n{}", exhibits::figure2_exhibit(&runs));
     c.bench_function("fig2_e2e_breakdown/render", |b| {
         b.iter(|| black_box(exhibits::figure2_exhibit(black_box(&runs))))

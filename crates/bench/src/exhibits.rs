@@ -5,13 +5,13 @@ use hsdp_core::accel::Speedup;
 use hsdp_core::category::{BroadCategory, Platform};
 use hsdp_core::paper;
 use hsdp_core::study;
-use hsdp_platforms::runner::FleetConfig;
-use hsdp_profiling::e2e::figure2;
-use hsdp_profiling::gwp::{CycleProfile, GwpConfig, GwpProfiler, LeafWork};
+use hsdp_platforms::runner::{fold_fleet, run_fleet_telemetry, FleetConfig};
 use hsdp_profiling::microarch::regenerate_tables;
 use hsdp_profiling::report;
 use hsdp_profiling::stacks::StackProfile;
 use hsdp_storage::provision::{paper_spec, provision, PlatformClass};
+
+use crate::fleet::PlatformRun;
 
 /// The fleet configuration the exhibit benches run (kept modest so a full
 /// `cargo bench` stays in minutes).
@@ -26,80 +26,18 @@ pub fn bench_fleet_config() -> FleetConfig {
     }
 }
 
-/// One profiled platform (re-exported shape from the facade glue, rebuilt
-/// here so the bench crate does not depend on the root package).
-#[derive(Debug)]
-pub struct PlatformRun {
-    /// The platform.
-    pub platform: Platform,
-    /// Figure 2 aggregation.
-    pub figure2: hsdp_profiling::e2e::Figure2,
-    /// GWP profile.
-    pub profile: CycleProfile,
-}
-
-/// Runs and profiles the whole simulated fleet.
-#[must_use]
-pub fn run_profiled_fleet(config: FleetConfig) -> Vec<PlatformRun> {
-    hsdp_platforms::runner::run_fleet(config)
-        .into_iter()
-        .map(|(platform, executions)| {
-            let mut profiler = GwpProfiler::new(GwpConfig {
-                sample_period: hsdp_simcore::time::SimDuration::from_micros(2),
-                seed: config.seed ^ platform as u64,
-            });
-            for exec in &executions {
-                for w in &exec.cpu_work {
-                    profiler.observe(&LeafWork {
-                        category: w.category,
-                        leaf: w.leaf,
-                        time: w.time,
-                        stack: w.stack.clone(),
-                    });
-                }
-            }
-            let decomposed: Vec<_> = executions
-                .iter()
-                .map(hsdp_platforms::exec::QueryExecution::decomposition)
-                .collect();
-            PlatformRun {
-                platform,
-                figure2: figure2(&decomposed),
-                profile: profiler.into_profile(),
-            }
-        })
-        .collect()
-}
-
 /// Builds the fleet-wide stack-tree profile from already-run fleet records.
 ///
 /// One GWP profiler consumes every platform's work stream in canonical
 /// fleet order, so the result — and therefore the folded text and the
 /// pprof bytes rendered from it — is a pure function of the fleet records
-/// and `seed`. Frame roots already carry the platform name
-/// (`spanner.commit`, `bigtable.put`, …), so no extra prefixing is needed.
+/// and `seed`. The same pass as [`crate::FleetRun::stacks`].
 #[must_use]
 pub fn fleet_stack_profile(
     fleet: &[(Platform, Vec<hsdp_platforms::QueryExecution>)],
     seed: u64,
 ) -> StackProfile {
-    let mut profiler = GwpProfiler::new(GwpConfig {
-        sample_period: hsdp_simcore::time::SimDuration::from_micros(2),
-        seed: seed ^ 0x57AC,
-    });
-    for (_, executions) in fleet {
-        for exec in executions {
-            for w in &exec.cpu_work {
-                profiler.observe(&LeafWork {
-                    category: w.category,
-                    leaf: w.leaf,
-                    time: w.time,
-                    stack: w.stack.clone(),
-                });
-            }
-        }
-    }
-    profiler.into_parts().1
+    crate::fleet::fleet_stacks(seed, fleet.iter().flat_map(|(_, executions)| executions))
 }
 
 // ---------------------------------------------------------------------------
@@ -528,7 +466,7 @@ pub fn ablation_attribution() -> String {
     };
     let mut out =
         String::from("Ablation — trace attribution: priority (remote>io>cpu) vs proportional\n");
-    for (platform, executions) in hsdp_platforms::runner::run_fleet(config) {
+    for (platform, executions) in fold_fleet(run_fleet_telemetry(config)) {
         let (mut p_cpu, mut p_tot) = (0.0, 0.0);
         let (mut q_cpu, mut q_tot) = (0.0, 0.0);
         for exec in &executions {
@@ -563,7 +501,7 @@ mod tests {
 
     #[test]
     fn fleet_exhibits_render() {
-        let runs = run_profiled_fleet(FleetConfig {
+        let runs = crate::fleet::profile_fleet(FleetConfig {
             db_queries: 60,
             analytics_queries: 8,
             fact_rows: 1_000,

@@ -13,6 +13,7 @@
 //! samples of that many iterations each, and min/mean/max per-iteration
 //! times are reported on stdout.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Benchmark driver configured like `criterion::Criterion`.
@@ -365,6 +366,72 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// Lifts `(id, ns_per_iter)` bench entries out of a `BENCH_fleet.json`
+/// document (`hsdp-bench-fleet/1` schema), for the profile-history
+/// snapshot (`hsdp profile --snapshot STORE --bench FILE`). The harness writes one entry
+/// object per line, so a line-oriented scan is exact for documents we
+/// produce; unparseable lines are skipped rather than failing the append.
+#[must_use]
+pub fn parse_bench_entries(json: &str) -> BTreeMap<String, f64> {
+    let mut out = BTreeMap::new();
+    for line in json.lines() {
+        let Some(id) = extract_str(line, "\"id\": \"") else {
+            continue;
+        };
+        let Some(ns) = extract_f64(line, "\"ns_per_iter\": ") else {
+            continue;
+        };
+        out.insert(unescape(id), ns);
+    }
+    out
+}
+
+/// The raw (still-escaped) value of a `"key": "value"` field in `line`.
+fn extract_str<'a>(line: &'a str, marker: &str) -> Option<&'a str> {
+    let start = line.find(marker)? + marker.len();
+    let rest = &line[start..];
+    // Walk to the closing quote, honouring backslash escapes.
+    let mut escaped = false;
+    for (i, c) in rest.char_indices() {
+        if escaped {
+            escaped = false;
+        } else if c == '\\' {
+            escaped = true;
+        } else if c == '"' {
+            return Some(&rest[..i]);
+        }
+    }
+    None
+}
+
+/// The numeric value of a `"key": 123.4` field in `line`.
+fn extract_f64(line: &str, marker: &str) -> Option<f64> {
+    let start = line.find(marker)? + marker.len();
+    let rest = &line[start..];
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// Undoes the harness's JSON string escaping.
+fn unescape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => out.push('\n'),
+            Some(other) => out.push(other),
+            None => break,
+        }
+    }
+    out
+}
+
 /// Times `routine` over `iters` iterations, returning mean ns/iter.
 ///
 /// A deliberately simple companion to [`Criterion`] for benches that feed
@@ -527,6 +594,38 @@ mod tests {
         assert_eq!(json.matches("\"sequence\": 42").count(), 2);
         assert_eq!(report.git_commit(), "deadbeef");
         assert_eq!(report.sequence(), 42);
+    }
+
+    #[test]
+    fn bench_entries_roundtrip_through_report_json() {
+        let mut report = BenchReport::new();
+        report.set_provenance("cafe12", 3);
+        report.push(BenchRecord {
+            id: "crc32c/hw/64KiB".to_owned(),
+            ns_per_iter: 321.125,
+            bytes_per_iter: Some(65_536),
+            parallelism: 1,
+            seed: 0,
+        });
+        report.push(BenchRecord {
+            id: "fleet/wall_clock \"p=4\"".to_owned(),
+            ns_per_iter: 5e6,
+            bytes_per_iter: None,
+            parallelism: 4,
+            seed: 7,
+        });
+        let entries = parse_bench_entries(&report.to_json());
+        assert_eq!(entries.len(), 2);
+        assert!((entries["crc32c/hw/64KiB"] - 321.125).abs() < 1e-9);
+        assert!((entries["fleet/wall_clock \"p=4\""] - 5e6).abs() < 1e-3);
+    }
+
+    #[test]
+    fn parse_skips_non_entry_lines() {
+        let entries = parse_bench_entries(
+            "{\n  \"schema\": \"hsdp-bench-fleet/1\",\n  \"entries\": [\n  ]\n}\n",
+        );
+        assert!(entries.is_empty());
     }
 
     #[test]

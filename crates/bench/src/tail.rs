@@ -1,4 +1,4 @@
-//! Request-centric tail-latency attribution: the `tail_report` builder.
+//! Request-centric tail-latency attribution: the tail report builder.
 //!
 //! The paper's fleet profiles answer *where cycles go on average*; this
 //! module answers the tail question — *which requests are slow, and what
@@ -26,9 +26,7 @@ use std::collections::BTreeMap;
 
 use hsdp_core::category::{BroadCategory, Platform};
 use hsdp_core::request::RequestId;
-use hsdp_platforms::runner::{
-    merge_fleet_metrics, platform_key, run_fleet_telemetry, FleetConfig, ShardRun,
-};
+use hsdp_platforms::runner::{platform_key, FleetConfig, ShardRun};
 use hsdp_platforms::QueryExecution;
 use hsdp_profiling::heavy::SpaceSaving;
 use hsdp_telemetry::critical_path::{critical_path, PathCategory};
@@ -190,7 +188,7 @@ fn cohort_stat(execs: &[&QueryExecution], members: &[usize]) -> CohortStat {
 
 /// Builds the tail report from an already-executed instrumented fleet run.
 /// `runs` must be in canonical `(platform, shard)` order — exactly what
-/// [`run_fleet_telemetry`] returns — so shard sketches merge canonically.
+/// `run_fleet_telemetry` returns — so shard sketches merge canonically.
 #[must_use]
 pub fn tail_from_parts(
     config: &FleetConfig,
@@ -339,16 +337,6 @@ pub fn tail_from_parts(
     }
 }
 
-/// Runs the fleet instrumented and builds the tail report. Deterministic:
-/// the result is identical at any `config.parallelism` and under
-/// `config.perturb`.
-#[must_use]
-pub fn build_tail_report(config: FleetConfig, commit: &str) -> TailReport {
-    let runs = run_fleet_telemetry(config);
-    let metrics = merge_fleet_metrics(&runs);
-    tail_from_parts(&config, &runs, &metrics, commit)
-}
-
 /// Flattens the report into `key -> u64` rows for the profile-history
 /// snapshot (`ProfileSnapshot::tail`): per-platform cohort tax shares and
 /// exemplar/hitter summaries, every value integer-exact.
@@ -378,9 +366,9 @@ pub fn tail_summary(report: &TailReport) -> BTreeMap<String, u64> {
     out
 }
 
-/// Renders the canonical JSON artifact (`hsdp-tail-report/1`). Pure
-/// function of the report — the byte-identity surface the determinism
-/// suite and the CI smoke step diff.
+/// Renders the canonical JSON artifact (`hsdp-tail-report/1`, the bundle's
+/// `tail.json`). Pure function of the report — the byte-identity surface
+/// the determinism suite and the CI smoke step diff.
 #[must_use]
 pub fn render_json(report: &TailReport) -> String {
     let mut out = String::from("{\n");
@@ -484,7 +472,7 @@ pub fn render_json(report: &TailReport) -> String {
     out
 }
 
-/// Renders the human-readable table (the default `tail_report` output).
+/// Renders the human-readable table (part of `hsdp summary`).
 #[must_use]
 pub fn render_text(report: &TailReport) -> String {
     let mut out = String::new();
@@ -535,8 +523,13 @@ pub fn render_text(report: &TailReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FleetRun;
     use hsdp_simcore::pool::Perturbation;
     use hsdp_telemetry::json::validate;
+
+    fn build_report(config: FleetConfig, commit: &str) -> TailReport {
+        FleetRun::new(config).tail(commit)
+    }
 
     fn small_config(parallelism: usize, perturb: Option<Perturbation>) -> FleetConfig {
         FleetConfig {
@@ -553,17 +546,17 @@ mod tests {
 
     #[test]
     fn report_is_parallelism_invariant() {
-        let p1 = render_json(&build_tail_report(small_config(1, None), "t"));
-        let p4 = render_json(&build_tail_report(small_config(4, None), "t"));
+        let p1 = render_json(&build_report(small_config(1, None), "t"));
+        let p4 = render_json(&build_report(small_config(4, None), "t"));
         assert_eq!(p1, p4, "tail report must be byte-identical at p1 vs p4");
         validate(&p1).expect("report is well-formed JSON");
     }
 
     #[test]
     fn report_is_perturbation_invariant() {
-        let base = render_json(&build_tail_report(small_config(3, None), "t"));
+        let base = render_json(&build_report(small_config(3, None), "t"));
         for perturb_seed in 0..8 {
-            let perturbed = render_json(&build_tail_report(
+            let perturbed = render_json(&build_report(
                 small_config(3, Some(Perturbation::new(perturb_seed))),
                 "t",
             ));
@@ -576,7 +569,7 @@ mod tests {
 
     #[test]
     fn every_platform_has_tail_content() {
-        let report = build_tail_report(small_config(2, None), "");
+        let report = build_report(small_config(2, None), "");
         assert_eq!(report.platforms.len(), 3);
         for section in &report.platforms {
             assert!(section.all.requests > 0);
@@ -604,7 +597,7 @@ mod tests {
 
     #[test]
     fn summary_rows_are_stable_and_exact() {
-        let report = build_tail_report(small_config(2, None), "");
+        let report = build_report(small_config(2, None), "");
         let summary = tail_summary(&report);
         for section in &report.platforms {
             let key = platform_key(section.platform);

@@ -1,60 +1,21 @@
-//! Builds the three fleet telemetry artifacts — `metrics.json`,
-//! `trace.json`, `critical_path.json` — from an instrumented fleet run.
+//! Renders the fleet telemetry artifacts — `trace.json` and
+//! `critical_path.json` (the merged registry renders `metrics.json` itself)
+//! — from an instrumented fleet run; [`crate::FleetRun::bundle`] assembles
+//! and self-validates them.
 //!
 //! The artifact set is the paper's observability stack made exportable:
 //! merged performance counters (registry), Dapper-style spans in Chrome
 //! trace-event form (one Perfetto process per platform, one thread lane per
 //! shard), and per-platform critical-path attributions next to the interval
-//! decomposition they must cohere with. `metrics.json` is byte-identical
-//! across `parallelism` settings; the other two are deterministic for a
-//! given workload configuration.
-
-use std::io;
-use std::path::Path;
+//! decomposition they must cohere with. All three are byte-identical across
+//! `parallelism` settings and schedule perturbations.
 
 use hsdp_core::category::Platform;
-use hsdp_platforms::runner::{merge_fleet_metrics, platform_key, ShardRun};
+use hsdp_platforms::runner::{platform_key, ShardRun};
 use hsdp_profiling::crosscheck;
 use hsdp_simcore::time::SimDuration;
 use hsdp_telemetry::critical_path::PathCategory;
-use hsdp_telemetry::export::{chrome_trace_json, TraceGroup};
-
-/// The three rendered artifacts of one instrumented fleet run.
-#[derive(Debug, Clone)]
-pub struct TelemetryArtifacts {
-    /// Canonical merged-registry JSON (byte-identical at any parallelism).
-    pub metrics_json: String,
-    /// Chrome trace-event JSON (Perfetto / `chrome://tracing` loadable).
-    pub trace_json: String,
-    /// Per-platform critical-path attribution JSON.
-    pub critical_path_json: String,
-}
-
-impl TelemetryArtifacts {
-    /// Writes the artifacts as `metrics.json`, `trace.json`, and
-    /// `critical_path.json` under `dir` (created if missing).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from directory creation or writes.
-    pub fn write_to(&self, dir: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join("metrics.json"), &self.metrics_json)?;
-        std::fs::write(dir.join("trace.json"), &self.trace_json)?;
-        std::fs::write(dir.join("critical_path.json"), &self.critical_path_json)?;
-        Ok(())
-    }
-}
-
-/// Renders all three artifacts from per-shard fleet output.
-#[must_use]
-pub fn build_artifacts(runs: &[ShardRun]) -> TelemetryArtifacts {
-    TelemetryArtifacts {
-        metrics_json: merge_fleet_metrics(runs).to_json(),
-        trace_json: chrome_trace_json(&trace_groups(runs)),
-        critical_path_json: critical_path_json(runs),
-    }
-}
+use hsdp_telemetry::export::TraceGroup;
 
 /// One Perfetto lane per shard: the platform is the "process", the shard
 /// its "thread", so the fleet's concurrent replicas land side by side.
@@ -134,7 +95,7 @@ pub fn platform_agreement(runs: &[ShardRun], platform: Platform) -> crosscheck::
 }
 
 /// A short human-readable summary of the critical-path attribution, for
-/// report binaries.
+/// `hsdp summary`.
 #[must_use]
 pub fn render_summary(runs: &[ShardRun]) -> String {
     let mut out = String::from("critical-path attribution (fraction of wall-clock)\n");

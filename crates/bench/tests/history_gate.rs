@@ -1,13 +1,13 @@
-//! Bin-level tests of the `profile_history` gate: the seeded fixture
-//! histories drive the acceptance semantics (sustained drift exits
-//! nonzero, a single-snapshot blip exits zero), and `append` → `report`
+//! Bin-level tests of the `hsdp history` gate: the seeded fixture
+//! histories drive the acceptance semantics (sustained drift exits 1, a
+//! single-snapshot blip exits zero), and `profile --snapshot` → `report`
 //! round-trips byte-identically at any parallelism.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_profile_history"))
+    Command::new(env!("CARGO_BIN_EXE_hsdp"))
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -18,7 +18,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn seed_fixture(store: &PathBuf, inject: &str) {
     let out = bin()
-        .arg("seed-fixture")
+        .args(["history", "seed-fixture"])
         .arg("--store")
         .arg(store)
         .args(["--inject", inject])
@@ -33,7 +33,7 @@ fn seed_fixture(store: &PathBuf, inject: &str) {
 
 fn check(store: &PathBuf) -> std::process::Output {
     bin()
-        .arg("check")
+        .args(["history", "check"])
         .arg("--store")
         .arg(store)
         .output()
@@ -47,9 +47,10 @@ fn sustained_regression_trips_check_but_blip_passes() {
 
     seed_fixture(&store, "sustained");
     let out = check(&store);
-    assert!(
-        !out.status.success(),
-        "an injected sustained share regression must exit nonzero: {}",
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "an injected sustained share regression must exit 1: {}",
         String::from_utf8_lossy(&out.stdout)
     );
     let stdout = String::from_utf8(out.stdout).expect("utf-8");
@@ -79,7 +80,7 @@ fn report_names_the_regressed_keys_since_commit() {
     seed_fixture(&store, "sustained");
 
     let out = bin()
-        .arg("report")
+        .args(["history", "report"])
         .arg("--store")
         .arg(&store)
         .args(["--since", "fixture0000"])
@@ -98,7 +99,7 @@ fn report_names_the_regressed_keys_since_commit() {
     );
 
     let out = bin()
-        .arg("report")
+        .args(["history", "report"])
         .arg("--store")
         .arg(&store)
         .args(["--since", "fixture0000", "--json"])
@@ -116,22 +117,22 @@ fn report_names_the_regressed_keys_since_commit() {
     );
     assert_eq!(stdout.matches('{').count(), stdout.matches('}').count());
 
-    // An unknown baseline commit is an error, not an empty report.
+    // An unknown baseline commit is bad input, not an empty report.
     let out = bin()
-        .arg("report")
+        .args(["history", "report"])
         .arg("--store")
         .arg(&store)
         .args(["--since", "nosuchcommit"])
         .output()
         .expect("run report");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn append_then_report_is_parallelism_invariant() {
-    // The acceptance loop: `append` a real (small) fleet snapshot at
+    // The acceptance loop: append a real (small) fleet snapshot at
     // parallelism 1 and at parallelism 4 into separate stores, then
     // `report` both — store bytes and report output must be identical.
     let dir = temp_dir("append");
@@ -141,22 +142,22 @@ fn append_then_report_is_parallelism_invariant() {
         let store = dir.join(format!("real_p{parallelism}.bin"));
         for (commit, seq, seed) in [("commit-a", "1", "64206"), ("commit-b", "2", "48879")] {
             let out = bin()
-                .arg("append")
-                .arg("--store")
+                .arg("profile")
+                .arg("--snapshot")
                 .arg(&store)
                 .args(["--commit", commit, "--seq", seq, "--seed", seed])
-                .args(["--parallelism", parallelism])
+                .args(["--parallelism", parallelism, "--db-queries", "40"])
                 .output()
-                .expect("run append");
+                .expect("run profile --snapshot");
             assert!(
                 out.status.success(),
-                "append p={parallelism}: {}",
+                "profile --snapshot p={parallelism}: {}",
                 String::from_utf8_lossy(&out.stderr)
             );
         }
         stores.push(std::fs::read(&store).expect("read store"));
         let out = bin()
-            .arg("report")
+            .args(["history", "report"])
             .arg("--store")
             .arg(&store)
             .args(["--since", "commit-a"])

@@ -9,31 +9,21 @@
 //! `tablets` independent tablet jobs (assembled after the pool drains), and
 //! the perturbation seed also flows into each tablet's in-flight LSM
 //! batches, so per-tablet flush and level-merge jobs are being reshuffled
-//! while the artifacts are produced. Every artifact the fleet pipeline
-//! ships (telemetry metrics/trace/critical-path JSON, collapsed stacks,
-//! pprof protobuf) must come back byte-identical: the byte-equality here is
-//! what lets profile diffs across runs and commits be read as real
-//! regressions rather than schedule noise.
+//! while the artifacts are produced. Every file of the fleet bundle
+//! (`profile.json`, telemetry metrics/trace/critical-path JSON, collapsed
+//! stacks, pprof protobuf, `tail.json`) must come back byte-identical: the
+//! byte-equality here is what lets profile diffs across runs and commits be
+//! read as real regressions rather than schedule noise.
 
-use hsdp_bench::exhibits::fleet_stack_profile;
-use hsdp_bench::telemetry_out::build_artifacts;
-use hsdp_platforms::runner::{fold_fleet, run_fleet_telemetry, FleetConfig};
+use hsdp_bench::FleetRun;
+use hsdp_platforms::runner::FleetConfig;
 use hsdp_simcore::pool::Perturbation;
-use hsdp_simcore::time::SimDuration;
 
 /// Perturbed schedules swept by the checker (≥ 8 by design).
 const PERTURBATION_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 0xD15_0ACE];
 
-/// Every byte-exact artifact of one fleet run.
-struct Artifacts {
-    metrics_json: String,
-    trace_json: String,
-    critical_path_json: String,
-    folded: String,
-    pprof: Vec<u8>,
-}
-
-fn run_artifacts(parallelism: usize, perturb: Option<Perturbation>) -> Artifacts {
+/// Every file of one fleet run's bundle, as `(name, bytes)`.
+fn run_bundle(parallelism: usize, perturb: Option<Perturbation>) -> Vec<(&'static str, Vec<u8>)> {
     let config = FleetConfig {
         db_queries: 24,
         analytics_queries: 4,
@@ -44,47 +34,24 @@ fn run_artifacts(parallelism: usize, perturb: Option<Perturbation>) -> Artifacts
         tablets: 3,
         perturb,
     };
-    let runs = run_fleet_telemetry(config);
-    let telemetry = build_artifacts(&runs);
-    let fleet = fold_fleet(runs);
-    let stacks = fleet_stack_profile(&fleet, config.seed);
-    Artifacts {
-        metrics_json: telemetry.metrics_json,
-        trace_json: telemetry.trace_json,
-        critical_path_json: telemetry.critical_path_json,
-        folded: stacks.folded(),
-        pprof: stacks.to_pprof(SimDuration::from_micros(2)).encode(),
-    }
+    FleetRun::new(config)
+        .bundle("perturbation")
+        .expect("every artifact passes its self-check")
 }
 
 #[test]
 fn artifacts_are_byte_identical_across_perturbed_schedules() {
-    let baseline = run_artifacts(1, None);
-    assert!(!baseline.metrics_json.is_empty());
-    assert!(!baseline.folded.is_empty());
-    assert!(!baseline.pprof.is_empty());
+    let baseline = run_bundle(1, None);
+    assert_eq!(baseline.len(), 7, "the bundle has seven files");
+    for (name, bytes) in &baseline {
+        assert!(!bytes.is_empty(), "{name} is empty");
+    }
 
     for seed in PERTURBATION_SEEDS {
-        let perturbed = run_artifacts(4, Some(Perturbation::new(seed)));
-        assert_eq!(
-            perturbed.metrics_json, baseline.metrics_json,
-            "metrics.json moved under perturbation seed {seed}"
-        );
-        assert_eq!(
-            perturbed.trace_json, baseline.trace_json,
-            "trace.json moved under perturbation seed {seed}"
-        );
-        assert_eq!(
-            perturbed.critical_path_json, baseline.critical_path_json,
-            "critical_path.json moved under perturbation seed {seed}"
-        );
-        assert_eq!(
-            perturbed.folded, baseline.folded,
-            "collapsed stacks moved under perturbation seed {seed}"
-        );
-        assert_eq!(
-            perturbed.pprof, baseline.pprof,
-            "pprof bytes moved under perturbation seed {seed}"
-        );
+        let perturbed = run_bundle(4, Some(Perturbation::new(seed)));
+        assert_eq!(perturbed.len(), baseline.len());
+        for ((name, got), (_, want)) in perturbed.iter().zip(&baseline) {
+            assert!(got == want, "{name} moved under perturbation seed {seed}");
+        }
     }
 }

@@ -1,13 +1,13 @@
 //! End-to-end checks on the stack-profile artifacts: folded-stack format,
-//! pprof round-trip, parallelism-independence, and the `profile_diff`
+//! pprof round-trip, parallelism-independence, and the `hsdp diff`
 //! regression gate (including its nonzero exit on an injected share shift).
 
 use std::process::Command;
 
-use hsdp_bench::exhibits::fleet_stack_profile;
+use hsdp_bench::FleetRun;
 use hsdp_core::category::CpuCategory;
 use hsdp_core::category::SystemTax;
-use hsdp_platforms::runner::{run_fleet, FleetConfig};
+use hsdp_platforms::runner::FleetConfig;
 use hsdp_profiling::stacks::{max_abs_delta, pprof_category_shares, share_deltas, StackProfile};
 use hsdp_simcore::time::SimDuration;
 use hsdp_taxes::pprof::Profile;
@@ -26,9 +26,11 @@ fn small_config(parallelism: usize) -> FleetConfig {
 }
 
 fn small_stack_profile(parallelism: usize) -> StackProfile {
-    let config = small_config(parallelism);
-    let fleet = run_fleet(config);
-    fleet_stack_profile(&fleet, config.seed)
+    FleetRun::new(small_config(parallelism)).stacks()
+}
+
+fn hsdp() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_hsdp"))
 }
 
 #[test]
@@ -99,7 +101,7 @@ fn pprof_artifact_round_trips() {
 }
 
 #[test]
-fn profile_diff_gate_passes_identical_and_fails_shifted() {
+fn diff_gate_passes_identical_and_fails_shifted() {
     let stacks = small_stack_profile(1);
     let period = SimDuration::from_micros(2);
     let baseline = stacks.to_pprof(period).encode();
@@ -136,32 +138,36 @@ fn profile_diff_gate_passes_identical_and_fails_shifted() {
     std::fs::write(&base_path, &baseline).expect("write baseline");
     std::fs::write(&cand_path, &candidate).expect("write candidate");
 
-    let ok = Command::new(env!("CARGO_BIN_EXE_profile_diff"))
+    let ok = hsdp()
+        .arg("diff")
         .args([&base_path, &base_path])
         .arg("--threshold")
         .arg("0.01")
         .status()
-        .expect("run profile_diff");
+        .expect("run hsdp diff");
     assert!(ok.success(), "identical profiles must pass the gate");
 
-    let fail = Command::new(env!("CARGO_BIN_EXE_profile_diff"))
+    let fail = hsdp()
+        .arg("diff")
         .args([&base_path, &cand_path])
         .arg("--threshold")
         .arg("0.01")
         .status()
-        .expect("run profile_diff");
-    assert!(
-        !fail.success(),
+        .expect("run hsdp diff");
+    assert_eq!(
+        fail.code(),
+        Some(1),
         "a >5% category shift must trip the 1% gate"
     );
 
     // --json mode: same verdicts, machine-readable report in the
     // `xtask audit --json` convention.
-    let ok_json = Command::new(env!("CARGO_BIN_EXE_profile_diff"))
+    let ok_json = hsdp()
+        .arg("diff")
         .args([&base_path, &base_path])
         .args(["--threshold", "0.01", "--json"])
         .output()
-        .expect("run profile_diff --json");
+        .expect("run hsdp diff --json");
     assert!(ok_json.status.success());
     let stdout = String::from_utf8(ok_json.stdout).expect("utf-8 report");
     assert!(
@@ -171,12 +177,13 @@ fn profile_diff_gate_passes_identical_and_fails_shifted() {
     assert!(stdout.contains("\"clean\": true"), "{stdout}");
     assert!(stdout.contains("\"findings\": []"), "{stdout}");
 
-    let fail_json = Command::new(env!("CARGO_BIN_EXE_profile_diff"))
+    let fail_json = hsdp()
+        .arg("diff")
         .args([&base_path, &cand_path])
         .args(["--threshold", "0.01", "--json"])
         .output()
-        .expect("run profile_diff --json");
-    assert!(!fail_json.status.success());
+        .expect("run hsdp diff --json");
+    assert_eq!(fail_json.status.code(), Some(1));
     let stdout = String::from_utf8(fail_json.stdout).expect("utf-8 report");
     assert!(stdout.contains("\"clean\": false"), "{stdout}");
     assert!(stdout.contains("\"kind\": \"category\""), "{stdout}");
@@ -187,7 +194,7 @@ fn profile_diff_gate_passes_identical_and_fails_shifted() {
 
 #[test]
 fn snapshot_store_bytes_are_parallelism_invariant() {
-    // `fleet_profile --snapshot` must append byte-identical history frames
+    // `hsdp profile --snapshot` must append byte-identical history frames
     // at any --parallelism: two fresh stores, one run each at p=1 and p=4,
     // same commit stamp — the store files must be byte-identical.
     let dir = std::env::temp_dir().join(format!("hsdp-snapshot-inv-{}", std::process::id()));
@@ -196,16 +203,17 @@ fn snapshot_store_bytes_are_parallelism_invariant() {
     for parallelism in ["1", "4"] {
         let store = dir.join(format!("history_p{parallelism}.bin"));
         std::fs::remove_file(&store).ok();
-        let out = Command::new(env!("CARGO_BIN_EXE_fleet_profile"))
+        let out = hsdp()
+            .arg("profile")
             .args(["--parallelism", parallelism, "--db-queries", "40"])
             .args(["--seed", "64206"])
             .arg("--snapshot")
             .arg(&store)
             .args(["--commit", "testcommit", "--seq", "7"])
             .arg("--out")
-            .arg(dir.join(format!("profile_p{parallelism}.json")))
+            .arg(dir.join(format!("bundle_p{parallelism}")))
             .output()
-            .expect("run fleet_profile --snapshot");
+            .expect("run hsdp profile --snapshot");
         assert!(
             out.status.success(),
             "{:?}",

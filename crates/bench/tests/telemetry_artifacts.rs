@@ -3,15 +3,16 @@
 //! platform's wall-clock, and the critical-path CPU view agrees with the
 //! metered CPU universe that the GWP profiler samples from.
 
-use hsdp_bench::telemetry_out::{build_artifacts, platform_agreement};
+use hsdp_bench::telemetry_out::platform_agreement;
+use hsdp_bench::FleetRun;
 use hsdp_core::category::Platform;
 use hsdp_platforms::runner::{run_fleet_telemetry, FleetConfig, ShardRun};
 use hsdp_profiling::{GwpConfig, GwpProfiler, LeafWork};
 use hsdp_telemetry::critical_path::PathCategory;
 use hsdp_telemetry::json;
 
-fn instrumented_runs() -> Vec<ShardRun> {
-    run_fleet_telemetry(FleetConfig {
+fn config() -> FleetConfig {
+    FleetConfig {
         db_queries: 60,
         analytics_queries: 9,
         fact_rows: 600,
@@ -20,25 +21,39 @@ fn instrumented_runs() -> Vec<ShardRun> {
         shards: 4,
         tablets: 2,
         perturb: None,
-    })
+    }
+}
+
+fn instrumented_runs() -> Vec<ShardRun> {
+    run_fleet_telemetry(config())
 }
 
 #[test]
 fn artifacts_are_valid_json() {
-    let artifacts = build_artifacts(&instrumented_runs());
-    for (name, body) in [
-        ("metrics.json", &artifacts.metrics_json),
-        ("trace.json", &artifacts.trace_json),
-        ("critical_path.json", &artifacts.critical_path_json),
+    let bundle = FleetRun::new(config())
+        .bundle("")
+        .expect("self-checks pass");
+    let file = |wanted: &str| -> String {
+        let (_, bytes) = bundle
+            .iter()
+            .find(|(name, _)| *name == wanted)
+            .unwrap_or_else(|| panic!("bundle has no {wanted}"));
+        String::from_utf8(bytes.clone()).expect("utf-8")
+    };
+    for name in [
+        "profile.json",
+        "metrics.json",
+        "trace.json",
+        "critical_path.json",
+        "tail.json",
     ] {
-        json::validate(body).unwrap_or_else(|err| panic!("{name}: {err}"));
+        let body = file(name);
+        json::validate(&body).unwrap_or_else(|err| panic!("{name}: {err}"));
         assert!(!body.is_empty(), "{name} is empty");
     }
-    assert!(artifacts.trace_json.contains("\"ph\": \"X\""));
-    assert!(artifacts.metrics_json.contains("spanner/queries"));
-    assert!(artifacts
-        .critical_path_json
-        .contains("path_cpu_over_metered_cpu"));
+    assert!(file("trace.json").contains("\"ph\": \"X\""));
+    assert!(file("metrics.json").contains("spanner/queries"));
+    assert!(file("critical_path.json").contains("path_cpu_over_metered_cpu"));
 }
 
 #[test]

@@ -19,10 +19,7 @@
 //! [`merge`] (the loser-tree compaction merge), and [`runner`] (workload
 //! drivers).
 
-// `deny`, not `forbid`: the SIMD quarantine module ([`simd`]) opts back in
-// with a scoped allow; everything else stays unsafe-free, enforced by
-// `xtask audit --rule unsafe`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -35,7 +32,6 @@ pub mod exec;
 pub mod merge;
 pub mod meter;
 pub mod runner;
-pub mod simd;
 pub mod spanner;
 pub mod twopc;
 
@@ -43,6 +39,6 @@ pub use bigquery::{BigQuery, BigQueryConfig};
 pub use bigtable::{BigTable, BigTableConfig};
 pub use exec::QueryExecution;
 pub use meter::{CpuWorkItem, WorkMeter};
-pub use runner::{run_bigquery, run_bigtable, run_fleet, run_spanner, FleetConfig};
+pub use runner::FleetConfig;
 pub use spanner::{Spanner, SpannerConfig};
 pub use twopc::{distributed_commit, TxnWrite};

@@ -114,18 +114,10 @@ pub fn default_parallelism() -> usize {
 
 /// Runs one shard of the Spanner-class workload (a balanced transactional
 /// mix). `seed` is the shard seed; the engine, preload, and traffic phases
-/// each derive their own generator from it.
-#[must_use]
-pub fn run_spanner(queries: usize, seed: u64) -> Vec<QueryExecution> {
-    run_spanner_shard(queries, seed, 0, false).0
-}
-
-/// [`run_spanner`] with an optionally-enabled telemetry registry covering
-/// the traffic phase (the preload is warmup, not workload). Telemetry
-/// records nothing when `telemetry` is false, so the disabled path is the
-/// uninstrumented baseline for overhead probes. `shard` is the shard's
-/// canonical index, the shard field of every [`RequestId`] the traffic
-/// phase stamps.
+/// each derive their own generator from it. With `telemetry` a registry
+/// covers the traffic phase (the preload is warmup, not workload); every
+/// in-tree caller passes `true`. `shard` is the shard's canonical index,
+/// the shard field of every [`RequestId`] the traffic phase stamps.
 #[must_use]
 pub fn run_spanner_shard(
     queries: usize,
@@ -185,32 +177,6 @@ pub fn run_spanner_shard(
     (executions, db.take_telemetry())
 }
 
-/// Runs one shard of the BigTable-class workload (a read-heavy key-value mix
-/// with enough writes to exercise flushes and compactions).
-#[must_use]
-pub fn run_bigtable(queries: usize, seed: u64) -> Vec<QueryExecution> {
-    run_bigtable_shard(queries, seed, 0, false).0
-}
-
-/// [`run_bigtable`] with an optionally-enabled telemetry registry covering
-/// the traffic phase. Runs the shard's [`DEFAULT_BIGTABLE_TABLETS`] tablets
-/// inline (sequentially) and assembles them — the same decomposition the
-/// fleet driver schedules in parallel, so fleet and standalone runs agree
-/// record-for-record.
-#[must_use]
-pub fn run_bigtable_shard(
-    queries: usize,
-    seed: u64,
-    shard: usize,
-    telemetry: bool,
-) -> (Vec<QueryExecution>, MetricsRegistry) {
-    let tablets = DEFAULT_BIGTABLE_TABLETS;
-    let runs = (0..tablets)
-        .map(|tablet| run_bigtable_tablet(queries, seed, shard, tablet, tablets, telemetry, None))
-        .collect();
-    assemble_bigtable_shard(runs)
-}
-
 /// One operation in a BigTable shard's deterministic op stream.
 enum BtOp {
     Put { key: Vec<u8>, value: Vec<u8> },
@@ -223,8 +189,8 @@ enum BtOp {
 /// by the traffic mix — as a pure function of `(queries, seed)`. Returns
 /// the ops and the preload length. Every tablet job replays this stream and
 /// executes its routed subsequence, which is what makes the per-tablet
-/// decomposition equal the inline run: each tablet sees exactly the ops it
-/// would have seen behind the router.
+/// decomposition equal an in-order run of every tablet: each tablet sees
+/// exactly the ops it would have seen behind the router.
 fn bigtable_ops(queries: usize, seed: u64) -> (Vec<BtOp>, usize) {
     let platform = Platform::BigTable;
     let mut preload_rng = StdRng::seed_from_u64(phase_seed(seed, platform, PHASE_PRELOAD));
@@ -283,7 +249,7 @@ pub struct BigTableTabletRun {
     pub executions: Vec<(usize, QueryExecution)>,
     /// Scan partials this tablet contributed, by global op index.
     pub scans: Vec<(usize, ScanPartial)>,
-    /// The tablet's telemetry registry (disabled for plain runs).
+    /// The tablet's telemetry registry.
     pub telemetry: MetricsRegistry,
     /// Traffic queries in the shard's op stream.
     pub queries: usize,
@@ -291,10 +257,13 @@ pub struct BigTableTabletRun {
     pub preload: usize,
 }
 
-/// Runs one tablet of a BigTable shard: replays the shard's op stream,
-/// executes the ops routed to `tablet` (scans contribute a partial from
-/// every tablet), and returns the tablet's tagged output. `perturb`
-/// perturbs the tablet's in-flight LSM job batches — never its results.
+/// Runs one tablet of a shard of the BigTable-class workload (a read-heavy
+/// key-value mix with enough writes to exercise flushes and compactions):
+/// replays the shard's op stream, executes the ops routed to `tablet`
+/// (scans contribute a partial from every tablet), and returns the tablet's
+/// tagged output. `telemetry` enables the tablet's traffic-phase registry
+/// (every in-tree caller passes `true`). `perturb` perturbs the tablet's
+/// in-flight LSM job batches — never its results.
 #[must_use]
 pub fn run_bigtable_tablet(
     queries: usize,
@@ -443,14 +412,9 @@ pub fn assemble_bigtable_shard(
 }
 
 /// Runs one shard of the BigQuery-class workload (the dashboard analytics
-/// mix).
-#[must_use]
-pub fn run_bigquery(queries: usize, fact_rows: usize, seed: u64) -> Vec<QueryExecution> {
-    run_bigquery_shard(queries, fact_rows, seed, 0, false).0
-}
-
-/// [`run_bigquery`] with an optionally-enabled telemetry registry covering
-/// the traffic phase. `shard` feeds the [`RequestId`] of each traffic query.
+/// mix). `telemetry` enables a registry covering the traffic phase (every
+/// in-tree caller passes `true`); `shard` feeds the [`RequestId`] of each
+/// traffic query.
 #[must_use]
 pub fn run_bigquery_shard(
     queries: usize,
@@ -526,14 +490,14 @@ enum JobOutput {
 }
 
 impl ShardJob {
-    fn run(self, telemetry: bool) -> JobOutput {
+    fn run(self) -> JobOutput {
         match self {
             ShardJob::Spanner {
                 queries,
                 seed,
                 shard,
             } => {
-                let (executions, registry) = run_spanner_shard(queries, seed, shard, telemetry);
+                let (executions, registry) = run_spanner_shard(queries, seed, shard, true);
                 JobOutput::Shard(executions, registry)
             }
             ShardJob::BigTableTablet {
@@ -544,7 +508,7 @@ impl ShardJob {
                 tablets,
                 perturb,
             } => JobOutput::Tablet(run_bigtable_tablet(
-                queries, seed, shard, tablet, tablets, telemetry, perturb,
+                queries, seed, shard, tablet, tablets, true, perturb,
             )),
             ShardJob::BigQuery {
                 queries,
@@ -553,7 +517,7 @@ impl ShardJob {
                 shard,
             } => {
                 let (executions, registry) =
-                    run_bigquery_shard(queries, fact_rows, seed, shard, telemetry);
+                    run_bigquery_shard(queries, fact_rows, seed, shard, true);
                 JobOutput::Shard(executions, registry)
             }
         }
@@ -591,7 +555,7 @@ pub fn platform_key(platform: Platform) -> &'static str {
 }
 
 /// One shard's fleet output: where it ran, what it executed, and the
-/// telemetry it recorded (a disabled, empty registry for plain runs).
+/// telemetry it recorded.
 #[derive(Debug)]
 pub struct ShardRun {
     /// The platform this shard simulated.
@@ -685,9 +649,16 @@ fn flush_tablet_group(
 }
 
 /// Runs the whole fleet, one [`ShardRun`] per shard in canonical
-/// `(platform, shard)` order, with per-shard telemetry registries enabled
-/// when `telemetry` is true.
-fn run_fleet_shards(config: FleetConfig, telemetry: bool) -> Vec<ShardRun> {
+/// `(platform, shard)` order, each shard recording into its own
+/// [`MetricsRegistry`] so callers can export per-shard trace lanes and merge
+/// metrics in any order (the merge is order-independent by construction).
+///
+/// Shards run concurrently on up to `config.parallelism` worker threads —
+/// across platforms as well as within one — and are folded back in
+/// canonical order, so the output is a pure function of the configuration
+/// minus `parallelism` and `perturb`.
+#[must_use]
+pub fn run_fleet_telemetry(config: FleetConfig) -> Vec<ShardRun> {
     let mut schedule = fleet_jobs(config);
     // Longest-processing-time-first dispatch, weighted by each job's
     // estimated cost (calibrated against the measured per-shard wall-clock
@@ -700,7 +671,7 @@ fn run_fleet_shards(config: FleetConfig, telemetry: bool) -> Vec<ShardRun> {
     schedule.sort_by_key(|(_, job)| std::cmp::Reverse(job_weight(job)));
     let jobs: Vec<_> = schedule
         .into_iter()
-        .map(|(tag, job)| (tag, move || job.run(telemetry)))
+        .map(|(tag, job)| (tag, move || job.run()))
         .collect();
     let mut outputs = pool::run_tagged_jobs_perturbed(config.parallelism, jobs, config.perturb);
     outputs.sort_by_key(|((platform, shard, part), _)| (*platform as usize, *shard, *part));
@@ -728,26 +699,6 @@ fn run_fleet_shards(config: FleetConfig, telemetry: bool) -> Vec<ShardRun> {
     flush_tablet_group(&mut runs, &mut pending, &mut pending_key);
     runs.sort_by_key(|run| (run.platform as usize, run.shard));
     runs
-}
-
-/// Runs all three platforms and returns `(platform, executions)` triples.
-///
-/// Shards run concurrently on up to `config.parallelism` worker threads —
-/// across platforms as well as within one — and are folded back in
-/// canonical `(platform, shard)` order, so the output is a pure function of
-/// the configuration minus `parallelism`.
-#[must_use]
-pub fn run_fleet(config: FleetConfig) -> Vec<(Platform, Vec<QueryExecution>)> {
-    fold_fleet(run_fleet_shards(config, false))
-}
-
-/// The instrumented fleet run: like [`run_fleet`] but each shard records
-/// into its own [`MetricsRegistry`], returned per shard so callers can
-/// export per-shard trace lanes and merge metrics in any order (the merge
-/// is order-independent by construction).
-#[must_use]
-pub fn run_fleet_telemetry(config: FleetConfig) -> Vec<ShardRun> {
-    run_fleet_shards(config, true)
 }
 
 /// Folds per-shard runs into per-platform execution streams in canonical
@@ -783,9 +734,19 @@ pub fn merge_fleet_metrics(runs: &[ShardRun]) -> MetricsRegistry {
 mod tests {
     use super::*;
 
+    /// One BigTable shard's records from an in-order loop over its tablets
+    /// (the reference the scheduled tablet jobs must reassemble to).
+    fn bigtable_shard_in_order(queries: usize, seed: u64, shard: usize) -> Vec<QueryExecution> {
+        let tablets = DEFAULT_BIGTABLE_TABLETS;
+        let runs = (0..tablets)
+            .map(|tablet| run_bigtable_tablet(queries, seed, shard, tablet, tablets, true, None))
+            .collect();
+        assemble_bigtable_shard(runs).0
+    }
+
     #[test]
     fn spanner_run_produces_all_op_kinds() {
-        let execs = run_spanner(200, 11);
+        let (execs, _) = run_spanner_shard(200, 11, 0, true);
         assert_eq!(execs.len(), 200);
         let labels: std::collections::HashSet<&str> = execs.iter().map(|e| e.label).collect();
         assert!(labels.contains("read"));
@@ -795,7 +756,7 @@ mod tests {
 
     #[test]
     fn bigtable_run_compacts() {
-        let execs = run_bigtable(2_000, 13);
+        let execs = bigtable_shard_in_order(2_000, 13, 0);
         assert_eq!(execs.len(), 2_000);
         // Some query observed a large remote (compaction) wait.
         let max_remote = execs
@@ -807,7 +768,7 @@ mod tests {
 
     #[test]
     fn bigquery_run_covers_query_kinds() {
-        let execs = run_bigquery(30, 2_000, 17);
+        let (execs, _) = run_bigquery_shard(30, 2_000, 17, 0, true);
         let labels: std::collections::HashSet<&str> = execs.iter().map(|e| e.label).collect();
         assert!(labels.len() >= 3, "{labels:?}");
     }
@@ -821,8 +782,8 @@ mod tests {
             seed: 3,
             ..FleetConfig::default()
         };
-        let a = run_fleet(config);
-        let b = run_fleet(config);
+        let a = fold_fleet(run_fleet_telemetry(config));
+        let b = fold_fleet(run_fleet_telemetry(config));
         for ((pa, ea), (pb, eb)) in a.iter().zip(&b) {
             assert_eq!(pa, pb);
             assert_eq!(ea.len(), eb.len());
@@ -845,7 +806,7 @@ mod tests {
             parallelism: 2,
             perturb: None,
         };
-        let fleet = run_fleet(config);
+        let fleet = fold_fleet(run_fleet_telemetry(config));
         assert_eq!(fleet.len(), 3);
         for (platform, execs) in &fleet {
             let want = match platform {
@@ -858,11 +819,12 @@ mod tests {
 
     #[test]
     fn tablet_jobs_assemble_to_inline_shard_run() {
-        // The per-tablet decomposition the fleet schedules must equal the
-        // inline shard run record-for-record — even with tablets produced
-        // out of order and with the in-tablet LSM batches perturbed.
+        // The per-tablet decomposition the fleet schedules must equal an
+        // in-order tablet loop record-for-record — even with tablets
+        // produced out of order and with the in-tablet LSM batches
+        // perturbed.
         let (queries, seed) = (150, 77);
-        let (inline_run, _) = run_bigtable_shard(queries, seed, 3, false);
+        let in_order = bigtable_shard_in_order(queries, seed, 3);
         let tablets = DEFAULT_BIGTABLE_TABLETS;
         let runs: Vec<BigTableTabletRun> = (0..tablets)
             .rev()
@@ -873,14 +835,14 @@ mod tests {
                     3,
                     tablet,
                     tablets,
-                    false,
+                    true,
                     Some(pool::Perturbation::new(9)),
                 )
             })
             .collect();
         let (assembled, _) = assemble_bigtable_shard(runs);
-        assert_eq!(inline_run.len(), assembled.len());
-        for (a, b) in inline_run.iter().zip(&assembled) {
+        assert_eq!(in_order.len(), assembled.len());
+        for (a, b) in in_order.iter().zip(&assembled) {
             assert_eq!(a.label, b.label);
             assert_eq!(a.spans, b.spans);
             assert_eq!(a.cpu_work, b.cpu_work);

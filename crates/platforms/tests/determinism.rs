@@ -2,8 +2,9 @@
 //! yield byte-identical merged records and profiling breakdowns at every
 //! `parallelism` setting.
 
+use hsdp_core::category::Platform;
 use hsdp_platforms::meter::items_breakdown;
-use hsdp_platforms::runner::{run_fleet, FleetConfig};
+use hsdp_platforms::runner::{fold_fleet, run_fleet_telemetry, FleetConfig};
 use hsdp_platforms::QueryExecution;
 
 fn small_config(parallelism: usize) -> FleetConfig {
@@ -19,6 +20,11 @@ fn small_config(parallelism: usize) -> FleetConfig {
     }
 }
 
+/// The fleet's merged per-platform record streams.
+fn run(config: FleetConfig) -> Vec<(Platform, Vec<QueryExecution>)> {
+    fold_fleet(run_fleet_telemetry(config))
+}
+
 /// Full structural equality of two execution records: label, span tree,
 /// and every labeled CPU work item.
 fn assert_exec_eq(a: &QueryExecution, b: &QueryExecution, context: &str) {
@@ -30,9 +36,9 @@ fn assert_exec_eq(a: &QueryExecution, b: &QueryExecution, context: &str) {
 
 #[test]
 fn fleet_output_is_parallelism_invariant() {
-    let baseline = run_fleet(small_config(1));
+    let baseline = run(small_config(1));
     for parallelism in [2usize, 8] {
-        let parallel = run_fleet(small_config(parallelism));
+        let parallel = run(small_config(parallelism));
         assert_eq!(baseline.len(), parallel.len());
         for ((pa, ea), (pb, eb)) in baseline.iter().zip(&parallel) {
             assert_eq!(pa, pb, "platform order must be canonical");
@@ -60,9 +66,9 @@ fn fleet_output_is_parallelism_invariant() {
 #[test]
 fn fleet_output_is_schedule_perturbation_invariant() {
     use hsdp_simcore::pool::Perturbation;
-    let baseline = run_fleet(small_config(1));
+    let baseline = run(small_config(1));
     for seed in 0..4u64 {
-        let perturbed = run_fleet(FleetConfig {
+        let perturbed = run(FleetConfig {
             perturb: Some(Perturbation::new(seed)),
             ..small_config(4)
         });
@@ -80,12 +86,12 @@ fn fleet_output_is_schedule_perturbation_invariant() {
 #[test]
 fn different_seeds_change_output() {
     // Guard against the degenerate "deterministic because constant" failure.
-    let a = run_fleet(small_config(2));
-    let b = run_fleet(FleetConfig {
+    let a = run(small_config(2));
+    let b = run(FleetConfig {
         seed: 0x00DD_5EED,
         ..small_config(2)
     });
-    let labels = |fleet: &[(hsdp_core::category::Platform, Vec<QueryExecution>)]| -> Vec<&str> {
+    let labels = |fleet: &[(Platform, Vec<QueryExecution>)]| -> Vec<&str> {
         fleet
             .iter()
             .flat_map(|(_, execs)| execs.iter().map(|e| e.label))

@@ -1,10 +1,8 @@
 //! Parallelism invariance of the telemetry pipeline: the merged fleet
 //! metrics registry must serialize byte-identically at every `parallelism`
-//! setting, and instrumenting a run must not perturb the record stream.
+//! setting, and each shard registry covers only its own traffic.
 
-use hsdp_platforms::runner::{
-    fold_fleet, merge_fleet_metrics, run_fleet, run_fleet_telemetry, FleetConfig,
-};
+use hsdp_platforms::runner::{merge_fleet_metrics, run_fleet_telemetry, FleetConfig};
 
 fn small_config(parallelism: usize) -> FleetConfig {
     FleetConfig {
@@ -33,24 +31,6 @@ fn merged_metrics_are_parallelism_invariant() {
             parallel, baseline,
             "metrics JSON diverged at parallelism {parallelism}"
         );
-    }
-}
-
-#[test]
-fn instrumentation_does_not_perturb_the_record_stream() {
-    // Telemetry reads the simulation; it never draws from the RNG or
-    // advances the clock, so the instrumented fold equals the plain run.
-    let plain = run_fleet(small_config(2));
-    let instrumented = fold_fleet(run_fleet_telemetry(small_config(2)));
-    assert_eq!(plain.len(), instrumented.len());
-    for ((pa, ea), (pb, eb)) in plain.iter().zip(&instrumented) {
-        assert_eq!(pa, pb, "platform order must be canonical");
-        assert_eq!(ea.len(), eb.len(), "{pa}: record count");
-        for (i, (x, y)) in ea.iter().zip(eb).enumerate() {
-            assert_eq!(x.label, y.label, "{pa} exec {i}: label");
-            assert_eq!(x.spans, y.spans, "{pa} exec {i}: spans");
-            assert_eq!(x.cpu_work, y.cpu_work, "{pa} exec {i}: cpu work");
-        }
     }
 }
 

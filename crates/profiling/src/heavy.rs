@@ -6,7 +6,7 @@
 //! implements the space-saving algorithm (Metwally, Agrawal & El Abbadi,
 //! ICDT 2005) over `u64` keys with weighted increments: a fixed budget of
 //! `capacity` counters tracks the top spenders with a per-key error bound,
-//! so `tail_report` can attribute exact-nanosecond CPU and tax-category
+//! so the tail report can attribute exact-nanosecond CPU and tax-category
 //! time to requests without holding the full request universe in memory.
 //!
 //! ## Determinism

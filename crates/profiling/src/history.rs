@@ -1,11 +1,11 @@
 //! Per-commit profile history: an append-only snapshot store with
 //! sliding-window regression and anomaly detection.
 //!
-//! The `profile_diff` gate compares exactly one pair of profiles; this
+//! The `hsdp diff` gate compares exactly one pair of profiles; this
 //! module turns the same share math into *fleet observability over time*.
 //! Each commit appends one [`ProfileSnapshot`] — per-category and per-stack
 //! CPU shares from the GWP stack profile, telemetry histogram quantiles,
-//! and bench entries from the `fleet_bench` harness, stamped with the
+//! and bench entries from the `hsdp bench` harness, stamped with the
 //! commit id, a monotonic sequence number, `host_parallelism`, and the
 //! dispatched `cpu_features` — to a [`HistoryStore`] file.
 //!
@@ -23,9 +23,9 @@
 //!   doesn't page, and a *sustained* criterion (K consecutive flagged
 //!   snapshots, not one blip) before anything is reported.
 //! - [`regressions_since`] — "top regressed stacks/categories since commit
-//!   X", reusing the [`share_deltas`] math the `profile_diff` gate runs on.
+//!   X", reusing the [`share_deltas`] math the `hsdp diff` gate runs on.
 //! - [`DriftReport`] — the single-pair gate itself, shared by the
-//!   `profile_diff` binary (text and `--json` modes) so the drift math
+//!   `hsdp diff` command (text and `--json` modes) so the drift math
 //!   lives in exactly one place.
 
 use std::collections::BTreeMap;
@@ -90,7 +90,7 @@ pub struct ProfileSnapshot {
     pub stacks: BTreeMap<String, u64>,
     /// Telemetry histogram quantiles, keyed by metric path.
     pub quantiles: BTreeMap<String, QuantileRow>,
-    /// Bench entries (`id -> ns/iter`) from the `fleet_bench` harness,
+    /// Bench entries (`id -> ns/iter`) from the `hsdp bench` harness,
     /// including wall-clock entries. Optional: profile-only snapshots
     /// leave this empty so they stay parallelism-invariant.
     pub bench: BTreeMap<String, f64>,
@@ -719,7 +719,7 @@ pub fn detect_anomalies(
 }
 
 // ---------------------------------------------------------------------------
-// Reports: pairwise drift gate (shared with `profile_diff`) and
+// Reports: pairwise drift gate (shared with `hsdp diff`) and
 // "regressed since commit X".
 // ---------------------------------------------------------------------------
 
@@ -733,7 +733,7 @@ pub struct DriftThresholds {
     pub stack: Option<f64>,
 }
 
-/// The pairwise share-drift report behind the `profile_diff` gate.
+/// The pairwise share-drift report behind the `hsdp diff` gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftReport {
     /// Category share movements, largest magnitude first.

@@ -24,7 +24,7 @@
 //!   with two value dimensions (`samples/count`, `cpu/nanoseconds`) and a
 //!   `category` string label per sample.
 //!
-//! The share/delta helpers at the bottom power the `profile_diff`
+//! The share/delta helpers at the bottom power the `hsdp diff`
 //! regression gate: they recover per-category and per-stack CPU shares from
 //! *decoded* pprof bytes, so the gate exercises the full
 //! encode → decode → compare loop.

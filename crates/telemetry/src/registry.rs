@@ -480,7 +480,7 @@ impl MetricsRegistry {
     }
 
     /// All histograms with their keys, in canonical key order — the
-    /// iteration exemplar joins (e.g. `tail_report`) walk.
+    /// iteration exemplar joins (e.g. the tail report) walk.
     #[must_use]
     pub fn histograms(&self) -> Vec<(MetricKey, &Histogram)> {
         self.histograms.iter().map(|(&k, h)| (k, h)).collect()

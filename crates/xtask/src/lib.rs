@@ -475,9 +475,7 @@ mod tests {
         assert!(in_determinism_scope("crates/simcore/src/pool.rs"));
         assert!(in_determinism_scope("crates/platforms/src/runner.rs"));
         assert!(in_determinism_scope("src/lib.rs"));
-        assert!(!in_determinism_scope(
-            "crates/bench/src/bin/fleet_profile.rs"
-        ));
+        assert!(!in_determinism_scope("crates/bench/src/bin/hsdp/main.rs"));
         assert!(!in_determinism_scope("crates/xtask/src/lexer.rs"));
         assert!(!in_determinism_scope(
             "crates/platforms/tests/determinism.rs"

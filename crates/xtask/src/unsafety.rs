@@ -103,7 +103,7 @@ mod tests {
     fn quarantine_paths() {
         assert!(in_quarantine("crates/taxes/src/simd/compress.rs"));
         assert!(in_quarantine("crates/taxes/src/simd/mod.rs"));
-        assert!(in_quarantine("crates/platforms/src/simd.rs"));
+        assert!(in_quarantine("crates/demo/src/simd.rs"));
         assert!(in_quarantine("crates/x/src/hw/crc.rs"));
         assert!(!in_quarantine("crates/taxes/src/compress.rs"));
         assert!(!in_quarantine("crates/platforms/src/bloom.rs"));

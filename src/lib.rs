@@ -6,8 +6,9 @@
 //! the sea-of-accelerators analytical model with its full limit-study
 //! suite.
 //!
-//! This facade re-exports every workspace crate and provides the [`fleet`]
-//! glue that wires the platform simulators into the profiling pipeline.
+//! This facade re-exports every workspace crate; [`fleet`] is the glue that
+//! wires the platform simulators into the profiling pipeline (one
+//! instrumented fleet run, and its per-platform profiled view).
 //!
 //! ## Quickstart
 //!
@@ -33,6 +34,7 @@
 #![forbid(unsafe_code)]
 
 pub use hsdp_accelsim as accelsim;
+pub use hsdp_bench::fleet;
 pub use hsdp_core as core;
 pub use hsdp_platforms as platforms;
 pub use hsdp_profiling as profiling;
@@ -42,84 +44,3 @@ pub use hsdp_simcore as simcore;
 pub use hsdp_storage as storage;
 pub use hsdp_taxes as taxes;
 pub use hsdp_workload as workload;
-
-/// Glue between the platform simulators and the profiling pipeline.
-pub mod fleet {
-    use hsdp_core::category::Platform;
-    use hsdp_core::profile::QueryPopulation;
-    use hsdp_platforms::exec::QueryExecution;
-    use hsdp_platforms::runner::{run_fleet, FleetConfig};
-    use hsdp_profiling::e2e::{figure2, Figure2};
-    use hsdp_profiling::gwp::{CycleProfile, GwpConfig, GwpProfiler, LeafWork};
-
-    /// Everything the figure benches need about one profiled platform.
-    #[derive(Debug)]
-    pub struct PlatformRun {
-        /// Which platform.
-        pub platform: Platform,
-        /// Raw per-query execution records.
-        pub executions: Vec<QueryExecution>,
-        /// The Figure 2 end-to-end aggregation.
-        pub figure2: Figure2,
-        /// The GWP-style cycle profile (Figures 3–6).
-        pub profile: CycleProfile,
-        /// The model-ready query population measured from the simulation.
-        pub population: QueryPopulation,
-    }
-
-    /// Converts a platform's labeled work into profiler input.
-    fn leaf_work(exec: &QueryExecution) -> Vec<LeafWork> {
-        exec.cpu_work
-            .iter()
-            .map(|w| LeafWork {
-                category: w.category,
-                leaf: w.leaf,
-                time: w.time,
-                stack: w.stack.clone(),
-            })
-            .collect()
-    }
-
-    /// Runs the whole simulated fleet and profiles it end to end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a platform produced no queries (config with zero counts).
-    #[must_use]
-    pub fn profile_fleet(config: FleetConfig) -> Vec<PlatformRun> {
-        run_fleet(config)
-            .into_iter()
-            .map(|(platform, executions)| {
-                let mut profiler = GwpProfiler::new(GwpConfig {
-                    sample_period: hsdp_simcore::time::SimDuration::from_micros(2),
-                    seed: config.seed ^ platform as u64,
-                });
-                for exec in &executions {
-                    for item in leaf_work(exec) {
-                        profiler.observe(&item);
-                    }
-                }
-                let decomposed: Vec<_> = executions
-                    .iter()
-                    .map(QueryExecution::decomposition)
-                    .collect();
-                let figure2 = figure2(&decomposed);
-                let weight = 1.0 / executions.len().max(1) as f64;
-                let records = executions
-                    .iter()
-                    .map(|e| e.to_query_record(weight))
-                    .collect();
-                let population = QueryPopulation::new(records)
-                    // audit: allow(panic, run_fleet always executes at least one query per platform)
-                    .expect("fleet config produced at least one query");
-                PlatformRun {
-                    platform,
-                    executions,
-                    figure2,
-                    profile: profiler.into_profile(),
-                    population,
-                }
-            })
-            .collect()
-    }
-}
