@@ -10,9 +10,9 @@
 //! the sequence number is the CI run number, passed in rather than derived
 //! from wall clock.
 //!
-//! Entries: CRC32C byte-table baseline vs slicing-by-8 vs the dispatched
-//! hardware path, protowire encode/varint kernels, SIMD-vs-scalar pairs for
-//! the compress/decompress kernels (kernel round 3), the
+//! Entries: the two CRC32C tiers (slicing-by-8 and the dispatched hardware
+//! path), protowire encode/varint, compress/decompress, the blocked bloom
+//! probe, the loser-tree compaction merge and Keccak-f[1600], the
 //! sequential-vs-parallel fleet wall-clock comparison (same seed — the
 //! outputs are byte-identical by construction, only the wall-clock
 //! differs), and the Table 8 software pipeline's chained-vs-sequential and
@@ -24,20 +24,17 @@ use hsdp_bench::harness::{time_ns, BenchRecord, BenchReport};
 use hsdp_bench::tail::render_json;
 use hsdp_bench::FleetRun;
 use hsdp_core::category::Platform;
-use hsdp_platforms::bloom::{Bloom, ReferenceBloom};
-use hsdp_platforms::merge::{merge_runs_reference, merge_sorted_runs, Entry};
+use hsdp_platforms::bloom::Bloom;
+use hsdp_platforms::merge::{merge_sorted_runs, Entry};
 use hsdp_platforms::runner::{
     default_parallelism, platform_key, platform_plan, run_bigquery_shard, run_bigtable_tablet,
     run_fleet_telemetry, run_spanner_shard, FleetConfig,
 };
 use hsdp_rng::{Rng, StdRng};
-use hsdp_taxes::compress::{
-    compress, compress_reference, compress_scalar, decompress, decompress_reference,
-    decompress_scalar,
-};
-use hsdp_taxes::crc::{crc32c_append, crc32c_append_bytewise, crc32c_append_slicing8};
+use hsdp_taxes::compress::{compress, decompress};
+use hsdp_taxes::crc::{crc32c_append, crc32c_append_slicing8};
 use hsdp_taxes::dispatch::CpuFeatures;
-use hsdp_taxes::sha3::{keccak_f1600, keccak_f1600_reference};
+use hsdp_taxes::sha3::keccak_f1600;
 use hsdp_taxes::varint::encode_varint;
 use hsdp_workload::proto_corpus;
 
@@ -80,24 +77,16 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         report.cpu_features(),
     );
 
-    // --- CRC32C: byte-table baseline vs slicing-by-8 vs hardware CRC32. ----
+    // --- CRC32C: slicing-by-8 vs hardware CRC32. ---------------------------
     // `crc32c_append` dispatches to the SSE4.2/ARMv8 instruction when the
     // host has it, so the slicing-by-8 entry calls that tier explicitly.
     let buf: Vec<u8> = (0..CRC_BUF_LEN).map(|i| (i * 131 % 251) as u8).collect();
-    let bytewise_ns = best_of(5, || time_ns(200, || crc32c_append_bytewise(0, &buf)));
     let sliced_ns = best_of(5, || time_ns(200, || crc32c_append_slicing8(0, &buf)));
     let hw_ns = best_of(5, || time_ns(200, || crc32c_append(0, &buf)));
     gate(
-        crc32c_append(0, &buf) == crc32c_append_bytewise(0, &buf),
-        || "crc32c fast path must agree with the oracle".to_owned(),
+        crc32c_append(0, &buf) == crc32c_append_slicing8(0, &buf),
+        || "crc32c tiers must agree".to_owned(),
     )?;
-    report.push(BenchRecord {
-        id: format!("crc32c/bytewise/{}KiB", CRC_BUF_LEN / 1024),
-        ns_per_iter: bytewise_ns,
-        bytes_per_iter: Some(CRC_BUF_LEN as u64),
-        parallelism: 1,
-        seed: 0,
-    });
     report.push(BenchRecord {
         id: format!("crc32c/slicing8/{}KiB", CRC_BUF_LEN / 1024),
         ns_per_iter: sliced_ns,
@@ -113,9 +102,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         seed: 0,
     });
     println!(
-        "crc32c: bytewise {bytewise_ns:.0} ns/iter, slicing8 {sliced_ns:.0} ns/iter \
-         ({:.2}x), hw {hw_ns:.0} ns/iter ({:.2}x over slicing8)",
-        bytewise_ns / sliced_ns,
+        "crc32c: slicing8 {sliced_ns:.0} ns/iter, hw {hw_ns:.0} ns/iter ({:.2}x over slicing8)",
         sliced_ns / hw_ns,
     );
     if features.sse42 || features.aarch64_crc {
@@ -178,10 +165,12 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         seed: 0,
     });
 
-    // --- Compression: byte-at-a-time reference vs word-at-a-time codec. ---
+    // --- Compression: the block codec on a fleet-log corpus. ---------------
     // A 64 KiB log-like corpus of hot-key row traffic: a few thousand
     // distinct timestamps and a couple hundred users, so lines repeat with
     // small variations — the compressibility regime SSTable blocks live in.
+    // The ids keep the names they had when other tiers were benched beside
+    // them, so the BENCH history continues.
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut corpus = Vec::with_capacity(CRC_BUF_LEN + 128);
     while corpus.len() < CRC_BUF_LEN {
@@ -194,42 +183,15 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         );
     }
     corpus.truncate(CRC_BUF_LEN);
-    // The encoders may pick different matches; all streams must decode to
-    // the corpus under *both* decoders (one shared format). `compress` /
-    // `decompress` dispatch to the AVX2 tier when the host has it; the
-    // word-at-a-time/chunked-copy entries call the scalar tier explicitly.
     let packed = compress(&corpus);
-    let packed_ref = compress_reference(&corpus);
-    gate(packed == compress_scalar(&corpus), || {
-        "SIMD and scalar compress must emit identical bytes".to_owned()
+    gate(decompress(&packed).as_ref() == Ok(&corpus), || {
+        "compress/decompress must round-trip the corpus".to_owned()
     })?;
-    for (pair, decoded) in [
-        ("fast/fast", decompress(&packed)),
-        ("fast/scalar", decompress_scalar(&packed)),
-        ("fast/reference", decompress_reference(&packed)),
-        ("reference/fast", decompress(&packed_ref)),
-    ] {
-        gate(decoded.as_ref() == Ok(&corpus), || {
-            format!("{pair} compress/decompress must round-trip the corpus")
-        })?;
-    }
-    let ref_compress_ns = best_of(5, || time_ns(50, || compress_reference(&corpus).len()));
-    let scalar_compress_ns = best_of(5, || time_ns(50, || compress_scalar(&corpus).len()));
-    let simd_compress_ns = best_of(5, || time_ns(50, || compress(&corpus).len()));
-    let ref_decompress_ns = best_of(5, || {
-        time_ns(50, || decompress_reference(&packed).map(|v| v.len()))
-    });
-    let scalar_decompress_ns = best_of(5, || {
-        time_ns(50, || decompress_scalar(&packed).map(|v| v.len()))
-    });
-    let simd_decompress_ns = best_of(5, || time_ns(50, || decompress(&packed).map(|v| v.len())));
+    let compress_ns = best_of(5, || time_ns(50, || compress(&corpus).len()));
+    let decompress_ns = best_of(5, || time_ns(50, || decompress(&packed).map(|v| v.len())));
     for (id, ns) in [
-        ("compress/reference/64KiB", ref_compress_ns),
-        ("compress/word-at-a-time/64KiB", scalar_compress_ns),
-        ("compress/simd/64KiB", simd_compress_ns),
-        ("decompress/reference/64KiB", ref_decompress_ns),
-        ("decompress/chunked-copy/64KiB", scalar_decompress_ns),
-        ("decompress/simd/64KiB", simd_decompress_ns),
+        ("compress/word-at-a-time/64KiB", compress_ns),
+        ("decompress/chunked-copy/64KiB", decompress_ns),
     ] {
         report.push(BenchRecord {
             id: id.to_owned(),
@@ -240,128 +202,37 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         });
     }
     println!(
-        "compress: reference {ref_compress_ns:.0} ns/iter, word-at-a-time \
-         {scalar_compress_ns:.0} ns/iter ({:.2}x), simd {simd_compress_ns:.0} ns/iter \
-         ({:.2}x over scalar); decompress: reference {ref_decompress_ns:.0} ns/iter, \
-         chunked-copy {scalar_decompress_ns:.0} ns/iter ({:.2}x), simd \
-         {simd_decompress_ns:.0} ns/iter ({:.2}x over scalar)",
-        ref_compress_ns / scalar_compress_ns,
-        scalar_compress_ns / simd_compress_ns,
-        ref_decompress_ns / scalar_decompress_ns,
-        scalar_decompress_ns / simd_decompress_ns,
+        "compress: {compress_ns:.0} ns/iter, decompress: {decompress_ns:.0} ns/iter \
+         ({} -> {} bytes)",
+        corpus.len(),
+        packed.len(),
     );
-    gate(ref_compress_ns / scalar_compress_ns >= 2.0, || {
-        "compress must be >= 2x over the reference on the 64 KiB corpus".to_owned()
-    })?;
 
-    // --- Compression, match-extension regime: the SIMD compress gate. ------
-    // The fleet-log corpus above averages ~16-byte matches, so each match
-    // costs one serial hash->probe->compare dependence chain that no vector
-    // width can shorten — SIMD lands ~1x there and the pair is recorded
-    // ungated. Long matches are where the vector prefix comparator pays:
-    // this corpus repeats a 2 KiB hot block (SSTable hot-tablet readback),
-    // so compression time is dominated by 32-bytes-per-cycle match
-    // extension, and the AVX2 tier must clear 2x over the scalar tier.
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0xB10C);
-    let hot_block: Vec<u8> = (0..2048)
-        .map(|_| {
-            let b = rng.random_range(0u32..255);
-            // audit: allow(cast, bench corpus byte from a bounded range)
-            b as u8
-        })
-        .collect();
-    let mut hot_corpus = Vec::with_capacity(CRC_BUF_LEN);
-    while hot_corpus.len() < CRC_BUF_LEN {
-        hot_corpus.extend_from_slice(&hot_block);
-    }
-    hot_corpus.truncate(CRC_BUF_LEN);
-    gate(
-        compress(&hot_corpus) == compress_scalar(&hot_corpus),
-        || "SIMD and scalar compress must emit identical bytes (hot-block corpus)".to_owned(),
-    )?;
-    let scalar_hot_ns = best_of(5, || time_ns(50, || compress_scalar(&hot_corpus).len()));
-    let simd_hot_ns = best_of(5, || time_ns(50, || compress(&hot_corpus).len()));
-    for (id, ns) in [
-        ("compress/scalar/hot-block-64KiB", scalar_hot_ns),
-        ("compress/simd/hot-block-64KiB", simd_hot_ns),
-    ] {
-        report.push(BenchRecord {
-            id: id.to_owned(),
-            ns_per_iter: ns,
-            bytes_per_iter: Some(CRC_BUF_LEN as u64),
-            parallelism: 1,
-            seed: SEED ^ 0xB10C,
-        });
-    }
-    println!(
-        "compress hot-block: scalar {scalar_hot_ns:.0} ns/iter, simd {simd_hot_ns:.0} \
-         ns/iter ({:.2}x)",
-        scalar_hot_ns / simd_hot_ns,
-    );
-    if features.avx2 {
-        gate(scalar_hot_ns / simd_hot_ns >= 2.0, || {
-            format!(
-                "SIMD compress must be >= 2x over scalar on the match-extension corpus \
-                 (got {:.2}x)",
-                scalar_hot_ns / simd_hot_ns,
-            )
-        })?;
-    } else {
-        eprintln!(
-            "simd compress gate: SKIPPED (no AVX2 tier dispatched; features: {})",
-            features.summary(),
-        );
-    }
-
-    // --- Bloom: modulo-probed reference vs cache-line-blocked filter. ------
+    // --- Bloom: cache-line-blocked filter probes. --------------------------
     let keys: Vec<Vec<u8>> = (0..10_000u64)
         .map(|i| format!("row-key-{i:08}").into_bytes())
         .collect();
-    let mut blocked = Bloom::new(keys.len());
-    let mut reference = ReferenceBloom::new(keys.len());
+    let mut bloom = Bloom::new(keys.len());
     for key in &keys {
-        blocked.insert(key);
-        reference.insert(key);
+        bloom.insert(key);
     }
-    let ref_bloom_ns = best_of(5, || {
-        time_ns(50, || {
-            keys.iter().filter(|k| reference.may_contain(k)).count()
-        })
-    });
-    let blocked_bloom_ns = best_of(5, || {
-        time_ns(50, || {
-            keys.iter().filter(|k| blocked.may_contain(k)).count()
-        })
-    });
     gate(
-        keys.iter().filter(|k| blocked.may_contain(k)).count() == keys.len(),
+        keys.iter().filter(|k| bloom.may_contain(k)).count() == keys.len(),
         || "blocked filter must report every inserted key".to_owned(),
     )?;
-    report.push(BenchRecord {
-        id: "bloom/reference-probe/10k-keys".to_owned(),
-        ns_per_iter: ref_bloom_ns,
-        bytes_per_iter: None,
-        parallelism: 1,
-        seed: 0,
+    let bloom_ns = best_of(5, || {
+        time_ns(50, || keys.iter().filter(|k| bloom.may_contain(k)).count())
     });
     report.push(BenchRecord {
         id: "bloom/blocked-probe/10k-keys".to_owned(),
-        ns_per_iter: blocked_bloom_ns,
+        ns_per_iter: bloom_ns,
         bytes_per_iter: None,
         parallelism: 1,
         seed: 0,
     });
-    println!(
-        "bloom: reference {ref_bloom_ns:.0} ns/iter, blocked {blocked_bloom_ns:.0} ns/iter \
-         ({:.2}x) over {} probes",
-        ref_bloom_ns / blocked_bloom_ns,
-        keys.len()
-    );
-    gate(ref_bloom_ns / blocked_bloom_ns >= 2.0, || {
-        "blocked bloom probes must be >= 2x over the reference".to_owned()
-    })?;
+    println!("bloom: {bloom_ns:.0} ns/iter over {} probes", keys.len());
 
-    // --- Compaction merge: BTreeMap reference vs loser tree. ---------------
+    // --- Compaction merge: loser tree. -------------------------------------
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xFEED);
     let runs: Vec<Vec<Entry>> = (0..8usize)
         .map(|r| {
@@ -376,58 +247,29 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             run.into_iter().collect()
         })
         .collect();
-    gate(
-        merge_sorted_runs(runs.clone()) == merge_runs_reference(runs.clone()),
-        || "loser tree must match the BTreeMap merge".to_owned(),
-    )?;
     let merged_len = merge_sorted_runs(runs.clone()).len();
-    let ref_merge_ns = best_of(5, || {
-        time_ns(20, || merge_runs_reference(runs.clone()).len())
-    });
-    let tree_merge_ns = best_of(5, || time_ns(20, || merge_sorted_runs(runs.clone()).len()));
-    report.push(BenchRecord {
-        id: "compaction/merge-btreemap/8x2000".to_owned(),
-        ns_per_iter: ref_merge_ns,
-        bytes_per_iter: None,
-        parallelism: 1,
-        seed: SEED ^ 0xFEED,
-    });
+    let merge_ns = best_of(5, || time_ns(20, || merge_sorted_runs(runs.clone()).len()));
     report.push(BenchRecord {
         id: "compaction/merge-loser-tree/8x2000".to_owned(),
-        ns_per_iter: tree_merge_ns,
+        ns_per_iter: merge_ns,
         bytes_per_iter: None,
         parallelism: 1,
         seed: SEED ^ 0xFEED,
     });
     println!(
-        "compaction merge: btreemap {:.1} us/iter, loser tree {:.1} us/iter \
-         ({:.2}x) -> {merged_len} entries",
-        ref_merge_ns / 1e3,
-        tree_merge_ns / 1e3,
-        ref_merge_ns / tree_merge_ns,
+        "compaction merge: loser tree {:.1} us/iter -> {merged_len} entries",
+        merge_ns / 1e3,
     );
 
-    // --- SHA3: 5x5-array reference vs flat unrolled Keccak-f[1600]. --------
+    // --- SHA3: one Keccak-f[1600] permutation. -----------------------------
+    // The id predates the deletion of the flat permutation it was paired
+    // with; it still times the same 5x5 code.
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x5A3);
     let mut state = [0u64; 25];
     for lane in &mut state {
         *lane = rng.random();
     }
-    let mut check_fast = state;
-    let mut check_ref = state;
-    keccak_f1600(&mut check_fast);
-    keccak_f1600_reference(&mut check_ref);
-    gate(check_fast == check_ref, || {
-        "flat Keccak permutation must match the oracle".to_owned()
-    })?;
-    let ref_keccak_ns = best_of(5, || {
-        time_ns(2_000, || {
-            let mut s = state;
-            keccak_f1600_reference(&mut s);
-            s[0]
-        })
-    });
-    let flat_keccak_ns = best_of(5, || {
+    let keccak_ns = best_of(5, || {
         time_ns(2_000, || {
             let mut s = state;
             keccak_f1600(&mut s);
@@ -436,23 +278,12 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     });
     report.push(BenchRecord {
         id: "sha3/keccak-f1600-reference".to_owned(),
-        ns_per_iter: ref_keccak_ns,
+        ns_per_iter: keccak_ns,
         bytes_per_iter: Some(200),
         parallelism: 1,
         seed: SEED ^ 0x5A3,
     });
-    report.push(BenchRecord {
-        id: "sha3/keccak-f1600-flat".to_owned(),
-        ns_per_iter: flat_keccak_ns,
-        bytes_per_iter: Some(200),
-        parallelism: 1,
-        seed: SEED ^ 0x5A3,
-    });
-    println!(
-        "sha3: keccak-f1600 reference {ref_keccak_ns:.0} ns/perm, flat \
-         {flat_keccak_ns:.0} ns/perm ({:.2}x)",
-        ref_keccak_ns / flat_keccak_ns
-    );
+    println!("sha3: keccak-f1600 {keccak_ns:.0} ns/perm");
 
     // --- Fleet: sequential vs parallel wall clock, identical output. ------
     let fleet_config = FleetConfig {

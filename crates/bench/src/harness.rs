@@ -213,9 +213,9 @@ impl BenchRecord {
 /// regression from a run that simply landed on a smaller machine (a 1-CPU
 /// runner cannot show fleet speedup at all — the speedup gate skips there).
 /// Since kernel round 3 each entry also carries the dispatched CPU feature
-/// summary (e.g. `"sse4.2+pclmul+avx2"` or `"scalar(forced)"`), so a
-/// SIMD-vs-scalar ratio recorded on one host is never compared against a
-/// run where the fast paths silently failed to dispatch.
+/// summary (e.g. `"sse4.2"` or `"scalar(forced)"`), so a hardware-vs-scalar
+/// CRC32C ratio recorded on one host is never compared against a run where
+/// the fast path silently failed to dispatch.
 /// Every entry also carries provenance — the `git_commit` it measured and a
 /// monotonic `sequence` number (CI run number, passed in via CLI rather
 /// than derived from wall clock) — so bench history joins the per-commit

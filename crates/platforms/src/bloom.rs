@@ -6,10 +6,7 @@
 //! 64-byte block (eight words), so a probe costs one cache line instead of
 //! up to seven scattered lines, the block count is a power of two so block
 //! selection is a mask instead of a `%` division, and the hash consumes the
-//! key eight bytes at a time. [`ReferenceBloom`] is the original unblocked
-//! filter, retained as the behavioural baseline for property tests and the
-//! `hsdp bench` comparison — the same oracle discipline the CRC32C and
-//! compression kernels follow.
+//! key eight bytes at a time.
 
 /// Words per block: 8 x 64 bits = one 64-byte cache line.
 const BLOCK_WORDS: usize = 8;
@@ -144,78 +141,6 @@ impl Bloom {
     }
 }
 
-/// The original unblocked Bloom filter: seven independent probes spread
-/// over the whole table, located with a `%` division. Retained as the
-/// baseline for the blocked filter's property tests and benchmarks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReferenceBloom {
-    bits: Vec<u64>,
-    hashes: u32,
-    entries: usize,
-}
-
-impl ReferenceBloom {
-    /// Builds a filter sized for `expected` entries (10 bits/key, 7 hashes).
-    #[must_use]
-    pub fn new(expected: usize) -> Self {
-        let bit_count = (expected.max(1) * BITS_PER_KEY).next_power_of_two();
-        ReferenceBloom {
-            bits: vec![0u64; bit_count / 64 + 1],
-            hashes: HASHES,
-            entries: 0,
-        }
-    }
-
-    fn hash_pair(key: &[u8]) -> (u64, u64) {
-        // FNV-1a for h1; a second pass with a different offset for h2.
-        let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut h2: u64 = 0x6c62_272e_07bb_0142;
-        for &b in key {
-            h1 = (h1 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            h2 = (h2 ^ u64::from(b)).wrapping_mul(0x3f4d_72f9_8ac1_76bd);
-        }
-        (h1, h2 | 1) // h2 odd so strides cover the table
-    }
-
-    fn bit_count(&self) -> u64 {
-        self.bits.len() as u64 * 64
-    }
-
-    /// Inserts a key.
-    pub fn insert(&mut self, key: &[u8]) {
-        let (h1, h2) = Self::hash_pair(key);
-        let m = self.bit_count();
-        for i in 0..self.hashes {
-            let bit = h1.wrapping_add(h2.wrapping_mul(u64::from(i))) % m;
-            self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
-        }
-        self.entries += 1;
-    }
-
-    /// True if the key *may* be present (no false negatives).
-    #[must_use]
-    pub fn may_contain(&self, key: &[u8]) -> bool {
-        let (h1, h2) = Self::hash_pair(key);
-        let m = self.bit_count();
-        (0..self.hashes).all(|i| {
-            let bit = h1.wrapping_add(h2.wrapping_mul(u64::from(i))) % m;
-            self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0
-        })
-    }
-
-    /// Number of inserted keys.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
-    /// Size of the filter in bytes.
-    #[must_use]
-    pub fn byte_size(&self) -> usize {
-        self.bits.len() * 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,28 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn reference_bloom_still_behaves() {
-        let mut bloom = ReferenceBloom::new(1000);
-        for i in 0..1000u32 {
-            bloom.insert(format!("key-{i}").as_bytes());
-        }
-        for i in 0..1000u32 {
-            assert!(bloom.may_contain(format!("key-{i}").as_bytes()), "key-{i}");
-        }
-        assert_eq!(bloom.entries(), 1000);
-        let mut false_positives = 0;
-        for i in 0..1000u32 {
-            if bloom.may_contain(format!("absent-{i}").as_bytes()) {
-                false_positives += 1;
-            }
-        }
-        assert!(false_positives < 30, "fp {false_positives}");
-    }
-
-    #[test]
-    fn blocked_and_reference_agree_on_membership_guarantee() {
-        // Property: both filters admit every inserted key, whatever the
-        // key shapes (empty, short, word-boundary, long).
+    fn admits_every_key_shape() {
+        // No false negatives whatever the key shapes (empty, short,
+        // word-boundary, long).
         let keys: Vec<Vec<u8>> = (0..512u32)
             .map(|i| {
                 let len = (i as usize * 7) % 41;
@@ -308,15 +214,12 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut blocked = Bloom::new(keys.len());
-        let mut reference = ReferenceBloom::new(keys.len());
+        let mut bloom = Bloom::new(keys.len());
         for k in &keys {
-            blocked.insert(k);
-            reference.insert(k);
+            bloom.insert(k);
         }
         for k in &keys {
-            assert!(blocked.may_contain(k));
-            assert!(reference.may_contain(k));
+            assert!(bloom.may_contain(k));
         }
     }
 }

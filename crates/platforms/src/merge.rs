@@ -8,9 +8,8 @@
 //! Duplicate keys resolve newest-run-wins (runs are supplied oldest-first),
 //! matching LSM semantics.
 //!
-//! [`merge_runs_reference`] is the original `BTreeMap` merge, retained as
-//! the equivalence oracle and benchmark baseline — the same discipline the
-//! CRC32C/compression/SHA3 kernels follow.
+//! `tests/merge_equivalence.rs` checks it against the original `BTreeMap`
+//! merge it replaced, which lives there as test code.
 
 use std::cmp::Ordering;
 
@@ -143,21 +142,6 @@ pub fn merge_sorted_runs(runs: Vec<Vec<Entry>>) -> Vec<Entry> {
     out
 }
 
-/// The original `BTreeMap` k-way merge, retained as the equivalence oracle
-/// and benchmark baseline for [`merge_sorted_runs`]: insert every run in
-/// age order and let later (newer) inserts overwrite earlier ones.
-#[must_use]
-pub fn merge_runs_reference(runs: Vec<Vec<Entry>>) -> Vec<Entry> {
-    let mut merged: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
-        std::collections::BTreeMap::new();
-    for run in runs {
-        for (k, v) in run {
-            merged.insert(k, v);
-        }
-    }
-    merged.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,34 +180,5 @@ mod tests {
         let r1 = vec![kv("k", "v1")];
         let r2 = vec![kv("k", "v2")];
         assert_eq!(merge_sorted_runs(vec![r0, r1, r2]), vec![kv("k", "v2")]);
-    }
-
-    #[test]
-    fn non_power_of_two_run_counts() {
-        for k in 1..=9usize {
-            let runs: Vec<Vec<Entry>> = (0..k)
-                .map(|r| {
-                    (0..20usize)
-                        .filter(|i| i % (r + 1) == 0)
-                        .map(|i| kv(&format!("key-{i:03}"), &format!("run-{r}")))
-                        .collect()
-                })
-                .collect();
-            let expected = merge_runs_reference(runs.clone());
-            assert_eq!(merge_sorted_runs(runs), expected, "k = {k}");
-        }
-    }
-
-    #[test]
-    fn runs_with_empty_members() {
-        let runs = vec![
-            Vec::new(),
-            vec![kv("b", "1")],
-            Vec::new(),
-            vec![kv("a", "2"), kv("b", "3")],
-            Vec::new(),
-        ];
-        let expected = merge_runs_reference(runs.clone());
-        assert_eq!(merge_sorted_runs(runs), expected);
     }
 }

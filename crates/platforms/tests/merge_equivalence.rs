@@ -1,12 +1,28 @@
 //! Equivalence suite for the loser-tree compaction merge: on randomized
-//! overlapping runs, [`merge_sorted_runs`] must reproduce the retained
-//! `BTreeMap` merge byte for byte — same order, same dedup winner, same
+//! overlapping runs, [`merge_sorted_runs`] must reproduce the `BTreeMap`
+//! merge it replaced byte for byte — same order, same dedup winner, same
 //! values — since `bigtable::compact` swapped onto the loser tree.
 
 use std::collections::BTreeMap;
 
-use hsdp_platforms::merge::{merge_runs_reference, merge_sorted_runs, Entry};
+use hsdp_platforms::merge::{merge_sorted_runs, Entry};
 use hsdp_rng::{Rng, StdRng};
+
+/// The original `BTreeMap` k-way merge, the oracle: insert every run in age
+/// order and let later (newer) inserts overwrite earlier ones.
+fn merge_runs_reference(runs: Vec<Vec<Entry>>) -> Vec<Entry> {
+    let mut merged: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    for run in runs {
+        for (k, v) in run {
+            merged.insert(k, v);
+        }
+    }
+    merged.into_iter().collect()
+}
+
+fn kv(k: &str, v: &str) -> Entry {
+    (k.as_bytes().to_vec(), v.as_bytes().to_vec())
+}
 
 /// Builds one sorted, unique-keyed run: the shape memtable flushes and
 /// prior compactions produce. Keys are drawn from a small space so runs
@@ -83,4 +99,56 @@ fn loser_tree_matches_btreemap_on_identical_runs() {
         assert_eq!(actual, expected, "k = {k}");
         assert!(actual.iter().all(|(_, v)| v == b"new"));
     }
+}
+
+#[test]
+fn non_power_of_two_run_counts() {
+    for k in 1..=9usize {
+        let runs: Vec<Vec<Entry>> = (0..k)
+            .map(|r| {
+                (0..20usize)
+                    .filter(|i| i % (r + 1) == 0)
+                    .map(|i| kv(&format!("key-{i:03}"), &format!("run-{r}")))
+                    .collect()
+            })
+            .collect();
+        let expected = merge_runs_reference(runs.clone());
+        assert_eq!(merge_sorted_runs(runs), expected, "k = {k}");
+    }
+}
+
+#[test]
+fn runs_with_empty_members() {
+    let runs = vec![
+        Vec::new(),
+        vec![kv("b", "1")],
+        Vec::new(),
+        vec![kv("a", "2"), kv("b", "3")],
+        Vec::new(),
+    ];
+    let expected = merge_runs_reference(runs.clone());
+    assert_eq!(merge_sorted_runs(runs), expected);
+}
+
+#[test]
+fn leveled_merge_matches_reference_merge() {
+    // The shape of one leveled-compaction merge in `bigtable`: four
+    // overlapping sorted runs.
+    let runs: Vec<Vec<Entry>> = (0..4)
+        .map(|run| {
+            (0..50u32)
+                .map(|i| {
+                    (
+                        format!("k-{:04}", (i * 7 + run * 3) % 120).into_bytes(),
+                        format!("v-{run}-{i}").into_bytes(),
+                    )
+                })
+                .collect::<BTreeMap<_, _>>()
+                .into_iter()
+                .collect()
+        })
+        .collect();
+    let merged = merge_sorted_runs(runs.clone());
+    let reference = merge_runs_reference(runs);
+    assert_eq!(merged, reference);
 }

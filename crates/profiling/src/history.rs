@@ -53,7 +53,7 @@ pub struct SnapshotMeta {
     pub sequence: u64,
     /// Hardware threads on the host that took the snapshot.
     pub host_parallelism: u64,
-    /// Dispatched CPU feature summary (e.g. `"sse4.2+pclmul+avx2"`).
+    /// Dispatched CPU feature summary (e.g. `"sse4.2"`).
     pub cpu_features: String,
 }
 

@@ -3,19 +3,18 @@
 //! Implements an LZ77-family byte-oriented block format in the spirit of the
 //! fast datacenter codecs (Snappy/LZ4) the paper's platforms run on their
 //! critical paths: a greedy hash-table match finder over a 64 KiB window,
-//! literal runs and back-reference copies, plus a trivial RLE codec used by
-//! the columnar engine for sorted columns.
+//! literal runs and back-reference copies.
 //!
-//! Two implementations share the stream format. [`compress`] /
-//! [`decompress`] are the hot paths: the match finder extends matches a
-//! 64-bit word at a time and skips ahead over incompressible runs
-//! (LZ4-style acceleration), and the decoder batch-copies literal runs and
-//! back-references with overlap-safe chunked copies.
-//! [`compress_reference`] / [`decompress_reference`] are the original
-//! byte-at-a-time implementations, retained as equivalence oracles and
-//! benchmark baselines — the same discipline the CRC32C kernel uses with
-//! its bytewise oracle. Streams from either encoder decode with either
-//! decoder.
+//! [`compress`] extends matches a 64-bit word at a time and skips ahead over
+//! incompressible runs (LZ4-style acceleration); [`decompress`]
+//! batch-copies literal runs and back-references with overlap-safe chunked
+//! copies. Each is the codec's only production implementation: AVX2 tiers
+//! of both were measured on the blocks a fleet run compresses, did not pay
+//! for themselves, and were deleted (DESIGN.md, "One implementation per
+//! kernel"). The original byte-at-a-time encoder stays private as the
+//! fallback for inputs the fast path's u32 hash table cannot address
+//! (4 GiB and up); the byte-at-a-time decoder lives in this module's tests
+//! as the oracle every encoder x decoder pairing is checked against.
 //!
 //! ## Stream layout
 //!
@@ -44,31 +43,31 @@ use crate::error::CompressError;
 use crate::varint::{decode_varint, encode_varint};
 
 /// Stream magic bytes.
-pub(crate) const MAGIC: [u8; 2] = *b"HZ";
+const MAGIC: [u8; 2] = *b"HZ";
 /// Format version.
-pub(crate) const VERSION: u8 = 1;
+const VERSION: u8 = 1;
 /// Minimum back-reference length worth encoding.
-pub(crate) const MIN_MATCH: usize = 4;
+const MIN_MATCH: usize = 4;
 /// Maximum back-reference distance (64 KiB window).
-pub(crate) const MAX_OFFSET: usize = 1 << 16;
+const MAX_OFFSET: usize = 1 << 16;
 /// log2 of the match-finder hash table size.
-pub(crate) const HASH_BITS: u32 = 14;
+const HASH_BITS: u32 = 14;
 /// After `2^SKIP_TRIGGER` consecutive match misses, the probe stride grows
 /// by one — incompressible runs are crossed in sub-linear probe counts.
-pub(crate) const SKIP_TRIGGER: u32 = 5;
+const SKIP_TRIGGER: u32 = 5;
 /// Cap on the decoder's up-front allocation: the header's declared length
 /// is untrusted, so larger outputs grow amortized instead of being
 /// reserved blindly.
-pub(crate) const MAX_PREALLOC: usize = 1 << 20;
+const MAX_PREALLOC: usize = 1 << 20;
 
 #[inline]
-pub(crate) fn hash4(v: u32) -> usize {
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
 }
 
 /// Loads a little-endian u32; the caller guarantees `pos + 4 <= data.len()`.
 #[inline]
-pub(crate) fn load_u32(data: &[u8], pos: usize) -> u32 {
+fn load_u32(data: &[u8], pos: usize) -> u32 {
     // audit: allow(panic, caller guarantees pos + 4 <= data.len())
     u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4-byte load"))
 }
@@ -103,7 +102,7 @@ fn common_prefix_len(data: &[u8], a: usize, b: usize) -> usize {
     b - start
 }
 
-pub(crate) fn emit_literals(data: &[u8], out: &mut Vec<u8>) {
+fn emit_literals(data: &[u8], out: &mut Vec<u8>) {
     if data.is_empty() {
         return;
     }
@@ -117,7 +116,7 @@ pub(crate) fn emit_literals(data: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(data);
 }
 
-pub(crate) fn emit_copy(len: usize, offset: usize, out: &mut Vec<u8>) {
+fn emit_copy(len: usize, offset: usize, out: &mut Vec<u8>) {
     debug_assert!(len >= MIN_MATCH && offset >= 1);
     if len - MIN_MATCH < 0x7f {
         out.push((((len - MIN_MATCH) as u8) << 1) | 1);
@@ -128,31 +127,15 @@ pub(crate) fn emit_copy(len: usize, offset: usize, out: &mut Vec<u8>) {
     encode_varint(offset as u64, out);
 }
 
-/// Compresses `data` into a self-describing block — the dispatched entry.
+/// Compresses `data` into a self-describing block.
 ///
-/// Resolves once per process to the AVX2 path in [`crate::simd::compress`]
-/// when the host supports it, else to [`compress_scalar`]. Both paths make
-/// **identical match decisions** and emit **identical streams** for every
-/// input — the SIMD path only widens match extension and batches emission —
-/// so compressed artifacts are byte-stable across hosts and under
-/// `HSDP_FORCE_SCALAR=1` (see [`crate::dispatch`]).
+/// Same greedy hash-table match finder as the byte-at-a-time original, but
+/// match extension runs a 64-bit word at a time and consecutive misses grow
+/// the probe stride, so incompressible stretches cost sub-linear probe
+/// counts. Output is a pure function of `data`: SSTable block bytes and
+/// their checksums never depend on the host.
 #[must_use]
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    use crate::simd::compress::CompressFn;
-    static IMPL: std::sync::OnceLock<CompressFn> = std::sync::OnceLock::new();
-    let resolved =
-        *IMPL.get_or_init(|| crate::simd::compress::compress_fn().unwrap_or(compress_scalar));
-    resolved(data)
-}
-
-/// Compresses `data` into a self-describing block — the scalar fast path,
-/// round-2 benchmark baseline, and byte-for-byte oracle for the SIMD path.
-///
-/// Same greedy hash-table match finder as [`compress_reference`], but match
-/// extension runs a 64-bit word at a time and consecutive misses grow the
-/// probe stride, so incompressible stretches cost sub-linear probe counts.
-#[must_use]
-pub fn compress_scalar(data: &[u8]) -> Vec<u8> {
     // The fast table stores `pos + 1` as u32 (0 = empty) — half the
     // footprint of a usize table, so it stays cache-resident. Inputs too
     // large for that encoding take the reference path (same format).
@@ -238,11 +221,10 @@ pub fn compress_scalar(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The original byte-at-a-time compressor, retained as the equivalence
-/// oracle and benchmark baseline for [`compress`]. Produces streams in the
-/// identical format (both decoders accept both encoders' output).
-#[must_use]
-pub fn compress_reference(data: &[u8]) -> Vec<u8> {
+/// The original byte-at-a-time compressor: [`compress`]'s fallback for
+/// inputs its u32 hash table cannot address, and the second encoder the
+/// tests pair with every decoder. Same stream format.
+fn compress_reference(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
@@ -286,7 +268,7 @@ pub fn compress_reference(data: &[u8]) -> Vec<u8> {
 
 /// Decodes one op length, shared by both length classes.
 #[inline]
-pub(crate) fn decode_op_len(
+fn decode_op_len(
     input: &[u8],
     pos: &mut usize,
     short_len: usize,
@@ -300,28 +282,7 @@ pub(crate) fn decode_op_len(
     usize::try_from(l).map_err(|_| CompressError::Truncated)
 }
 
-/// Decompresses a block produced by [`compress`] or [`compress_reference`]
-/// — the dispatched entry.
-///
-/// Resolves once per process to the SIMD wide-copy decoder in
-/// [`crate::simd::compress`] when the host supports it, else to
-/// [`decompress_scalar`]. Both paths validate in the same order, return the
-/// same errors for every malformed stream, and produce identical bytes.
-///
-/// # Errors
-///
-/// Returns a [`CompressError`] on bad headers, truncated streams, invalid
-/// back-references, or a length mismatch against the header.
-pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
-    use crate::simd::compress::DecompressFn;
-    static IMPL: std::sync::OnceLock<DecompressFn> = std::sync::OnceLock::new();
-    let resolved =
-        *IMPL.get_or_init(|| crate::simd::compress::decompress_fn().unwrap_or(decompress_scalar));
-    resolved(input)
-}
-
-/// Decompresses a block — the scalar fast path, round-2 benchmark baseline,
-/// and behavioural oracle for the SIMD decoder.
+/// Decompresses a block produced by [`compress`].
 ///
 /// Literal runs are batch-copied; back-references use overlap-safe chunked
 /// copies that widen geometrically, so RLE-like runs cost O(log n) copy
@@ -333,7 +294,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
 ///
 /// Returns a [`CompressError`] on bad headers, truncated streams, invalid
 /// back-references, or a length mismatch against the header.
-pub fn decompress_scalar(input: &[u8]) -> Result<Vec<u8>, CompressError> {
+pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
     if input.len() < 3 || input[..2] != MAGIC || input[2] != VERSION {
         return Err(CompressError::BadHeader);
     }
@@ -401,109 +362,6 @@ pub fn decompress_scalar(input: &[u8]) -> Result<Vec<u8>, CompressError> {
     Ok(out)
 }
 
-/// The original byte-at-a-time decoder, retained as the equivalence oracle
-/// and benchmark baseline for [`decompress`].
-///
-/// # Errors
-///
-/// Returns a [`CompressError`] on bad headers, truncated streams, invalid
-/// back-references, or a length mismatch against the header.
-pub fn decompress_reference(input: &[u8]) -> Result<Vec<u8>, CompressError> {
-    if input.len() < 3 || input[..2] != MAGIC || input[2] != VERSION {
-        return Err(CompressError::BadHeader);
-    }
-    let mut pos = 3;
-    let (expected_len, n) = decode_varint(&input[pos..]).map_err(|_| CompressError::Truncated)?;
-    pos += n;
-    let expected_len = usize::try_from(expected_len).map_err(|_| CompressError::BadHeader)?;
-
-    let mut out = Vec::with_capacity(expected_len.min(MAX_PREALLOC));
-    while pos < input.len() {
-        let tag = input[pos];
-        pos += 1;
-        let short_len = (tag >> 1) as usize;
-        if tag & 1 == 1 {
-            let len = decode_op_len(input, &mut pos, short_len, MIN_MATCH)?;
-            let (offset, n) = decode_varint(&input[pos..]).map_err(|_| CompressError::Truncated)?;
-            pos += n;
-            let offset = usize::try_from(offset).map_err(|_| CompressError::Truncated)?;
-            if offset == 0 || offset > out.len() {
-                return Err(CompressError::InvalidBackref { at: pos });
-            }
-            if len > expected_len - out.len() {
-                return Err(CompressError::LengthMismatch {
-                    expected: expected_len,
-                    actual: out.len().saturating_add(len),
-                });
-            }
-            // Byte-at-a-time copy: overlapping references (offset < len)
-            // repeat recent output, which is how RLE-like runs encode.
-            let start = out.len() - offset;
-            for i in 0..len {
-                let byte = out[start + i];
-                out.push(byte);
-            }
-        } else {
-            let len = decode_op_len(input, &mut pos, short_len, 1)?;
-            let literals = input.get(pos..pos + len).ok_or(CompressError::Truncated)?;
-            if len > expected_len - out.len() {
-                return Err(CompressError::LengthMismatch {
-                    expected: expected_len,
-                    actual: out.len().saturating_add(len),
-                });
-            }
-            out.extend_from_slice(literals);
-            pos += len;
-        }
-    }
-    if out.len() != expected_len {
-        return Err(CompressError::LengthMismatch {
-            expected: expected_len,
-            actual: out.len(),
-        });
-    }
-    Ok(out)
-}
-
-/// Run-length encodes `data` as `(varint count, byte)` pairs.
-///
-/// Effective for the long sorted runs columnar storage produces; pathological
-/// (2x expansion) on runless data — callers pick the codec per column.
-#[must_use]
-pub fn rle_compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut iter = data.iter().copied().peekable();
-    while let Some(byte) = iter.next() {
-        let mut run: u64 = 1;
-        while iter.peek() == Some(&byte) {
-            iter.next();
-            run += 1;
-        }
-        encode_varint(run, &mut out);
-        out.push(byte);
-    }
-    out
-}
-
-/// Decodes an RLE stream produced by [`rle_compress`].
-///
-/// # Errors
-///
-/// Returns [`CompressError::Truncated`] on malformed input.
-pub fn rle_decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
-    let mut out = Vec::new();
-    let mut pos = 0;
-    while pos < input.len() {
-        let (run, n) = decode_varint(&input[pos..]).map_err(|_| CompressError::Truncated)?;
-        pos += n;
-        let byte = *input.get(pos).ok_or(CompressError::Truncated)?;
-        pos += 1;
-        let run = usize::try_from(run).map_err(|_| CompressError::Truncated)?;
-        out.resize(out.len() + run, byte);
-    }
-    Ok(out)
-}
-
 /// The compression ratio achieved on `data` (original / compressed size).
 ///
 /// Returns 1.0 for empty input.
@@ -518,6 +376,69 @@ pub fn compression_ratio(data: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsdp_rng::{Rng, StdRng};
+
+    /// The original byte-at-a-time decoder: the oracle [`decompress`] is
+    /// checked against. It validates in the same order and returns the same
+    /// errors, but copies back-references one byte at a time.
+    fn decompress_reference(input: &[u8]) -> Result<Vec<u8>, CompressError> {
+        if input.len() < 3 || input[..2] != MAGIC || input[2] != VERSION {
+            return Err(CompressError::BadHeader);
+        }
+        let mut pos = 3;
+        let (expected_len, n) =
+            decode_varint(&input[pos..]).map_err(|_| CompressError::Truncated)?;
+        pos += n;
+        let expected_len = usize::try_from(expected_len).map_err(|_| CompressError::BadHeader)?;
+
+        let mut out = Vec::with_capacity(expected_len.min(MAX_PREALLOC));
+        while pos < input.len() {
+            let tag = input[pos];
+            pos += 1;
+            let short_len = (tag >> 1) as usize;
+            if tag & 1 == 1 {
+                let len = decode_op_len(input, &mut pos, short_len, MIN_MATCH)?;
+                let (offset, n) =
+                    decode_varint(&input[pos..]).map_err(|_| CompressError::Truncated)?;
+                pos += n;
+                let offset = usize::try_from(offset).map_err(|_| CompressError::Truncated)?;
+                if offset == 0 || offset > out.len() {
+                    return Err(CompressError::InvalidBackref { at: pos });
+                }
+                if len > expected_len - out.len() {
+                    return Err(CompressError::LengthMismatch {
+                        expected: expected_len,
+                        actual: out.len().saturating_add(len),
+                    });
+                }
+                // Byte-at-a-time copy: overlapping references (offset < len)
+                // repeat recent output, which is how RLE-like runs encode.
+                let start = out.len() - offset;
+                for i in 0..len {
+                    let byte = out[start + i];
+                    out.push(byte);
+                }
+            } else {
+                let len = decode_op_len(input, &mut pos, short_len, 1)?;
+                let literals = input.get(pos..pos + len).ok_or(CompressError::Truncated)?;
+                if len > expected_len - out.len() {
+                    return Err(CompressError::LengthMismatch {
+                        expected: expected_len,
+                        actual: out.len().saturating_add(len),
+                    });
+                }
+                out.extend_from_slice(literals);
+                pos += len;
+            }
+        }
+        if out.len() != expected_len {
+            return Err(CompressError::LengthMismatch {
+                expected: expected_len,
+                actual: out.len(),
+            });
+        }
+        Ok(out)
+    }
 
     /// Round-trips through every encoder x decoder combination: both
     /// encoders emit the same format, so all four pairs must agree.
@@ -526,6 +447,19 @@ mod tests {
             assert_eq!(decompress(&packed).unwrap(), data);
             assert_eq!(decompress_reference(&packed).unwrap(), data);
         }
+    }
+
+    fn random_bytes(rng: &mut StdRng, max_len: usize) -> Vec<u8> {
+        let len = rng.random_range(0..=max_len);
+        (0..len).map(|_| rng.random()).collect()
+    }
+
+    /// A syntactically valid header declaring `uncompressed_len`.
+    fn header(uncompressed_len: u64) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.push(VERSION);
+        encode_varint(uncompressed_len, &mut out);
+        out
     }
 
     #[test]
@@ -624,10 +558,7 @@ mod tests {
     fn corrupt_backref_rejected() {
         // Hand-build: header, len 4, then a copy with offset 9 into an empty
         // output buffer.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&MAGIC);
-        bad.push(VERSION);
-        encode_varint(4, &mut bad);
+        let mut bad = header(4);
         bad.push(1); // copy, short len = MIN_MATCH
         encode_varint(9, &mut bad); // offset 9 > output len 0
         assert!(matches!(
@@ -652,21 +583,6 @@ mod tests {
                 actual: 6
             })
         ));
-    }
-
-    #[test]
-    fn rle_roundtrip_and_shrink() {
-        let data = [vec![1u8; 1000], vec![2u8; 500], vec![3u8]].concat();
-        let packed = rle_compress(&data);
-        assert!(packed.len() < 10);
-        assert_eq!(rle_decompress(&packed).unwrap(), data);
-        assert_eq!(rle_decompress(&rle_compress(b"")).unwrap(), b"");
-    }
-
-    #[test]
-    fn rle_truncated_rejected() {
-        let packed = rle_compress(&[5u8; 10]);
-        assert!(rle_decompress(&packed[..packed.len() - 1]).is_err());
     }
 
     #[test]
@@ -695,5 +611,112 @@ mod tests {
             data.len()
         );
         roundtrip(&data);
+    }
+
+    #[test]
+    fn corrupted_streams_never_panic_and_keep_the_length_contract() {
+        // Flip bytes anywhere in a valid stream: the decoder may legitimately
+        // still succeed (e.g. a mutated literal byte), but it must not panic,
+        // and any Ok output must honor the declared length.
+        let mut rng = StdRng::seed_from_u64(0x7122);
+        let data: Vec<u8> = b"the quick brown fox jumps over the lazy dog "
+            .repeat(20)
+            .to_vec();
+        let packed = compress(&data);
+        for _ in 0..2_000 {
+            let mut bad = packed.clone();
+            let at = rng.random_range(0..bad.len());
+            bad[at] ^= rng.random_range(1u8..=255);
+            if let Ok(out) = decompress(&bad) {
+                assert_eq!(out.len(), data.len(), "corrupt Ok must match the header");
+            }
+            // The reference decoder must be equally robust.
+            if let Ok(out) = decompress_reference(&bad) {
+                assert_eq!(out.len(), data.len());
+            }
+        }
+    }
+
+    #[test]
+    fn random_garbage_never_panics() {
+        let mut rng = StdRng::seed_from_u64(0x7123);
+        for _ in 0..128 {
+            let garbage = random_bytes(&mut rng, 512);
+            let _ = decompress(&garbage);
+            let _ = decompress_reference(&garbage);
+            // Garbage behind a valid header, too.
+            let mut framed = header(rng.random_range(0..10_000));
+            framed.extend(random_bytes(&mut rng, 256));
+            let _ = decompress(&framed);
+            let _ = decompress_reference(&framed);
+        }
+    }
+
+    #[test]
+    fn huge_declared_length_does_not_preallocate() {
+        // The header claims an enormous output; the stream holds 4 bytes. The
+        // decoder must fail with a small, cheap error — a `with_capacity` on
+        // the declared length would abort the process long before the
+        // assertion. (Both decoders share the capped-reservation guard.)
+        for declared in [1u64 << 40, 1 << 50, u64::MAX] {
+            let mut bad = header(declared);
+            bad.push(3 << 1);
+            bad.extend_from_slice(b"abcd");
+            assert!(matches!(
+                decompress(&bad),
+                Err(CompressError::LengthMismatch { .. })
+            ));
+            assert!(matches!(
+                decompress_reference(&bad),
+                Err(CompressError::LengthMismatch { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn random_buffers_roundtrip_all_pairings() {
+        let mut rng = StdRng::seed_from_u64(0x7124);
+        for _ in 0..128 {
+            roundtrip(&random_bytes(&mut rng, 4096));
+        }
+    }
+
+    #[test]
+    fn pathological_buffers_roundtrip_all_pairings() {
+        // All-zero (maximum overlap-copy pressure) at sizes straddling the
+        // short/long op boundary and the decoder's chunked-copy doubling.
+        for len in [0usize, 1, 3, 4, 5, 127, 128, 130, 131, 4096, 100_000] {
+            roundtrip(&vec![0u8; len]);
+        }
+        // Incompressible: no 4-byte match anywhere, including across the skip
+        // acceleration's growing stride.
+        let mut state = 0xBADC_0FFEu64;
+        let incompressible: Vec<u8> = (0..64 * 1024)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 56) as u8
+            })
+            .collect();
+        roundtrip(&incompressible);
+        // Long repeats with a tail shorter than a word, exercising the
+        // word-at-a-time extension's sub-8-byte mop-up.
+        let mut repeats: Vec<u8> = b"0123456789abcdef".repeat(1000);
+        repeats.extend_from_slice(b"xyz");
+        roundtrip(&repeats);
+    }
+
+    #[test]
+    fn structured_overlapping_runs_roundtrip() {
+        // Zipf-ish key-value shaped data, close to what SSTable blocks hold.
+        let mut rng = StdRng::seed_from_u64(0x7125);
+        for _ in 0..32 {
+            let mut data = Vec::new();
+            for _ in 0..rng.random_range(1..400usize) {
+                let key = rng.random_range(0u32..50);
+                data.extend_from_slice(format!("key-{key:06}").as_bytes());
+                data.extend_from_slice(format!("value-{key}-{}", "x".repeat(40)).as_bytes());
+            }
+            roundtrip(&data);
+        }
     }
 }

@@ -4,10 +4,9 @@
 /// The reflected CRC32C polynomial.
 const POLY: u32 = 0x82f6_3b78;
 
-/// Byte-indexed lookup table, built at compile time. This is the reference
-/// oracle: the slicing-by-8 tables below are derived from it and the
-/// byte-at-a-time implementation ([`crc32c_append_bytewise`]) is kept for
-/// equivalence testing and as the benchmark baseline.
+/// Byte-indexed lookup table, built at compile time. The slicing-by-8
+/// tables below are derived from it, and both the slicing-by-8 tail loop and
+/// the hardware path's recombination tables use it directly.
 pub(crate) const TABLE: [u32; 256] = build_table();
 
 /// Slicing-by-8 tables: `TABLES[k][b]` is the CRC contribution of byte `b`
@@ -80,14 +79,13 @@ pub fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
     resolved(crc, data)
 }
 
-/// Extends a CRC32C over more data — the scalar fast path and the oracle
-/// for the hardware path.
+/// Extends a CRC32C over more data — the scalar tier, used on hosts without
+/// the `crc32` instruction and under `HSDP_FORCE_SCALAR=1`.
 ///
 /// Slicing-by-8 (Kounavis & Berry): eight table lookups fold eight input
 /// bytes per step instead of one, with the byte-table loop mopping up the
-/// sub-8-byte tail. Bit-identical to [`crc32c_append_bytewise`] for every
-/// input. Kept as the round-2 benchmark baseline and the CI fallback on
-/// hosts without the `crc32` instruction.
+/// sub-8-byte tail. `tests/simd_equivalence.rs` checks it, and the hardware
+/// path, against a byte-at-a-time oracle.
 #[must_use]
 pub fn crc32c_append_slicing8(crc: u32, data: &[u8]) -> u32 {
     let mut crc = !crc;
@@ -104,18 +102,6 @@ pub fn crc32c_append_slicing8(crc: u32, data: &[u8]) -> u32 {
             ^ TABLES[0][chunk[7] as usize];
     }
     for &byte in chunks.remainder() {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xff) as usize];
-    }
-    !crc
-}
-
-/// The byte-at-a-time table-lookup implementation — the original seed code
-/// path, retained as the reference oracle for the slicing-by-8 fast path
-/// and as the benchmark baseline.
-#[must_use]
-pub fn crc32c_append_bytewise(crc: u32, data: &[u8]) -> u32 {
-    let mut crc = !crc;
-    for &byte in data {
         crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xff) as usize];
     }
     !crc
@@ -173,59 +159,6 @@ mod tests {
                 h.update(piece);
             }
             assert_eq!(h.finalize(), oneshot, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn slicing_matches_bytewise_oracle_all_lengths() {
-        // A cheap deterministic byte stream; covers every length 0..256 and
-        // every alignment of the 8-byte slicing loop.
-        let data: Vec<u8> = (0..256u32)
-            .map(|i| (i.wrapping_mul(167) >> 3) as u8)
-            .collect();
-        for len in 0..=256 {
-            for start in [0usize, 1, 3, 7] {
-                if start + len > data.len() {
-                    continue;
-                }
-                let slice = &data[start..start + len];
-                let oracle = crc32c_append_bytewise(0, slice);
-                assert_eq!(
-                    crc32c_append_slicing8(0, slice),
-                    oracle,
-                    "len {len} start {start}"
-                );
-                // The dispatched entry (whatever path it resolved) agrees too.
-                assert_eq!(crc32c_append(0, slice), oracle, "len {len} start {start}");
-            }
-        }
-    }
-
-    #[test]
-    fn slicing_matches_bytewise_oracle_random_buffers() {
-        // xorshift-style mixing so this stays dependency-free in-module.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for round in 0..64 {
-            let len = (next() % 4096) as usize;
-            let buf: Vec<u8> = (0..len).map(|_| (next() >> 24) as u8).collect();
-            let seed_crc = (next() & 0xffff_ffff) as u32;
-            let oracle = crc32c_append_bytewise(seed_crc, &buf);
-            assert_eq!(
-                crc32c_append_slicing8(seed_crc, &buf),
-                oracle,
-                "round {round} len {len}"
-            );
-            assert_eq!(
-                crc32c_append(seed_crc, &buf),
-                oracle,
-                "round {round} len {len}"
-            );
         }
     }
 

@@ -1,31 +1,31 @@
-//! Runtime CPU-capability detection for the tax-kernel fast paths.
+//! Runtime CPU-capability detection for the CRC32C fast path.
 //!
-//! The paper's datacenter-tax kernels (checksumming, compression, hashing,
-//! filtering) all have hardware-instruction or SIMD fast paths on modern
-//! cores. This module performs **one-time** feature detection and hands each
-//! kernel a function pointer for the best implementation the host supports
-//! (kernel round 3); the scalar round-1/2 paths remain the permanent
-//! fallback, equivalence oracle, and benchmark baseline.
+//! CRC32C is the one tax kernel with two shipped tiers: the hardware `crc32`
+//! instruction (SSE4.2 on x86-64, the CRC extension on aarch64) and the
+//! portable slicing-by-8 loop. This module performs **one-time** feature
+//! detection, and the CRC entry point caches the function pointer it
+//! resolves from it. The other kernels have a single implementation each:
+//! their SIMD tiers did not pay for themselves on the inputs a fleet run
+//! feeds them and were deleted (DESIGN.md, "One implementation per kernel").
 //!
 //! Detection runs once per process via [`CpuFeatures::get`] and is cached in
-//! a `OnceLock`; kernels then cache their *resolved* function pointer the
-//! same way, so the steady-state dispatch cost is a single indirect call.
+//! a `OnceLock`, so the steady-state dispatch cost is a single indirect call.
 //!
-//! ## Forcing the scalar paths
+//! ## Forcing the scalar path
 //!
 //! Setting the environment variable `HSDP_FORCE_SCALAR` to any value other
 //! than `0` or the empty string makes detection report no capabilities, so
-//! every kernel resolves to its scalar implementation. CI runs the test and
-//! equivalence suites both natively and under `HSDP_FORCE_SCALAR=1`;
-//! because every fast path is byte-identical to its scalar predecessor, all
-//! determinism and telemetry artifacts are unchanged either way.
+//! CRC32C resolves to slicing-by-8. CI runs the test and equivalence suites
+//! both natively and under `HSDP_FORCE_SCALAR=1`; because both tiers are
+//! byte-identical, all determinism and telemetry artifacts are unchanged
+//! either way.
 
 use std::sync::OnceLock;
 
-/// The instruction-set capabilities the tax kernels can dispatch on.
+/// The instruction-set capabilities that select a kernel implementation.
 ///
-/// Detected once per process; all fields are `false` when the scalar paths
-/// are forced via `HSDP_FORCE_SCALAR` or on architectures without a fast
+/// Detected once per process; all fields are `false` when the scalar path
+/// is forced via `HSDP_FORCE_SCALAR` or on architectures without a fast
 /// path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuFeatures {
@@ -33,10 +33,6 @@ pub struct CpuFeatures {
     pub forced_scalar: bool,
     /// x86-64 SSE4.2: the `crc32` instruction (hardware CRC32C).
     pub sse42: bool,
-    /// x86-64 PCLMULQDQ: carry-less multiply (CRC folding/recombination).
-    pub pclmulqdq: bool,
-    /// x86-64 AVX2: 32-byte integer SIMD (match finding, block probes).
-    pub avx2: bool,
     /// aarch64 CRC extension: the `crc32c*` instructions.
     pub aarch64_crc: bool,
 }
@@ -47,8 +43,6 @@ impl CpuFeatures {
         CpuFeatures {
             forced_scalar,
             sse42: false,
-            pclmulqdq: false,
-            avx2: false,
             aarch64_crc: false,
         }
     }
@@ -75,8 +69,6 @@ impl CpuFeatures {
         CpuFeatures {
             forced_scalar: false,
             sse42: std::arch::is_x86_feature_detected!("sse4.2"),
-            pclmulqdq: std::arch::is_x86_feature_detected!("pclmulqdq"),
-            avx2: std::arch::is_x86_feature_detected!("avx2"),
             aarch64_crc: false,
         }
     }
@@ -86,8 +78,6 @@ impl CpuFeatures {
         CpuFeatures {
             forced_scalar: false,
             sse42: false,
-            pclmulqdq: false,
-            avx2: false,
             aarch64_crc: std::arch::is_aarch64_feature_detected!("crc"),
         }
     }
@@ -97,42 +87,24 @@ impl CpuFeatures {
         Self::none(false)
     }
 
-    /// True when any fast-path capability is available.
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.sse42 || self.pclmulqdq || self.avx2 || self.aarch64_crc
-    }
-
-    /// A compact, order-stable summary for bench reports and log headers,
-    /// e.g. `"sse4.2+pclmul+avx2"`, `"aarch64-crc"`, `"scalar(forced)"`, or
-    /// `"scalar"`.
+    /// A compact summary for bench reports and log headers: `"sse4.2"`,
+    /// `"aarch64-crc"`, `"scalar(forced)"`, or `"scalar"`.
     #[must_use]
     pub fn summary(&self) -> String {
-        if self.forced_scalar {
-            return "scalar(forced)".to_owned();
-        }
-        let mut parts: Vec<&str> = Vec::new();
-        if self.sse42 {
-            parts.push("sse4.2");
-        }
-        if self.pclmulqdq {
-            parts.push("pclmul");
-        }
-        if self.avx2 {
-            parts.push("avx2");
-        }
-        if self.aarch64_crc {
-            parts.push("aarch64-crc");
-        }
-        if parts.is_empty() {
-            "scalar".to_owned()
+        let summary = if self.forced_scalar {
+            "scalar(forced)"
+        } else if self.sse42 {
+            "sse4.2"
+        } else if self.aarch64_crc {
+            "aarch64-crc"
         } else {
-            parts.join("+")
-        }
+            "scalar"
+        };
+        summary.to_owned()
     }
 }
 
-/// True when `HSDP_FORCE_SCALAR` requests the scalar paths.
+/// True when `HSDP_FORCE_SCALAR` requests the scalar path.
 ///
 /// Any value other than unset, empty, or `0` counts as a request, so both
 /// `HSDP_FORCE_SCALAR=1` and `HSDP_FORCE_SCALAR=yes` work.
@@ -157,22 +129,22 @@ mod tests {
     fn summary_shapes() {
         assert_eq!(CpuFeatures::none(true).summary(), "scalar(forced)");
         assert_eq!(CpuFeatures::none(false).summary(), "scalar");
-        let full = CpuFeatures {
-            forced_scalar: false,
+        let x86 = CpuFeatures {
             sse42: true,
-            pclmulqdq: true,
-            avx2: true,
-            aarch64_crc: false,
+            ..CpuFeatures::none(false)
         };
-        assert_eq!(full.summary(), "sse4.2+pclmul+avx2");
-        assert!(full.any());
-        assert!(!CpuFeatures::none(false).any());
+        assert_eq!(x86.summary(), "sse4.2");
+        let arm = CpuFeatures {
+            aarch64_crc: true,
+            ..CpuFeatures::none(false)
+        };
+        assert_eq!(arm.summary(), "aarch64-crc");
     }
 
     #[test]
     fn forced_scalar_reports_no_capabilities() {
         let forced = CpuFeatures::none(true);
-        assert!(!forced.any());
         assert!(forced.forced_scalar);
+        assert!(!forced.sse42 && !forced.aarch64_crc);
     }
 }

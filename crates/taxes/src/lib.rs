@@ -23,6 +23,12 @@
 //! chained-accelerator validation in `hsdp-accelsim` uses [`protowire`] and
 //! [`sha3`] as its pipeline stages, mirroring the paper's ProtoAcc → SHA3
 //! RTL experiment (Section 6.4).
+//!
+//! Each kernel ships one implementation. CRC32C alone keeps two tiers, the
+//! hardware `crc32` instruction ([`simd::crc`]) and portable slicing-by-8,
+//! chosen once per process by [`dispatch`]. The slower originals that the
+//! kernels are checked against (a bytewise CRC, a byte-at-a-time decoder)
+//! are test code, kept next to the tests that use them.
 
 // `deny` rather than `forbid`: the [`simd`] quarantine overrides it with a
 // scoped allow. Everything outside `simd/` remains unsafe-free, enforced by

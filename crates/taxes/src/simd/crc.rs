@@ -15,7 +15,8 @@
 //! over 2 KiB of input per leg.
 //!
 //! Everything here is byte-identical to [`crate::crc::crc32c_append_slicing8`]
-//! (and transitively to the bytewise oracle) for every input.
+//! for every input; `tests/simd_equivalence.rs` checks both against a
+//! bytewise oracle.
 
 use crate::crc::TABLE;
 
@@ -198,7 +199,6 @@ fn crc32c_hw(crc: u32, data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crc::{crc32c_append_bytewise, crc32c_append_slicing8};
 
     /// The const shift tables must agree with literally advancing the raw
     /// state one zero byte at a time.
@@ -219,52 +219,6 @@ mod tests {
         let (a, b) = (0x0bad_f00du32, 0xcafe_babeu32);
         assert_eq!(shift_block(a ^ b), shift_block(a) ^ shift_block(b));
         assert_eq!(shift_block(0), 0);
-    }
-
-    #[test]
-    fn hw_crc_matches_oracles_when_available() {
-        let Some(hw) = crc32c_fn() else {
-            eprintln!("skipping: no hardware CRC32C on this host");
-            return;
-        };
-        // Deterministic xorshift stream, lengths crossing every regime:
-        // sub-word, word, one/two/three blocks, 3-way threshold, and beyond.
-        let mut s = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let buf: Vec<u8> = (0..4 * 3 * BLOCK + 61)
-            .map(|_| (next() >> 24) as u8)
-            .collect();
-        for len in [
-            0usize,
-            1,
-            7,
-            8,
-            9,
-            63,
-            BLOCK - 1,
-            BLOCK,
-            3 * BLOCK - 1,
-            3 * BLOCK,
-            3 * BLOCK + 1,
-            6 * BLOCK + 13,
-            buf.len(),
-        ] {
-            for start in [0usize, 1, 3, 5] {
-                if start + len > buf.len() {
-                    continue;
-                }
-                let slice = &buf[start..start + len];
-                let seed = (next() & 0xffff_ffff) as u32;
-                let expect = crc32c_append_bytewise(seed, slice);
-                assert_eq!(hw(seed, slice), expect, "len {len} start {start}");
-                assert_eq!(crc32c_append_slicing8(seed, slice), expect);
-            }
-        }
     }
 
     #[test]

@@ -1,19 +1,18 @@
-//! SIMD / hardware-instruction fast paths — the **unsafe quarantine**.
+//! Hardware-instruction fast paths — the **unsafe quarantine**.
 //!
-//! Kernel round 3: everything `unsafe` in this crate lives under `simd/`,
-//! machine-enforced by `xtask audit --rule unsafe` (any `unsafe` token
-//! outside a `simd`/`hw` submodule is a finding, and every `unsafe` block in
-//! here must carry a `// SAFETY:` comment). The crate root carries
-//! `deny(unsafe_code)`; only this subtree opts back in.
+//! Everything `unsafe` in this crate lives under `simd/`, machine-enforced
+//! by `xtask audit --rule unsafe` (any `unsafe` token outside a `simd`/`hw`
+//! submodule is a finding, and every `unsafe` block in here must carry a
+//! `// SAFETY:` comment). The crate root carries `deny(unsafe_code)`; only
+//! this subtree opts back in.
 //!
-//! Each submodule exposes a *resolver* (`crc32c_fn`, `compress_fn`, …)
-//! returning `Some(fast_path)` only when [`crate::dispatch::CpuFeatures`]
-//! reports the required instruction set — so the `unsafe` precondition
-//! (the ISA extension is present) is established exactly once, at dispatch
-//! time. Every fast path is byte-identical to its scalar predecessor: same
-//! outputs, same error behaviour, property-tested against the scalar oracle
-//! over random lengths and alignments.
+//! The one kernel here is the hardware CRC32C. Its resolver
+//! ([`crc::crc32c_fn`]) returns `Some(fast_path)` only when
+//! [`crate::dispatch::CpuFeatures`] reports the required instruction set,
+//! so the `unsafe` precondition (the ISA extension is present) is
+//! established exactly once, at dispatch time. The fast path is
+//! byte-identical to the slicing-by-8 tier it replaces, property-tested
+//! against a bytewise oracle over random lengths and alignments.
 #![allow(unsafe_code)]
 
-pub mod compress;
 pub mod crc;

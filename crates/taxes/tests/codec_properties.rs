@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use hsdp_rng::{Rng, StdRng};
-use hsdp_taxes::compress::{compress, decompress, rle_compress, rle_decompress};
+use hsdp_taxes::compress::{compress, decompress};
 use hsdp_taxes::crc::{crc32c, Crc32c};
 use hsdp_taxes::frame::{Frame, FrameKind};
 use hsdp_taxes::protowire::{FieldDescriptor, FieldType, Message, MessageDescriptor, Value};
@@ -96,17 +96,6 @@ fn decompress_never_panics_on_garbage() {
     for _ in 0..CASES {
         let data = bytes(&mut rng, 512);
         let _ = decompress(&data);
-    }
-}
-
-#[test]
-fn rle_roundtrip() {
-    let mut rng = StdRng::seed_from_u64(0x41E);
-    for _ in 0..CASES {
-        let len = rng.random_range(0..2048usize);
-        let data: Vec<u8> = (0..len).map(|_| rng.random_range(0u8..4)).collect();
-        let packed = rle_compress(&data);
-        assert_eq!(rle_decompress(&packed).expect("roundtrip"), data);
     }
 }
 

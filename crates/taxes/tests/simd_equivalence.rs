@@ -1,21 +1,58 @@
-//! Kernel round 3 differential suite: every SIMD/hardware fast path must be
-//! *byte-identical* to its scalar predecessor — same outputs on valid
-//! inputs, same `Ok`/`Err` verdicts on adversarial ones — over random
-//! lengths (0..4 KiB), unaligned starting offsets, and structured corpora.
+//! Differential suite for the CRC32C tiers: the hardware `crc32` path and
+//! the slicing-by-8 scalar tier must both equal a byte-at-a-time oracle for
+//! every input — every length up to 256 bytes at each alignment of the
+//! 8-byte loop, random lengths up to 4 KiB at unaligned starting offsets,
+//! lengths straddling the hardware path's 3-way interleave, and arbitrary
+//! seed CRCs.
 //!
-//! The fast paths are taken from the [`hsdp_taxes::simd`] resolvers
-//! directly, so the comparison is real even if the dispatched entry points
-//! were pinned elsewhere. On hosts without the instruction sets (or under
-//! `HSDP_FORCE_SCALAR=1`) the resolvers return `None` and each test logs a
-//! skip — CI runs the suite in both modes, so the SIMD side is exercised
-//! wherever the hardware allows.
+//! The hardware path is taken from the [`hsdp_taxes::simd`] resolver
+//! directly, so the comparison is real even if the dispatched entry point
+//! were pinned elsewhere. On hosts without the instruction (or under
+//! `HSDP_FORCE_SCALAR=1`) the resolver returns `None` and the hardware tests
+//! log a skip; CI runs the suite in both modes.
 
 use hsdp_rng::{Rng, StdRng};
-use hsdp_taxes::compress::{compress_scalar, decompress_scalar};
-use hsdp_taxes::crc::{crc32c_append_bytewise, crc32c_append_slicing8};
+use hsdp_taxes::crc::{crc32c_append, crc32c_append_slicing8};
 use hsdp_taxes::simd;
 
 const MAX_LEN: usize = 4096;
+/// Bytes per leg of the hardware path's 3-way interleave.
+const HW_BLOCK: usize = 2048;
+
+/// The reflected CRC32C (Castagnoli) polynomial.
+const POLY: u32 = 0x82f6_3b78;
+
+/// The oracle's byte-indexed table, built here from the polynomial so that
+/// no table of the code under test feeds it.
+const TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// The byte-at-a-time table-lookup CRC32C: the oracle both shipped tiers
+/// are checked against.
+fn crc32c_append_bytewise(crc: u32, data: &[u8]) -> u32 {
+    let mut crc = !crc;
+    for &byte in data {
+        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xff) as usize];
+    }
+    !crc
+}
 
 /// Random-length buffer with a little headroom so tests can slice it at
 /// unaligned starting offsets without changing the length distribution.
@@ -24,36 +61,101 @@ fn random_bytes(rng: &mut StdRng, max_len: usize) -> Vec<u8> {
     (0..len + 16).map(|_| rng.random()).collect()
 }
 
-/// Corpus shapes spanning the kernels' regimes: incompressible noise,
-/// log-like repetition, long self-matches, and constant runs.
-fn corpus_shapes(rng: &mut StdRng) -> Vec<Vec<u8>> {
-    let mut shapes = Vec::new();
-    shapes.push(Vec::new());
-    shapes.push(vec![0u8; rng.random_range(1..=MAX_LEN)]);
-    shapes.push((0..MAX_LEN).map(|_| rng.random()).collect());
-    // Log-like: few distinct short lines, repeated with variation.
-    let mut log = Vec::new();
-    while log.len() < MAX_LEN {
-        let shard = rng.random_range(0u32..8);
-        let user = rng.random_range(0u64..40);
-        log.extend_from_slice(format!("shard={shard:02} user={user:04} op=read\n").as_bytes());
+/// A deterministic xorshift stream, so the table-tier tests need no RNG.
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
     }
-    log.truncate(MAX_LEN);
-    shapes.push(log);
-    // Hot block: one 512-byte random block repeated (match-extension regime).
-    let block: Vec<u8> = (0..512).map(|_| rng.random()).collect();
-    let mut hot = Vec::new();
-    while hot.len() < MAX_LEN {
-        hot.extend_from_slice(&block);
-    }
-    hot.truncate(MAX_LEN);
-    shapes.push(hot);
-    shapes
 }
 
-// ---------------------------------------------------------------------------
-// CRC32C: hardware instruction vs slicing-by-8 vs the bytewise oracle.
-// ---------------------------------------------------------------------------
+#[test]
+fn slicing_matches_bytewise_oracle_all_lengths() {
+    // A cheap deterministic byte stream; covers every length 0..256 and
+    // every alignment of the 8-byte slicing loop.
+    let data: Vec<u8> = (0..256u32)
+        .map(|i| (i.wrapping_mul(167) >> 3) as u8)
+        .collect();
+    for len in 0..=256 {
+        for start in [0usize, 1, 3, 7] {
+            if start + len > data.len() {
+                continue;
+            }
+            let slice = &data[start..start + len];
+            let oracle = crc32c_append_bytewise(0, slice);
+            assert_eq!(
+                crc32c_append_slicing8(0, slice),
+                oracle,
+                "len {len} start {start}"
+            );
+            // The dispatched entry (whatever path it resolved) agrees too.
+            assert_eq!(crc32c_append(0, slice), oracle, "len {len} start {start}");
+        }
+    }
+}
+
+#[test]
+fn slicing_matches_bytewise_oracle_random_buffers() {
+    let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+    for round in 0..64 {
+        let len = (next() % 4096) as usize;
+        let buf: Vec<u8> = (0..len).map(|_| (next() >> 24) as u8).collect();
+        let seed_crc = (next() & 0xffff_ffff) as u32;
+        let oracle = crc32c_append_bytewise(seed_crc, &buf);
+        assert_eq!(
+            crc32c_append_slicing8(seed_crc, &buf),
+            oracle,
+            "round {round} len {len}"
+        );
+        assert_eq!(
+            crc32c_append(seed_crc, &buf),
+            oracle,
+            "round {round} len {len}"
+        );
+    }
+}
+
+#[test]
+fn hw_crc_matches_oracles_across_the_interleave_threshold() {
+    let Some(hw) = simd::crc::crc32c_fn() else {
+        eprintln!("skipping: no hardware CRC32C on this host");
+        return;
+    };
+    // Lengths crossing every regime: sub-word, word, one/two/three blocks,
+    // the 3-way threshold, and beyond.
+    let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+    let buf: Vec<u8> = (0..4 * 3 * HW_BLOCK + 61)
+        .map(|_| (next() >> 24) as u8)
+        .collect();
+    for len in [
+        0usize,
+        1,
+        7,
+        8,
+        9,
+        63,
+        HW_BLOCK - 1,
+        HW_BLOCK,
+        3 * HW_BLOCK - 1,
+        3 * HW_BLOCK,
+        3 * HW_BLOCK + 1,
+        6 * HW_BLOCK + 13,
+        buf.len(),
+    ] {
+        for start in [0usize, 1, 3, 5] {
+            if start + len > buf.len() {
+                continue;
+            }
+            let slice = &buf[start..start + len];
+            let seed = (next() & 0xffff_ffff) as u32;
+            let expect = crc32c_append_bytewise(seed, slice);
+            assert_eq!(hw(seed, slice), expect, "len {len} start {start}");
+            assert_eq!(crc32c_append_slicing8(seed, slice), expect);
+        }
+    }
+}
 
 #[test]
 fn hw_crc32c_matches_scalar_over_random_lengths_and_offsets() {
@@ -99,132 +201,5 @@ fn hw_crc32c_streams_split_points_like_scalar() {
             whole,
             "split {split}"
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Compression: the SIMD encoder must emit identical bytes, not just an
-// equivalent stream, so SSTable block checksums are host-independent.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn simd_compress_bytes_match_scalar_over_random_lengths_and_offsets() {
-    let Some(simd_compress) = simd::compress::compress_fn() else {
-        eprintln!("skipping: no SIMD compress on this host");
-        return;
-    };
-    let mut rng = StdRng::seed_from_u64(0x51AD);
-    for case in 0..200 {
-        let buf = random_bytes(&mut rng, MAX_LEN);
-        let off = rng.random_range(0..=8usize.min(buf.len()));
-        let data = &buf[off..];
-        assert_eq!(
-            simd_compress(data),
-            compress_scalar(data),
-            "case {case} len {} off {off}",
-            data.len()
-        );
-    }
-    for (i, shape) in corpus_shapes(&mut rng).iter().enumerate() {
-        for off in 0..4usize.min(shape.len() + 1) {
-            let data = &shape[off.min(shape.len())..];
-            assert_eq!(
-                simd_compress(data),
-                compress_scalar(data),
-                "shape {i} off {off}"
-            );
-        }
-    }
-}
-
-#[test]
-fn simd_decompress_matches_scalar_on_valid_streams() {
-    let Some(simd_decompress) = simd::compress::decompress_fn() else {
-        eprintln!("skipping: no SIMD decompress on this host");
-        return;
-    };
-    let mut rng = StdRng::seed_from_u64(0xD1AD);
-    for case in 0..200 {
-        let buf = random_bytes(&mut rng, MAX_LEN);
-        let off = rng.random_range(0..=8usize.min(buf.len()));
-        let data = &buf[off..];
-        let packed = compress_scalar(data);
-        let fast = simd_decompress(&packed).expect("valid stream");
-        let slow = decompress_scalar(&packed).expect("valid stream");
-        assert_eq!(fast, slow, "case {case}");
-        assert_eq!(fast, data, "case {case} roundtrip");
-    }
-    for (i, shape) in corpus_shapes(&mut rng).iter().enumerate() {
-        let packed = compress_scalar(shape);
-        assert_eq!(
-            simd_decompress(&packed).expect("valid stream"),
-            *shape,
-            "shape {i}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Error parity: the hardened-decoder checks survive vectorization — every
-// adversarial stream gets the same Ok/Err verdict from both decoders.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn simd_decompress_error_parity_on_adversarial_streams() {
-    let Some(simd_decompress) = simd::compress::decompress_fn() else {
-        eprintln!("skipping: no SIMD decompress on this host");
-        return;
-    };
-    let mut rng = StdRng::seed_from_u64(0xE11A);
-    for case in 0..24 {
-        // Compressible-with-noise data so streams mix literal and copy ops.
-        let pattern = random_bytes(&mut rng, 32);
-        let mut data: Vec<u8> = pattern
-            .iter()
-            .copied()
-            .cycle()
-            .take(pattern.len().max(1) * 20)
-            .collect();
-        data.extend(random_bytes(&mut rng, 256));
-        let packed = compress_scalar(&data);
-
-        // Every truncation point.
-        for cut in 0..packed.len() {
-            let fast = simd_decompress(&packed[..cut]);
-            let slow = decompress_scalar(&packed[..cut]);
-            assert_eq!(
-                fast.is_err(),
-                slow.is_err(),
-                "case {case} cut {cut}: verdicts diverge"
-            );
-        }
-        // Single-byte corruption at every position (sampled past 512 to
-        // bound the quadratic cost).
-        let stride = 1 + packed.len() / 512;
-        for pos in (0..packed.len()).step_by(stride) {
-            for flip in [0x01u8, 0x80u8, 0xff] {
-                let mut bad = packed.clone();
-                bad[pos] ^= flip;
-                match (simd_decompress(&bad), decompress_scalar(&bad)) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a, b, "case {case} pos {pos} flip {flip:#04x}")
-                    }
-                    (Err(_), Err(_)) => {}
-                    (fast, slow) => panic!(
-                        "case {case} pos {pos} flip {flip:#04x}: SIMD {fast:?} vs scalar {slow:?}"
-                    ),
-                }
-            }
-        }
-    }
-
-    // Random garbage never panics and never diverges.
-    for _ in 0..200 {
-        let garbage = random_bytes(&mut rng, 512);
-        match (simd_decompress(&garbage), decompress_scalar(&garbage)) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b),
-            (Err(_), Err(_)) => {}
-            (fast, slow) => panic!("garbage verdicts diverge: SIMD {fast:?} vs scalar {slow:?}"),
-        }
     }
 }

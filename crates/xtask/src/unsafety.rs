@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn quarantine_paths() {
-        assert!(in_quarantine("crates/taxes/src/simd/compress.rs"));
+        assert!(in_quarantine("crates/taxes/src/simd/crc.rs"));
         assert!(in_quarantine("crates/taxes/src/simd/mod.rs"));
         assert!(in_quarantine("crates/demo/src/simd.rs"));
         assert!(in_quarantine("crates/x/src/hw/crc.rs"));
