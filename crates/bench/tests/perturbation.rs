@@ -2,16 +2,18 @@
 //! `determinism` audit rule.
 //!
 //! One fleet workload runs unperturbed at parallelism 1 to produce baseline
-//! artifacts, then re-runs at parallelism 4 under eight different
-//! perturbation seeds — each permuting job dispatch order, injecting
-//! derived start jitter, and permuting completion-consumption order. The
-//! fleet schedule includes the sub-shard jobs: every BigTable shard runs as
-//! `tablets` independent tablet jobs (assembled after the pool drains), and
-//! the perturbation seed also flows into each tablet's in-flight LSM
-//! batches, so per-tablet flush and level-merge jobs are being reshuffled
-//! while the artifacts are produced. Every file of the fleet bundle
-//! (`profile.json`, telemetry metrics/trace/critical-path JSON, collapsed
-//! stacks, pprof protobuf, `tail.json`) must come back byte-identical: the
+//! artifacts, then re-runs at parallelism 1 and 4 under eight different
+//! perturbation seeds — each permuting job dispatch order and
+//! completion-consumption order, and on worker threads injecting derived
+//! start jitter. Parallelism 1 covers the pool's sequential perturbed path,
+//! which every perturbed LSM batch also takes. The fleet schedule includes
+//! the sub-shard jobs: every BigTable shard runs as `tablets` independent
+//! tablet jobs (assembled after the pool drains), and the perturbation seed
+//! also flows into each tablet's LSM batches, so per-tablet flush and
+//! level-merge jobs are being reshuffled while the artifacts are produced.
+//! Every file of the fleet bundle (`profile.json`, telemetry
+//! metrics/trace/critical-path JSON, collapsed stacks, pprof protobuf,
+//! `tail.json`) must come back byte-identical: the
 //! byte-equality here is what lets profile diffs across runs and commits be
 //! read as real regressions rather than schedule noise.
 
@@ -47,11 +49,16 @@ fn artifacts_are_byte_identical_across_perturbed_schedules() {
         assert!(!bytes.is_empty(), "{name} is empty");
     }
 
-    for seed in PERTURBATION_SEEDS {
-        let perturbed = run_bundle(4, Some(Perturbation::new(seed)));
-        assert_eq!(perturbed.len(), baseline.len());
-        for ((name, got), (_, want)) in perturbed.iter().zip(&baseline) {
-            assert!(got == want, "{name} moved under perturbation seed {seed}");
+    for parallelism in [1, 4] {
+        for seed in PERTURBATION_SEEDS {
+            let perturbed = run_bundle(parallelism, Some(Perturbation::new(seed)));
+            assert_eq!(perturbed.len(), baseline.len());
+            for ((name, got), (_, want)) in perturbed.iter().zip(&baseline) {
+                assert!(
+                    got == want,
+                    "{name} moved under perturbation seed {seed} at parallelism {parallelism}"
+                );
+            }
         }
     }
 }

@@ -19,13 +19,16 @@
 //! Compaction is leveled rather than monolithic: a memtable flush appends a
 //! run to level 0, and any level holding `compaction_fanin` runs is merged
 //! (via the `crate::merge` loser tree) into a single run on the next level.
-//! When a flush fires, the flush encode and every due level merge run as
-//! *independent* jobs on a [`pool`] batch — merge inputs are snapshotted
-//! before the incoming flush lands, so level-N merges run concurrently with
-//! level-N+1 merges and with the flush itself. Job outputs are reinstalled
-//! in canonical order (flush first, then merges by ascending level), which
-//! keeps the tablet byte-identical at any `compaction_parallelism` and
-//! under any [`Perturbation`].
+//! When a flush fires, the flush encode and every due level merge form one
+//! batch of *independent* jobs — merge inputs are snapshotted before the
+//! incoming flush lands, so in simulated time level-N merges overlap
+//! level-N+1 merges and the flush itself, and the triggering query waits
+//! out only the slowest merge. The batch executes inline on the tablet's
+//! own thread: tablets are already the fleet's parallel grain, and a
+//! thread pair per flush cost more real time than it saved. Job outputs are
+//! reinstalled in canonical order (flush first, then merges by ascending
+//! level), which keeps the tablet byte-identical under any
+//! [`Perturbation`] of the batch's execution order.
 
 use std::collections::BTreeMap;
 
@@ -63,12 +66,9 @@ pub struct BigTableConfig {
     pub policy: PolicyKind,
     /// Tablets the key space is partitioned into (at least one).
     pub tablets: usize,
-    /// Worker threads for one flush's batch of LSM jobs (the flush encode
-    /// plus due level merges). Affects wall-clock only — tablet state and
-    /// query records are identical at every value.
-    pub compaction_parallelism: usize,
-    /// Optional schedule perturbation for the LSM job batches. Like
-    /// `compaction_parallelism`, it must never change output — the
+    /// Optional schedule perturbation for the LSM job batches (the flush
+    /// encode plus due level merges): permutes the order the batch's jobs
+    /// run and are consumed in. It must never change output — the
     /// perturbation tests sweep it to prove the reassembly is canonical.
     pub perturb: Option<Perturbation>,
 }
@@ -81,7 +81,6 @@ impl Default for BigTableConfig {
             tier_bytes: (1 << 20, 8 << 20, 1 << 40),
             policy: PolicyKind::Lru,
             tablets: 1,
-            compaction_parallelism: 1,
             perturb: None,
         }
     }
@@ -270,10 +269,9 @@ fn charge_run_write(meter: &mut WorkMeter, bytes: u64) {
     );
 }
 
-/// One unit of LSM maintenance work, executable on any pool worker. Jobs
-/// are pure CPU over owned data: all tiered-store traffic stays on the
-/// coordinating tablet (in canonical order), which is what keeps the batch
-/// schedule-invariant.
+/// One unit of LSM maintenance work. Jobs are pure CPU over owned data:
+/// all tiered-store traffic stays on the coordinating tablet (in canonical
+/// order), which is what keeps the batch schedule-invariant.
 enum LsmJob {
     /// Encode a drained memtable snapshot into a new level-0 run.
     Flush { entries: Vec<Entry> },
@@ -588,13 +586,14 @@ impl Tablet {
     }
 
     /// Drains the memtable and runs the due LSM maintenance as one batch of
-    /// independent pool jobs: the level-0 flush encode plus one merge job
-    /// per level that reached `compaction_fanin` runs *before* this flush
+    /// independent jobs: the level-0 flush encode plus one merge job per
+    /// level that reached `compaction_fanin` runs *before* this flush
     /// (merge inputs never include the incoming run, so the jobs share no
     /// data). Storage reads for merge inputs happen here first, in
-    /// canonical ascending-level order; job outputs are reinstalled in the
-    /// same canonical order (flush, then merges by level), so the tablet
-    /// ends in the same state at any parallelism and under any
+    /// canonical ascending-level order. The batch runs inline on the
+    /// calling thread (in a permuted order under `config.perturb`); job
+    /// outputs are reinstalled in the same canonical order (flush, then
+    /// merges by level), so the tablet ends in the same state under any
     /// perturbation.
     ///
     /// Returns `(flush_io, compaction_wait)`: the flush's storage-write
@@ -627,19 +626,12 @@ impl Tablet {
             jobs.push(LsmJob::Merge { runs });
         }
 
-        let parent: Vec<&'static str> = meter.frames().to_vec();
+        let parent = meter.frames();
         let thunks: Vec<_> = jobs
             .into_iter()
-            .map(|job| {
-                let parent = parent.clone();
-                move || run_lsm_job(job, &parent)
-            })
+            .map(|job| move || run_lsm_job(job, parent))
             .collect();
-        let outputs = pool::run_jobs_perturbed(
-            self.config.compaction_parallelism.max(1),
-            thunks,
-            self.config.perturb,
-        );
+        let outputs = pool::run_jobs_perturbed(1, thunks, self.config.perturb);
 
         let mut outputs = outputs.into_iter();
         let mut flush_io = SimDuration::ZERO;
@@ -1460,17 +1452,16 @@ mod tests {
 
     #[test]
     fn pipelined_compaction_is_schedule_invariant() {
-        // The same op stream, replayed at compaction parallelism 1 and 4
-        // and under perturbed LSM job schedules, must produce byte-equal
+        // The same op stream, replayed with the LSM job batches in their
+        // canonical order and in perturbed orders, must produce byte-equal
         // execution records — the pipelined merge batch may not leak its
         // schedule into any artifact.
-        let run = |compaction_parallelism: usize, perturb: Option<Perturbation>| {
+        let run = |perturb: Option<Perturbation>| {
             let mut bt = BigTable::new(
                 BigTableConfig {
                     memtable_flush_bytes: 2_000,
                     compaction_fanin: 3,
                     tablets: 2,
-                    compaction_parallelism,
                     perturb,
                     ..BigTableConfig::default()
                 },
@@ -1489,15 +1480,15 @@ mod tests {
             }
             (execs, bt.compactions())
         };
-        let (baseline, compactions) = run(1, None);
+        let (baseline, compactions) = run(None);
         assert!(compactions > 0, "the workload must exercise merges");
-        for (parallelism, seed) in [(4, None), (1, Some(3)), (4, Some(11)), (3, Some(0xD15))] {
-            let (execs, _) = run(parallelism, seed.map(Perturbation::new));
+        for seed in [3, 11, 0xD15] {
+            let (execs, _) = run(Some(Perturbation::new(seed)));
             assert_eq!(execs.len(), baseline.len());
             for (a, b) in baseline.iter().zip(&execs) {
                 assert!(
                     exec_eq(a, b),
-                    "records diverged at parallelism {parallelism} seed {seed:?}"
+                    "records diverged at perturbation seed {seed}"
                 );
             }
         }

@@ -123,11 +123,13 @@ impl ValueGen {
     }
 
     /// Draws a value body. Sizes vary uniformly in `[mean/2, 3*mean/2]`.
+    /// A `noise_fraction` above 1 makes the whole value noise; NaN and
+    /// negative fractions make none of it noise.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u8> {
         let lo = (self.mean_size / 2).max(1);
         let hi = self.mean_size + self.mean_size / 2;
         let size = rng.random_range(lo..=hi);
-        let noise_bytes = (size as f64 * self.noise_fraction) as usize;
+        let noise_bytes = ((size as f64 * self.noise_fraction) as usize).min(size);
         let mut value = Vec::with_capacity(size);
         // Compressible structured region: repeated field-like text.
         while value.len() < size - noise_bytes {
@@ -182,6 +184,45 @@ mod tests {
             let v = gen.sample(&mut rng);
             assert!((500..=1500).contains(&v.len()), "{}", v.len());
         }
+    }
+
+    #[test]
+    fn noise_fraction_is_clamped_to_the_value() {
+        let mut rng = rng();
+        let gen = ValueGen {
+            mean_size: 10,
+            noise_fraction: 1.5,
+        };
+        for _ in 0..100 {
+            let v = gen.sample(&mut rng);
+            assert!((5..=15).contains(&v.len()), "{}", v.len());
+        }
+        for noise_fraction in [-0.5, f64::NAN] {
+            let gen = ValueGen {
+                mean_size: 100,
+                noise_fraction,
+            };
+            let v = gen.sample(&mut rng);
+            assert!(v.starts_with(b"field0=common-value;"), "{noise_fraction}");
+        }
+    }
+
+    /// Known answer for the in-range path: the CRC32C over 1,000 samples of
+    /// the BigTable workload's value generator (each prefixed with its
+    /// length) and the generator's next word after them, which pins how many
+    /// draws the samples took.
+    #[test]
+    fn value_samples_match_the_pinned_stream() {
+        let gen = ValueGen::new(300);
+        let mut rng = hsdp_rng::StdRng::seed_from_u64(0x5A1E);
+        let mut crc = 0;
+        for _ in 0..1_000 {
+            let v = gen.sample(&mut rng);
+            crc = hsdp_taxes::crc::crc32c_append(crc, &(v.len() as u32).to_le_bytes());
+            crc = hsdp_taxes::crc::crc32c_append(crc, &v);
+        }
+        assert_eq!(crc, 0xe410_2814, "value bytes changed");
+        assert_eq!(rng.next_u64(), 0x9e24_97f9_cbe3_a899, "draw count changed");
     }
 
     #[test]
