@@ -15,13 +15,16 @@
 //! probe, the loser-tree compaction merge and Keccak-f[1600], the
 //! sequential-vs-parallel fleet wall-clock comparison (same seed — the
 //! outputs are byte-identical by construction, only the wall-clock
-//! differs), and the Table 8 software pipeline's chained-vs-sequential and
-//! model-vs-measured times. Gates exit 1; the pipeline times are reported
-//! ungated, since they measure the host.
+//! differs), the three serial artifact folds (GWP stacks, trace export,
+//! tail report) on one sequential run's records, and the Table 8 software
+//! pipeline's chained-vs-sequential and model-vs-measured times. Gates exit
+//! 1; the artifact-fold and pipeline times are reported ungated, since they
+//! measure the host.
 
 use hsdp_accelsim::validate::software_validation;
 use hsdp_bench::harness::{time_ns, BenchRecord, BenchReport};
 use hsdp_bench::tail::render_json;
+use hsdp_bench::telemetry_out::trace_groups;
 use hsdp_bench::FleetRun;
 use hsdp_core::category::Platform;
 use hsdp_platforms::bloom::Bloom;
@@ -36,6 +39,7 @@ use hsdp_taxes::crc::{crc32c_append, crc32c_append_slicing8};
 use hsdp_taxes::dispatch::CpuFeatures;
 use hsdp_taxes::sha3::keccak_f1600;
 use hsdp_taxes::varint::encode_varint;
+use hsdp_telemetry::chrome_trace_json;
 use hsdp_workload::proto_corpus;
 
 use crate::args::{CliError, Flags};
@@ -480,6 +484,40 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             100.0 * STRAGGLER_CEILING,
         )
     })?;
+
+    // --- Fleet artifacts: the serial per-record folds. ---------------------
+    // One p=1 run's records through the GWP stack fold, the trace export
+    // and the tail report, each timed alone. Reported ungated, since they
+    // measure the host.
+    let artifact_run = FleetRun::new(FleetConfig {
+        parallelism: 1,
+        ..fleet_config
+    });
+    for (id, ns) in [
+        (
+            "fleet/artifact/stacks",
+            best_of(5, || time_ns(1, || artifact_run.stacks())),
+        ),
+        (
+            "fleet/artifact/trace_json",
+            best_of(5, || {
+                time_ns(1, || chrome_trace_json(&trace_groups(&artifact_run.runs)))
+            }),
+        ),
+        (
+            "fleet/artifact/tail_json",
+            best_of(5, || time_ns(1, || render_json(&artifact_run.tail("")))),
+        ),
+    ] {
+        report.push(BenchRecord {
+            id: id.to_owned(),
+            ns_per_iter: ns,
+            bytes_per_iter: None,
+            parallelism: 1,
+            seed: SEED,
+        });
+        println!("{id}: {:.1} ms", ns / 1e6);
+    }
 
     let probe_config = FleetConfig {
         parallelism: parallel_threads,

@@ -30,14 +30,16 @@ pub fn bench_fleet_config() -> FleetConfig {
 ///
 /// One GWP profiler consumes every platform's work stream in canonical
 /// fleet order, so the result — and therefore the folded text and the
-/// pprof bytes rendered from it — is a pure function of the fleet records
-/// and `seed`. The same pass as [`crate::FleetRun::stacks`].
+/// pprof bytes rendered from it — is a pure function of the fleet records.
+/// The same pass as [`crate::FleetRun::stacks`]. `_seed` has no effect:
+/// sampling is periodic. It stays until the fleet benchmark, which passes
+/// it, next changes.
 #[must_use]
 pub fn fleet_stack_profile(
     fleet: &[(Platform, Vec<hsdp_platforms::QueryExecution>)],
-    seed: u64,
+    _seed: u64,
 ) -> StackProfile {
-    crate::fleet::fleet_stacks(seed, fleet.iter().flat_map(|(_, executions)| executions))
+    crate::fleet::fleet_stacks(fleet.iter().flat_map(|(_, executions)| executions))
 }
 
 // ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ use hsdp_platforms::runner::{
 };
 use hsdp_platforms::QueryExecution;
 use hsdp_profiling::e2e::{figure2, Figure2};
-use hsdp_profiling::gwp::{CycleProfile, GwpConfig, GwpProfiler, LeafWork};
+use hsdp_profiling::gwp::{CycleProfile, GwpConfig, GwpProfiler};
 use hsdp_profiling::history::{ProfileSnapshot, QuantileRow, SnapshotMeta};
 use hsdp_profiling::stacks::StackProfile;
 use hsdp_simcore::time::SimDuration;
@@ -36,22 +36,13 @@ fn sample_period() -> SimDuration {
 }
 
 /// Feeds `executions`' metered work, in order, through one GWP profiler.
-fn gwp_pass<'a>(
-    seed: u64,
-    executions: impl IntoIterator<Item = &'a QueryExecution>,
-) -> GwpProfiler {
+fn gwp_pass<'a>(executions: impl IntoIterator<Item = &'a QueryExecution>) -> GwpProfiler {
     let mut profiler = GwpProfiler::new(GwpConfig {
         sample_period: sample_period(),
-        seed,
     });
     for exec in executions {
         for w in &exec.cpu_work {
-            profiler.observe(&LeafWork {
-                category: w.category,
-                leaf: w.leaf,
-                time: w.time,
-                stack: w.stack.clone(),
-            });
+            profiler.observe_parts(w.category, w.leaf, w.time, &w.stack);
         }
     }
     profiler
@@ -61,10 +52,9 @@ fn gwp_pass<'a>(
 /// work stream in canonical fleet order. Frame roots already carry the
 /// platform name (`spanner.commit`, `bigtable.put`, …).
 pub(crate) fn fleet_stacks<'a>(
-    seed: u64,
     executions: impl IntoIterator<Item = &'a QueryExecution>,
 ) -> StackProfile {
-    gwp_pass(seed ^ 0x57AC, executions).into_stack_profile()
+    gwp_pass(executions).into_stack_profile()
 }
 
 /// One instrumented fleet run: the configuration it ran, the per-shard
@@ -144,10 +134,7 @@ impl FleetRun {
     /// canonical order).
     #[must_use]
     pub fn stacks(&self) -> StackProfile {
-        fleet_stacks(
-            self.config.seed,
-            self.runs.iter().flat_map(|run| &run.executions),
-        )
+        fleet_stacks(self.runs.iter().flat_map(|run| &run.executions))
     }
 
     /// Renders every bundle file as `(name, bytes)`: `profile.json`,
@@ -259,7 +246,7 @@ pub fn profile_fleet(config: FleetConfig) -> Vec<PlatformRun> {
     fold_fleet(run_fleet_telemetry(config))
         .into_iter()
         .map(|(platform, executions)| {
-            let profile = gwp_pass(config.seed ^ platform as u64, &executions).into_profile();
+            let profile = gwp_pass(&executions).into_profile();
             let decomposed: Vec<_> = executions
                 .iter()
                 .map(QueryExecution::decomposition)

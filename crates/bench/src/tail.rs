@@ -31,7 +31,7 @@ use hsdp_platforms::QueryExecution;
 use hsdp_profiling::heavy::SpaceSaving;
 use hsdp_telemetry::critical_path::{critical_path, PathCategory};
 use hsdp_telemetry::registry::{bucket_lower_bound, key_path};
-use hsdp_telemetry::MetricsRegistry;
+use hsdp_telemetry::{json, MetricsRegistry};
 
 /// Counter budget of each per-platform heavy-hitter sketch. Far above the
 /// slowest-request shortlist so top ranks are exact in practice, far below
@@ -145,18 +145,33 @@ pub struct TailReport {
     pub platforms: Vec<PlatformTail>,
 }
 
-/// Splits one execution's metered work into `(cpu_total, tax)` exact ns.
-fn work_split(exec: &QueryExecution) -> (u64, u64) {
-    let mut cpu = 0u64;
-    let mut tax = 0u64;
-    for item in &exec.cpu_work {
-        let ns = item.time.as_nanos();
-        cpu += ns;
-        if item.category.broad() != BroadCategory::CoreCompute {
-            tax += ns;
+/// One execution's exact figures, computed once per report.
+#[derive(Debug, Clone, Copy)]
+struct ExecStat {
+    /// End-to-end latency (ns).
+    e2e_ns: u64,
+    /// Metered CPU (ns).
+    cpu_ns: u64,
+    /// The tax (datacenter + system) part of `cpu_ns`.
+    tax_ns: u64,
+}
+
+impl ExecStat {
+    fn of(exec: &QueryExecution) -> Self {
+        let mut stat = ExecStat {
+            e2e_ns: exec.decomposition().end_to_end.as_nanos(),
+            cpu_ns: 0,
+            tax_ns: 0,
+        };
+        for item in &exec.cpu_work {
+            let ns = item.time.as_nanos();
+            stat.cpu_ns += ns;
+            if item.category.broad() != BroadCategory::CoreCompute {
+                stat.tax_ns += ns;
+            }
         }
+        stat
     }
-    (cpu, tax)
 }
 
 /// `tax / cpu` in integer parts-per-million.
@@ -167,23 +182,20 @@ fn ppm(tax_ns: u64, cpu_ns: u64) -> u64 {
     (u128::from(tax_ns) * 1_000_000 / u128::from(cpu_ns)) as u64
 }
 
-/// Folds a cohort (a slice of indices into `execs`) into its stat row.
-fn cohort_stat(execs: &[&QueryExecution], members: &[usize]) -> CohortStat {
-    let mut stat = CohortStat {
+/// Folds a cohort (a slice of indices into `stats`) into its stat row.
+fn cohort_stat(stats: &[ExecStat], members: &[usize]) -> CohortStat {
+    let mut cohort = CohortStat {
         requests: members.len() as u64,
         ..CohortStat::default()
     };
     for &i in members {
-        let exec = execs[i];
-        let (cpu, tax) = work_split(exec);
-        stat.cpu_ns += cpu;
-        stat.tax_ns += tax;
-        stat.max_e2e_ns = stat
-            .max_e2e_ns
-            .max(exec.decomposition().end_to_end.as_nanos());
+        let stat = stats[i];
+        cohort.cpu_ns += stat.cpu_ns;
+        cohort.tax_ns += stat.tax_ns;
+        cohort.max_e2e_ns = cohort.max_e2e_ns.max(stat.e2e_ns);
     }
-    stat.tax_share_ppm = ppm(stat.tax_ns, stat.cpu_ns);
-    stat
+    cohort.tax_share_ppm = ppm(cohort.tax_ns, cohort.cpu_ns);
+    cohort
 }
 
 /// Builds the tail report from an already-executed instrumented fleet run.
@@ -196,72 +208,55 @@ pub fn tail_from_parts(
     metrics: &MetricsRegistry,
     commit: &str,
 ) -> TailReport {
-    // Per-shard sketches, merged per platform in canonical shard order.
-    let mut cpu_sketches: BTreeMap<usize, SpaceSaving> = BTreeMap::new();
-    let mut tax_sketches: BTreeMap<usize, SpaceSaving> = BTreeMap::new();
-    for run in runs {
-        let mut shard_cpu = SpaceSaving::new(HITTER_CAPACITY);
-        let mut shard_tax = SpaceSaving::new(HITTER_CAPACITY);
-        for exec in &run.executions {
-            if !exec.request.is_tagged() {
-                continue;
-            }
-            let (cpu, tax) = work_split(exec);
-            shard_cpu.observe(exec.request.0, cpu);
-            shard_tax.observe(exec.request.0, tax);
-        }
-        let slot = run.platform as usize;
-        cpu_sketches
-            .entry(slot)
-            .or_insert_with(|| SpaceSaving::new(HITTER_CAPACITY))
-            .merge(&shard_cpu);
-        tax_sketches
-            .entry(slot)
-            .or_insert_with(|| SpaceSaving::new(HITTER_CAPACITY))
-            .merge(&shard_tax);
-    }
-
     let mut platforms = Vec::with_capacity(Platform::ALL.len());
     for &platform in &Platform::ALL {
-        let execs: Vec<&QueryExecution> = runs
-            .iter()
-            .filter(|run| run.platform == platform)
-            .flat_map(|run| run.executions.iter())
-            .collect();
+        // Every execution's figures, once, and per-shard sketches merged in
+        // canonical shard order.
+        let mut execs: Vec<&QueryExecution> = Vec::new();
+        let mut stats: Vec<ExecStat> = Vec::new();
+        let mut cpu_sketch = SpaceSaving::new(HITTER_CAPACITY);
+        let mut tax_sketch = SpaceSaving::new(HITTER_CAPACITY);
+        for run in runs.iter().filter(|run| run.platform == platform) {
+            let mut shard_cpu = SpaceSaving::new(HITTER_CAPACITY);
+            let mut shard_tax = SpaceSaving::new(HITTER_CAPACITY);
+            for exec in &run.executions {
+                let stat = ExecStat::of(exec);
+                if exec.request.is_tagged() {
+                    shard_cpu.observe(exec.request.0, stat.cpu_ns);
+                    shard_tax.observe(exec.request.0, stat.tax_ns);
+                }
+                execs.push(exec);
+                stats.push(stat);
+            }
+            cpu_sketch.merge(&shard_cpu);
+            tax_sketch.merge(&shard_tax);
+        }
 
         // Canonical latency order: (end-to-end, request) ascending.
         let mut by_latency: Vec<(u64, u64, usize)> = execs
             .iter()
+            .zip(&stats)
             .enumerate()
-            .map(|(i, exec)| {
-                (
-                    exec.decomposition().end_to_end.as_nanos(),
-                    exec.request.0,
-                    i,
-                )
-            })
+            .map(|(i, (exec, stat))| (stat.e2e_ns, exec.request.0, i))
             .collect();
         by_latency.sort_unstable();
 
         let n = by_latency.len();
         let all_members: Vec<usize> = by_latency.iter().map(|&(_, _, i)| i).collect();
-        let p50_members: Vec<usize> = all_members[..n.div_ceil(2).min(n)].to_vec();
-        let p99_members: Vec<usize> = all_members[n - n.div_ceil(100).min(n)..].to_vec();
+        let p50_members = &all_members[..n.div_ceil(2).min(n)];
+        let p99_members = &all_members[n - n.div_ceil(100).min(n)..];
 
-        let hitters = |sketch: Option<&SpaceSaving>| -> Vec<HitterRow> {
+        let hitters = |sketch: &SpaceSaving| -> Vec<HitterRow> {
             sketch
-                .map(|s| {
-                    s.entries()
-                        .into_iter()
-                        .take(HITTERS_REPORTED)
-                        .map(|e| HitterRow {
-                            request: RequestId(e.key),
-                            count: e.count,
-                            err: e.err,
-                        })
-                        .collect()
+                .entries()
+                .into_iter()
+                .take(HITTERS_REPORTED)
+                .map(|e| HitterRow {
+                    request: RequestId(e.key),
+                    count: e.count,
+                    err: e.err,
                 })
-                .unwrap_or_default()
+                .collect()
         };
 
         let mut exemplars = Vec::new();
@@ -319,11 +314,11 @@ pub fn tail_from_parts(
 
         platforms.push(PlatformTail {
             platform,
-            all: cohort_stat(&execs, &all_members),
-            p50: cohort_stat(&execs, &p50_members),
-            p99: cohort_stat(&execs, &p99_members),
-            hitters_cpu: hitters(cpu_sketches.get(&(platform as usize))),
-            hitters_tax: hitters(tax_sketches.get(&(platform as usize))),
+            all: cohort_stat(&stats, &all_members),
+            p50: cohort_stat(&stats, p50_members),
+            p99: cohort_stat(&stats, p99_members),
+            hitters_cpu: hitters(&cpu_sketch),
+            hitters_tax: hitters(&tax_sketch),
             exemplars,
             blame,
         });
@@ -373,10 +368,9 @@ pub fn tail_summary(report: &TailReport) -> BTreeMap<String, u64> {
 pub fn render_json(report: &TailReport) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"hsdp-tail-report/1\",\n");
-    out.push_str(&format!(
-        "  \"commit\": \"{}\",\n",
-        report.commit.replace('\\', "\\\\").replace('"', "\\\"")
-    ));
+    out.push_str("  \"commit\": \"");
+    json::escape(&report.commit, &mut out);
+    out.push_str("\",\n");
     out.push_str(&format!("  \"seed\": {},\n", report.seed));
     out.push_str(&format!("  \"shards\": {},\n", report.shards));
     out.push_str("  \"platforms\": [\n");

@@ -18,9 +18,10 @@ use hsdp_telemetry::critical_path::PathCategory;
 use hsdp_telemetry::export::TraceGroup;
 
 /// One Perfetto lane per shard: the platform is the "process", the shard
-/// its "thread", so the fleet's concurrent replicas land side by side.
+/// its "thread", so the fleet's concurrent replicas land side by side. The
+/// lanes borrow their spans from `runs`.
 #[must_use]
-pub fn trace_groups(runs: &[ShardRun]) -> Vec<TraceGroup> {
+pub fn trace_groups(runs: &[ShardRun]) -> Vec<TraceGroup<'_>> {
     runs.iter()
         .map(|run| TraceGroup {
             process_name: platform_key(run.platform).to_string(),
@@ -30,11 +31,7 @@ pub fn trace_groups(runs: &[ShardRun]) -> Vec<TraceGroup> {
             // audit: allow(cast, shard indices are small (fleet shard counts), far below u32::MAX)
             tid: run.shard as u32,
             thread_name: format!("shard {}", run.shard),
-            spans: run
-                .executions
-                .iter()
-                .flat_map(|e| e.spans.iter().cloned())
-                .collect(),
+            spans: run.executions.iter().flat_map(|e| &e.spans).collect(),
         })
         .collect()
 }

@@ -117,3 +117,26 @@ fn malformed_commands_print_usage() {
         "--inject",
     );
 }
+
+#[test]
+fn control_characters_in_the_commit_are_escaped() {
+    let dir = std::env::temp_dir().join(format!("hsdp-cli-commit-{}", std::process::id()));
+    let out = hsdp(&[
+        "profile",
+        "--db-queries",
+        "12",
+        "--commit",
+        "ab\tc\nd\"e\\",
+        "--out",
+        dir.to_str().expect("utf-8 temp path"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let tail = std::fs::read_to_string(dir.join("tail.json")).expect("tail.json written");
+    std::fs::remove_dir_all(&dir).ok();
+    hsdp_telemetry::json::validate(&tail).expect("tail.json is valid JSON");
+    assert!(
+        tail.contains(r#""commit": "ab\tc\nd\"e\\","#),
+        "commit escaped: {tail}"
+    );
+}

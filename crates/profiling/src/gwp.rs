@@ -4,9 +4,10 @@
 //! The real Google-Wide Profiler interrupts machines across the fleet and
 //! attributes each sample to the leaf function of the interrupted call
 //! stack. Here, labeled CPU work items (category + leaf + duration) arrive
-//! from the simulated platforms; the profiler draws Poisson-ish samples
-//! proportional to duration, then aggregates — the same estimator, fed by
-//! simulated cycles.
+//! from the simulated platforms; the profiler samples periodically in
+//! cumulative CPU time, carrying the residual from one item to the next so
+//! each item's samples are proportional to its duration, then aggregates —
+//! the same estimator, fed by simulated cycles.
 
 use std::collections::BTreeMap;
 
@@ -14,8 +15,6 @@ use hsdp_core::category::{BroadCategory, CoreComputeOp, CpuCategory, DatacenterT
 use hsdp_core::component::CpuBreakdown;
 use hsdp_core::stack::{empty_path, FramePath};
 use hsdp_core::units::Seconds;
-use hsdp_rng::Rng;
-use hsdp_rng::StdRng;
 use hsdp_simcore::time::SimDuration;
 
 use crate::stacks::StackProfile;
@@ -54,17 +53,14 @@ impl LeafWork {
 /// The profiler configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GwpConfig {
-    /// Mean sampling period (simulated CPU time between samples).
+    /// Sampling period (simulated CPU time between samples).
     pub sample_period: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for GwpConfig {
     fn default() -> Self {
         GwpConfig {
             sample_period: SimDuration::from_micros(10),
-            seed: 0x6b9,
         }
     }
 }
@@ -77,6 +73,19 @@ pub struct CycleProfile {
 }
 
 impl CycleProfile {
+    /// Rolls the stack profile's cells up by `(category, leaf)`. Cells
+    /// without samples add no entry, as no sample named them.
+    fn from_stacks(stacks: &StackProfile) -> Self {
+        let mut profile = CycleProfile::default();
+        for (category, leaf, samples) in stacks.leaf_samples() {
+            if samples > 0 {
+                *profile.samples.entry((category, leaf)).or_insert(0) += samples;
+                profile.total += samples;
+            }
+        }
+        profile
+    }
+
     /// Total samples collected.
     #[must_use]
     pub fn total_samples(&self) -> u64 {
@@ -191,8 +200,6 @@ impl CycleProfile {
 #[derive(Debug)]
 pub struct GwpProfiler {
     config: GwpConfig,
-    rng: StdRng,
-    profile: CycleProfile,
     stacks: StackProfile,
     /// Time carried over until the next sample fires.
     residual: SimDuration,
@@ -202,42 +209,36 @@ impl GwpProfiler {
     /// A fresh profiler.
     #[must_use]
     pub fn new(config: GwpConfig) -> Self {
-        let rng = StdRng::seed_from_u64(config.seed);
         GwpProfiler {
             config,
-            rng,
-            profile: CycleProfile::default(),
             stacks: StackProfile::new(),
             residual: SimDuration::ZERO,
         }
     }
 
-    /// Offers one work item: samples fire every ~`sample_period` of
+    /// Offers one work item: samples fire every `sample_period` of
     /// cumulative CPU time, each attributed to the active leaf. The item's
     /// full frame path is folded into the stack profile regardless of
     /// whether a sample fires, so the stack tree carries both exact
     /// nanoseconds and sampled counts.
     pub fn observe(&mut self, work: &LeafWork) {
+        self.observe_parts(work.category, work.leaf, work.time, &work.stack);
+    }
+
+    /// [`GwpProfiler::observe`] on a work item's fields, so a caller
+    /// holding them elsewhere need not build a [`LeafWork`].
+    pub fn observe_parts(
+        &mut self,
+        category: CpuCategory,
+        leaf: &'static str,
+        time: SimDuration,
+        stack: &[&'static str],
+    ) {
         let period = self.config.sample_period.as_nanos().max(1);
-        let mut budget = self.residual.as_nanos() + work.time.as_nanos();
-        let mut fired = 0u64;
-        while budget >= period {
-            budget -= period;
-            // Jitter the sample instant so periodic work cannot alias.
-            let _: f64 = self.rng.random();
-            fired += 1;
-        }
-        if fired > 0 {
-            *self
-                .profile
-                .samples
-                .entry((work.category, work.leaf))
-                .or_insert(0) += fired;
-            self.profile.total += fired;
-        }
-        self.stacks
-            .record(&work.stack, work.leaf, work.category, work.time, fired);
-        self.residual = SimDuration::from_nanos(budget);
+        let budget = self.residual.as_nanos() + time.as_nanos();
+        let fired = budget / period;
+        self.residual = SimDuration::from_nanos(budget % period);
+        self.stacks.record(stack, leaf, category, time, fired);
     }
 
     /// Offers a batch of work items.
@@ -250,10 +251,10 @@ impl GwpProfiler {
         }
     }
 
-    /// The aggregated profile.
+    /// The aggregated profile, rolled up from the stack profile.
     #[must_use]
-    pub fn profile(&self) -> &CycleProfile {
-        &self.profile
+    pub fn profile(&self) -> CycleProfile {
+        CycleProfile::from_stacks(&self.stacks)
     }
 
     /// The aggregated stack-tree profile (exact + sampled weights).
@@ -265,14 +266,14 @@ impl GwpProfiler {
     /// Consumes the profiler, returning the profile.
     #[must_use]
     pub fn into_profile(self) -> CycleProfile {
-        self.profile
+        self.profile()
     }
 
     /// Consumes the profiler, returning both the leaf-level cycle profile
     /// and the stack-tree profile.
     #[must_use]
     pub fn into_parts(self) -> (CycleProfile, StackProfile) {
-        (self.profile, self.stacks)
+        (self.profile(), self.stacks)
     }
 
     /// Consumes the profiler, returning just the stack-tree profile —
@@ -302,7 +303,6 @@ mod tests {
     fn samples_proportional_to_time() {
         let mut profiler = GwpProfiler::new(GwpConfig {
             sample_period: SimDuration::from_micros(1),
-            seed: 1,
         });
         profiler.observe(&work(CoreComputeOp::Read, "read_path", 3000));
         profiler.observe(&work(DatacenterTax::Protobuf, "proto_encode", 1000));
@@ -317,7 +317,6 @@ mod tests {
     fn sub_period_work_accumulates_via_residual() {
         let mut profiler = GwpProfiler::new(GwpConfig {
             sample_period: SimDuration::from_micros(10),
-            seed: 2,
         });
         // 100 items of 1us each = 100us total = ~10 samples.
         for _ in 0..100 {
@@ -331,7 +330,6 @@ mod tests {
     fn broad_and_within_shares() {
         let mut profiler = GwpProfiler::new(GwpConfig {
             sample_period: SimDuration::from_micros(1),
-            seed: 3,
         });
         profiler.observe(&work(CoreComputeOp::Read, "a", 500));
         profiler.observe(&work(CoreComputeOp::Write, "b", 500));
@@ -349,7 +347,6 @@ mod tests {
     fn top_leaves_ordering() {
         let mut profiler = GwpProfiler::new(GwpConfig {
             sample_period: SimDuration::from_micros(1),
-            seed: 4,
         });
         profiler.observe(&work(SystemTax::OperatingSystems, "syscall", 300));
         profiler.observe(&work(CoreComputeOp::Filter, "simd_filter", 700));

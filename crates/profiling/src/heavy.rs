@@ -13,7 +13,8 @@
 //!
 //! Every operation is a pure function of the sketch state and its
 //! arguments: eviction picks the minimum `(count, key)` counter (totally
-//! ordered — no hash iteration, no RNG), and [`SpaceSaving::entries`]
+//! ordered — no hash iteration, no RNG), found in `O(log capacity)` through
+//! an ordered `(count, key)` index, and [`SpaceSaving::entries`]
 //! reports in canonical `(count desc, key asc)` order. Replaying the same
 //! stream therefore yields byte-identical output; the fleet's shard
 //! streams are themselves deterministic, and shard sketches merge in
@@ -27,7 +28,7 @@
 //! (absorbed counters inflate `err`, never deflate `count`). Any key whose
 //! true weight exceeds `total / capacity` is guaranteed to be tracked.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One tracked counter: an overestimate of the key's true total weight and
 /// the maximum amount by which it can overestimate.
@@ -47,6 +48,8 @@ pub struct SpaceSaving {
     capacity: usize,
     total: u64,
     counters: BTreeMap<u64, (u64, u64)>, // key -> (count, err)
+    /// Every tracked `(count, key)`; the first is the eviction victim.
+    by_count: BTreeSet<(u64, u64)>,
 }
 
 impl SpaceSaving {
@@ -58,6 +61,7 @@ impl SpaceSaving {
             capacity: capacity.max(1),
             total: 0,
             counters: BTreeMap::new(),
+            by_count: BTreeSet::new(),
         }
     }
 
@@ -93,21 +97,15 @@ impl SpaceSaving {
             return;
         }
         self.total = self.total.saturating_add(weight);
-        if let Some((count, _)) = self.counters.get_mut(&key) {
-            *count = count.saturating_add(weight);
+        if self.add(key, weight, 0) {
             return;
         }
         if self.counters.len() < self.capacity {
-            self.counters.insert(key, (weight, 0));
+            self.admit(key, weight, 0);
             return;
         }
-        let Some((evicted_key, floor)) = self.min_counter() else {
-            self.counters.insert(key, (weight, 0));
-            return;
-        };
-        self.counters.remove(&evicted_key);
-        self.counters
-            .insert(key, (floor.saturating_add(weight), floor));
+        let floor = self.evict_min().unwrap_or(0);
+        self.admit(key, floor.saturating_add(weight), floor);
     }
 
     /// Folds `other` into `self`. Shared keys sum their counts and errors;
@@ -120,33 +118,57 @@ impl SpaceSaving {
         self.total = self.total.saturating_add(other.total);
         // Admit heaviest first so the keys that matter win the budget.
         for entry in other.entries() {
-            if let Some((count, err)) = self.counters.get_mut(&entry.key) {
-                *count = count.saturating_add(entry.count);
-                *err = err.saturating_add(entry.err);
+            if self.add(entry.key, entry.count, entry.err) {
                 continue;
             }
             if self.counters.len() < self.capacity {
-                self.counters.insert(entry.key, (entry.count, entry.err));
+                self.admit(entry.key, entry.count, entry.err);
                 continue;
             }
-            let Some((evicted_key, floor)) = self.min_counter() else {
-                self.counters.insert(entry.key, (entry.count, entry.err));
-                continue;
-            };
-            if (floor, evicted_key) >= (entry.count, entry.key) {
-                // The incoming counter cannot beat the current minimum;
-                // absorbing it into an eviction would only inflate error.
-                continue;
+            if let Some(&min) = self.by_count.first() {
+                if min >= (entry.count, entry.key) {
+                    // The incoming counter cannot beat the current minimum;
+                    // absorbing it into an eviction would only inflate error.
+                    continue;
+                }
             }
-            self.counters.remove(&evicted_key);
-            self.counters.insert(
+            let floor = self.evict_min().unwrap_or(0);
+            self.admit(
                 entry.key,
-                (
-                    entry.count.saturating_add(floor),
-                    entry.err.saturating_add(floor),
-                ),
+                entry.count.saturating_add(floor),
+                entry.err.saturating_add(floor),
             );
         }
+    }
+
+    /// Starts tracking the untracked `key`.
+    fn admit(&mut self, key: u64, count: u64, err: u64) {
+        self.counters.insert(key, (count, err));
+        self.by_count.insert((count, key));
+    }
+
+    /// Adds to `key`'s count and error when it is tracked; false when it
+    /// is not.
+    fn add(&mut self, key: u64, count: u64, err: u64) -> bool {
+        let Some(counter) = self.counters.get_mut(&key) else {
+            return false;
+        };
+        self.by_count.remove(&(counter.0, key));
+        counter.0 = counter.0.saturating_add(count);
+        counter.1 = counter.1.saturating_add(err);
+        self.by_count.insert((counter.0, key));
+        true
+    }
+
+    /// Drops the minimum `(count, key)` counter — the deterministic
+    /// eviction victim — and returns its count. `None` only when no keys
+    /// are tracked (callers reach here with `len() >= capacity >= 1`, but
+    /// degrade to a plain insert rather than aborting if that invariant
+    /// ever breaks).
+    fn evict_min(&mut self) -> Option<u64> {
+        let (count, key) = self.by_count.pop_first()?;
+        self.counters.remove(&key);
+        Some(count)
     }
 
     /// The tracked counters in canonical order: count descending, key
@@ -161,18 +183,6 @@ impl SpaceSaving {
         out.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
         out
     }
-
-    /// The minimum `(count, key)` counter — the deterministic eviction
-    /// victim. `None` only when no keys are tracked (callers reach here
-    /// with `len() >= capacity >= 1`, but degrade to a plain insert
-    /// rather than aborting if that invariant ever breaks).
-    fn min_counter(&self) -> Option<(u64, u64)> {
-        self.counters
-            .iter()
-            .map(|(&key, &(count, _))| (count, key))
-            .min()
-            .map(|(count, key)| (key, count))
-    }
 }
 
 #[cfg(test)]
@@ -180,6 +190,152 @@ mod tests {
     use super::*;
     use hsdp_rng::derive_seed;
     use std::collections::HashMap;
+
+    /// The sketch as it was before the `(count, key)` index: the eviction
+    /// victim is found by scanning every counter. The oracle the indexed
+    /// sketch must match step for step.
+    struct LinearSpaceSaving {
+        capacity: usize,
+        total: u64,
+        counters: BTreeMap<u64, (u64, u64)>,
+    }
+
+    impl LinearSpaceSaving {
+        fn new(capacity: usize) -> Self {
+            LinearSpaceSaving {
+                capacity: capacity.max(1),
+                total: 0,
+                counters: BTreeMap::new(),
+            }
+        }
+
+        fn min_counter(&self) -> Option<(u64, u64)> {
+            self.counters
+                .iter()
+                .map(|(&key, &(count, _))| (count, key))
+                .min()
+                .map(|(count, key)| (key, count))
+        }
+
+        fn observe(&mut self, key: u64, weight: u64) {
+            if weight == 0 {
+                return;
+            }
+            self.total = self.total.saturating_add(weight);
+            if let Some((count, _)) = self.counters.get_mut(&key) {
+                *count = count.saturating_add(weight);
+                return;
+            }
+            if self.counters.len() < self.capacity {
+                self.counters.insert(key, (weight, 0));
+                return;
+            }
+            let Some((evicted_key, floor)) = self.min_counter() else {
+                self.counters.insert(key, (weight, 0));
+                return;
+            };
+            self.counters.remove(&evicted_key);
+            self.counters
+                .insert(key, (floor.saturating_add(weight), floor));
+        }
+
+        fn merge(&mut self, other: &LinearSpaceSaving) {
+            self.total = self.total.saturating_add(other.total);
+            for entry in other.entries() {
+                if let Some((count, err)) = self.counters.get_mut(&entry.key) {
+                    *count = count.saturating_add(entry.count);
+                    *err = err.saturating_add(entry.err);
+                    continue;
+                }
+                if self.counters.len() < self.capacity {
+                    self.counters.insert(entry.key, (entry.count, entry.err));
+                    continue;
+                }
+                let Some((evicted_key, floor)) = self.min_counter() else {
+                    self.counters.insert(entry.key, (entry.count, entry.err));
+                    continue;
+                };
+                if (floor, evicted_key) >= (entry.count, entry.key) {
+                    continue;
+                }
+                self.counters.remove(&evicted_key);
+                self.counters.insert(
+                    entry.key,
+                    (
+                        entry.count.saturating_add(floor),
+                        entry.err.saturating_add(floor),
+                    ),
+                );
+            }
+        }
+
+        fn entries(&self) -> Vec<HitterEntry> {
+            let mut out: Vec<HitterEntry> = self
+                .counters
+                .iter()
+                .map(|(&key, &(count, err))| HitterEntry { key, count, err })
+                .collect();
+            out.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
+            out
+        }
+    }
+
+    /// A stream whose weights come from a handful of values, so counts tie
+    /// often, over a key universe far above the sketch capacity.
+    fn tied_stream(seed: u64, len: usize, universe: u64) -> Vec<(u64, u64)> {
+        (0..len)
+            .map(|i| {
+                let key = derive_seed(seed, 3, i as u64) % universe;
+                let weight = [0, 1, 1, 2, 5, 5][(derive_seed(seed, 5, i as u64) % 6) as usize];
+                (key, weight)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn indexed_eviction_matches_linear_scan_oracle() {
+        for (seed, capacity, universe) in [
+            (1u64, 1usize, 8u64),
+            (2, 4, 16),
+            (3, 16, 64),
+            (4, 64, 1 << 40),
+        ] {
+            let mut pairs = Vec::new();
+            for shard in 0..4u64 {
+                let mut fast = SpaceSaving::new(capacity);
+                let mut oracle = LinearSpaceSaving::new(capacity);
+                for (key, weight) in tied_stream(seed * 10 + shard, 600, universe) {
+                    fast.observe(key, weight);
+                    oracle.observe(key, weight);
+                    assert_eq!(fast.entries(), oracle.entries(), "seed {seed}: observe");
+                    assert_eq!(fast.total(), oracle.total);
+                }
+                pairs.push((fast, oracle));
+            }
+            let mut merged = SpaceSaving::new(capacity);
+            let mut merged_oracle = LinearSpaceSaving::new(capacity);
+            for (fast, oracle) in &pairs {
+                merged.merge(fast);
+                merged_oracle.merge(oracle);
+                assert_eq!(
+                    merged.entries(),
+                    merged_oracle.entries(),
+                    "seed {seed}: merge"
+                );
+                assert_eq!(merged.total(), merged_oracle.total);
+            }
+            // Every request id is new in the fleet: each observe past the
+            // budget evicts.
+            let mut fast = SpaceSaving::new(capacity);
+            let mut oracle = LinearSpaceSaving::new(capacity);
+            for i in 0..300u64 {
+                let weight = 1 + i % 3;
+                fast.observe(1_000 + i, weight);
+                oracle.observe(1_000 + i, weight);
+                assert_eq!(fast.entries(), oracle.entries(), "seed {seed}: fresh keys");
+            }
+        }
+    }
 
     /// Deterministic pseudo-random weighted stream: zipf-ish key mass so
     /// some keys are genuine heavy hitters.

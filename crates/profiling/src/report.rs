@@ -87,7 +87,6 @@ mod tests {
     fn figure3_rendering_has_all_shares() {
         let mut profiler = GwpProfiler::new(GwpConfig {
             sample_period: SimDuration::from_micros(1),
-            seed: 1,
         });
         profiler.observe(&LeafWork::unstacked(
             CoreComputeOp::Read,
@@ -99,7 +98,7 @@ mod tests {
             "b",
             SimDuration::from_micros(50),
         ));
-        let text = render_figure3(Platform::BigTable, profiler.profile());
+        let text = render_figure3(Platform::BigTable, &profiler.profile());
         assert!(text.contains("core compute"));
         assert!(text.contains("BigTable"));
     }

@@ -45,14 +45,46 @@ pub struct StackWeight {
     pub exact_ns: u64,
 }
 
+/// One distinct call-frame path (leaf excluded) and the cells under it.
+#[derive(Debug, Clone, PartialEq)]
+struct PathCells {
+    /// Interned frame ids, outermost first.
+    ids: Vec<u32>,
+    /// `(leaf, category)` → index into the profile's cells, in first-seen
+    /// order. A path carries a handful of leaves; the list is scanned.
+    cells: Vec<(&'static str, CpuCategory, usize)>,
+}
+
+/// One `(path, leaf, category)` cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Cell {
+    /// Index into the profile's paths.
+    path: usize,
+    /// Interned leaf id.
+    leaf: u32,
+    category: CpuCategory,
+    weight: StackWeight,
+}
+
 /// A deterministic aggregated stack-tree profile.
+///
+/// Cells accumulate in first-seen order. A record finds its cell through
+/// the frame-path interner only when its path differs from the previous
+/// record's, then through the path's short `(leaf, category)` list, so a
+/// record costs constant work and allocates nothing once its cell exists.
+/// The canonical `(path ids + leaf, category)` order is produced by one
+/// sort at export time.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StackProfile {
     /// Interned frame names, dense ids in first-seen order.
     frames: Vec<&'static str>,
     index: BTreeMap<&'static str, u32>,
-    /// Weight per (path incl. leaf as interned ids, category).
-    entries: BTreeMap<(Vec<u32>, CpuCategory), StackWeight>,
+    /// Distinct paths by content → index into `paths`.
+    path_index: BTreeMap<Box<[&'static str]>, usize>,
+    paths: Vec<PathCells>,
+    /// The previous record's path.
+    last_path: Option<usize>,
+    cells: Vec<Cell>,
     total_samples: u64,
     total_exact_ns: u64,
 }
@@ -74,8 +106,31 @@ impl StackProfile {
         id
     }
 
+    /// The index of `stack` in `paths`, interning its frames (in order)
+    /// when the path is new.
+    fn intern_path(&mut self, stack: &[&'static str]) -> usize {
+        if let Some(&path) = self.path_index.get(stack) {
+            return path;
+        }
+        let mut ids = Vec::with_capacity(stack.len());
+        for frame in stack {
+            ids.push(self.intern(frame));
+        }
+        let path = self.paths.len();
+        self.paths.push(PathCells {
+            ids,
+            cells: Vec::new(),
+        });
+        self.path_index.insert(stack.into(), path);
+        path
+    }
+
     /// Records one work item: `stack` is outermost-first and does *not*
     /// include the leaf, matching the meter's frame convention.
+    ///
+    /// Frames are interned in the order a per-item walk of `stack` then
+    /// `leaf` would first meet them: a new path interns its frames, and a
+    /// new `(leaf, category)` on a path interns the leaf.
     pub fn record(
         &mut self,
         stack: &[&'static str],
@@ -84,16 +139,72 @@ impl StackProfile {
         exact: SimDuration,
         samples: u64,
     ) {
-        let mut path: Vec<u32> = Vec::with_capacity(stack.len() + 1);
-        for frame in stack {
-            path.push(self.intern(frame));
-        }
-        path.push(self.intern(leaf));
-        let cell = self.entries.entry((path, category)).or_default();
-        cell.samples += samples;
-        cell.exact_ns += exact.as_nanos();
+        let path = match self.last_path {
+            Some(last) if self.path_matches(last, stack) => last,
+            _ => self.intern_path(stack),
+        };
+        self.last_path = Some(path);
+        let found = self.paths[path]
+            .cells
+            .iter()
+            .find(|&&(l, c, _)| l == leaf && c == category)
+            .map(|&(_, _, cell)| cell);
+        let cell = match found {
+            Some(cell) => cell,
+            None => {
+                let leaf_id = self.intern(leaf);
+                let cell = self.cells.len();
+                self.cells.push(Cell {
+                    path,
+                    leaf: leaf_id,
+                    category,
+                    weight: StackWeight::default(),
+                });
+                self.paths[path].cells.push((leaf, category, cell));
+                cell
+            }
+        };
+        let weight = &mut self.cells[cell].weight;
+        weight.samples += samples;
+        weight.exact_ns += exact.as_nanos();
         self.total_samples += samples;
         self.total_exact_ns += exact.as_nanos();
+    }
+
+    /// True when `paths[path]` holds exactly the frames of `stack`.
+    fn path_matches(&self, path: usize, stack: &[&'static str]) -> bool {
+        let ids = &self.paths[path].ids;
+        ids.len() == stack.len()
+            && ids
+                .iter()
+                .zip(stack)
+                .all(|(&id, frame)| self.frames[id as usize] == *frame)
+    }
+
+    /// The cells in canonical `(path ids + leaf, category)` order, the
+    /// order every export emits.
+    fn sorted_cells(&self) -> Vec<&Cell> {
+        let mut order: Vec<&Cell> = self.cells.iter().collect();
+        order.sort_by(|a, b| {
+            let a_ids = self.paths[a.path].ids.iter().chain([&a.leaf]);
+            let b_ids = self.paths[b.path].ids.iter().chain([&b.leaf]);
+            a_ids.cmp(b_ids).then(a.category.cmp(&b.category))
+        });
+        order
+    }
+
+    /// Every cell's `(category, leaf, samples)`, in first-seen order — what
+    /// the leaf-level cycle profile rolls up.
+    pub(crate) fn leaf_samples(
+        &self,
+    ) -> impl Iterator<Item = (CpuCategory, &'static str, u64)> + '_ {
+        self.cells.iter().map(|cell| {
+            (
+                cell.category,
+                self.frames[cell.leaf as usize],
+                cell.weight.samples,
+            )
+        })
     }
 
     /// Total GWP samples recorded.
@@ -114,16 +225,19 @@ impl StackProfile {
         self.frames.len()
     }
 
-    /// Iterates cells as `(path incl. leaf, category, weight)`.
+    /// Iterates cells as `(path incl. leaf, category, weight)`, in
+    /// canonical `(path ids + leaf, category)` order.
     pub fn cells(
         &self,
     ) -> impl Iterator<Item = (Vec<&'static str>, CpuCategory, StackWeight)> + '_ {
-        self.entries.iter().map(|((path, category), weight)| {
-            let names = path
+        self.sorted_cells().into_iter().map(|cell| {
+            let names = self.paths[cell.path]
+                .ids
                 .iter()
+                .chain([&cell.leaf])
                 .map(|&id| self.frames[id as usize])
                 .collect::<Vec<_>>();
-            (names, *category, *weight)
+            (names, cell.category, cell.weight)
         })
     }
 
@@ -153,10 +267,10 @@ impl StackProfile {
     #[must_use]
     pub fn category_exact_ns(&self) -> BTreeMap<String, u64> {
         let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-        for ((_, category), weight) in &self.entries {
+        for cell in &self.cells {
             *totals
-                .entry(category_key(*category).to_owned())
-                .or_insert(0) += weight.exact_ns;
+                .entry(category_key(cell.category).to_owned())
+                .or_insert(0) += cell.weight.exact_ns;
         }
         totals
     }
@@ -220,17 +334,21 @@ impl StackProfile {
             .collect();
 
         let samples: Vec<Sample> = self
-            .entries
-            .iter()
-            .map(|((path, category), weight)| Sample {
-                location_ids: path.iter().rev().map(|&id| u64::from(id) + 1).collect(),
+            .sorted_cells()
+            .into_iter()
+            .map(|cell| Sample {
+                location_ids: [cell.leaf]
+                    .iter()
+                    .chain(self.paths[cell.path].ids.iter().rev())
+                    .map(|&id| u64::from(id) + 1)
+                    .collect(),
                 values: vec![
-                    i64::try_from(weight.samples).unwrap_or(i64::MAX),
-                    i64::try_from(weight.exact_ns).unwrap_or(i64::MAX),
+                    i64::try_from(cell.weight.samples).unwrap_or(i64::MAX),
+                    i64::try_from(cell.weight.exact_ns).unwrap_or(i64::MAX),
                 ],
                 labels: vec![Label {
                     key: label_key,
-                    str_value: intern_str(category_key(*category)),
+                    str_value: intern_str(category_key(cell.category)),
                 }],
             })
             .collect();

@@ -59,10 +59,9 @@ fn workload(seed: u64, items: usize) -> Vec<LeafWork> {
         .collect()
 }
 
-fn run_at(period: SimDuration, work: &[LeafWork], seed: u64) -> (f64, f64, u64) {
+fn run_at(period: SimDuration, work: &[LeafWork]) -> (f64, f64, u64) {
     let mut profiler = GwpProfiler::new(GwpConfig {
         sample_period: period,
-        seed,
     });
     profiler.observe_all(work);
     let (_, stacks) = profiler.into_parts();
@@ -85,8 +84,8 @@ fn sampled_shares_converge_to_exact_as_period_shrinks() {
     ];
     let mut last_error = f64::INFINITY;
     let mut last_samples = 0u64;
-    for (i, &period) in periods.iter().enumerate() {
-        let (error, coverage, samples) = run_at(period, &work, 7 + i as u64);
+    for &period in &periods {
+        let (error, coverage, samples) = run_at(period, &work);
         assert!(
             samples > last_samples,
             "shorter period draws more samples: {samples} vs {last_samples}"
@@ -115,8 +114,8 @@ fn convergence_holds_across_workload_seeds() {
     // stream: check coarse-vs-fine improvement over several seeds.
     for seed in [1u64, 2, 3, 4, 5] {
         let work = workload(seed, 20_000);
-        let (coarse, _, _) = run_at(SimDuration::from_micros(16), &work, seed ^ 0xA);
-        let (fine, coverage, _) = run_at(SimDuration::from_micros(1), &work, seed ^ 0xB);
+        let (coarse, _, _) = run_at(SimDuration::from_micros(16), &work);
+        let (fine, coverage, _) = run_at(SimDuration::from_micros(1), &work);
         assert!(
             fine < coarse,
             "seed {seed}: fine-period error {fine} should undercut coarse {coarse}"
@@ -133,7 +132,6 @@ fn exact_shares_are_period_invariant() {
     let exact_at = |period_us: u64| {
         let mut profiler = GwpProfiler::new(GwpConfig {
             sample_period: SimDuration::from_micros(period_us),
-            seed: 99,
         });
         profiler.observe_all(&work);
         let (_, stacks) = profiler.into_parts();

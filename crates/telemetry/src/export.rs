@@ -11,11 +11,16 @@
 //! (`"{}.{:03}"`) so no float formatting is involved and the output is
 //! byte-deterministic.
 
+use std::fmt::Write;
+
 use hsdp_rpc::span::{Span, SpanKind};
 
-/// One swimlane's worth of spans plus its process/thread labels.
+use crate::json::escape;
+
+/// One swimlane's worth of spans plus its process/thread labels. The spans
+/// are borrowed from the records they came from.
 #[derive(Debug, Clone)]
-pub struct TraceGroup {
+pub struct TraceGroup<'a> {
     /// Process name shown by the viewer (platform, e.g. `"spanner"`).
     pub process_name: String,
     /// Process id; group spans from the same platform under one pid.
@@ -25,7 +30,7 @@ pub struct TraceGroup {
     /// Thread name shown by the viewer (e.g. `"shard 3"`).
     pub thread_name: String,
     /// The spans to emit on this lane.
-    pub spans: Vec<Span>,
+    pub spans: Vec<&'a Span>,
 }
 
 /// The trace-event `cat` field for a span kind.
@@ -39,34 +44,39 @@ fn kind_category(kind: SpanKind) -> &'static str {
     }
 }
 
-/// Formats integer nanoseconds as fixed-point decimal microseconds.
-fn micros(nanos: u64) -> String {
-    format!("{}.{:03}", nanos / 1_000, nanos % 1_000)
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape(raw: &str, out: &mut String) {
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn push_metadata(out: &mut String, name: &str, pid: u32, tid: u32, arg_key: &str, arg_val: &str) {
     out.push_str(&format!(
         "    {{\"name\": \"{name}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"{arg_key}\": \""
     ));
     escape(arg_val, out);
     out.push_str("\"}}");
+}
+
+/// Appends one `"X"` (complete) event. Times are integer nanoseconds
+/// written as fixed-point decimal microseconds.
+fn push_event(out: &mut String, span: &Span, pid: u32, tid: u32) -> std::fmt::Result {
+    let start = span.start.as_nanos();
+    let dur = span.end.as_nanos().saturating_sub(start);
+    out.push_str("    {\"name\": \"");
+    escape(&span.name, out);
+    write!(
+        out,
+        "\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}.{:03}, \"dur\": {}.{:03}, \
+         \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"trace\": {}, \"span\": {}, \"parent\": ",
+        kind_category(span.kind),
+        start / 1_000,
+        start % 1_000,
+        dur / 1_000,
+        dur % 1_000,
+        span.trace.0,
+        span.id.0,
+    )?;
+    match span.parent {
+        Some(parent) => write!(out, "{}", parent.0)?,
+        None => out.push_str("null"),
+    }
+    out.push_str("}}");
+    Ok(())
 }
 
 /// Serializes `groups` into one Chrome trace-event JSON document.
@@ -76,7 +86,7 @@ fn push_metadata(out: &mut String, name: &str, pid: u32, tid: u32, arg_key: &str
 /// span id, parent id, and kind in `args`. Output is byte-deterministic
 /// for a given input.
 #[must_use]
-pub fn chrome_trace_json(groups: &[TraceGroup]) -> String {
+pub fn chrome_trace_json(groups: &[TraceGroup<'_>]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n");
     let mut first = true;
@@ -117,23 +127,8 @@ pub fn chrome_trace_json(groups: &[TraceGroup]) -> String {
     for group in groups {
         for span in &group.spans {
             sep(&mut out, &mut first);
-            let start = span.start.as_nanos();
-            let dur = span.end.as_nanos().saturating_sub(start);
-            out.push_str("    {\"name\": \"");
-            escape(&span.name, &mut out);
-            out.push_str(&format!(
-                "\", \"cat\": \"{cat}\", \"ph\": \"X\", \"ts\": {ts}, \"dur\": {dur}, \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"trace\": {trace}, \"span\": {span_id}, \"parent\": {parent}}}}}",
-                cat = kind_category(span.kind),
-                ts = micros(start),
-                dur = micros(dur),
-                pid = group.pid,
-                tid = group.tid,
-                trace = span.trace.0,
-                span_id = span.id.0,
-                parent = span
-                    .parent
-                    .map_or_else(|| "null".to_string(), |p| p.0.to_string()),
-            ));
+            // Writing into a `String` cannot fail.
+            let _ = push_event(&mut out, span, group.pid, group.tid);
         }
     }
 
@@ -147,40 +142,120 @@ mod tests {
     use hsdp_rpc::span::{SpanId, TraceId};
     use hsdp_simcore::time::SimTime;
 
-    fn sample_group() -> TraceGroup {
+    /// The renderer [`chrome_trace_json`] replaced, kept as its oracle:
+    /// one `format!` per event, with `micros()` strings for the times.
+    fn reference_chrome_trace_json(groups: &[TraceGroup<'_>]) -> String {
+        fn micros(nanos: u64) -> String {
+            format!("{}.{:03}", nanos / 1_000, nanos % 1_000)
+        }
+        fn reference_escape(raw: &str, out: &mut String) {
+            for c in raw.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    c => out.push(c),
+                }
+            }
+        }
+        let metadata = |out: &mut String, name: &str, pid: u32, tid: u32, value: &str| {
+            out.push_str(&format!(
+                "    {{\"name\": \"{name}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"name\": \""
+            ));
+            reference_escape(value, out);
+            out.push_str("\"}}");
+        };
+        let mut events = Vec::new();
+        let mut named_pids: Vec<u32> = Vec::new();
+        for group in groups {
+            if !named_pids.contains(&group.pid) {
+                named_pids.push(group.pid);
+                let mut event = String::new();
+                metadata(
+                    &mut event,
+                    "process_name",
+                    group.pid,
+                    0,
+                    &group.process_name,
+                );
+                events.push(event);
+            }
+            let mut event = String::new();
+            metadata(
+                &mut event,
+                "thread_name",
+                group.pid,
+                group.tid,
+                &group.thread_name,
+            );
+            events.push(event);
+        }
+        for group in groups {
+            for span in &group.spans {
+                let start = span.start.as_nanos();
+                let dur = span.end.as_nanos().saturating_sub(start);
+                let mut event = String::from("    {\"name\": \"");
+                reference_escape(&span.name, &mut event);
+                event.push_str(&format!(
+                    "\", \"cat\": \"{cat}\", \"ph\": \"X\", \"ts\": {ts}, \"dur\": {dur}, \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"trace\": {trace}, \"span\": {span_id}, \"parent\": {parent}}}}}",
+                    cat = kind_category(span.kind),
+                    ts = micros(start),
+                    dur = micros(dur),
+                    pid = group.pid,
+                    tid = group.tid,
+                    trace = span.trace.0,
+                    span_id = span.id.0,
+                    parent = span
+                        .parent
+                        .map_or_else(|| "null".to_string(), |p| p.0.to_string()),
+                ));
+                events.push(event);
+            }
+        }
+        format!(
+            "{{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n{}\n  ]\n}}\n",
+            events.join(",\n")
+        )
+    }
+
+    fn span(id: u64, parent: Option<u64>, name: &str, start: u64, end: u64) -> Span {
+        Span {
+            trace: TraceId(9),
+            id: SpanId(id),
+            parent: parent.map(SpanId),
+            name: name.to_string(),
+            kind: SpanKind::Container,
+            start: SimTime::from_nanos(start),
+            end: SimTime::from_nanos(end),
+            request: hsdp_core::request::RequestId::UNTAGGED,
+        }
+    }
+
+    fn sample_spans() -> Vec<Span> {
+        let mut consensus = span(2, Some(1), "consensus \"r1\"", 2_000, 30_000);
+        consensus.kind = SpanKind::RemoteWork;
+        vec![span(1, None, "spanner.query", 1_500, 42_750), consensus]
+    }
+
+    fn sample_group(spans: &[Span]) -> TraceGroup<'_> {
         TraceGroup {
             process_name: "spanner".to_string(),
             pid: 1,
             tid: 3,
             thread_name: "shard 3".to_string(),
-            spans: vec![
-                Span {
-                    trace: TraceId(9),
-                    id: SpanId(1),
-                    parent: None,
-                    name: "spanner.query".to_string(),
-                    kind: SpanKind::Container,
-                    start: SimTime::from_nanos(1_500),
-                    end: SimTime::from_nanos(42_750),
-                    request: hsdp_core::request::RequestId::UNTAGGED,
-                },
-                Span {
-                    trace: TraceId(9),
-                    id: SpanId(2),
-                    parent: Some(SpanId(1)),
-                    name: "consensus \"r1\"".to_string(),
-                    kind: SpanKind::RemoteWork,
-                    start: SimTime::from_nanos(2_000),
-                    end: SimTime::from_nanos(30_000),
-                    request: hsdp_core::request::RequestId::UNTAGGED,
-                },
-            ],
+            spans: spans.iter().collect(),
         }
     }
 
     #[test]
     fn emits_valid_json_with_metadata_and_events() {
-        let doc = chrome_trace_json(&[sample_group()]);
+        let spans = sample_spans();
+        let doc = chrome_trace_json(&[sample_group(&spans)]);
         crate::json::validate(&doc).expect("exporter output must be valid JSON");
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("\"process_name\""));
@@ -197,9 +272,10 @@ mod tests {
 
     #[test]
     fn process_metadata_deduplicates_by_pid() {
-        let mut lane_a = sample_group();
+        let spans = sample_spans();
+        let mut lane_a = sample_group(&spans);
         lane_a.tid = 0;
-        let mut lane_b = sample_group();
+        let mut lane_b = sample_group(&spans);
         lane_b.tid = 1;
         lane_b.spans.clear();
         let doc = chrome_trace_json(&[lane_a, lane_b]);
@@ -213,12 +289,68 @@ mod tests {
         let doc = chrome_trace_json(&[]);
         crate::json::validate(&doc).expect("valid JSON");
         assert!(doc.contains("\"traceEvents\": [\n\n  ]"));
+        assert_eq!(doc, reference_chrome_trace_json(&[]));
     }
 
     #[test]
     fn output_is_deterministic() {
-        let a = chrome_trace_json(&[sample_group()]);
-        let b = chrome_trace_json(&[sample_group()]);
+        let spans = sample_spans();
+        let a = chrome_trace_json(&[sample_group(&spans)]);
+        let b = chrome_trace_json(&[sample_group(&spans)]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn matches_the_reference_renderer() {
+        let mut spans = sample_spans();
+        // Zero, sub-microsecond and exactly-one-microsecond durations, an
+        // end before the start (clamped to zero), large ids and times.
+        spans.push(span(3, Some(1), "zero", 7_000, 7_000));
+        spans.push(span(4, Some(3), "sub-us", 999, 1_998));
+        spans.push(span(5, None, "one-us", 0, 1_000));
+        spans.push(span(6, Some(5), "backwards", 5_001, 5_000));
+        spans.push(span(
+            u64::MAX,
+            Some(u64::MAX - 1),
+            "big",
+            u64::MAX - 1,
+            u64::MAX,
+        ));
+        // Names that need escaping: quotes, backslashes, the short
+        // control escapes, other control characters, and non-ASCII text.
+        for (i, name) in [
+            "a\\b",
+            "tab\there\nnewline\rreturn",
+            "bell\u{7}unit\u{1f}nul\u{0}",
+            "\"quoted\\\"",
+            "caf\u{e9} \u{1F600}",
+            "",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            spans.push(span(10 + i as u64, None, name, 12_345, 67_890_123));
+        }
+        for (i, kind) in [SpanKind::Cpu, SpanKind::Io, SpanKind::RemoteWork]
+            .into_iter()
+            .enumerate()
+        {
+            let mut s = span(20 + i as u64, Some(1), "kind", 1, 2);
+            s.kind = kind;
+            spans.push(s);
+        }
+        let mut lane_b = sample_group(&spans[..3]);
+        lane_b.tid = 4;
+        lane_b.thread_name = "shard \"4\"\u{2}".to_string();
+        let mut other_process = sample_group(&spans[5..]);
+        other_process.pid = 2;
+        other_process.process_name = "big\\table".to_string();
+        let groups = [sample_group(&spans), lane_b, other_process];
+        let doc = chrome_trace_json(&groups);
+        crate::json::validate(&doc).expect("valid JSON");
+        assert_eq!(doc, reference_chrome_trace_json(&groups));
+        assert!(doc.contains("\"dur\": 0.000"));
+        assert!(doc.contains("\"dur\": 0.999"));
+        assert!(doc.contains("\\u0007unit\\u001fnul\\u0000"));
     }
 }

@@ -1,10 +1,11 @@
-//! Minimal JSON syntax validator.
+//! Minimal JSON syntax validator and string escaper.
 //!
 //! The telemetry artifacts (`metrics.json`, `trace.json`,
 //! `critical_path.json`) are hand-serialized; this recursive-descent
 //! checker lets tests and smoke steps verify the emitted bytes are valid
 //! JSON without pulling in an external parser. It validates *syntax* per
-//! RFC 8259 (it does not build a value tree).
+//! RFC 8259 (it does not build a value tree). [`escape`] is the one
+//! string-literal escaper the hand-serialized artifacts share.
 
 /// Maximum nesting depth accepted before bailing out; the artifacts here
 /// nest a handful of levels, so this bounds a malicious/degenerate input.
@@ -44,6 +45,32 @@ pub fn validate(input: &str) -> Result<(), JsonError> {
         return Err(parser.err("trailing characters after document"));
     }
     Ok(())
+}
+
+/// Appends `raw` to `out` escaped for the inside of a JSON string literal:
+/// `"` and `\` are backslash-escaped, `\n`, `\r` and `\t` take their
+/// short forms, and every other control character below U+0020 becomes
+/// `\u00xx` (lowercase hex). Everything else is copied as is.
+pub fn escape(raw: &str, out: &mut String) {
+    if !raw.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(raw);
+        return;
+    }
+    for c in raw.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let code = u32::from(c);
+                out.push_str(if code < 0x10 { "\\u000" } else { "\\u001" });
+                out.push(char::from_digit(code % 16, 16).unwrap_or('0'));
+            }
+            c => out.push(c),
+        }
+    }
 }
 
 struct Parser<'a> {
