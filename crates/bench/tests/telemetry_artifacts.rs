@@ -84,8 +84,8 @@ fn critical_path_cpu_agrees_with_gwp_universe() {
     for platform in Platform::ALL {
         let report = platform_agreement(&runs, platform);
 
-        // The registry's CPU counters were recorded per served request by
-        // the meter. The execution records are a subset of that: BigTable's
+        // The registry's CPU counters fold every served query's metered
+        // work. The execution records are a subset of that: BigTable's
         // read-modify-write discards the read half's record (only the put
         // survives in the stream), so the registry may see strictly more
         // CPU, and the surplus is exactly the discarded reads.

@@ -23,7 +23,7 @@ use hsdp_workload::rows::{DimRow, FactRow};
 use crate::columnar::{Column, ColumnTable};
 use crate::costs;
 use crate::exec::QueryExecution;
-use crate::meter::WorkMeter;
+use crate::meter::{CpuCounters, WorkMeter};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,6 +66,8 @@ pub struct BigQuery {
     shuffle_net: LatencyModel,
     seed: u64,
     telemetry: MetricsRegistry,
+    /// CPU charged since the registry was set, added to it when taken.
+    cpu: CpuCounters,
     current_request: RequestId,
 }
 
@@ -98,26 +100,31 @@ impl BigQuery {
             },
             seed,
             telemetry: MetricsRegistry::disabled(),
+            cpu: CpuCounters::default(),
             current_request: RequestId::UNTAGGED,
         }
     }
 
     /// Sets the request identity stamped onto subsequent query executions
-    /// (their spans, CPU work, and latency exemplars). The runner calls
-    /// this before each traffic query; [`RequestId::UNTAGGED`] marks
-    /// background work.
+    /// and their latency exemplars. The runner calls this before each
+    /// traffic query; [`RequestId::UNTAGGED`] marks background work.
     pub fn set_request(&mut self, request: RequestId) {
         self.current_request = request;
     }
 
     /// Replaces the telemetry registry (pass [`MetricsRegistry::new`] to
-    /// turn recording on; it is off by default).
+    /// turn recording on; it is off by default). CPU charged under the
+    /// previous registry and not yet taken is discarded with it.
     pub fn set_telemetry(&mut self, registry: MetricsRegistry) {
         self.telemetry = registry;
+        self.cpu = CpuCounters::default();
     }
 
     /// Takes the telemetry collected so far, leaving recording disabled.
+    /// The CPU charged since the registry was set is added to its `"cpu"`
+    /// counters here, once per `(category, leaf)`.
     pub fn take_telemetry(&mut self) -> MetricsRegistry {
+        self.cpu.drain_into(&mut self.telemetry);
         std::mem::replace(&mut self.telemetry, MetricsRegistry::disabled())
     }
 
@@ -434,7 +441,7 @@ impl BigQuery {
             self.clock.since(started),
             self.current_request,
         );
-        crate::meter::record_cpu_items(&mut self.telemetry, meter.items());
+        self.cpu.add(&self.telemetry, meter.items());
         let spans: Vec<_> = self
             .tracer
             .take_spans()

@@ -49,7 +49,7 @@ use crate::bloom::Bloom;
 use crate::costs;
 use crate::exec::QueryExecution;
 use crate::merge::Entry;
-use crate::meter::{CpuWorkItem, WorkMeter};
+use crate::meter::{CpuCounters, WorkMeter};
 
 /// Tablet-server tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -280,24 +280,20 @@ enum LsmJob {
     Merge { runs: Vec<(u64, Vec<Entry>)> },
 }
 
-/// A finished LSM job: the new run's content plus the CPU work the job
-/// metered, returned for canonical reassembly by the coordinator.
+/// A finished LSM job: the new run's content plus the meter the job
+/// charged, returned for canonical reassembly by the coordinator.
 struct LsmJobOutput {
     entries: Vec<(Vec<u8>, Vec<u8>)>,
     bloom: Bloom,
     encoded_bytes: u64,
     input_entries: u64,
-    items: Vec<CpuWorkItem>,
+    meter: WorkMeter,
 }
 
-/// Runs one LSM job on a private meter rooted at the triggering query's
-/// frame stack, so the returned items splice into the query's profile with
+/// Runs one LSM job on `meter`, a [`WorkMeter::child`] of the triggering
+/// query's meter, so the job's work splices into the query's profile with
 /// the stacks a single-threaded run would have produced.
-fn run_lsm_job(job: LsmJob, parent_frames: &[&'static str]) -> LsmJobOutput {
-    let mut meter = WorkMeter::new();
-    for frame in parent_frames {
-        meter.push_frame(frame);
-    }
+fn run_lsm_job(job: LsmJob, mut meter: WorkMeter) -> LsmJobOutput {
     let (entries, encoded_bytes, input_entries) = match job {
         LsmJob::Flush { entries } => {
             let mut scope = meter.scope("flush");
@@ -367,7 +363,7 @@ fn run_lsm_job(job: LsmJob, parent_frames: &[&'static str]) -> LsmJobOutput {
         bloom,
         encoded_bytes,
         input_entries,
-        items: meter.take(),
+        meter,
     }
 }
 
@@ -378,6 +374,7 @@ fn finish_query(
     clock: &mut SimTime,
     tracer: &mut Tracer,
     telemetry: &mut MetricsRegistry,
+    cpu: &mut CpuCounters,
     trace: TraceId,
     root: OpenSpan,
     meter: WorkMeter,
@@ -414,7 +411,7 @@ fn finish_query(
         clock.since(started),
         request,
     );
-    crate::meter::record_cpu_items(telemetry, meter.items());
+    cpu.add(telemetry, meter.items());
     let spans: Vec<_> = tracer
         .take_spans()
         .into_iter()
@@ -454,6 +451,8 @@ pub(crate) struct Tablet {
     compactions: u64,
     rng_seed: u64,
     telemetry: MetricsRegistry,
+    /// CPU charged since the registry was set, added to it when taken.
+    cpu: CpuCounters,
     current_request: RequestId,
 }
 
@@ -485,20 +484,28 @@ impl Tablet {
             compactions: 0,
             rng_seed: seed,
             telemetry: MetricsRegistry::disabled(),
+            cpu: CpuCounters::default(),
             current_request: RequestId::UNTAGGED,
         }
     }
 
+    /// Replaces the telemetry registry, discarding CPU charged under the
+    /// previous one and not yet taken.
     pub(crate) fn set_telemetry(&mut self, registry: MetricsRegistry) {
         self.telemetry = registry;
+        self.cpu = CpuCounters::default();
     }
 
-    /// Sets the request identity stamped onto subsequent query executions.
+    /// Sets the request identity stamped onto subsequent query executions
+    /// and their latency exemplars.
     pub(crate) fn set_request(&mut self, request: RequestId) {
         self.current_request = request;
     }
 
+    /// Takes the telemetry, first adding the CPU charged since the registry
+    /// was set to its `"cpu"` counters, once per `(category, leaf)`.
     pub(crate) fn take_telemetry(&mut self) -> MetricsRegistry {
+        self.cpu.drain_into(&mut self.telemetry);
         std::mem::replace(&mut self.telemetry, MetricsRegistry::disabled())
     }
 
@@ -552,8 +559,8 @@ impl Tablet {
 
     /// Installs a finished LSM job output as a new run at `level`:
     /// allocates the run id, writes it through the tiered store (warming
-    /// its blocks), and splices the job's metered CPU work into the
-    /// triggering query's meter. All of this runs on the coordinator in
+    /// its blocks), and absorbs the job's meter into the triggering
+    /// query's meter. All of this runs on the coordinator in
     /// canonical job order, never on a pool worker. Returns the
     /// storage-write time.
     fn install_run(
@@ -581,7 +588,7 @@ impl Tablet {
             bloom: out.bloom,
             encoded_bytes: out.encoded_bytes,
         });
-        meter.extend(out.items);
+        meter.absorb(out.meter);
         io
     }
 
@@ -626,10 +633,12 @@ impl Tablet {
             jobs.push(LsmJob::Merge { runs });
         }
 
-        let parent = meter.frames();
         let thunks: Vec<_> = jobs
             .into_iter()
-            .map(|job| move || run_lsm_job(job, parent))
+            .map(|job| {
+                let job_meter = meter.child();
+                move || run_lsm_job(job, job_meter)
+            })
             .collect();
         let outputs = pool::run_jobs_perturbed(1, thunks, self.config.perturb);
 
@@ -646,7 +655,7 @@ impl Tablet {
         }
         let mut wait = SimDuration::ZERO;
         for ((level, read_io), out) in merges.into_iter().zip(outputs) {
-            let cpu: SimDuration = out.items.iter().map(|item| item.time).sum();
+            let cpu = out.meter.total();
             let input_entries = out.input_entries;
             let write_io = self.install_run(level + 1, out, meter);
             self.compactions += 1;
@@ -667,7 +676,24 @@ impl Tablet {
 
     /// Executes a put, producing its execution record.
     pub(crate) fn put(&mut self, key: Vec<u8>, value: Vec<u8>) -> QueryExecution {
-        let mut meter = WorkMeter::new();
+        self.run_put(key, value, WorkMeter::new())
+    }
+
+    /// Executes a warmup put whose record no artifact reads: the LSM
+    /// state, clock, storage and trace and span ids advance exactly as
+    /// [`Tablet::put`] advances them, but the put's spans are dropped and
+    /// its meter (and the meters of the LSM jobs it triggers) keep only
+    /// totals, unless telemetry is recording.
+    pub(crate) fn preload(&mut self, key: Vec<u8>, value: Vec<u8>) {
+        let meter = crate::meter::warmup_meter(&self.telemetry);
+        self.tracer.set_discard(true);
+        self.run_put(key, value, meter);
+        self.tracer.set_discard(false);
+    }
+
+    /// The put path behind [`Tablet::put`] and [`Tablet::preload`],
+    /// charging into `meter`.
+    fn run_put(&mut self, key: Vec<u8>, value: Vec<u8>, mut meter: WorkMeter) -> QueryExecution {
         let trace = self.tracer.new_trace();
         let start = self.clock;
         let root = self
@@ -743,6 +769,7 @@ impl Tablet {
             &mut self.clock,
             &mut self.tracer,
             &mut self.telemetry,
+            &mut self.cpu,
             trace,
             root,
             meter,
@@ -851,6 +878,7 @@ impl Tablet {
             &mut self.clock,
             &mut self.tracer,
             &mut self.telemetry,
+            &mut self.cpu,
             trace,
             root,
             meter,
@@ -946,21 +974,21 @@ impl Tablet {
         ScanPartial {
             rows,
             io,
-            items: meter.take(),
+            meter,
             limit,
         }
     }
 }
 
 /// The sorted rows one tablet contributes to a range scan, with the IO it
-/// spent and the CPU work it metered. Partials are produced per tablet
+/// spent and the meter it charged. Partials are produced per tablet
 /// (possibly by different fleet jobs) and folded by [`ScanAssembler`] in
 /// canonical tablet order.
 #[derive(Debug)]
 pub struct ScanPartial {
     rows: Vec<(Vec<u8>, usize)>,
     io: SimDuration,
-    items: Vec<CpuWorkItem>,
+    meter: WorkMeter,
     limit: usize,
 }
 
@@ -969,12 +997,21 @@ pub struct ScanPartial {
 /// are disjoint, so the fold is a merge of disjoint sorted row sets —
 /// order-insensitive in content, but partials must arrive in canonical
 /// tablet order so the metered work lands in a deterministic sequence.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ScanAssembler {
     clock: SimTime,
     tracer: Tracer,
     telemetry: MetricsRegistry,
+    /// CPU charged since the registry was set, added to it when taken.
+    cpu: CpuCounters,
     current_request: RequestId,
+}
+
+impl Default for ScanAssembler {
+    /// The same coordinator as [`ScanAssembler::new`]: telemetry off.
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ScanAssembler {
@@ -985,13 +1022,16 @@ impl ScanAssembler {
             clock: SimTime::ZERO,
             tracer: Tracer::new(),
             telemetry: MetricsRegistry::disabled(),
+            cpu: CpuCounters::default(),
             current_request: RequestId::UNTAGGED,
         }
     }
 
-    /// Replaces the telemetry registry.
+    /// Replaces the telemetry registry, discarding CPU charged under the
+    /// previous one and not yet taken.
     pub fn set_telemetry(&mut self, registry: MetricsRegistry) {
         self.telemetry = registry;
+        self.cpu = CpuCounters::default();
     }
 
     /// Sets the request identity stamped onto subsequently assembled scans.
@@ -1000,7 +1040,10 @@ impl ScanAssembler {
     }
 
     /// Takes the telemetry collected so far, leaving recording disabled.
+    /// The CPU charged since the registry was set is added to its `"cpu"`
+    /// counters here, once per `(category, leaf)`.
     pub fn take_telemetry(&mut self) -> MetricsRegistry {
+        self.cpu.drain_into(&mut self.telemetry);
         std::mem::replace(&mut self.telemetry, MetricsRegistry::disabled())
     }
 
@@ -1035,7 +1078,7 @@ impl ScanAssembler {
             for partial in partials {
                 io_time += partial.io;
                 gathered += partial.rows.len() as u64;
-                op.extend(partial.items);
+                op.absorb(partial.meter);
                 for (key, len) in partial.rows {
                     rows.insert(key, len);
                 }
@@ -1073,6 +1116,7 @@ impl ScanAssembler {
             &mut self.clock,
             &mut self.tracer,
             &mut self.telemetry,
+            &mut self.cpu,
             trace,
             root,
             meter,
@@ -1492,6 +1536,86 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tablet_preload_serves_traffic_like_put() {
+        // A tablet warmed through the record-free preload must serve the
+        // same telemetry-on traffic as one warmed through `put`: the
+        // warmup's flushes and merges (whose job meters inherit the
+        // totals-only mode) leave the same LSM state, clock, storage and
+        // trace and span ids, under any batch perturbation.
+        for perturb in [None, Some(Perturbation::new(9))] {
+            let serve = |record_free: bool| {
+                let config = BigTableConfig {
+                    memtable_flush_bytes: 2_000,
+                    compaction_fanin: 3,
+                    perturb,
+                    ..BigTableConfig::default()
+                };
+                let mut tablet = Tablet::new(&config, 0, tablet_seed(7, 0));
+                for i in 0..400 {
+                    let (k, v) = kv(i % 131);
+                    if record_free {
+                        tablet.preload(k, v);
+                    } else {
+                        tablet.put(k, v);
+                    }
+                }
+                let warm = (tablet.compactions(), tablet.now());
+                tablet.set_telemetry(MetricsRegistry::new());
+                let mut scans = ScanAssembler::new();
+                scans.set_telemetry(MetricsRegistry::new());
+                let mut execs = Vec::new();
+                for i in 0..240u32 {
+                    let request = RequestId::tag(Platform::BigTable, 0, i as usize);
+                    tablet.set_request(request);
+                    let (k, v) = kv(i % 89 + 60);
+                    execs.push(tablet.put(k, v));
+                    if i % 3 == 0 {
+                        execs.push(tablet.get(&kv(i % 150).0));
+                    }
+                    if i % 7 == 0 {
+                        scans.set_request(request);
+                        let partial = tablet.scan_partial(b"key-0000", 8);
+                        execs.push(scans.assemble(vec![partial]));
+                    }
+                }
+                let mut metrics = tablet.take_telemetry();
+                metrics.merge(&scans.take_telemetry());
+                (
+                    execs,
+                    metrics.to_json(),
+                    tablet.now(),
+                    tablet.compactions(),
+                    tablet.run_histogram(),
+                    warm,
+                )
+            };
+            let (recorded, record_free) = (serve(false), serve(true));
+            let what = format!("perturb {perturb:?}");
+            assert!(recorded.5 .0 > 0, "{what}: the warmup must exercise merges");
+            assert_eq!(record_free.0.len(), recorded.0.len(), "{what}");
+            for (i, (a, b)) in recorded.0.iter().zip(&record_free.0).enumerate() {
+                assert!(
+                    exec_eq(a, b) && a.request == b.request,
+                    "{what}: execution {i} differs"
+                );
+            }
+            assert!(record_free.1 == recorded.1, "{what}: telemetry differs");
+            assert_eq!(record_free.2, recorded.2, "{what}: clock");
+            assert_eq!(record_free.3, recorded.3, "{what}: compactions");
+            assert_eq!(record_free.4, recorded.4, "{what}: run histogram");
+            assert_eq!(record_free.5, recorded.5, "{what}: warm state");
+        }
+    }
+
+    #[test]
+    fn scan_assembler_default_is_new() {
+        let (mut default, mut new) = (ScanAssembler::default(), ScanAssembler::new());
+        assert_eq!(format!("{default:?}"), format!("{new:?}"));
+        assert!(!default.take_telemetry().is_enabled(), "telemetry off");
+        assert_eq!(default.take_telemetry(), new.take_telemetry());
     }
 
     #[test]

@@ -28,17 +28,11 @@ pub struct QueryExecution {
 }
 
 impl QueryExecution {
-    /// Stamps `request` onto the execution and everything it carries:
-    /// every span and every CPU work item. Platforms call this once at
-    /// query finish so identity is total — no partially-tagged records.
+    /// Stamps `request` onto the execution. Platforms call this once at
+    /// query finish. The execution is the only record that carries the
+    /// request: its spans and CPU work items belong to it.
     pub fn stamp_request(&mut self, request: RequestId) {
         self.request = request;
-        for span in &mut self.spans {
-            span.request = request;
-        }
-        for item in &mut self.cpu_work {
-            item.request = request;
-        }
     }
 
     /// The end-to-end CPU/IO/remote decomposition (the paper's Section 4

@@ -9,7 +9,6 @@
 
 use hsdp_core::category::CpuCategory;
 use hsdp_core::component::CpuBreakdown;
-use hsdp_core::request::RequestId;
 use hsdp_core::stack::{empty_path, FramePath};
 use hsdp_core::units::Seconds;
 use hsdp_simcore::time::SimDuration;
@@ -26,9 +25,6 @@ pub struct CpuWorkItem {
     pub stack: FramePath,
     /// Simulated CPU time charged.
     pub time: SimDuration,
-    /// The traffic request this work serves ([`RequestId::UNTAGGED`] for
-    /// background work; stamped by the platform at query finish).
-    pub request: RequestId,
 }
 
 /// Accumulates labeled CPU work during query execution.
@@ -39,23 +35,63 @@ pub struct CpuWorkItem {
 /// [`CpuWorkItem`] carries the full stack a GWP interrupt would see. Each
 /// push snapshots the path into an `Arc` once; charges then clone the
 /// `Arc`, keeping the per-charge cost constant regardless of depth.
+///
+/// A totals-only meter (`WorkMeter::totals_only`) keeps the running total
+/// and the frame names but no items and no path snapshots: the meter for
+/// work whose records no artifact reads, such as warmup.
 #[derive(Debug, Default)]
 pub struct WorkMeter {
     items: Vec<CpuWorkItem>,
+    total: SimDuration,
+    totals_only: bool,
     frames: Vec<&'static str>,
     /// `paths[d]` is the shared snapshot of `frames[..=d]`, so popping is a
-    /// truncation and the current path is always `paths.last()`.
+    /// truncation and the current path is always `paths.last()`. Empty on a
+    /// totals-only meter.
     paths: Vec<FramePath>,
 }
 
 impl WorkMeter {
-    /// An empty meter.
+    /// An empty meter that keeps every item.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The call-frame path charges are currently attributed to.
+    /// An empty meter that keeps only the total charged.
+    #[must_use]
+    pub(crate) fn totals_only() -> Self {
+        WorkMeter {
+            totals_only: true,
+            ..Self::default()
+        }
+    }
+
+    /// An empty meter in this meter's mode, rooted at its current frame
+    /// stack: work charged into the child carries the stacks it would have
+    /// carried here. Fold it back with [`WorkMeter::absorb`].
+    #[must_use]
+    pub(crate) fn child(&self) -> Self {
+        WorkMeter {
+            items: Vec::new(),
+            total: SimDuration::ZERO,
+            totals_only: self.totals_only,
+            frames: self.frames.clone(),
+            paths: self.paths.clone(),
+        }
+    }
+
+    /// Folds in another meter, such as a [`WorkMeter::child`]: adds its
+    /// total and appends its items as charged, stacks included.
+    pub(crate) fn absorb(&mut self, other: WorkMeter) {
+        self.total += other.total;
+        if !self.totals_only {
+            self.items.extend(other.items);
+        }
+    }
+
+    /// The call-frame path charges are currently attributed to (empty on
+    /// a totals-only meter).
     #[must_use]
     pub fn current_path(&self) -> FramePath {
         self.paths.last().cloned().unwrap_or_else(empty_path)
@@ -70,7 +106,9 @@ impl WorkMeter {
     /// Pushes a call frame; prefer the RAII [`WorkMeter::scope`] guard.
     pub fn push_frame(&mut self, name: &'static str) {
         self.frames.push(name);
-        self.paths.push(FramePath::from(self.frames.as_slice()));
+        if !self.totals_only {
+            self.paths.push(FramePath::from(self.frames.as_slice()));
+        }
     }
 
     /// Pops the innermost call frame (no-op when the stack is empty).
@@ -109,12 +147,15 @@ impl WorkMeter {
         if time.is_zero() {
             return;
         }
+        self.total += time;
+        if self.totals_only {
+            return;
+        }
         self.items.push(CpuWorkItem {
             category: category.into(),
             leaf,
             stack: self.current_path(),
             time,
-            request: RequestId::UNTAGGED,
         });
     }
 
@@ -152,33 +193,19 @@ impl WorkMeter {
     /// Total CPU time charged.
     #[must_use]
     pub fn total(&self) -> SimDuration {
-        self.items.iter().map(|i| i.time).sum()
+        self.total
     }
 
-    /// The items charged so far.
+    /// The items charged so far (none on a totals-only meter).
     #[must_use]
     pub fn items(&self) -> &[CpuWorkItem] {
         &self.items
     }
 
-    /// Drains the items, leaving the meter empty.
+    /// Drains the items and resets the total, leaving the meter empty.
     pub fn take(&mut self) -> Vec<CpuWorkItem> {
+        self.total = SimDuration::ZERO;
         std::mem::take(&mut self.items)
-    }
-
-    /// Appends pre-metered items (from a pool job's private meter) as-is,
-    /// keeping the stacks they were charged under.
-    pub fn extend(&mut self, items: Vec<CpuWorkItem>) {
-        self.items.extend(items);
-    }
-
-    /// Rolls the charged work up into a model-ready [`CpuBreakdown`].
-    #[must_use]
-    pub fn breakdown(&self) -> CpuBreakdown {
-        self.items
-            .iter()
-            .map(|i| (i.category, Seconds::new(i.time.as_secs_f64())))
-            .collect()
     }
 }
 
@@ -211,19 +238,51 @@ impl Drop for FrameScope<'_> {
     }
 }
 
-/// Mirrors charged CPU work into telemetry counters, one nanosecond counter
-/// per `("cpu", category, leaf)` key, so the registry's `"cpu"` subsystem
-/// sum equals the meter total *exactly* — the invariant the telemetry unit
-/// tests pin.
-pub fn record_cpu_items(registry: &mut MetricsRegistry, items: &[CpuWorkItem]) {
-    if !registry.is_enabled() {
-        return;
+/// The meter for a warmup op, whose record no artifact reads: totals only,
+/// unless `telemetry` is recording, since [`CpuCounters`] folds items.
+pub(crate) fn warmup_meter(telemetry: &MetricsRegistry) -> WorkMeter {
+    if telemetry.is_enabled() {
+        WorkMeter::new()
+    } else {
+        WorkMeter::totals_only()
     }
-    for item in items {
-        registry.counter_add(
-            ("cpu", category_key(item.category), item.leaf),
-            item.time.as_nanos(),
-        );
+}
+
+/// Charged CPU summed per `(category, leaf)` until it is added to a
+/// registry's `("cpu", category, leaf)` nanosecond counters, so the
+/// registry's `"cpu"` subsystem sum equals the meter totals *exactly* — the
+/// invariant the telemetry unit tests pin. A platform sees a few dozen
+/// keys, so the sums live in a short list searched linearly; leaves compare
+/// as strings, as the registry's keys do.
+#[derive(Debug, Default)]
+pub(crate) struct CpuCounters {
+    sums: Vec<(CpuCategory, &'static str, u64)>,
+}
+
+impl CpuCounters {
+    /// Adds each item's time to its key's sum, if `registry` records.
+    pub(crate) fn add(&mut self, registry: &MetricsRegistry, items: &[CpuWorkItem]) {
+        if !registry.is_enabled() {
+            return;
+        }
+        for item in items {
+            let ns = item.time.as_nanos();
+            match self
+                .sums
+                .iter_mut()
+                .find(|(category, leaf, _)| *category == item.category && *leaf == item.leaf)
+            {
+                Some((_, _, sum)) => *sum += ns,
+                None => self.sums.push((item.category, item.leaf, ns)),
+            }
+        }
+    }
+
+    /// Adds every sum to `registry` (once per key) and clears the sums.
+    pub(crate) fn drain_into(&mut self, registry: &mut MetricsRegistry) {
+        for (category, leaf, ns) in self.sums.drain(..) {
+            registry.counter_add(("cpu", category_key(category), leaf), ns);
+        }
     }
 }
 
@@ -253,7 +312,7 @@ mod tests {
         meter.charge_ops(DatacenterTax::MemAllocation, "arena_alloc", 10, 50.0);
         assert_eq!(meter.items().len(), 3);
         assert_eq!(meter.total().as_nanos(), 2_000 + 2_000 + 500);
-        let b = meter.breakdown();
+        let b = items_breakdown(meter.items());
         assert!(b.share(CpuCategory::from(CoreComputeOp::Read)) > 0.4);
     }
 
@@ -266,6 +325,26 @@ mod tests {
         assert_eq!(meter.total(), SimDuration::ZERO);
     }
 
+    /// The per-item mirror [`CpuCounters`] replaced, kept as its oracle:
+    /// one registry update per item.
+    fn record_cpu_items(registry: &mut MetricsRegistry, items: &[CpuWorkItem]) {
+        for item in items {
+            registry.counter_add(
+                ("cpu", category_key(item.category), item.leaf),
+                item.time.as_nanos(),
+            );
+        }
+    }
+
+    /// Folds `items` through [`CpuCounters`] into a fresh registry.
+    fn folded(items: &[CpuWorkItem]) -> MetricsRegistry {
+        let mut counters = CpuCounters::default();
+        let mut registry = MetricsRegistry::new();
+        counters.add(&registry, items);
+        counters.drain_into(&mut registry);
+        registry
+    }
+
     #[test]
     fn telemetry_cpu_total_equals_meter_total() {
         let mut meter = WorkMeter::new();
@@ -276,8 +355,7 @@ mod tests {
         );
         meter.charge_bytes(DatacenterTax::Protobuf, "proto_encode", 777, 1.5);
         meter.charge_ops(DatacenterTax::MemAllocation, "malloc", 9, 51.0);
-        let mut registry = MetricsRegistry::new();
-        record_cpu_items(&mut registry, meter.items());
+        let registry = folded(meter.items());
         assert_eq!(
             registry.counter_subsystem_sum("cpu"),
             meter.total().as_nanos(),
@@ -291,12 +369,122 @@ mod tests {
     }
 
     #[test]
-    fn record_cpu_items_respects_disabled_registry() {
+    fn cpu_counters_respect_a_disabled_registry() {
         let mut meter = WorkMeter::new();
         meter.charge(CoreComputeOp::Write, "put", SimDuration::from_nanos(10));
+        let mut counters = CpuCounters::default();
         let mut registry = MetricsRegistry::disabled();
-        record_cpu_items(&mut registry, meter.items());
+        counters.add(&registry, meter.items());
+        assert!(
+            counters.sums.is_empty(),
+            "nothing folded for a disabled registry"
+        );
+        counters.drain_into(&mut registry);
         assert_eq!(registry.counter_subsystem_sum("cpu"), 0);
+    }
+
+    #[test]
+    fn cpu_counters_match_the_per_item_oracle() {
+        use hsdp_core::category::SystemTax;
+        use hsdp_rng::{Rng, StdRng};
+        // One leaf text at two addresses must land on one key, as it does
+        // in the registry; one leaf under two categories on two keys.
+        let twin: &'static str = Box::leak(String::from("malloc").into_boxed_str());
+        assert!(!std::ptr::eq(twin, "malloc"));
+        let keys: [(CpuCategory, &'static str); 6] = [
+            (DatacenterTax::MemAllocation.into(), "malloc"),
+            (DatacenterTax::MemAllocation.into(), twin),
+            (SystemTax::Stl.into(), "malloc"),
+            (CoreComputeOp::Read.into(), "btree_lookup"),
+            (DatacenterTax::Protobuf.into(), "proto_encode"),
+            (SystemTax::Edac.into(), "crc32c"),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xF01D);
+        for round in 0..50 {
+            let len = rng.random_range(0..=200usize);
+            let items: Vec<CpuWorkItem> = (0..len)
+                .map(|_| {
+                    let (category, leaf) = keys[rng.random_range(0..keys.len())];
+                    CpuWorkItem {
+                        category,
+                        leaf,
+                        stack: empty_path(),
+                        time: SimDuration::from_nanos(rng.random_range(1..=1_000_000u64)),
+                    }
+                })
+                .collect();
+            let mut oracle = MetricsRegistry::new();
+            record_cpu_items(&mut oracle, &items);
+            // Folding in two batches equals folding once.
+            let mut counters = CpuCounters::default();
+            let mut registry = MetricsRegistry::new();
+            let (head, tail) = items.split_at(len / 3);
+            counters.add(&registry, head);
+            counters.add(&registry, tail);
+            // One sum per registry key: the twin leaf folds with its text.
+            assert_eq!(
+                counters.sums.len(),
+                oracle.counters().len(),
+                "round {round}"
+            );
+            counters.drain_into(&mut registry);
+            assert_eq!(registry, oracle, "round {round}");
+            assert_eq!(
+                registry.to_json(),
+                folded(&items).to_json(),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn totals_only_meter_keeps_the_total_and_no_items() {
+        let charge = |meter: &mut WorkMeter| {
+            meter.charge(CoreComputeOp::Read, "outside", SimDuration::from_nanos(7));
+            let mut op = meter.scope("op");
+            op.charge_bytes(DatacenterTax::Protobuf, "proto_encode", 333, 1.5);
+            let mut inner = op.scope("inner");
+            inner.charge_ops(DatacenterTax::MemAllocation, "malloc", 3, 51.0);
+            assert_eq!(inner.frames(), &["op", "inner"]);
+        };
+        let (mut full, mut totals) = (WorkMeter::new(), WorkMeter::totals_only());
+        charge(&mut full);
+        charge(&mut totals);
+        assert_eq!(totals.total(), full.total());
+        assert_eq!(full.total().as_nanos(), 7 + 500 + 153);
+        assert!(totals.items().is_empty());
+        assert!(totals.frames().is_empty(), "all scopes popped on drop");
+        assert!(totals.take().is_empty());
+        assert_eq!(totals.total(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn child_and_absorb_carry_frames_and_totals() {
+        for totals_only in [false, true] {
+            let mut meter = if totals_only {
+                WorkMeter::totals_only()
+            } else {
+                WorkMeter::new()
+            };
+            let mut op = meter.scope("op");
+            op.charge(CoreComputeOp::Write, "before", SimDuration::from_nanos(5));
+            let mut child = op.child();
+            assert_eq!(child.frames(), &["op"]);
+            {
+                let mut job = child.scope("flush");
+                job.charge(CoreComputeOp::Write, "flush", SimDuration::from_nanos(11));
+            }
+            assert_eq!(child.total(), SimDuration::from_nanos(11));
+            op.absorb(child);
+            drop(op);
+            assert_eq!(meter.total(), SimDuration::from_nanos(16), "{totals_only}");
+            let stacks: Vec<Vec<&str>> = meter.items().iter().map(|i| i.stack.to_vec()).collect();
+            if totals_only {
+                assert!(stacks.is_empty());
+            } else {
+                assert_eq!(stacks, vec![vec!["op"], vec!["op", "flush"]]);
+            }
+        }
     }
 
     #[test]
@@ -369,6 +557,7 @@ mod tests {
         let items = meter.take();
         assert_eq!(items.len(), 1);
         assert!(meter.items().is_empty());
+        assert_eq!(meter.total(), SimDuration::ZERO, "take resets the total");
         assert_eq!(items_breakdown(&items).total().as_secs(), 1e-8);
     }
 }

@@ -149,7 +149,7 @@ pub fn run_spanner_shard(
     for rank in 0..2_000 {
         let key = keys.key_for_rank(rank);
         let value = values.sample(&mut preload_rng);
-        db.commit(key, value);
+        db.preload(key, value);
     }
     if telemetry {
         db.set_telemetry(MetricsRegistry::new());
@@ -321,13 +321,18 @@ fn run_tablet_ops(
         // Request identity is the op's position in the traffic stream —
         // identical on every tablet that touches the op, so scan partials
         // and point ops agree regardless of schedule. Preload stays
-        // untagged: it is warmup, not workload.
-        if let Some(index) = idx.checked_sub(preload) {
+        // untagged and keeps no record: it is warmup, not workload.
+        let traffic = idx.checked_sub(preload);
+        if let Some(index) = traffic {
             tb.set_request(RequestId::tag(platform, shard, index));
         }
         let exec = match op {
             BtOp::Put { key, value } => {
                 if route_key(key, tablets) != tablet {
+                    continue;
+                }
+                if traffic.is_none() {
+                    tb.preload(key.clone(), value.clone());
                     continue;
                 }
                 tb.put(key.clone(), value.clone())
@@ -559,18 +564,20 @@ impl ShardJob {
 }
 
 /// Estimated wall-clock cost of one fleet job in nanoseconds, for
-/// longest-processing-time-first dispatch. The constants are calibrated
-/// against the measured `fleet/shard_wall_clock/*` entries in
-/// `BENCH_fleet.json` (fixed preload/load cost plus a per-query or per-row
-/// slope), so dispatch order tracks what the jobs actually cost rather
-/// than a hardcoded platform ranking. At the default fleet shape the fits
-/// land on the measurements: a Spanner shard (75 queries) ≈ 14.4 ms, a
-/// BigTable tablet job (75 shard queries walked, ~1/4 executed) ≈ 17.4 ms,
-/// a BigQuery shard (15 queries over 8k fact rows) ≈ 8.1 ms. The BigTable
-/// entries time [`run_bigtable_tablet`], which builds the shard's op stream
-/// itself; in the fleet only the first of a shard's tablet jobs builds it,
-/// so the fit overstates the others. Its slope (≈ 5 µs per shard query)
-/// comes from timing that runner at 0 to 5,000 queries.
+/// longest-processing-time-first dispatch: a fixed warmup or load cost
+/// plus a per-query or per-row slope, so dispatch order tracks what the
+/// jobs cost rather than a hardcoded platform ranking. The constants were
+/// fitted to the `fleet/shard_wall_clock/*` entries in `BENCH_fleet.json`
+/// while warmup still built full records, and they now overstate the
+/// database jobs. Timing the job runners alone at 0 to 5,000 queries (the
+/// zero-query runs are the `fleet/warmup/*` entries) puts a Spanner shard
+/// at ≈ 6.2 ms + 3 µs per query, a BigTable tablet job at ≈ 4.8 ms + 2 µs
+/// per shard query (building the shard's op stream itself, which in the
+/// fleet only the first of a shard's tablet jobs does), and a BigQuery
+/// shard at ≈ 260 ns per fact row plus ≈ 19 ns per row per query. A refit
+/// to those numbers keeps the dispatch order of the traffic-heavy shape
+/// but reorders the default and the analytics-heavy shapes, so the
+/// constants stay until a change measures what that reordering costs.
 fn job_weight(job: &ShardJob) -> u64 {
     match *job {
         ShardJob::Spanner { queries, .. } => 7_000_000 + 100_000 * queries as u64,

@@ -25,7 +25,7 @@ use hsdp_telemetry::MetricsRegistry;
 
 use crate::costs;
 use crate::exec::QueryExecution;
-use crate::meter::WorkMeter;
+use crate::meter::{CpuCounters, WorkMeter};
 
 /// Consensus-group configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,6 +72,8 @@ pub struct Spanner {
     txn_desc: Arc<MessageDescriptor>,
     seed: u64,
     telemetry: MetricsRegistry,
+    /// CPU charged since the registry was set, added to it when taken.
+    cpu: CpuCounters,
     current_request: RequestId,
 }
 
@@ -116,26 +118,31 @@ impl Spanner {
             txn_desc,
             seed,
             telemetry: MetricsRegistry::disabled(),
+            cpu: CpuCounters::default(),
             current_request: RequestId::UNTAGGED,
         }
     }
 
     /// Sets the request identity stamped onto subsequent query executions
-    /// (their spans, CPU work, and latency exemplars). The runner calls
-    /// this before each traffic query; [`RequestId::UNTAGGED`] marks
-    /// background work.
+    /// and their latency exemplars. The runner calls this before each
+    /// traffic query; [`RequestId::UNTAGGED`] marks background work.
     pub fn set_request(&mut self, request: RequestId) {
         self.current_request = request;
     }
 
     /// Replaces the telemetry registry (pass [`MetricsRegistry::new`] to
-    /// turn recording on; it is off by default).
+    /// turn recording on; it is off by default). CPU charged under the
+    /// previous registry and not yet taken is discarded with it.
     pub fn set_telemetry(&mut self, registry: MetricsRegistry) {
         self.telemetry = registry;
+        self.cpu = CpuCounters::default();
     }
 
     /// Takes the telemetry collected so far, leaving recording disabled.
+    /// The CPU charged since the registry was set is added to its `"cpu"`
+    /// counters here, once per `(category, leaf)`.
     pub fn take_telemetry(&mut self) -> MetricsRegistry {
+        self.cpu.drain_into(&mut self.telemetry);
         std::mem::replace(&mut self.telemetry, MetricsRegistry::disabled())
     }
 
@@ -376,7 +383,24 @@ impl Spanner {
 
     /// Commits a write transaction.
     pub fn commit(&mut self, key: Vec<u8>, value: Vec<u8>) -> QueryExecution {
-        let mut meter = WorkMeter::new();
+        self.run_commit(key, value, WorkMeter::new())
+    }
+
+    /// Commits a warmup write whose record no artifact reads: the group's
+    /// state, log, clock and trace and span ids advance exactly as
+    /// [`Spanner::commit`] advances them, but the commit's spans are
+    /// dropped and its meter keeps only the total. With telemetry on, the
+    /// meter keeps its items, so the CPU counters see the commit.
+    pub fn preload(&mut self, key: Vec<u8>, value: Vec<u8>) {
+        let meter = crate::meter::warmup_meter(&self.telemetry);
+        self.tracer.set_discard(true);
+        self.run_commit(key, value, meter);
+        self.tracer.set_discard(false);
+    }
+
+    /// The commit path behind [`Spanner::commit`] and [`Spanner::preload`],
+    /// charging into `meter`.
+    fn run_commit(&mut self, key: Vec<u8>, value: Vec<u8>, mut meter: WorkMeter) -> QueryExecution {
         let trace = self.tracer.new_trace();
         let root = self.tracer.start(
             trace,
@@ -724,7 +748,7 @@ impl Spanner {
         );
         self.telemetry
             .gauge_max(("spanner", "log_len_peak", ""), self.log.len() as u64);
-        crate::meter::record_cpu_items(&mut self.telemetry, meter.items());
+        self.cpu.add(&self.telemetry, meter.items());
         let spans: Vec<_> = self
             .tracer
             .take_spans()
@@ -837,6 +861,20 @@ mod tests {
             .decomposition()
             .remote;
         assert!(s >= f, "quorum-5 wait {s} >= quorum-2 wait {f}");
+    }
+
+    #[test]
+    fn second_set_telemetry_discards_cpu_not_yet_added() {
+        let mut s = db();
+        s.set_telemetry(MetricsRegistry::new());
+        s.commit(b"k".to_vec(), b"v".to_vec());
+        s.set_telemetry(MetricsRegistry::new());
+        assert_eq!(s.take_telemetry().counter_subsystem_sum("cpu"), 0);
+        // A fresh registry then sees exactly the next query's CPU.
+        s.set_telemetry(MetricsRegistry::new());
+        let exec = s.read(b"k");
+        let metered: u64 = exec.cpu_work.iter().map(|i| i.time.as_nanos()).sum();
+        assert_eq!(s.take_telemetry().counter_subsystem_sum("cpu"), metered);
     }
 
     #[test]

@@ -136,41 +136,37 @@ pub fn distributed_commit(
             trace,
             id: SpanId(1),
             parent: None,
-            name: "spanner.2pc".to_owned(),
+            name: "spanner.2pc",
             kind: SpanKind::Container,
             start,
             end: commit_end,
-            request: RequestId::UNTAGGED,
         },
         Span {
             trace,
             id: SpanId(2),
             parent: Some(SpanId(1)),
-            name: "cpu".to_owned(),
+            name: "cpu",
             kind: SpanKind::Cpu,
             start,
             end: cpu_end,
-            request: RequestId::UNTAGGED,
         },
         Span {
             trace,
             id: SpanId(3),
             parent: Some(SpanId(1)),
-            name: "prepare_quorums".to_owned(),
+            name: "prepare_quorums",
             kind: SpanKind::RemoteWork,
             start: cpu_end,
             end: prepare_end,
-            request: RequestId::UNTAGGED,
         },
         Span {
             trace,
             id: SpanId(4),
             parent: Some(SpanId(1)),
-            name: "commit_quorums".to_owned(),
+            name: "commit_quorums",
             kind: SpanKind::RemoteWork,
             start: prepare_end,
             end: commit_end,
-            request: RequestId::UNTAGGED,
         },
     ];
     for group in groups.iter_mut() {

@@ -230,11 +230,10 @@ mod tests {
             trace: TraceId(1),
             id: SpanId(id),
             parent: if id == 1 { None } else { Some(SpanId(1)) },
-            name: format!("s{id}"),
+            name: "span",
             kind,
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(end),
-            request: hsdp_core::request::RequestId::UNTAGGED,
         }
     }
 

@@ -168,11 +168,10 @@ mod tests {
             trace: TraceId(1),
             id: SpanId(start * 1000 + end),
             parent: None,
-            name: format!("{kind:?}"),
+            name: "span",
             kind,
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(end),
-            request: hsdp_core::request::RequestId::UNTAGGED,
         }
     }
 

@@ -6,7 +6,6 @@
 //! trace; spans form a tree via parent ids and carry a [`SpanKind`] that
 //! drives the end-to-end time decomposition.
 
-use hsdp_core::request::RequestId;
 use hsdp_simcore::time::{SimDuration, SimTime};
 
 /// Identifies one end-to-end request (query) across all services.
@@ -56,16 +55,13 @@ pub struct Span {
     /// Parent span, if any (`None` for the root).
     pub parent: Option<SpanId>,
     /// Operation name (e.g. `"spanner.commit"`).
-    pub name: String,
+    pub name: &'static str,
     /// Work category.
     pub kind: SpanKind,
     /// Start instant.
     pub start: SimTime,
     /// End instant (>= start).
     pub end: SimTime,
-    /// The traffic request this span serves ([`RequestId::UNTAGGED`] for
-    /// background work; stamped by the platform at query finish).
-    pub request: RequestId,
 }
 
 impl Span {
@@ -93,11 +89,10 @@ mod tests {
             trace: TraceId(1),
             id: SpanId(1),
             parent: None,
-            name: "x".into(),
+            name: "x",
             kind: SpanKind::Cpu,
             start: SimTime::from_nanos(100),
             end: SimTime::from_nanos(40),
-            request: RequestId::UNTAGGED,
         };
         assert_eq!(span.duration(), SimDuration::ZERO);
     }

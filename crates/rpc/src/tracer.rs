@@ -1,8 +1,7 @@
-//! The trace collector: allocates ids, records spans, groups them by trace.
+//! The trace collector: allocates ids and records finished spans.
 
 use std::collections::BTreeMap;
 
-use hsdp_core::request::RequestId;
 use hsdp_simcore::time::SimTime;
 
 use crate::span::{Span, SpanId, SpanKind, TraceId};
@@ -35,6 +34,9 @@ pub struct Tracer {
     next_span: u64,
     open: BTreeMap<SpanId, Span>,
     finished: Vec<Span>,
+    /// Drop spans at finish instead of keeping them (see
+    /// [`Tracer::set_discard`]).
+    discard: bool,
 }
 
 impl Tracer {
@@ -42,6 +44,15 @@ impl Tracer {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// With `discard`, finished spans are dropped rather than kept for
+    /// [`Tracer::take_spans`]. Ids are still assigned from the same
+    /// counters and a double finish still panics, so a run that discards
+    /// some operations' spans numbers every later span as a run that kept
+    /// them would.
+    pub fn set_discard(&mut self, discard: bool) {
+        self.discard = discard;
     }
 
     /// Allocates a fresh trace id (one per query).
@@ -55,7 +66,7 @@ impl Tracer {
         &mut self,
         trace: TraceId,
         parent: Option<SpanId>,
-        name: &str,
+        name: &'static str,
         kind: SpanKind,
         now: SimTime,
     ) -> OpenSpan {
@@ -67,11 +78,10 @@ impl Tracer {
                 trace,
                 id,
                 parent,
-                name: name.to_owned(),
+                name,
                 kind,
                 start: now,
                 end: now,
-                request: RequestId::UNTAGGED,
             },
         );
         OpenSpan { trace, id }
@@ -89,56 +99,10 @@ impl Tracer {
             .remove(&open.id)
             // audit: allow(panic, documented panic contract: double-finish is a tracer bug in the caller)
             .expect("span finished twice or never started");
-        span.end = now.max(span.start);
-        self.finished.push(span);
-    }
-
-    /// Records an already-timed span in one call.
-    pub fn record(
-        &mut self,
-        trace: TraceId,
-        parent: Option<SpanId>,
-        name: &str,
-        kind: SpanKind,
-        start: SimTime,
-        end: SimTime,
-    ) -> SpanId {
-        self.next_span += 1;
-        let id = SpanId(self.next_span);
-        self.finished.push(Span {
-            trace,
-            id,
-            parent,
-            name: name.to_owned(),
-            kind,
-            start,
-            end: end.max(start),
-            request: RequestId::UNTAGGED,
-        });
-        id
-    }
-
-    /// All finished spans, in completion order.
-    #[must_use]
-    pub fn spans(&self) -> &[Span] {
-        &self.finished
-    }
-
-    /// Finished spans of one trace, in start order.
-    #[must_use]
-    pub fn trace_spans(&self, trace: TraceId) -> Vec<&Span> {
-        let mut spans: Vec<&Span> = self.finished.iter().filter(|s| s.trace == trace).collect();
-        spans.sort_by_key(|s| (s.start, s.id));
-        spans
-    }
-
-    /// The distinct traces recorded, in id order.
-    #[must_use]
-    pub fn traces(&self) -> Vec<TraceId> {
-        let mut ids: Vec<TraceId> = self.finished.iter().map(|s| s.trace).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        if !self.discard {
+            span.end = now.max(span.start);
+            self.finished.push(span);
+        }
     }
 
     /// Number of spans still open (should be zero after a query completes).
@@ -147,7 +111,8 @@ impl Tracer {
         self.open.len()
     }
 
-    /// Drains all finished spans, leaving the tracer empty for reuse.
+    /// Drains all finished spans, in completion order, leaving the tracer
+    /// empty for reuse.
     ///
     /// Draining while spans are still open would orphan them: the open
     /// span finishes into a *later* batch, severed from the children just
@@ -174,6 +139,19 @@ mod tests {
         SimTime::from_nanos(n)
     }
 
+    /// Opens and closes one span, returning its id.
+    fn span_at(
+        tracer: &mut Tracer,
+        trace: TraceId,
+        name: &'static str,
+        start: u64,
+        end: u64,
+    ) -> SpanId {
+        let open = tracer.start(trace, None, name, SpanKind::Cpu, t(start));
+        tracer.finish(open, t(end));
+        open.id()
+    }
+
     #[test]
     fn start_finish_lifecycle() {
         let mut tracer = Tracer::new();
@@ -184,11 +162,12 @@ mod tests {
         tracer.finish(child, t(50));
         tracer.finish(root, t(60));
         assert_eq!(tracer.open_count(), 0);
-        let spans = tracer.trace_spans(trace);
+        let spans = tracer.take_spans();
         assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "query");
-        assert_eq!(spans[1].parent, Some(spans[0].id));
-        assert_eq!(spans[1].duration(), SimDuration::from_nanos(40));
+        // Completion order: the child finished first.
+        assert_eq!(spans[1].name, "query");
+        assert_eq!(spans[0].parent, Some(spans[1].id));
+        assert_eq!(spans[0].duration(), SimDuration::from_nanos(40));
     }
 
     #[test]
@@ -197,18 +176,18 @@ mod tests {
         let t1 = tracer.new_trace();
         let t2 = tracer.new_trace();
         assert_ne!(t1, t2);
-        tracer.record(t1, None, "a", SpanKind::Cpu, t(0), t(5));
-        tracer.record(t2, None, "b", SpanKind::Cpu, t(0), t(5));
-        assert_eq!(tracer.traces(), vec![t1, t2]);
-        assert_eq!(tracer.trace_spans(t1).len(), 1);
+        span_at(&mut tracer, t1, "a", 0, 5);
+        span_at(&mut tracer, t2, "b", 0, 5);
+        let traces: Vec<TraceId> = tracer.take_spans().iter().map(|s| s.trace).collect();
+        assert_eq!(traces, vec![t1, t2]);
     }
 
     #[test]
-    fn record_clamps_inverted_times() {
+    fn finish_clamps_inverted_times() {
         let mut tracer = Tracer::new();
         let trace = tracer.new_trace();
-        tracer.record(trace, None, "x", SpanKind::Cpu, t(100), t(50));
-        assert_eq!(tracer.spans()[0].duration(), SimDuration::ZERO);
+        span_at(&mut tracer, trace, "x", 100, 50);
+        assert_eq!(tracer.take_spans()[0].duration(), SimDuration::ZERO);
     }
 
     #[test]
@@ -227,7 +206,8 @@ mod tests {
         let mut tracer = Tracer::new();
         let trace = tracer.new_trace();
         let open = tracer.start(trace, None, "orphan", SpanKind::Container, t(0));
-        tracer.record(trace, Some(open.id()), "child", SpanKind::Cpu, t(1), t(2));
+        let child = tracer.start(trace, Some(open.id()), "child", SpanKind::Cpu, t(1));
+        tracer.finish(child, t(2));
         // Draining now would sever `child` from its still-open parent.
         let taken = tracer.take_spans();
         // Release builds skip the assertion; the drain still happens.
@@ -239,9 +219,51 @@ mod tests {
     fn take_spans_resets() {
         let mut tracer = Tracer::new();
         let trace = tracer.new_trace();
-        tracer.record(trace, None, "x", SpanKind::Cpu, t(0), t(1));
+        span_at(&mut tracer, trace, "x", 0, 1);
         let taken = tracer.take_spans();
         assert_eq!(taken.len(), 1);
-        assert!(tracer.spans().is_empty());
+        assert!(tracer.take_spans().is_empty());
+    }
+
+    #[test]
+    fn discarding_tracer_assigns_the_same_ids() {
+        // Two tracers run the same sequence; one discards the first trace's
+        // spans. Every later span must carry the ids the keeping tracer
+        // gave it, and nothing discarded may surface.
+        let mut keep = Tracer::new();
+        let mut drop = Tracer::new();
+        drop.set_discard(true);
+        for tracer in [&mut keep, &mut drop] {
+            let trace = tracer.new_trace();
+            let root = tracer.start(trace, None, "warmup", SpanKind::Container, t(0));
+            span_at(tracer, trace, "cpu", 0, 3);
+            tracer.finish(root, t(4));
+            assert_eq!(tracer.open_count(), 0);
+        }
+        let kept_warmup = keep.take_spans();
+        assert_eq!(kept_warmup.len(), 2);
+        assert!(drop.take_spans().is_empty(), "discarded spans surfaced");
+        drop.set_discard(false);
+        for tracer in [&mut keep, &mut drop] {
+            let trace = tracer.new_trace();
+            let root = tracer.start(trace, None, "query", SpanKind::Container, t(5));
+            span_at(tracer, trace, "cpu", 5, 9);
+            tracer.finish(root, t(9));
+        }
+        let (kept, dropped) = (keep.take_spans(), drop.take_spans());
+        assert_eq!(kept, dropped);
+        assert_eq!(kept[0].trace, TraceId(2));
+        assert_eq!(kept[0].id, SpanId(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "finished twice")]
+    fn discarding_tracer_still_panics_on_double_finish() {
+        let mut tracer = Tracer::new();
+        tracer.set_discard(true);
+        let trace = tracer.new_trace();
+        let span = tracer.start(trace, None, "x", SpanKind::Cpu, t(0));
+        tracer.finish(span, t(1));
+        tracer.finish(span, t(2));
     }
 }

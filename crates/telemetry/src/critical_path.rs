@@ -260,11 +260,10 @@ mod tests {
             trace: TraceId(1),
             id: SpanId(id),
             parent: parent.map(SpanId),
-            name: format!("s{id}"),
+            name: "span",
             kind,
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(end),
-            request: hsdp_core::request::RequestId::UNTAGGED,
         }
     }
 

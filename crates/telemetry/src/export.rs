@@ -58,7 +58,7 @@ fn push_event(out: &mut String, span: &Span, pid: u32, tid: u32) -> std::fmt::Re
     let start = span.start.as_nanos();
     let dur = span.end.as_nanos().saturating_sub(start);
     out.push_str("    {\"name\": \"");
-    escape(&span.name, out);
+    escape(span.name, out);
     write!(
         out,
         "\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}.{:03}, \"dur\": {}.{:03}, \
@@ -200,7 +200,7 @@ mod tests {
                 let start = span.start.as_nanos();
                 let dur = span.end.as_nanos().saturating_sub(start);
                 let mut event = String::from("    {\"name\": \"");
-                reference_escape(&span.name, &mut event);
+                reference_escape(span.name, &mut event);
                 event.push_str(&format!(
                     "\", \"cat\": \"{cat}\", \"ph\": \"X\", \"ts\": {ts}, \"dur\": {dur}, \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"trace\": {trace}, \"span\": {span_id}, \"parent\": {parent}}}}}",
                     cat = kind_category(span.kind),
@@ -223,16 +223,15 @@ mod tests {
         )
     }
 
-    fn span(id: u64, parent: Option<u64>, name: &str, start: u64, end: u64) -> Span {
+    fn span(id: u64, parent: Option<u64>, name: &'static str, start: u64, end: u64) -> Span {
         Span {
             trace: TraceId(9),
             id: SpanId(id),
             parent: parent.map(SpanId),
-            name: name.to_string(),
+            name,
             kind: SpanKind::Container,
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(end),
-            request: hsdp_core::request::RequestId::UNTAGGED,
         }
     }
 

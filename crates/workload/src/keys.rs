@@ -134,7 +134,9 @@ impl ValueGen {
         // Compressible structured region: repeated field-like text.
         while value.len() < size - noise_bytes {
             let field = value.len() / 24;
-            value.extend_from_slice(format!("field{field}=common-value;").as_bytes());
+            value.extend_from_slice(b"field");
+            push_decimal(&mut value, field);
+            value.extend_from_slice(b"=common-value;");
         }
         value.truncate(size - noise_bytes);
         // Incompressible tail.
@@ -143,6 +145,22 @@ impl ValueGen {
         }
         value
     }
+}
+
+/// Appends `n` in decimal, as `format!("{n}")` spells it.
+fn push_decimal(out: &mut Vec<u8>, n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b"0123456789"[rest % 10];
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 #[cfg(test)]
@@ -223,6 +241,15 @@ mod tests {
         }
         assert_eq!(crc, 0xe410_2814, "value bytes changed");
         assert_eq!(rng.next_u64(), 0x9e24_97f9_cbe3_a899, "draw count changed");
+    }
+
+    #[test]
+    fn decimal_matches_format() {
+        for n in [0, 7, 9, 10, 99, 100, 12_345, usize::MAX] {
+            let mut out = b"x".to_vec();
+            push_decimal(&mut out, n);
+            assert_eq!(out, format!("x{n}").into_bytes());
+        }
     }
 
     #[test]
