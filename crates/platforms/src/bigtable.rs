@@ -30,7 +30,9 @@
 //! level), which keeps the tablet byte-identical under any
 //! [`Perturbation`] of the batch's execution order.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
+use std::iter::Peekable;
+use std::ops::Bound;
 
 use hsdp_core::category::{CoreComputeOp, DatacenterTax, Platform, SystemTax};
 use hsdp_core::request::RequestId;
@@ -427,6 +429,56 @@ fn finish_query(
     };
     exec.stamp_request(request);
     exec
+}
+
+/// One LSM component's scan window, yielding `(key, value length)` in key
+/// order.
+enum ScanWindow<'a> {
+    Memtable(std::iter::Take<btree_map::Range<'a, Vec<u8>, Vec<u8>>>),
+    Run(std::slice::Iter<'a, Entry>),
+}
+
+impl<'a> Iterator for ScanWindow<'a> {
+    type Item = (&'a [u8], usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            ScanWindow::Memtable(range) => range.next().map(|(k, v)| (k.as_slice(), v.len())),
+            ScanWindow::Run(entries) => entries.next().map(|(k, v)| (k.as_slice(), v.len())),
+        }
+    }
+}
+
+/// Merges sorted windows of distinct keys, `windows[0]` the newest: calls
+/// `emit` on the first `limit` distinct keys in key order, each with the
+/// value length from the newest window that holds it. A scan merges a
+/// handful of windows (a tablet's memtable and runs, or one partial per
+/// tablet), so taking the least of the window heads beats a heap.
+fn merge_windows<'a, I>(
+    windows: &mut [Peekable<I>],
+    limit: usize,
+    mut emit: impl FnMut(&'a [u8], usize),
+) where
+    I: Iterator<Item = (&'a [u8], usize)>,
+{
+    for _ in 0..limit {
+        let mut least: Option<(&'a [u8], usize)> = None;
+        for window in windows.iter_mut() {
+            if let Some(&(key, len)) = window.peek() {
+                // Strictly less: on equal keys the newer window keeps it.
+                if least.is_none_or(|(least, _)| key < least) {
+                    least = Some((key, len));
+                }
+            }
+        }
+        let Some((key, len)) = least else {
+            return;
+        };
+        for window in windows.iter_mut() {
+            window.next_if(|&(k, _)| k == key);
+        }
+        emit(key, len);
+    }
 }
 
 /// One tablet: an independent LSM instance over its own clock, tracer, and
@@ -890,31 +942,35 @@ impl Tablet {
     }
 
     /// Collects this tablet's first `limit` rows at or after `start_key`
-    /// (newest value per key), without simulation side effects. Components
-    /// are visited oldest-first — deepest level up, then the memtable — so
-    /// newer writes overwrite older ones, the same resolution order the
-    /// `BTreeMap` merge oracle in `tests/merge_equivalence.rs` uses. Also
-    /// returns the candidate entry count examined (the scan's merge cost
-    /// driver).
+    /// (newest value per key), without simulation side effects. Each
+    /// component contributes a window of at most `limit` entries from
+    /// `start_key` on, and [`merge_windows`] merges them newest-first, in
+    /// [`Tablet::lookup`]'s order: the memtable, then level 0 newest run
+    /// backwards, then deeper levels. Only the returned keys are cloned.
+    /// Also returns the summed window length, the candidate entry count
+    /// examined (the scan's merge cost driver).
     fn collect_scan_rows(&self, start_key: &[u8], limit: usize) -> (Vec<(Vec<u8>, usize)>, u64) {
-        let mut rows: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
-        let mut scanned = 0u64;
-        for level in (0..self.levels.len()).rev() {
-            for table in &self.levels[level] {
-                let from = table
-                    .entries
-                    .partition_point(|(k, _)| k.as_slice() < start_key);
-                for (k, v) in table.entries.iter().skip(from).take(limit) {
-                    rows.insert(k.clone(), v.len());
-                    scanned += 1;
-                }
-            }
+        let memtable = self
+            .memtable
+            .range::<[u8], _>((Bound::Included(start_key), Bound::Unbounded))
+            .take(limit);
+        let mut scanned = memtable.clone().count();
+        let mut windows = Vec::with_capacity(1 + self.run_count());
+        windows.push(ScanWindow::Memtable(memtable).peekable());
+        for table in self.levels.iter().flat_map(|level| level.iter().rev()) {
+            let from = table
+                .entries
+                .partition_point(|(k, _)| k.as_slice() < start_key);
+            let tail = &table.entries[from..];
+            let window = &tail[..tail.len().min(limit)];
+            scanned += window.len();
+            windows.push(ScanWindow::Run(window.iter()).peekable());
         }
-        for (k, v) in self.memtable.range(start_key.to_vec()..).take(limit) {
-            rows.insert(k.clone(), v.len());
-            scanned += 1;
-        }
-        (rows.into_iter().take(limit).collect(), scanned)
+        let mut rows = Vec::with_capacity(limit.min(scanned));
+        merge_windows(&mut windows, limit, |key, len| {
+            rows.push((key.to_vec(), len))
+        });
+        (rows, scanned as u64)
     }
 
     /// This tablet's contribution to a range scan: its first `limit` rows
@@ -990,6 +1046,27 @@ pub struct ScanPartial {
     io: SimDuration,
     meter: WorkMeter,
     limit: usize,
+}
+
+/// The value lengths of a scan's first `limit` rows across `partials`, in
+/// key order. Each partial's rows are sorted and distinct, so this is a
+/// [`merge_windows`] merge; a key two partials offer counts once, with the
+/// later partial's length.
+fn assemble_rows(partials: &[ScanPartial], limit: usize) -> Vec<usize> {
+    let mut windows: Vec<_> = partials
+        .iter()
+        .rev()
+        .map(|partial| {
+            partial
+                .rows
+                .iter()
+                .map(|(key, len)| (key.as_slice(), *len))
+                .peekable()
+        })
+        .collect();
+    let mut lengths = Vec::new();
+    merge_windows(&mut windows, limit, |_, len| lengths.push(len));
+    lengths
 }
 
 /// Folds per-tablet scan partials into one scan [`QueryExecution`] on the
@@ -1072,18 +1149,14 @@ impl ScanAssembler {
             charge_rpc(&mut op, 64, "rpc_ingress");
             charge_proto(&mut op, 64, true);
 
+            let returned = assemble_rows(&partials, limit);
             let mut io_time = SimDuration::ZERO;
-            let mut rows: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
             let mut gathered = 0u64;
             for partial in partials {
                 io_time += partial.io;
                 gathered += partial.rows.len() as u64;
                 op.absorb(partial.meter);
-                for (key, len) in partial.rows {
-                    rows.insert(key, len);
-                }
             }
-            let returned: Vec<usize> = rows.values().copied().take(limit).collect();
             {
                 let mut merge = op.scope("scan_assemble");
                 merge.charge_ops(
@@ -1305,6 +1378,7 @@ impl BigTable {
 mod tests {
     use super::*;
     use hsdp_core::category::{BroadCategory, CpuCategory};
+    use hsdp_rng::{Rng, StdRng};
 
     fn tiny() -> BigTable {
         BigTable::new(
@@ -1608,6 +1682,193 @@ mod tests {
             assert_eq!(record_free.4, recorded.4, "{what}: run histogram");
             assert_eq!(record_free.5, recorded.5, "{what}: warm state");
         }
+    }
+
+    /// The `BTreeMap` body `Tablet::collect_scan_rows` had before the window
+    /// merge: each component's window is inserted oldest-first (deepest
+    /// level up, then the memtable), so newer writes overwrite older ones,
+    /// and the first `limit` keys are kept.
+    fn oracle_scan_rows(
+        tablet: &Tablet,
+        start_key: &[u8],
+        limit: usize,
+    ) -> (Vec<(Vec<u8>, usize)>, u64) {
+        let mut rows: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
+        let mut scanned = 0u64;
+        for level in (0..tablet.levels.len()).rev() {
+            for table in &tablet.levels[level] {
+                let from = table
+                    .entries
+                    .partition_point(|(k, _)| k.as_slice() < start_key);
+                for (k, v) in table.entries.iter().skip(from).take(limit) {
+                    rows.insert(k.clone(), v.len());
+                    scanned += 1;
+                }
+            }
+        }
+        for (k, v) in tablet.memtable.range(start_key.to_vec()..).take(limit) {
+            rows.insert(k.clone(), v.len());
+            scanned += 1;
+        }
+        (rows.into_iter().take(limit).collect(), scanned)
+    }
+
+    /// The `BTreeMap` row fold `ScanAssembler::assemble` had before the
+    /// merge: partials in order, a later partial's row replacing an
+    /// earlier one's.
+    fn oracle_assemble_rows(partials: &[ScanPartial], limit: usize) -> Vec<usize> {
+        let mut rows: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
+        for partial in partials {
+            for (key, len) in &partial.rows {
+                rows.insert(key.clone(), *len);
+            }
+        }
+        rows.values().copied().take(limit).collect()
+    }
+
+    /// Scan-oracle row keys use even ids only, so an odd id falls between
+    /// two keys.
+    fn scan_key(id: u64) -> Vec<u8> {
+        format!("row{id:05}").into_bytes()
+    }
+
+    /// Distinct row ids the scan-oracle tablets write.
+    const SCAN_IDS: u64 = 120;
+
+    /// Limits 0, 1 and 25, one above every row a scan-oracle tablet holds,
+    /// and one random.
+    fn scan_limits(rng: &mut StdRng) -> [usize; 5] {
+        [0, 1, 25, 100_000, rng.random_range(2..40)]
+    }
+
+    /// Start keys before the first key, on a written key, between keys
+    /// and past the last key.
+    fn scan_starts(rng: &mut StdRng, written: &[u64]) -> Vec<Vec<u8>> {
+        let mut starts = vec![
+            Vec::new(),
+            b"a".to_vec(),
+            scan_key(2 * rng.random_range(0..SCAN_IDS) + 1),
+            scan_key(2 * SCAN_IDS),
+            b"z".to_vec(),
+        ];
+        if !written.is_empty() {
+            starts.push(scan_key(written[rng.random_range(0..written.len())]));
+        }
+        starts
+    }
+
+    /// A scan-oracle tablet: a small memtable and fan-in 3, so a few hundred
+    /// puts cascade through several levels.
+    fn scan_oracle_tablet(seed: u64, id: usize) -> Tablet {
+        let config = BigTableConfig {
+            memtable_flush_bytes: 512,
+            compaction_fanin: 3,
+            ..BigTableConfig::default()
+        };
+        Tablet::new(&config, id, tablet_seed(seed, id))
+    }
+
+    /// A random put: a key from `SCAN_IDS` ids (so keys are overwritten
+    /// across levels and in the memtable) and a value whose length tells
+    /// its versions apart. Returns the key's id.
+    fn random_put(rng: &mut StdRng, tablet: &mut Tablet) -> u64 {
+        let id = 2 * rng.random_range(0..SCAN_IDS);
+        let value = vec![b'v'; rng.random_range(1..60usize)];
+        tablet.preload(scan_key(id), value);
+        id
+    }
+
+    #[test]
+    fn scan_window_merge_matches_the_btreemap_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x5CA7);
+        // Checks made with an empty memtable over runs, with runs but no
+        // memtable rows, with runs on two or more levels, and with a key
+        // in more than one window.
+        let (mut empty_memtable, mut no_runs, mut multi_level, mut overlapping) = (0, 0, 0, 0);
+        for seed in 0..6 {
+            let mut tablet = scan_oracle_tablet(seed, 0);
+            let mut written = Vec::new();
+            for step in 0..400 {
+                let runs = tablet.run_count();
+                let memtable_empty = tablet.memtable.is_empty();
+                if step % 5 == 0 || (memtable_empty && runs > 0) || runs == 0 {
+                    empty_memtable += usize::from(memtable_empty && runs > 0);
+                    no_runs += usize::from(runs == 0 && !memtable_empty);
+                    multi_level +=
+                        usize::from(tablet.levels.iter().filter(|l| !l.is_empty()).count() >= 2);
+                    for start in scan_starts(&mut rng, &written) {
+                        for limit in scan_limits(&mut rng) {
+                            let got = tablet.collect_scan_rows(&start, limit);
+                            let want = oracle_scan_rows(&tablet, &start, limit);
+                            assert_eq!(
+                                got, want,
+                                "seed {seed}, step {step}, start {start:?}, limit {limit}"
+                            );
+                            overlapping +=
+                                usize::from(limit == 100_000 && got.1 > got.0.len() as u64);
+                        }
+                    }
+                }
+                written.push(random_put(&mut rng, &mut tablet));
+            }
+            assert!(tablet.compactions() > 0, "seed {seed}: merges ran");
+        }
+        for (case, count) in [
+            ("an empty memtable over runs", empty_memtable),
+            ("a tablet with no runs", no_runs),
+            ("runs on two or more levels", multi_level),
+            ("a key in more than one window", overlapping),
+        ] {
+            assert!(count >= 10, "the oracle checked {case} only {count} times");
+        }
+    }
+
+    #[test]
+    fn scan_assembler_merge_matches_the_btreemap_fold() {
+        let mut rng = StdRng::seed_from_u64(0xA55E);
+        // Rows offered by more than one partial with different lengths.
+        let mut contested = 0;
+        for seed in 0..4 {
+            // Standalone tablets fed one key space, so their partials offer
+            // the same keys with different value lengths.
+            let mut tablets: Vec<Tablet> = (0..3).map(|t| scan_oracle_tablet(seed, t)).collect();
+            let mut written = Vec::new();
+            for step in 0..300 {
+                let tablet = rng.random_range(0..tablets.len());
+                written.push(random_put(&mut rng, &mut tablets[tablet]));
+                if step % 10 != 0 {
+                    continue;
+                }
+                for start in scan_starts(&mut rng, &written) {
+                    for limit in scan_limits(&mut rng) {
+                        let partials: Vec<ScanPartial> = tablets
+                            .iter_mut()
+                            .map(|tablet| tablet.scan_partial(&start, limit))
+                            .collect();
+                        for count in 0..=partials.len() {
+                            let subset = &partials[..count];
+                            assert_eq!(
+                                assemble_rows(subset, limit),
+                                oracle_assemble_rows(subset, limit),
+                                "seed {seed}, step {step}, start {start:?}, limit {limit}, {count} partials"
+                            );
+                        }
+                        let mut lengths: BTreeMap<&[u8], Vec<usize>> = BTreeMap::new();
+                        for (key, len) in partials.iter().flat_map(|p| &p.rows) {
+                            lengths.entry(key.as_slice()).or_default().push(*len);
+                        }
+                        contested += lengths
+                            .values()
+                            .filter(|lens| lens.iter().any(|&l| l != lens[0]))
+                            .count();
+                    }
+                }
+            }
+        }
+        assert!(
+            contested >= 10,
+            "partials disagreed on a key only {contested} times"
+        );
     }
 
     #[test]

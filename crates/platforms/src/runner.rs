@@ -570,14 +570,16 @@ impl ShardJob {
 /// fitted to the `fleet/shard_wall_clock/*` entries in `BENCH_fleet.json`
 /// while warmup still built full records, and they now overstate the
 /// database jobs. Timing the job runners alone at 0 to 5,000 queries (the
-/// zero-query runs are the `fleet/warmup/*` entries) puts a Spanner shard
-/// at ≈ 6.2 ms + 3 µs per query, a BigTable tablet job at ≈ 4.8 ms + 2 µs
-/// per shard query (building the shard's op stream itself, which in the
-/// fleet only the first of a shard's tablet jobs does), and a BigQuery
-/// shard at ≈ 260 ns per fact row plus ≈ 19 ns per row per query. A refit
-/// to those numbers keeps the dispatch order of the traffic-heavy shape
-/// but reorders the default and the analytics-heavy shapes, so the
-/// constants stay until a change measures what that reordering costs.
+/// zero-query runs are the `fleet/warmup/*` entries; medians of three
+/// runs on a 2-thread host, which spread by up to a third) puts a Spanner
+/// shard at ≈ 11.5 ms + 6 µs per query, a BigTable tablet job at
+/// ≈ 9.5 ms + 2.4 µs per shard query (building the shard's op stream
+/// itself, which in the fleet only the first of a shard's tablet jobs
+/// does), and a BigQuery shard at ≈ 570 ns per fact row plus ≈ 40 ns per
+/// row per query. A refit to those numbers keeps the dispatch order of the
+/// traffic-heavy shape but reorders the default and the analytics-heavy
+/// shapes, so the constants stay until a change measures what that
+/// reordering costs.
 fn job_weight(job: &ShardJob) -> u64 {
     match *job {
         ShardJob::Spanner { queries, .. } => 7_000_000 + 100_000 * queries as u64,

@@ -38,14 +38,33 @@ pub trait CachePolicy: std::fmt::Debug {
     }
 }
 
+/// End-of-list marker for [`LruCache`]'s slot links.
+const NIL: usize = usize::MAX;
+
+/// One [`LruCache`] entry, linked into the recency list by slot index.
+#[derive(Debug, Clone, Copy)]
+struct LruNode {
+    key: u64,
+    size: u64,
+    prev: usize,
+    next: usize,
+}
+
 /// Least-recently-used eviction.
+///
+/// Entries live in a slab of slots threaded into a doubly linked recency
+/// list, least recent at the head: an access relinks its slot at the tail,
+/// an insert appends there, and eviction pops the head, all in O(1). The
+/// `HashMap` only maps a key to its slot and is never iterated.
 #[derive(Debug)]
 pub struct LruCache {
     capacity: u64,
     used: u64,
-    stamp: u64,
-    entries: HashMap<u64, (u64, u64)>, // key -> (stamp, size)
-    order: BTreeMap<u64, u64>,         // stamp -> key
+    slots: HashMap<u64, usize>,
+    nodes: Vec<LruNode>,
+    free: Vec<usize>,
+    head: usize,
+    tail: usize,
 }
 
 impl LruCache {
@@ -55,44 +74,60 @@ impl LruCache {
         LruCache {
             capacity,
             used: 0,
-            stamp: 0,
-            entries: HashMap::new(),
-            order: BTreeMap::new(),
+            slots: HashMap::new(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
         }
     }
 
-    fn touch(&mut self, key: u64) {
-        if let Some((stamp, _)) = self.entries.get(&key).copied() {
-            self.order.remove(&stamp);
-            self.stamp += 1;
-            self.order.insert(self.stamp, key);
-            if let Some(entry) = self.entries.get_mut(&key) {
-                entry.0 = self.stamp;
-            }
+    fn unlink(&mut self, slot: usize) {
+        let LruNode { prev, next, .. } = self.nodes[slot];
+        match prev {
+            NIL => self.head = next,
+            prev => self.nodes[prev].next = next,
         }
+        match next {
+            NIL => self.tail = prev,
+            next => self.nodes[next].prev = prev,
+        }
+    }
+
+    fn push_tail(&mut self, slot: usize) {
+        self.nodes[slot].prev = self.tail;
+        self.nodes[slot].next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            tail => self.nodes[tail].next = slot,
+        }
+        self.tail = slot;
+    }
+
+    /// Unlinks `slot`, frees it, and releases its bytes.
+    fn release(&mut self, slot: usize) {
+        self.unlink(slot);
+        self.used -= self.nodes[slot].size;
+        self.free.push(slot);
     }
 
     fn evict_to_fit(&mut self, incoming: u64) {
-        while self.used + incoming > self.capacity {
-            let Some((&oldest_stamp, &victim)) = self.order.iter().next() else {
-                break;
-            };
-            self.order.remove(&oldest_stamp);
-            if let Some((_, size)) = self.entries.remove(&victim) {
-                self.used -= size;
-            }
+        while self.used + incoming > self.capacity && self.head != NIL {
+            let victim = self.head;
+            self.slots.remove(&self.nodes[victim].key);
+            self.release(victim);
         }
     }
 }
 
 impl CachePolicy for LruCache {
     fn access(&mut self, key: u64) -> bool {
-        if self.entries.contains_key(&key) {
-            self.touch(key);
-            true
-        } else {
-            false
-        }
+        let Some(&slot) = self.slots.get(&key) else {
+            return false;
+        };
+        self.unlink(slot);
+        self.push_tail(slot);
+        true
     }
 
     fn insert(&mut self, key: u64, size: u64) {
@@ -101,21 +136,35 @@ impl CachePolicy for LruCache {
             return; // larger than the whole cache: bypass
         }
         self.evict_to_fit(size);
-        self.stamp += 1;
-        self.entries.insert(key, (self.stamp, size));
-        self.order.insert(self.stamp, key);
+        let node = LruNode {
+            key,
+            size,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.nodes[slot] = node;
+                slot
+            }
+            None => {
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+        };
+        self.push_tail(slot);
+        self.slots.insert(key, slot);
         self.used += size;
     }
 
     fn remove(&mut self, key: u64) {
-        if let Some((stamp, size)) = self.entries.remove(&key) {
-            self.order.remove(&stamp);
-            self.used -= size;
+        if let Some(slot) = self.slots.remove(&key) {
+            self.release(slot);
         }
     }
 
     fn contains(&self, key: u64) -> bool {
-        self.entries.contains_key(&key)
+        self.slots.contains_key(&key)
     }
 
     fn used_bytes(&self) -> u64 {
@@ -127,7 +176,7 @@ impl CachePolicy for LruCache {
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 }
 
