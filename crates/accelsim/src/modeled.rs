@@ -5,8 +5,8 @@
 //! module *simulates* them: synchronous execution serializes invocations,
 //! asynchronous runs them concurrently, and chained execution evaluates the
 //! classic pipeline recurrence over a stream of items. Agreement between
-//! the two is asserted in tests and reported by the `table8_validation`
-//! bench.
+//! the two is asserted in tests and printed by the `chained_pipeline`
+//! example.
 
 use hsdp_simcore::time::SimDuration;
 

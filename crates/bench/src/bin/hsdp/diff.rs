@@ -35,8 +35,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         ],
         2,
     )?;
-    let threshold: f64 = flags.number("--threshold")?.unwrap_or(0.01);
-    let stack_threshold: Option<f64> = flags.number("--stack-threshold")?;
+    let threshold = share_threshold(&flags, "--threshold")?.unwrap_or(0.01);
+    let stack_threshold = share_threshold(&flags, "--stack-threshold")?;
     let baseline = load(&flags, &flags.positional()[0])?;
     let candidate = load(&flags, &flags.positional()[1])?;
 
@@ -97,6 +97,18 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
     println!("OK: drift within thresholds");
     Ok(())
+}
+
+/// A drift threshold flag, which must be a finite share of at least 0.
+/// NaN or infinity would turn the gate off, since no drift exceeds them.
+fn share_threshold(flags: &Flags, flag: &str) -> Result<Option<f64>, CliError> {
+    match flags.number::<f64>(flag)? {
+        Some(t) if !(t.is_finite() && t >= 0.0) => Err(flags.error(format!(
+            "{flag} must be a finite share >= 0, not `{}`",
+            flags.value(flag).unwrap_or_default()
+        ))),
+        other => Ok(other),
+    }
 }
 
 /// Reads, decodes and validates one pprof file.

@@ -13,8 +13,8 @@ use hsdp_storage::provision::{paper_spec, provision, PlatformClass};
 
 use crate::fleet::PlatformRun;
 
-/// The fleet configuration the exhibit benches run (kept modest so a full
-/// `cargo bench` stays in minutes).
+/// The fleet configuration `hsdp figures` runs (kept modest so the whole
+/// command finishes in under a second in release).
 #[must_use]
 pub fn bench_fleet_config() -> FleetConfig {
     FleetConfig {
@@ -433,7 +433,7 @@ pub fn ablation_cache_policy() -> String {
         );
         let keys = hsdp_workload::keys::KeyGen::new("ab", 4_000, 0.99);
         let values = hsdp_workload::keys::ValueGen::new(300);
-        let mut rng = hsdp_simcore::dist::seeded_rng(7);
+        let mut rng = hsdp_rng::StdRng::seed_from_u64(7);
         for rank in 0..1_000 {
             bt.put(keys.key_for_rank(rank), values.sample(&mut rng));
         }

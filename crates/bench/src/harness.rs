@@ -1,183 +1,10 @@
-//! A minimal, dependency-free stand-in for the Criterion benchmark API.
-//!
-//! The figure/table benches only need "run this closure repeatedly and
-//! report wall-clock stats", so this module implements exactly the subset
-//! of the `criterion` surface those benches use — [`Criterion::default`],
-//! the `sample_size`/`measurement_time`/`warm_up_time` builders,
-//! [`Criterion::bench_function`], and the [`criterion_group!`] /
-//! [`criterion_main!`] macros — without pulling the real crate (the
-//! workspace builds with no external dependencies).
-//!
-//! Timing methodology: after a warm-up period, the routine's per-iteration
-//! cost is estimated, the measurement window is split into `sample_size`
-//! samples of that many iterations each, and min/mean/max per-iteration
-//! times are reported on stdout.
+//! Machine-readable wall-clock results for `BENCH_fleet.json`: the
+//! [`BenchRecord`]/[`BenchReport`] pair `hsdp bench` fills, the one-block
+//! timer [`time_ns`] it measures with, and [`parse_bench_entries`], which
+//! `hsdp profile --snapshot --bench` reads the report back through.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
-
-/// Benchmark driver configured like `criterion::Criterion`.
-#[derive(Debug, Clone)]
-pub struct Criterion {
-    sample_size: usize,
-    measurement_time: Duration,
-    warm_up_time: Duration,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion {
-            sample_size: 20,
-            measurement_time: Duration::from_secs(2),
-            warm_up_time: Duration::from_millis(500),
-        }
-    }
-}
-
-impl Criterion {
-    /// Number of samples collected per benchmark (min 2).
-    #[must_use]
-    pub fn sample_size(mut self, n: usize) -> Self {
-        self.sample_size = n.max(2);
-        self
-    }
-
-    /// Total time budget for measurement samples.
-    #[must_use]
-    pub fn measurement_time(mut self, d: Duration) -> Self {
-        self.measurement_time = d;
-        self
-    }
-
-    /// Warm-up period before any sample is recorded.
-    #[must_use]
-    pub fn warm_up_time(mut self, d: Duration) -> Self {
-        self.warm_up_time = d;
-        self
-    }
-
-    /// Runs `routine` under the configured schedule and prints a summary.
-    pub fn bench_function<F>(&mut self, id: &str, mut routine: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        // Warm up and estimate the per-iteration cost.
-        let warm_start = Instant::now();
-        let mut warm_iters: u64 = 0;
-        while warm_start.elapsed() < self.warm_up_time || warm_iters == 0 {
-            let mut b = Bencher {
-                iters: 1,
-                elapsed: Duration::ZERO,
-            };
-            routine(&mut b);
-            warm_iters += 1;
-        }
-        let per_iter = warm_start.elapsed().as_secs_f64() / warm_iters as f64;
-
-        // Split the measurement budget into samples.
-        let budget = self.measurement_time.as_secs_f64();
-        let per_sample = budget / self.sample_size as f64;
-        let iters_per_sample = ((per_sample / per_iter.max(1e-9)) as u64).max(1);
-
-        let mut samples_ns: Vec<f64> = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
-            let mut b = Bencher {
-                iters: iters_per_sample,
-                elapsed: Duration::ZERO,
-            };
-            routine(&mut b);
-            samples_ns.push(b.elapsed.as_secs_f64() * 1e9 / iters_per_sample as f64);
-        }
-        let (mut lo, mut hi, mut sum) = (f64::INFINITY, 0.0f64, 0.0f64);
-        for &s in &samples_ns {
-            lo = lo.min(s);
-            hi = hi.max(s);
-            sum += s;
-        }
-        let mean = sum / samples_ns.len() as f64;
-        println!(
-            "{id:<44} time: [{} {} {}]  ({} samples x {iters_per_sample} iters)",
-            fmt_ns(lo),
-            fmt_ns(mean),
-            fmt_ns(hi),
-            samples_ns.len(),
-        );
-        self
-    }
-}
-
-impl Criterion {
-    /// Opens a named group of related benchmarks, mirroring
-    /// `criterion::Criterion::benchmark_group`.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            criterion: self,
-            name: name.to_owned(),
-            throughput: None,
-        }
-    }
-}
-
-/// Units for per-iteration throughput reporting.
-#[derive(Debug, Clone, Copy)]
-pub enum Throughput {
-    /// Bytes processed per iteration.
-    Bytes(u64),
-    /// Logical elements processed per iteration.
-    Elements(u64),
-}
-
-/// A named collection of benchmarks sharing a throughput setting.
-#[derive(Debug)]
-pub struct BenchmarkGroup<'c> {
-    criterion: &'c mut Criterion,
-    name: String,
-    throughput: Option<Throughput>,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the per-iteration throughput used in reports.
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.throughput = t.into();
-        self
-    }
-
-    /// Runs `routine` as `<group>/<id>`.
-    pub fn bench_function<F>(&mut self, id: &str, routine: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let full = format!("{}/{id}", self.name);
-        if let Some(t) = self.throughput {
-            let label = match t {
-                Throughput::Bytes(n) => format!("{n} bytes/iter"),
-                Throughput::Elements(n) => format!("{n} elems/iter"),
-            };
-            println!("{full}: throughput basis {label}");
-        }
-        self.criterion.bench_function(&full, routine);
-        self
-    }
-
-    /// Ends the group (retained for API parity; reporting is immediate).
-    pub fn finish(self) {}
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns < 1e3 {
-        format!("{ns:.2} ns")
-    } else if ns < 1e6 {
-        format!("{:.2} us", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.2} ms", ns / 1e6)
-    } else {
-        format!("{:.3} s", ns / 1e9)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Machine-readable results (BENCH_fleet.json).
-// ---------------------------------------------------------------------------
+use std::time::Instant;
 
 /// One machine-readable benchmark result destined for `BENCH_fleet.json`.
 #[derive(Debug, Clone)]
@@ -434,9 +261,8 @@ fn unescape(s: &str) -> String {
 
 /// Times `routine` over `iters` iterations, returning mean ns/iter.
 ///
-/// A deliberately simple companion to [`Criterion`] for benches that feed
-/// [`BenchReport`]: one timed block, no sampling schedule, suitable for
-/// kernels whose cost is stable (checksums, codecs, fleet runs).
+/// One timed block, no sampling schedule: suitable for kernels whose cost
+/// is stable (checksums, codecs, fleet runs).
 pub fn time_ns<O>(iters: u64, mut routine: impl FnMut() -> O) -> f64 {
     let iters = iters.max(1);
     let start = Instant::now();
@@ -447,71 +273,9 @@ pub fn time_ns<O>(iters: u64, mut routine: impl FnMut() -> O) -> f64 {
     start.elapsed().as_secs_f64() * 1e9 / iters as f64
 }
 
-/// Per-sample iteration driver handed to bench closures.
-#[derive(Debug)]
-pub struct Bencher {
-    iters: u64,
-    elapsed: Duration,
-}
-
-impl Bencher {
-    /// Times `routine` over this sample's iteration count.
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
-        let start = Instant::now();
-        for _ in 0..self.iters {
-            std::hint::black_box(routine());
-        }
-        self.elapsed = start.elapsed();
-    }
-}
-
-/// Declares a benchmark group function, mirroring `criterion::criterion_group!`.
-#[macro_export]
-macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $config;
-            $($target(&mut criterion);)+
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group!(
-            name = $name;
-            config = $crate::harness::Criterion::default();
-            targets = $($target),+
-        );
-    };
-}
-
-/// Declares the bench `main`, mirroring `criterion::criterion_main!`.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_function_runs_and_reports() {
-        let mut c = Criterion::default()
-            .sample_size(2)
-            .measurement_time(Duration::from_millis(10))
-            .warm_up_time(Duration::from_millis(1));
-        let mut count = 0u64;
-        c.bench_function("harness/self_test", |b| {
-            b.iter(|| {
-                count += 1;
-                count
-            })
-        });
-        assert!(count > 0, "routine never ran");
-    }
 
     #[test]
     fn bench_report_renders_valid_shape() {
@@ -633,20 +397,5 @@ mod tests {
         let ns = time_ns(100, || std::hint::black_box(3u64).wrapping_mul(7));
         assert!(ns > 0.0);
         assert!(ns.is_finite());
-    }
-
-    #[test]
-    fn group_macro_compiles_both_forms() {
-        fn target(c: &mut Criterion) {
-            c.bench_function("noop", |b| b.iter(|| 1u8));
-        }
-        fn quick() -> Criterion {
-            Criterion::default()
-                .sample_size(2)
-                .measurement_time(Duration::from_millis(5))
-                .warm_up_time(Duration::from_millis(1))
-        }
-        criterion_group!(name = configured; config = quick(); targets = target);
-        configured();
     }
 }

@@ -1,10 +1,10 @@
 //! # hsdp-bench
 //!
 //! The experiment harness: every table and figure of the paper's evaluation
-//! has a regeneration function here, consumed by the Criterion benches
-//! (`benches/`) and `hsdp figures`. Each function returns the rendered
-//! exhibit as text so benches can both print and time it. [`FleetRun`] is
-//! the one instrumented fleet run every `hsdp` artifact is derived from.
+//! has a regeneration function in [`exhibits`], each returning the rendered
+//! exhibit as text, and `hsdp figures` prints them all. [`FleetRun`] is the
+//! one instrumented fleet run every `hsdp` artifact is derived from;
+//! [`harness`] holds the `BENCH_fleet.json` records `hsdp bench` writes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -77,6 +77,17 @@ fn non_numeric_values_are_rejected() {
 }
 
 #[test]
+fn diff_thresholds_that_turn_the_gate_off_are_rejected() {
+    // The inputs do not exist, so naming the flag also shows it is checked
+    // before any file is read.
+    for flag in ["--threshold", "--stack-threshold"] {
+        for value in ["nan", "inf", "-1"] {
+            rejects(&["diff", "a.pb", "b.pb", flag, value], flag);
+        }
+    }
+}
+
+#[test]
 fn zero_parallelism_is_rejected_by_every_subcommand() {
     for command in COMMANDS {
         rejects(&with(command, &["--parallelism", "0"]), "--parallelism");
@@ -116,6 +127,48 @@ fn malformed_commands_print_usage() {
         ],
         "--inject",
     );
+}
+
+/// The opening of every exhibit's title line, in the order `hsdp figures`
+/// prints them.
+const EXHIBITS: [&str; 16] = [
+    "Table 1 —",
+    "Figure 2 —",
+    "Figure 3 —",
+    "Figure 4 —",
+    "Figure 5 —",
+    "Figure 6 —",
+    "Tables 6–7 —",
+    "Figure 9 —",
+    "Figure 10 —",
+    "Figure 13 —",
+    "Figure 14 —",
+    "Figure 15 —",
+    "Table 8 —",
+    "Ablation — chained penalty",
+    "Ablation — cache policy",
+    "Ablation — trace attribution",
+];
+
+#[test]
+fn figures_prints_every_exhibit_once_in_order() {
+    let out = hsdp(&["figures"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 exhibits");
+    let mut previous = None;
+    for title in EXHIBITS {
+        let lines: Vec<usize> = stdout
+            .lines()
+            .enumerate()
+            .filter(|(_, line)| line.starts_with(title))
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(lines.len(), 1, "`{title}` title lines: {lines:?}");
+        assert!(previous < Some(lines[0]), "`{title}` printed out of order");
+        previous = Some(lines[0]);
+    }
 }
 
 #[test]

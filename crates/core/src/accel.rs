@@ -281,13 +281,6 @@ impl AcceleratorSpec {
         self.payload = payload;
         self
     }
-
-    /// Returns a copy with a different speedup.
-    #[must_use]
-    pub fn with_speedup(mut self, speedup: Speedup) -> AcceleratorSpec {
-        self.speedup = speedup;
-        self
-    }
 }
 
 /// Builder for [`AcceleratorSpec`] ([C-BUILDER]).
@@ -406,12 +399,11 @@ mod tests {
             .with_overlap(OverlapFactor::ASYNCHRONOUS)
             .with_setup(Seconds::new(1.0))
             .with_payload(Bytes::new(8.0))
-            .with_speedup(Speedup::new(3.0).unwrap())
             .with_placement(Placement::off_chip_pcie_gen5());
         assert_eq!(spec.overlap(), OverlapFactor::ASYNCHRONOUS);
         assert_eq!(spec.setup(), Seconds::new(1.0));
         assert_eq!(spec.payload(), Bytes::new(8.0));
-        assert!((spec.speedup().factor() - 3.0).abs() < 1e-12);
+        assert!((spec.speedup().factor() - 2.0).abs() < 1e-12);
         assert!(!spec.placement().is_on_chip());
     }
 

@@ -80,6 +80,6 @@ pub use component::CpuBreakdown;
 pub use error::ModelError;
 pub use model::QueryPhases;
 pub use plan::{AccelerationPlan, InvocationModel, PlanOutcome};
-pub use profile::{PlatformProfile, QueryGroup, QueryPopulation, QueryRecord};
+pub use profile::{QueryGroup, QueryPopulation, QueryRecord};
 pub use request::RequestId;
 pub use units::{Bandwidth, Bytes, Seconds};

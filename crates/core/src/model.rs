@@ -87,13 +87,6 @@ impl QueryPhases {
         QueryPhases::new(self.cpu, Seconds::ZERO, self.overlap)
     }
 
-    /// Phases with the CPU time replaced (e.g. by an accelerated estimate),
-    /// keeping `t_dep` and `f` — the substitution Equation 2 performs.
-    #[must_use]
-    pub fn with_cpu(&self, cpu: Seconds) -> QueryPhases {
-        QueryPhases::new(cpu, self.dep, self.overlap)
-    }
-
     /// Fraction of end-to-end time attributable to CPU (after the overlap
     /// subtraction is charged to the dependency side, matching the paper's
     /// trace-attribution priority of remote work and IO over CPU, Section 3).

@@ -14,7 +14,7 @@
 
 use crate::category::{CoreComputeOp, CpuCategory, DatacenterTax, Platform, SystemTax};
 use crate::component::CpuBreakdown;
-use crate::profile::{PlatformProfile, QueryPopulation, QueryRecord};
+use crate::profile::{QueryPopulation, QueryRecord};
 use crate::units::{Bytes, Seconds};
 
 // ---------------------------------------------------------------------------
@@ -538,17 +538,6 @@ pub fn query_population(platform: Platform) -> QueryPopulation {
         .collect();
     // audit: allow(panic, the static class tables for every platform are non-empty)
     QueryPopulation::new(records).expect("paper query classes are non-empty")
-}
-
-/// The full calibrated profile for one platform: the Figure 2 population
-/// plus the Figure 5 fleet breakdown.
-#[must_use]
-pub fn platform_profile(platform: Platform) -> PlatformProfile {
-    PlatformProfile::new(
-        platform,
-        query_population(platform),
-        fleet_breakdown(platform),
-    )
 }
 
 // ---------------------------------------------------------------------------

@@ -256,20 +256,6 @@ impl AccelerationPlan {
         }
     }
 
-    /// Returns a copy with every assignment's speedup replaced (the lockstep
-    /// sweep of Figures 9–10).
-    #[must_use]
-    pub fn with_uniform_speedup(&self, speedup: Speedup) -> AccelerationPlan {
-        AccelerationPlan {
-            assignments: self
-                .assignments
-                .iter()
-                .map(|(c, s)| (*c, s.with_speedup(speedup)))
-                .collect(),
-            invocation: self.invocation,
-        }
-    }
-
     /// Iterates over `(category, spec)` assignments in category order.
     pub fn iter(&self) -> impl Iterator<Item = (CpuCategory, &AcceleratorSpec)> + '_ {
         self.assignments.iter().map(|(c, s)| (*c, s))

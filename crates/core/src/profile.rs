@@ -1,4 +1,4 @@
-//! Platform profiles and query populations.
+//! Query populations.
 //!
 //! The paper's limit studies operate over *populations* of queries sampled
 //! from production traces (Section 4.1). A [`QueryRecord`] captures one
@@ -9,7 +9,6 @@
 //! population.
 
 use crate::accel::OverlapFactor;
-use crate::category::Platform;
 use crate::component::CpuBreakdown;
 use crate::error::ModelError;
 use crate::model::{speedup_ratio, QueryPhases};
@@ -375,35 +374,6 @@ fn weighted_phase_sums(records: &[&QueryRecord]) -> (Seconds, Seconds, Seconds, 
 
 fn share(part: Seconds, whole: Seconds) -> f64 {
     part.ratio(whole).unwrap_or(0.0)
-}
-
-/// A platform together with its query population and fleet CPU breakdown —
-/// everything the limit studies need.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlatformProfile {
-    /// Which platform this profile describes.
-    pub platform: Platform,
-    /// The query population (Figure 2 inputs and sweep populations).
-    pub population: QueryPopulation,
-    /// Fleet-level CPU breakdown shares (Figures 3–6 inputs), normalized to
-    /// a 1-second total so `time(cat)` doubles as the share.
-    pub fleet_breakdown: CpuBreakdown,
-}
-
-impl PlatformProfile {
-    /// Builds a profile.
-    #[must_use]
-    pub fn new(
-        platform: Platform,
-        population: QueryPopulation,
-        fleet_breakdown: CpuBreakdown,
-    ) -> Self {
-        PlatformProfile {
-            platform,
-            population,
-            fleet_breakdown,
-        }
-    }
 }
 
 #[cfg(test)]

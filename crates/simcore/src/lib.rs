@@ -1,37 +1,23 @@
 //! # hsdp-simcore
 //!
-//! A deterministic discrete-event simulation core used by every simulated
-//! substrate in the workspace:
+//! The simulated clock and the deterministic worker pool every fleet run
+//! goes through:
 //!
-//! - [`time`] — nanosecond [`time::SimTime`] / [`time::SimDuration`].
-//! - [`engine`] — the event loop ([`engine::Simulator`]).
-//! - [`resource`] — FIFO multi-server queueing timelines.
-//! - [`dist`] — zipf / exponential / pareto / log-normal sampling, from
-//!   scratch.
-//! - [`stats`] — streaming summaries and percentile collectors.
+//! - [`time`] — nanosecond [`time::SimTime`] / [`time::SimDuration`], the
+//!   unit every span, charge and exhibit is measured in.
 //! - [`pool`] — a scoped worker pool plus deterministic shard planning for
 //!   thread-count-invariant parallel runs.
 //!
-//! The platform simulators (`hsdp-platforms`) schedule RPCs, storage
-//! accesses, consensus rounds, compactions and shuffles through this engine,
-//! giving the profiling pipeline deterministic, reproducible traces.
+//! The platform simulators (`hsdp-platforms`) advance simulated time by
+//! charging `costs` constants, not through an event queue; the pool only
+//! decides which thread runs which shard, never what a shard computes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod dist;
-pub mod engine;
 pub mod pool;
-pub mod resource;
-pub mod stats;
 pub mod time;
 
-pub use dist::{
-    seeded_rng, BoundedPareto, Constant, Exponential, LogNormal, Sample, Uniform, Zipf,
-};
-pub use engine::Simulator;
-pub use pool::{run_jobs, Shard, ShardPlan};
-pub use resource::{FifoResource, Grant};
-pub use stats::{Percentiles, Summary};
+pub use pool::{Shard, ShardPlan};
 pub use time::{SimDuration, SimTime};

@@ -6,8 +6,8 @@
 //! [`ShardPlan`] — the plan depends only on the workload configuration and
 //! the base seed, never on the thread count. Worker threads merely *schedule*
 //! the shards; results are reassembled in canonical shard order by
-//! [`run_jobs`], so a run at `parallelism = 8` folds to exactly the same
-//! record stream as `parallelism = 1`.
+//! [`run_jobs_perturbed`], so a run at `parallelism = 8` folds to exactly the
+//! same record stream as `parallelism = 1`.
 //!
 //! The pool is hand-rolled on `std::thread::scope` + a mutex-guarded job
 //! queue (the workspace builds with no external dependencies and forbids
@@ -84,21 +84,13 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Runs `jobs` on up to `parallelism` worker threads and returns their
 /// results **in input order**, regardless of which worker finished first.
 ///
-/// With `parallelism <= 1` (or at most one job) everything runs inline on
-/// the calling thread — no threads are spawned, making the sequential path
-/// zero-overhead and trivially identical to the parallel one.
+/// With `parallelism <= 1` (or at most one job) and no perturbation,
+/// everything runs inline on the calling thread — no threads are spawned,
+/// making the sequential path zero-overhead and trivially identical to the
+/// parallel one.
 ///
 /// If a job panics, the panic is propagated to the caller once all other
 /// workers have drained.
-pub fn run_jobs<T, F>(parallelism: usize, jobs: Vec<F>) -> Vec<T>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    run_jobs_perturbed(parallelism, jobs, None)
-}
-
-/// [`run_jobs`] under an optional schedule perturbation.
 ///
 /// With `Some(perturbation)` the dispatch order is a seeded permutation of
 /// the input order, each job's start is delayed by a small derived jitter,
@@ -191,16 +183,7 @@ where
 /// order. The tag travels *around* the pool, not through it — workers never
 /// see it — so callers can attribute each result to its origin (e.g.
 /// `(platform, shard)` for per-shard telemetry registries) without
-/// threading identity into every job closure.
-pub fn run_tagged_jobs<K, T, F>(parallelism: usize, jobs: Vec<(K, F)>) -> Vec<(K, T)>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    run_tagged_jobs_perturbed(parallelism, jobs, None)
-}
-
-/// [`run_tagged_jobs`] under an optional schedule perturbation — see
+/// threading identity into every job closure. `perturbation` is as in
 /// [`run_jobs_perturbed`].
 pub fn run_tagged_jobs_perturbed<K, T, F>(
     parallelism: usize,
@@ -302,7 +285,7 @@ mod tests {
     fn inline_path_preserves_order() {
         let jobs: Vec<_> = (0..10).map(|i| move || i * 2).collect();
         assert_eq!(
-            run_jobs(1, jobs),
+            run_jobs_perturbed(1, jobs, None),
             (0..10).map(|i| i * 2).collect::<Vec<_>>()
         );
     }
@@ -322,7 +305,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let got = run_jobs(parallelism, jobs);
+            let got = run_jobs_perturbed(parallelism, jobs, None);
             let want: Vec<u64> = (0..37).map(|i| i * i).collect();
             assert_eq!(got, want, "parallelism {parallelism}");
         }
@@ -331,8 +314,8 @@ mod tests {
     #[test]
     fn empty_and_single_job_sets() {
         let none: Vec<fn() -> u8> = Vec::new();
-        assert!(run_jobs(4, none).is_empty());
-        assert_eq!(run_jobs(4, vec![|| 9u8]), vec![9]);
+        assert!(run_jobs_perturbed(4, none, None).is_empty());
+        assert_eq!(run_jobs_perturbed(4, vec![|| 9u8], None), vec![9]);
     }
 
     #[test]
@@ -342,7 +325,9 @@ mod tests {
             Box::new(|| panic!("job failed")),
             Box::new(|| 3),
         ];
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_jobs(2, jobs)));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_jobs_perturbed(2, jobs, None)
+        }));
         assert!(result.is_err(), "panic must reach the caller");
     }
 
@@ -351,7 +336,7 @@ mod tests {
         type TaggedJob = (&'static str, fn() -> u32);
         for parallelism in [1, 4] {
             let jobs: Vec<TaggedJob> = vec![("a", || 1), ("b", || 2), ("c", || 3)];
-            let got = run_tagged_jobs(parallelism, jobs);
+            let got = run_tagged_jobs_perturbed(parallelism, jobs, None);
             assert_eq!(got, vec![("a", 1), ("b", 2), ("c", 3)]);
         }
     }
@@ -370,7 +355,7 @@ mod tests {
                 })
                 .collect()
         };
-        let baseline = run_jobs(1, make_jobs());
+        let baseline = run_jobs_perturbed(1, make_jobs(), None);
         for parallelism in [1, 4] {
             for seed in 0..6u64 {
                 let got =
@@ -476,9 +461,12 @@ mod tests {
                 })
                 .collect()
         };
-        let sequential: Vec<u64> = run_jobs(1, make_jobs()).into_iter().flatten().collect();
+        let sequential: Vec<u64> = run_jobs_perturbed(1, make_jobs(), None)
+            .into_iter()
+            .flatten()
+            .collect();
         for parallelism in [2, 4, 8] {
-            let parallel: Vec<u64> = run_jobs(parallelism, make_jobs())
+            let parallel: Vec<u64> = run_jobs_perturbed(parallelism, make_jobs(), None)
                 .into_iter()
                 .flatten()
                 .collect();

@@ -83,12 +83,12 @@ fn remove_is_definitive() {
 /// should achieve a solid steady-state hit rate.
 #[test]
 fn zipf_hit_rates_are_reasonable() {
-    use hsdp_simcore::dist::{seeded_rng, Zipf};
+    use hsdp_workload::keys::Zipf;
 
     let zipf = Zipf::new(500, 0.99);
     for policy in POLICIES {
         let mut cache = build_cache(policy, 40 * 16); // room for ~40 hot keys
-        let mut rng = seeded_rng(11);
+        let mut rng = StdRng::seed_from_u64(11);
         // Warm-up.
         for _ in 0..2_000 {
             let key = zipf.sample_rank(&mut rng);

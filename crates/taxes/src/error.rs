@@ -121,43 +121,6 @@ impl fmt::Display for CompressError {
 
 impl Error for CompressError {}
 
-/// Errors from the RPC frame codec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FrameError {
-    /// Input shorter than a frame header.
-    Truncated,
-    /// Magic bytes did not match.
-    BadMagic,
-    /// Header checksum failed.
-    HeaderChecksum,
-    /// Payload checksum failed.
-    PayloadChecksum,
-    /// Declared payload length exceeds the configured maximum.
-    Oversized {
-        /// Declared length.
-        declared: usize,
-        /// Configured maximum.
-        max: usize,
-    },
-}
-
-impl fmt::Display for FrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameError::Truncated => write!(f, "frame truncated"),
-            FrameError::BadMagic => write!(f, "bad frame magic"),
-            FrameError::HeaderChecksum => write!(f, "frame header checksum mismatch"),
-            FrameError::PayloadChecksum => write!(f, "frame payload checksum mismatch"),
-            FrameError::Oversized { declared, max } => {
-                write!(f, "frame payload {declared} exceeds maximum {max}")
-            }
-        }
-    }
-}
-
-impl Error for FrameError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +130,6 @@ mod tests {
         fn check<T: Error + Send + Sync>() {}
         check::<WireError>();
         check::<CompressError>();
-        check::<FrameError>();
     }
 
     #[test]
@@ -184,11 +146,5 @@ mod tests {
         }
         .to_string()
         .contains("10"));
-        assert!(FrameError::Oversized {
-            declared: 9,
-            max: 4
-        }
-        .to_string()
-        .contains('9'));
     }
 }

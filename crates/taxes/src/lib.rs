@@ -1,25 +1,25 @@
 //! # hsdp-taxes
 //!
-//! Real, from-scratch implementations of the *datacenter tax* operations the
-//! paper identifies as dominant acceleration targets (Section 5.4, Table 2):
+//! Real, from-scratch implementations of the *datacenter tax* kernels the
+//! paper identifies as dominant acceleration targets (Section 5.4, Table 2),
+//! one module per kernel that `hsdp` runs:
 //!
-//! | Paper tax | Module |
-//! |---|---|
-//! | Protobuf (de)serialization | [`protowire`] (+ [`varint`]) |
-//! | Compression | [`compress`](mod@compress) |
-//! | Cryptography | [`sha3`] |
-//! | Mem. allocation | [`arena`] |
-//! | RPC | [`frame`] |
-//! | Data movement | [`memops`] |
-//! | EDAC / checksums (system tax) | [`crc`] |
+//! | Paper tax | Module | Run by |
+//! |---|---|---|
+//! | Protobuf (de)serialization | [`protowire`] (+ [`varint`]) | Spanner transactions, SSTable blocks, pprof export, history store |
+//! | Compression | [`compress`](mod@compress) | BigTable SSTable blocks, BigQuery column chunks |
+//! | Cryptography | [`sha3`] | Spanner commit digests |
+//! | EDAC / checksums (system tax) | [`crc`] | Spanner replication, SSTable blocks, tablet routing, history frames |
 //!
 //! [`pprof`] dogfoods [`protowire`] to serialize profiler output in the
 //! standard `profile.proto` format, and [`framed`] wraps protowire payloads
 //! in the length-prefixed, CRC32C-checked container the per-commit
 //! profile-history store (`hsdp-profiling::history`) appends to.
 //!
-//! The platform simulators in `hsdp-platforms` execute these primitives on
-//! their hot paths, so the profiling pipeline observes genuine tax work; the
+//! The platforms run these kernels on real bytes, but simulated time never
+//! comes from their speed: every tax category, including the
+//! mem-allocation, RPC and data-movement taxes that have no kernel here, is
+//! charged through `hsdp-platforms`' `WorkMeter` at `costs` rates. The
 //! chained-accelerator validation in `hsdp-accelsim` uses [`protowire`] and
 //! [`sha3`] as its pipeline stages, mirroring the paper's ProtoAcc → SHA3
 //! RTL experiment (Section 6.4).
@@ -37,25 +37,19 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod arena;
 pub mod compress;
 pub mod crc;
 pub mod dispatch;
 pub mod error;
-pub mod frame;
 pub mod framed;
-pub mod memops;
 pub mod pprof;
 pub mod protowire;
 pub mod sha3;
 pub mod simd;
 pub mod varint;
 
-pub use arena::{Arena, ArenaStats};
 pub use compress::{compress, decompress};
 pub use crc::crc32c;
-pub use error::{CompressError, FrameError, WireError};
-pub use frame::{Frame, FrameKind};
-pub use memops::MoveCounter;
+pub use error::{CompressError, WireError};
 pub use protowire::{FieldDescriptor, FieldType, Message, MessageDescriptor, Value};
 pub use sha3::{Sha3_256, Sha3_512};

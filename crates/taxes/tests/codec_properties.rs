@@ -9,7 +9,6 @@ use std::sync::Arc;
 use hsdp_rng::{Rng, StdRng};
 use hsdp_taxes::compress::{compress, decompress};
 use hsdp_taxes::crc::{crc32c, Crc32c};
-use hsdp_taxes::frame::{Frame, FrameKind};
 use hsdp_taxes::protowire::{FieldDescriptor, FieldType, Message, MessageDescriptor, Value};
 use hsdp_taxes::sha3::Sha3_256;
 use hsdp_taxes::varint::{decode_varint, encode_varint, varint_len, zigzag_decode, zigzag_encode};
@@ -122,32 +121,6 @@ fn sha3_incremental_equals_oneshot() {
         h.update(&data[..split]);
         h.update(&data[split..]);
         assert_eq!(h.finalize(), Sha3_256::digest(&data));
-    }
-}
-
-#[test]
-fn frame_roundtrip() {
-    let mut rng = StdRng::seed_from_u64(0xF4A4E);
-    for _ in 0..CASES {
-        let frame = Frame {
-            kind: FrameKind::Request,
-            method: rng.random(),
-            request_id: rng.random(),
-            payload: bytes(&mut rng, 512),
-        };
-        let bytes = frame.encode_to_vec();
-        let (decoded, consumed) = Frame::decode(&bytes, 1024).expect("roundtrip");
-        assert_eq!(decoded, frame);
-        assert_eq!(consumed, bytes.len());
-    }
-}
-
-#[test]
-fn frame_decode_never_panics() {
-    let mut rng = StdRng::seed_from_u64(0xF4A4F);
-    for _ in 0..CASES {
-        let data = bytes(&mut rng, 256);
-        let _ = Frame::decode(&data, 1 << 20);
     }
 }
 

@@ -514,16 +514,6 @@ impl MetricsRegistry {
         self.counters.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
-    /// Sums every counter whose `(subsystem, metric)` prefix matches.
-    #[must_use]
-    pub fn counter_prefix_sum(&self, subsystem: &str, metric: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|((s, m, _), _)| *s == subsystem && *m == metric)
-            .map(|(_, &v)| v)
-            .sum()
-    }
-
     /// Sums every counter in `subsystem` (e.g. all `"cpu"` work counters).
     #[must_use]
     pub fn counter_subsystem_sum(&self, subsystem: &str) -> u64 {

@@ -10,14 +10,14 @@ use hsdp_rng::Rng;
 /// Generates keys from a keyspace with zipfian popularity.
 #[derive(Debug, Clone)]
 pub struct KeyGen {
-    zipf: ZipfRanks,
+    zipf: Zipf,
     prefix: String,
 }
 
-/// Internal zipf over ranks, YCSB-style (duplicated minimal form to keep
-/// this crate independent of `hsdp-simcore`'s `Sample` trait objects).
+/// Zipfian distribution over ranks `0..n` (rank 0 most popular), using the
+/// Gray et al. / YCSB constant-time generator.
 #[derive(Debug, Clone)]
-struct ZipfRanks {
+pub struct Zipf {
     n: u64,
     theta: f64,
     zetan: f64,
@@ -25,14 +25,22 @@ struct ZipfRanks {
     eta: f64,
 }
 
-impl ZipfRanks {
-    fn new(n: u64, theta: f64) -> Self {
+impl Zipf {
+    /// A zipfian over `n` items with skew `theta` (YCSB's default is 0.99).
+    /// Construction is `O(n)`: it computes the generalized harmonic number
+    /// exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `n >= 1` and `theta ∈ (0, 1)`.
+    #[must_use]
+    pub fn new(n: u64, theta: f64) -> Self {
         assert!(n >= 1 && theta > 0.0 && theta < 1.0);
         let zetan: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
         let zeta2: f64 = (1..=2.min(n)).map(|i| 1.0 / (i as f64).powf(theta)).sum();
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        ZipfRanks {
+        Zipf {
             n,
             theta,
             zetan,
@@ -41,7 +49,8 @@ impl ZipfRanks {
         }
     }
 
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    /// Draws a rank in `0..n`, 0 being the most popular.
+    pub fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         if self.n == 1 {
             return 0;
         }
@@ -68,7 +77,7 @@ impl KeyGen {
     #[must_use]
     pub fn new(prefix: &str, keys: u64, theta: f64) -> Self {
         KeyGen {
-            zipf: ZipfRanks::new(keys, theta),
+            zipf: Zipf::new(keys, theta),
             prefix: prefix.to_owned(),
         }
     }
@@ -82,7 +91,7 @@ impl KeyGen {
     /// Draws a key. Rank is FNV-mixed so popular keys scatter across the
     /// sorted keyspace (as production hashing layers do).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u8> {
-        let rank = self.zipf.sample(rng);
+        let rank = self.zipf.sample_rank(rng);
         self.key_for_rank(rank)
     }
 
@@ -184,6 +193,31 @@ mod tests {
         let max = counts.values().max().copied().unwrap();
         assert!(max > 1000, "hottest key should dominate, got {max}");
         assert!(counts.len() > 100, "long tail exists");
+    }
+
+    #[test]
+    fn zipf_is_skewed_and_in_range() {
+        let d = Zipf::new(1000, 0.99);
+        let mut rng = hsdp_rng::StdRng::seed_from_u64(19);
+        let mut counts = vec![0u32; 1000];
+        for _ in 0..100_000 {
+            let r = d.sample_rank(&mut rng);
+            assert!(r < 1000);
+            counts[r as usize] += 1;
+        }
+        // Rank 0 dominates and frequencies decay.
+        assert!(counts[0] > counts[9] && counts[0] > 10 * counts[500].max(1));
+        // Top 10 ranks account for a large share under theta=0.99.
+        let top10: u32 = counts[..10].iter().sum();
+        assert!(top10 > 30_000, "top10 {top10}");
+    }
+
+    #[test]
+    fn zipf_single_item() {
+        let d = Zipf::new(1, 0.5);
+        let mut rng = hsdp_rng::StdRng::seed_from_u64(23);
+        assert_eq!(d.sample_rank(&mut rng), 0);
+        assert_eq!(d.n, 1);
     }
 
     #[test]
