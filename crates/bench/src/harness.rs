@@ -6,6 +6,8 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use hsdp_telemetry::json;
+
 /// One machine-readable benchmark result destined for `BENCH_fleet.json`.
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
@@ -125,8 +127,9 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": \"hsdp-bench-fleet/1\",\n  \"entries\": [\n");
         for (i, r) in self.records.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"id\": \"{}\"", json_escape(&r.id)));
+            out.push_str("    {\"id\": \"");
+            json::escape(&r.id, &mut out);
+            out.push('"');
             out.push_str(&format!(", \"ns_per_iter\": {}", json_f64(r.ns_per_iter)));
             if let Some(bytes) = r.bytes_per_iter {
                 out.push_str(&format!(", \"bytes_per_iter\": {bytes}"));
@@ -139,14 +142,11 @@ impl BenchReport {
                 ", \"host_parallelism\": {}",
                 self.host_parallelism
             ));
-            out.push_str(&format!(
-                ", \"cpu_features\": \"{}\"",
-                json_escape(&self.cpu_features)
-            ));
-            out.push_str(&format!(
-                ", \"git_commit\": \"{}\"",
-                json_escape(&self.git_commit)
-            ));
+            out.push_str(", \"cpu_features\": \"");
+            json::escape(&self.cpu_features, &mut out);
+            out.push_str("\", \"git_commit\": \"");
+            json::escape(&self.git_commit, &mut out);
+            out.push('"');
             out.push_str(&format!(", \"sequence\": {}", self.sequence));
             out.push_str(&format!(", \"seed\": {}", r.seed));
             out.push('}');
@@ -167,21 +167,6 @@ impl BenchReport {
     pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }
-}
-
-/// Escapes a string for a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Formats a float as a finite JSON number (JSON has no NaN/Infinity).

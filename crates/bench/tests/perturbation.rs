@@ -5,13 +5,11 @@
 //! artifacts, then re-runs at parallelism 1 and 4 under eight different
 //! perturbation seeds — each permuting job dispatch order and
 //! completion-consumption order, and on worker threads injecting derived
-//! start jitter. Parallelism 1 covers the pool's sequential perturbed path,
-//! which every perturbed LSM batch also takes. The fleet schedule includes
-//! the sub-shard jobs: every BigTable shard runs as `tablets` independent
-//! tablet jobs (assembled after the pool drains), and the perturbation seed
-//! also flows into each tablet's LSM batches, so per-tablet flush and
-//! level-merge jobs are being reshuffled while the artifacts are produced.
-//! Every file of the fleet bundle (`profile.json`, telemetry
+//! start jitter. Parallelism 1 covers the pool's sequential perturbed path.
+//! The fleet schedule includes the sub-shard jobs: every BigTable shard
+//! runs as `tablets` independent tablet jobs (assembled after the pool
+//! drains), so the perturbation reorders tablets of one shard as well as
+//! whole shards. Every file of the fleet bundle (`profile.json`, telemetry
 //! metrics/trace/critical-path JSON, collapsed stacks, pprof protobuf,
 //! `tail.json`) must come back byte-identical: the
 //! byte-equality here is what lets profile diffs across runs and commits be

@@ -448,15 +448,13 @@ impl BigQuery {
             .into_iter()
             .filter(|s| s.trace == trace)
             .collect();
-        let mut exec = QueryExecution {
+        QueryExecution {
             platform: Platform::BigQuery,
             label,
             spans,
             cpu_work: meter.take(),
-            request: RequestId::UNTAGGED,
-        };
-        exec.stamp_request(self.current_request);
-        exec
+            request: self.current_request,
+        }
     }
 
     /// `SELECT url, bytes WHERE latency_ms > threshold AND success`.

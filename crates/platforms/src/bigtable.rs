@@ -1,6 +1,6 @@
 //! A BigTable-class tablet server: per-tablet LSM trees (memtable +
 //! leveled SSTable runs with bloom filters) over tiered storage, behind a
-//! deterministic key router, with pipelined leveled compaction.
+//! deterministic key router, with leveled compaction.
 //!
 //! Matches the paper's characterization hooks: point reads/writes dominate
 //! core compute (Figure 4), compression sits on the critical path (SSTable
@@ -8,7 +8,7 @@
 //! work* that can block unlucky queries (Section 4.1: "compaction in remote
 //! storage for BigTable").
 //!
-//! # Sharding and the compaction pipeline
+//! # Sharding and leveled compaction
 //!
 //! The key space is partitioned into `config.tablets` tablets by
 //! [`route_key`] (a crc32c of the key bytes). Each [`Tablet`] owns an
@@ -19,16 +19,12 @@
 //! Compaction is leveled rather than monolithic: a memtable flush appends a
 //! run to level 0, and any level holding `compaction_fanin` runs is merged
 //! (via the `crate::merge` loser tree) into a single run on the next level.
-//! When a flush fires, the flush encode and every due level merge form one
-//! batch of *independent* jobs — merge inputs are snapshotted before the
-//! incoming flush lands, so in simulated time level-N merges overlap
-//! level-N+1 merges and the flush itself, and the triggering query waits
-//! out only the slowest merge. The batch executes inline on the tablet's
-//! own thread: tablets are already the fleet's parallel grain, and a
-//! thread pair per flush cost more real time than it saved. Job outputs are
-//! reinstalled in canonical order (flush first, then merges by ascending
-//! level), which keeps the tablet byte-identical under any
-//! [`Perturbation`] of the batch's execution order.
+//! Merge inputs are taken before the incoming flush lands, so in simulated
+//! time level-N merges overlap level-N+1 merges and the flush itself, and
+//! the triggering query waits out only the slowest merge. In real time the
+//! flush and the merges run in line on the tablet's own thread: tablets are
+//! already the fleet's parallel grain, and a thread pair per flush cost
+//! more real time than it saved.
 
 use std::collections::{btree_map, BTreeMap};
 use std::iter::Peekable;
@@ -39,7 +35,7 @@ use hsdp_core::request::RequestId;
 use hsdp_rpc::latency::LatencyModel;
 use hsdp_rpc::span::{SpanKind, TraceId};
 use hsdp_rpc::tracer::{OpenSpan, Tracer};
-use hsdp_simcore::pool::{self, Perturbation, ShardPlan};
+use hsdp_simcore::pool::ShardPlan;
 use hsdp_simcore::time::{SimDuration, SimTime};
 use hsdp_storage::cache::PolicyKind;
 use hsdp_storage::tiered::TieredStore;
@@ -68,11 +64,6 @@ pub struct BigTableConfig {
     pub policy: PolicyKind,
     /// Tablets the key space is partitioned into (at least one).
     pub tablets: usize,
-    /// Optional schedule perturbation for the LSM job batches (the flush
-    /// encode plus due level merges): permutes the order the batch's jobs
-    /// run and are consumed in. It must never change output — the
-    /// perturbation tests sweep it to prove the reassembly is canonical.
-    pub perturb: Option<Perturbation>,
 }
 
 impl Default for BigTableConfig {
@@ -83,7 +74,6 @@ impl Default for BigTableConfig {
             tier_bytes: (1 << 20, 8 << 20, 1 << 40),
             policy: PolicyKind::Lru,
             tablets: 1,
-            perturb: None,
         }
     }
 }
@@ -271,102 +261,67 @@ fn charge_run_write(meter: &mut WorkMeter, bytes: u64) {
     );
 }
 
-/// One unit of LSM maintenance work. Jobs are pure CPU over owned data:
-/// all tiered-store traffic stays on the coordinating tablet (in canonical
-/// order), which is what keeps the batch schedule-invariant.
-enum LsmJob {
-    /// Encode a drained memtable snapshot into a new level-0 run.
-    Flush { entries: Vec<Entry> },
-    /// Merge one level's runs (oldest-first, with each run's encoded size
-    /// for the decode charge) into a single run for the next level.
-    Merge { runs: Vec<(u64, Vec<Entry>)> },
+/// Encodes a drained memtable snapshot as a level-0 run, charging `meter`
+/// under the `flush` frame. Returns the run's encoded size.
+fn flush_run(meter: &mut WorkMeter, entries: &[Entry]) -> u64 {
+    let mut scope = meter.scope("flush");
+    scope.charge_ops(
+        CoreComputeOp::Write,
+        "memtable_flush",
+        entries.len() as u64,
+        costs::BTREE_OP_NS,
+    );
+    scope.charge_ops(
+        SystemTax::Stl,
+        "btreemap_drain",
+        entries.len() as u64,
+        costs::STL_NS_PER_ENTRY,
+    );
+    let (encoded, _raw) = encode_sstable(&mut scope, entries);
+    charge_run_write(&mut scope, encoded.len() as u64);
+    encoded.len() as u64
 }
 
-/// A finished LSM job: the new run's content plus the meter the job
-/// charged, returned for canonical reassembly by the coordinator.
-struct LsmJobOutput {
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
-    bloom: Bloom,
-    encoded_bytes: u64,
-    input_entries: u64,
-    meter: WorkMeter,
-}
-
-/// Runs one LSM job on `meter`, a [`WorkMeter::child`] of the triggering
-/// query's meter, so the job's work splices into the query's profile with
-/// the stacks a single-threaded run would have produced.
-fn run_lsm_job(job: LsmJob, mut meter: WorkMeter) -> LsmJobOutput {
-    let (entries, encoded_bytes, input_entries) = match job {
-        LsmJob::Flush { entries } => {
-            let mut scope = meter.scope("flush");
-            let scope = &mut scope;
-            scope.charge_ops(
-                CoreComputeOp::Write,
-                "memtable_flush",
-                entries.len() as u64,
-                costs::BTREE_OP_NS,
-            );
-            scope.charge_ops(
-                SystemTax::Stl,
-                "btreemap_drain",
-                entries.len() as u64,
-                costs::STL_NS_PER_ENTRY,
-            );
-            let (encoded, _raw) = encode_sstable(scope, &entries);
-            charge_run_write(scope, encoded.len() as u64);
-            (entries, encoded.len() as u64, 0)
-        }
-        LsmJob::Merge { runs } => {
-            let mut scope = meter.scope("compaction");
-            let scope = &mut scope;
-            let total_entries: u64 = runs.iter().map(|(_, run)| run.len() as u64).sum();
-            for (encoded_bytes, _) in &runs {
-                scope.charge_bytes(
-                    DatacenterTax::Compression,
-                    "block_decompress",
-                    *encoded_bytes,
-                    costs::DECOMPRESS_NS_PER_BYTE,
-                );
-                scope.charge_ops(
-                    SystemTax::FileSystems,
-                    "dfs_read",
-                    1,
-                    costs::FS_CLIENT_NS_PER_OP,
-                );
-            }
-            // K-way loser-tree merge, newest run wins on duplicate keys.
-            // Runs arrive oldest-first; `merge_sorted_runs` resolves
-            // duplicates toward the highest run index (see `crate::merge`).
-            let entries =
-                crate::merge::merge_sorted_runs(runs.into_iter().map(|(_, run)| run).collect());
-            scope.charge_ops(
-                CoreComputeOp::Compaction,
-                "merge_runs",
-                total_entries,
-                costs::MERGE_NS_PER_ENTRY,
-            );
-            scope.charge_ops(
-                SystemTax::Stl,
-                "kway_merge_heap",
-                total_entries,
-                costs::STL_NS_PER_ENTRY,
-            );
-            let (encoded, _raw) = encode_sstable(scope, &entries);
-            charge_run_write(scope, encoded.len() as u64);
-            (entries, encoded.len() as u64, total_entries)
-        }
-    };
-    let mut bloom = Bloom::new(entries.len());
-    for (k, _) in &entries {
-        bloom.insert(k);
+/// Merges one level's runs (oldest-first) into a single run for the next
+/// level, charging `meter` under the `compaction` frame. Returns the
+/// merged entries, their encoded size and the input entry count.
+fn merge_run(meter: &mut WorkMeter, inputs: Vec<SsTable>) -> (Vec<Entry>, u64, u64) {
+    let mut scope = meter.scope("compaction");
+    let input_entries: u64 = inputs.iter().map(|table| table.entries.len() as u64).sum();
+    for table in &inputs {
+        scope.charge_bytes(
+            DatacenterTax::Compression,
+            "block_decompress",
+            table.encoded_bytes,
+            costs::DECOMPRESS_NS_PER_BYTE,
+        );
+        scope.charge_ops(
+            SystemTax::FileSystems,
+            "dfs_read",
+            1,
+            costs::FS_CLIENT_NS_PER_OP,
+        );
     }
-    LsmJobOutput {
-        entries,
-        bloom,
-        encoded_bytes,
+    // K-way loser-tree merge, newest run wins on duplicate keys. Runs
+    // arrive oldest-first; `merge_sorted_runs` resolves duplicates toward
+    // the highest run index (see `crate::merge`).
+    let entries =
+        crate::merge::merge_sorted_runs(inputs.into_iter().map(|table| table.entries).collect());
+    scope.charge_ops(
+        CoreComputeOp::Compaction,
+        "merge_runs",
         input_entries,
-        meter,
-    }
+        costs::MERGE_NS_PER_ENTRY,
+    );
+    scope.charge_ops(
+        SystemTax::Stl,
+        "kway_merge_heap",
+        input_entries,
+        costs::STL_NS_PER_ENTRY,
+    );
+    let (encoded, _raw) = encode_sstable(&mut scope, &entries);
+    charge_run_write(&mut scope, encoded.len() as u64);
+    (entries, encoded.len() as u64, input_entries)
 }
 
 /// Common query tail: lay the CPU/IO/remote spans on the instance timeline
@@ -420,15 +375,13 @@ fn finish_query(
         .filter(|s| s.trace == trace)
         .collect();
     let mut meter = meter;
-    let mut exec = QueryExecution {
+    QueryExecution {
         platform: Platform::BigTable,
         label,
         spans,
         cpu_work: meter.take(),
-        request: RequestId::UNTAGGED,
-    };
-    exec.stamp_request(request);
-    exec
+        request,
+    }
 }
 
 /// One LSM component's scan window, yielding `(key, value length)` in key
@@ -609,107 +562,88 @@ impl Tablet {
         None
     }
 
-    /// Installs a finished LSM job output as a new run at `level`:
-    /// allocates the run id, writes it through the tiered store (warming
-    /// its blocks), and absorbs the job's meter into the triggering
-    /// query's meter. All of this runs on the coordinator in
-    /// canonical job order, never on a pool worker. Returns the
-    /// storage-write time.
+    /// Installs `entries` as a new run at `level`: allocates the run id,
+    /// builds its bloom filter, and writes it through the tiered store
+    /// (warming its blocks). Returns the storage-write time.
     fn install_run(
         &mut self,
         level: usize,
-        out: LsmJobOutput,
-        meter: &mut WorkMeter,
+        entries: Vec<Entry>,
+        encoded_bytes: u64,
     ) -> SimDuration {
         let id = self.next_sst_id;
         self.next_sst_id += 1;
-        let io = self.store.write_fast(id, out.encoded_bytes);
+        let io = self.store.write_fast(id, encoded_bytes);
         // Freshly written data is hot: its blocks sit in the write-path
         // buffers.
-        let blocks = (out.entries.len() / 16).max(1) as u64;
+        let blocks = (entries.len() / 16).max(1) as u64;
         for block_idx in 0..blocks {
             self.store
-                .warm(id << 20 | block_idx, (out.encoded_bytes / blocks).max(1));
+                .warm(id << 20 | block_idx, (encoded_bytes / blocks).max(1));
+        }
+        let mut bloom = Bloom::new(entries.len());
+        for (k, _) in &entries {
+            bloom.insert(k);
         }
         while self.levels.len() <= level {
             self.levels.push(Vec::new());
         }
         self.levels[level].push(SsTable {
             id,
-            entries: out.entries,
-            bloom: out.bloom,
-            encoded_bytes: out.encoded_bytes,
+            entries,
+            bloom,
+            encoded_bytes,
         });
-        meter.absorb(out.meter);
         io
     }
 
-    /// Drains the memtable and runs the due LSM maintenance as one batch of
-    /// independent jobs: the level-0 flush encode plus one merge job per
-    /// level that reached `compaction_fanin` runs *before* this flush
-    /// (merge inputs never include the incoming run, so the jobs share no
-    /// data). Storage reads for merge inputs happen here first, in
-    /// canonical ascending-level order. The batch runs inline on the
-    /// calling thread (in a permuted order under `config.perturb`); job
-    /// outputs are reinstalled in the same canonical order (flush, then
-    /// merges by level), so the tablet ends in the same state under any
-    /// perturbation.
+    /// Drains the memtable and runs the due LSM maintenance in line,
+    /// charging everything to `meter`, the triggering query's meter. It
+    /// first takes the runs of every level that reached `compaction_fanin`
+    /// runs *before* this flush, reading and invalidating them by ascending
+    /// level, so no merge includes the incoming run. It then builds and
+    /// installs the level-0 flush run, then each merged run by ascending
+    /// level.
     ///
     /// Returns `(flush_io, compaction_wait)`: the flush's storage-write
     /// time (IO the query absorbs) and the slowest merge's read + compute +
     /// write time — concurrent merges overlap, so the remote wait the
     /// triggering query observes is a max, not a sum.
     fn flush_and_compact(&mut self, meter: &mut WorkMeter) -> (SimDuration, SimDuration) {
-        let entries: Vec<(Vec<u8>, Vec<u8>)> =
-            std::mem::take(&mut self.memtable).into_iter().collect();
+        let entries: Vec<Entry> = std::mem::take(&mut self.memtable).into_iter().collect();
         self.memtable_bytes = 0;
-        let mut jobs = vec![LsmJob::Flush { entries }];
-        let mut merges: Vec<(usize, SimDuration)> = Vec::new();
+        let mut merges = Vec::new();
         for level in 0..self.levels.len() {
             if self.levels[level].len() < self.config.compaction_fanin {
                 continue;
             }
-            let inputs: Vec<SsTable> = std::mem::take(&mut self.levels[level]);
+            let inputs = std::mem::take(&mut self.levels[level]);
             let mut read_io = SimDuration::ZERO;
-            let mut runs = Vec::with_capacity(inputs.len());
-            for table in inputs {
+            for table in &inputs {
                 read_io += self.store.read(table.id, table.encoded_bytes).latency;
                 let blocks = (table.entries.len() / 16).max(1) as u64;
                 for block_idx in 0..blocks {
                     self.store.invalidate(table.id << 20 | block_idx);
                 }
                 self.store.invalidate(table.id);
-                runs.push((table.encoded_bytes, table.entries));
             }
-            merges.push((level, read_io));
-            jobs.push(LsmJob::Merge { runs });
+            merges.push((level, read_io, inputs));
         }
 
-        let thunks: Vec<_> = jobs
-            .into_iter()
-            .map(|job| {
-                let job_meter = meter.child();
-                move || run_lsm_job(job, job_meter)
-            })
-            .collect();
-        let outputs = pool::run_jobs_perturbed(1, thunks, self.config.perturb);
-
-        let mut outputs = outputs.into_iter();
-        let mut flush_io = SimDuration::ZERO;
-        if let Some(out) = outputs.next() {
-            flush_io = self.install_run(0, out, meter);
-            self.telemetry
-                .counter_add(("bigtable", "memtable_flushes", ""), 1);
-            self.telemetry
-                .counter_add(("bigtable", "tablet_flushes", tablet_label(self.id)), 1);
-            self.telemetry
-                .record_duration(("bigtable", "flush_io_ns", ""), flush_io);
-        }
+        let encoded_bytes = flush_run(meter, &entries);
+        let flush_io = self.install_run(0, entries, encoded_bytes);
+        self.telemetry
+            .counter_add(("bigtable", "memtable_flushes", ""), 1);
+        self.telemetry
+            .counter_add(("bigtable", "tablet_flushes", tablet_label(self.id)), 1);
+        self.telemetry
+            .record_duration(("bigtable", "flush_io_ns", ""), flush_io);
         let mut wait = SimDuration::ZERO;
-        for ((level, read_io), out) in merges.into_iter().zip(outputs) {
-            let cpu = out.meter.total();
-            let input_entries = out.input_entries;
-            let write_io = self.install_run(level + 1, out, meter);
+        for (level, read_io, inputs) in merges {
+            let charged = meter.total();
+            let (entries, encoded_bytes, input_entries) = merge_run(meter, inputs);
+            let cpu = meter.total() - charged;
+            let write_io = self.install_run(level + 1, entries, encoded_bytes);
             self.compactions += 1;
             wait = wait.max(read_io + cpu + write_io);
             self.telemetry
@@ -734,8 +668,8 @@ impl Tablet {
     /// Executes a warmup put whose record no artifact reads: the LSM
     /// state, clock, storage and trace and span ids advance exactly as
     /// [`Tablet::put`] advances them, but the put's spans are dropped and
-    /// its meter (and the meters of the LSM jobs it triggers) keep only
-    /// totals, unless telemetry is recording.
+    /// its meter, which also pays for the flushes and merges the put
+    /// triggers, keeps only totals, unless telemetry is recording.
     pub(crate) fn preload(&mut self, key: Vec<u8>, value: Vec<u8>) {
         let meter = crate::meter::warmup_meter(&self.telemetry);
         self.tracer.set_discard(true);
@@ -1569,119 +1503,70 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_compaction_is_schedule_invariant() {
-        // The same op stream, replayed with the LSM job batches in their
-        // canonical order and in perturbed orders, must produce byte-equal
-        // execution records — the pipelined merge batch may not leak its
-        // schedule into any artifact.
-        let run = |perturb: Option<Perturbation>| {
-            let mut bt = BigTable::new(
-                BigTableConfig {
-                    memtable_flush_bytes: 2_000,
-                    compaction_fanin: 3,
-                    tablets: 2,
-                    perturb,
-                    ..BigTableConfig::default()
-                },
-                7,
-            );
-            let mut execs = Vec::new();
-            for i in 0..300u32 {
-                let (k, v) = kv(i % 83);
-                execs.push(bt.put(k, v));
-                if i % 17 == 0 {
-                    execs.push(bt.get(&kv(i % 41).0));
-                }
-                if i % 29 == 0 {
-                    execs.push(bt.scan(b"key-0000", 8));
-                }
-            }
-            (execs, bt.compactions())
-        };
-        let (baseline, compactions) = run(None);
-        assert!(compactions > 0, "the workload must exercise merges");
-        for seed in [3, 11, 0xD15] {
-            let (execs, _) = run(Some(Perturbation::new(seed)));
-            assert_eq!(execs.len(), baseline.len());
-            for (a, b) in baseline.iter().zip(&execs) {
-                assert!(
-                    exec_eq(a, b),
-                    "records diverged at perturbation seed {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn tablet_preload_serves_traffic_like_put() {
         // A tablet warmed through the record-free preload must serve the
         // same telemetry-on traffic as one warmed through `put`: the
-        // warmup's flushes and merges (whose job meters inherit the
-        // totals-only mode) leave the same LSM state, clock, storage and
-        // trace and span ids, under any batch perturbation.
-        for perturb in [None, Some(Perturbation::new(9))] {
-            let serve = |record_free: bool| {
-                let config = BigTableConfig {
-                    memtable_flush_bytes: 2_000,
-                    compaction_fanin: 3,
-                    perturb,
-                    ..BigTableConfig::default()
-                };
-                let mut tablet = Tablet::new(&config, 0, tablet_seed(7, 0));
-                for i in 0..400 {
-                    let (k, v) = kv(i % 131);
-                    if record_free {
-                        tablet.preload(k, v);
-                    } else {
-                        tablet.put(k, v);
-                    }
-                }
-                let warm = (tablet.compactions(), tablet.now());
-                tablet.set_telemetry(MetricsRegistry::new());
-                let mut scans = ScanAssembler::new();
-                scans.set_telemetry(MetricsRegistry::new());
-                let mut execs = Vec::new();
-                for i in 0..240u32 {
-                    let request = RequestId::tag(Platform::BigTable, 0, i as usize);
-                    tablet.set_request(request);
-                    let (k, v) = kv(i % 89 + 60);
-                    execs.push(tablet.put(k, v));
-                    if i % 3 == 0 {
-                        execs.push(tablet.get(&kv(i % 150).0));
-                    }
-                    if i % 7 == 0 {
-                        scans.set_request(request);
-                        let partial = tablet.scan_partial(b"key-0000", 8);
-                        execs.push(scans.assemble(vec![partial]));
-                    }
-                }
-                let mut metrics = tablet.take_telemetry();
-                metrics.merge(&scans.take_telemetry());
-                (
-                    execs,
-                    metrics.to_json(),
-                    tablet.now(),
-                    tablet.compactions(),
-                    tablet.run_histogram(),
-                    warm,
-                )
+        // warmup's flushes and merges (charged to its totals-only meter)
+        // leave the same LSM state, clock, storage and trace and span ids.
+        let serve = |record_free: bool| {
+            let config = BigTableConfig {
+                memtable_flush_bytes: 2_000,
+                compaction_fanin: 3,
+                ..BigTableConfig::default()
             };
-            let (recorded, record_free) = (serve(false), serve(true));
-            let what = format!("perturb {perturb:?}");
-            assert!(recorded.5 .0 > 0, "{what}: the warmup must exercise merges");
-            assert_eq!(record_free.0.len(), recorded.0.len(), "{what}");
-            for (i, (a, b)) in recorded.0.iter().zip(&record_free.0).enumerate() {
-                assert!(
-                    exec_eq(a, b) && a.request == b.request,
-                    "{what}: execution {i} differs"
-                );
+            let mut tablet = Tablet::new(&config, 0, tablet_seed(7, 0));
+            for i in 0..400 {
+                let (k, v) = kv(i % 131);
+                if record_free {
+                    tablet.preload(k, v);
+                } else {
+                    tablet.put(k, v);
+                }
             }
-            assert!(record_free.1 == recorded.1, "{what}: telemetry differs");
-            assert_eq!(record_free.2, recorded.2, "{what}: clock");
-            assert_eq!(record_free.3, recorded.3, "{what}: compactions");
-            assert_eq!(record_free.4, recorded.4, "{what}: run histogram");
-            assert_eq!(record_free.5, recorded.5, "{what}: warm state");
+            let warm = (tablet.compactions(), tablet.now());
+            tablet.set_telemetry(MetricsRegistry::new());
+            let mut scans = ScanAssembler::new();
+            scans.set_telemetry(MetricsRegistry::new());
+            let mut execs = Vec::new();
+            for i in 0..240u32 {
+                let request = RequestId::tag(Platform::BigTable, 0, i as usize);
+                tablet.set_request(request);
+                let (k, v) = kv(i % 89 + 60);
+                execs.push(tablet.put(k, v));
+                if i % 3 == 0 {
+                    execs.push(tablet.get(&kv(i % 150).0));
+                }
+                if i % 7 == 0 {
+                    scans.set_request(request);
+                    let partial = tablet.scan_partial(b"key-0000", 8);
+                    execs.push(scans.assemble(vec![partial]));
+                }
+            }
+            let mut metrics = tablet.take_telemetry();
+            metrics.merge(&scans.take_telemetry());
+            (
+                execs,
+                metrics.to_json(),
+                tablet.now(),
+                tablet.compactions(),
+                tablet.run_histogram(),
+                warm,
+            )
+        };
+        let (recorded, record_free) = (serve(false), serve(true));
+        assert!(recorded.5 .0 > 0, "the warmup must exercise merges");
+        assert_eq!(record_free.0.len(), recorded.0.len());
+        for (i, (a, b)) in recorded.0.iter().zip(&record_free.0).enumerate() {
+            assert!(
+                exec_eq(a, b) && a.request == b.request,
+                "execution {i} differs"
+            );
         }
+        assert!(record_free.1 == recorded.1, "telemetry differs");
+        assert_eq!(record_free.2, recorded.2, "clock");
+        assert_eq!(record_free.3, recorded.3, "compactions");
+        assert_eq!(record_free.4, recorded.4, "run histogram");
+        assert_eq!(record_free.5, recorded.5, "warm state");
     }
 
     /// The `BTreeMap` body `Tablet::collect_scan_rows` had before the window

@@ -28,13 +28,6 @@ pub struct QueryExecution {
 }
 
 impl QueryExecution {
-    /// Stamps `request` onto the execution. Platforms call this once at
-    /// query finish. The execution is the only record that carries the
-    /// request: its spans and CPU work items belong to it.
-    pub fn stamp_request(&mut self, request: RequestId) {
-        self.request = request;
-    }
-
     /// The end-to-end CPU/IO/remote decomposition (the paper's Section 4
     /// rule applied to this trace).
     #[must_use]

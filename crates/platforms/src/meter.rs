@@ -67,22 +67,8 @@ impl WorkMeter {
         }
     }
 
-    /// An empty meter in this meter's mode, rooted at its current frame
-    /// stack: work charged into the child carries the stacks it would have
-    /// carried here. Fold it back with [`WorkMeter::absorb`].
-    #[must_use]
-    pub(crate) fn child(&self) -> Self {
-        WorkMeter {
-            items: Vec::new(),
-            total: SimDuration::ZERO,
-            totals_only: self.totals_only,
-            frames: self.frames.clone(),
-            paths: self.paths.clone(),
-        }
-    }
-
-    /// Folds in another meter, such as a [`WorkMeter::child`]: adds its
-    /// total and appends its items as charged, stacks included.
+    /// Folds in another meter, such as a scan partial's: adds its total
+    /// and appends its items as charged, stacks included.
     pub(crate) fn absorb(&mut self, other: WorkMeter) {
         self.total += other.total;
         if !self.totals_only {
@@ -459,30 +445,30 @@ mod tests {
     }
 
     #[test]
-    fn child_and_absorb_carry_frames_and_totals() {
+    fn absorb_carries_stacks_and_totals() {
         for totals_only in [false, true] {
             let mut meter = if totals_only {
                 WorkMeter::totals_only()
             } else {
                 WorkMeter::new()
             };
+            // Built apart and absorbed under another frame, as a scan
+            // partial is: its items keep the stacks they were charged with.
+            let mut partial = WorkMeter::new();
+            {
+                let mut scan = partial.scope("tablet_scan");
+                scan.charge(CoreComputeOp::Read, "scan", SimDuration::from_nanos(11));
+            }
             let mut op = meter.scope("op");
             op.charge(CoreComputeOp::Write, "before", SimDuration::from_nanos(5));
-            let mut child = op.child();
-            assert_eq!(child.frames(), &["op"]);
-            {
-                let mut job = child.scope("flush");
-                job.charge(CoreComputeOp::Write, "flush", SimDuration::from_nanos(11));
-            }
-            assert_eq!(child.total(), SimDuration::from_nanos(11));
-            op.absorb(child);
+            op.absorb(partial);
             drop(op);
             assert_eq!(meter.total(), SimDuration::from_nanos(16), "{totals_only}");
             let stacks: Vec<Vec<&str>> = meter.items().iter().map(|i| i.stack.to_vec()).collect();
             if totals_only {
                 assert!(stacks.is_empty());
             } else {
-                assert_eq!(stacks, vec![vec!["op"], vec!["op", "flush"]]);
+                assert_eq!(stacks, vec![vec!["op"], vec!["tablet_scan"]]);
             }
         }
     }

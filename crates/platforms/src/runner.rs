@@ -269,8 +269,9 @@ pub struct BigTableTabletRun {
 /// builds the shard's op stream, executes the ops routed to `tablet`
 /// (scans contribute a partial from every tablet), and returns the tablet's
 /// tagged output. `telemetry` enables the tablet's traffic-phase registry
-/// (every in-tree caller passes `true`). `perturb` perturbs the tablet's
-/// LSM job batches — never its results.
+/// (every in-tree caller passes `true`). `_perturb` has no effect: a
+/// tablet runs its LSM maintenance in line. It stays until the fleet
+/// benchmark, which passes it, next changes.
 ///
 /// Each call builds the whole shard's stream, so timing this runner per
 /// tablet charges every tablet the build that a fleet run pays once per
@@ -283,10 +284,10 @@ pub fn run_bigtable_tablet(
     tablet: usize,
     tablets: usize,
     telemetry: bool,
-    perturb: Option<pool::Perturbation>,
+    _perturb: Option<pool::Perturbation>,
 ) -> BigTableTabletRun {
     let stream = bigtable_ops(queries, seed);
-    run_tablet_ops(&stream, seed, shard, tablet, tablets, telemetry, perturb)
+    run_tablet_ops(&stream, seed, shard, tablet, tablets, telemetry)
 }
 
 /// The tablet loop behind [`run_bigtable_tablet`]: walks the shard's op
@@ -299,7 +300,6 @@ fn run_tablet_ops(
     tablet: usize,
     tablets: usize,
     telemetry: bool,
-    perturb: Option<pool::Perturbation>,
 ) -> BigTableTabletRun {
     let platform = Platform::BigTable;
     let preload = *preload;
@@ -307,7 +307,6 @@ fn run_tablet_ops(
         memtable_flush_bytes: 32 * 1024,
         compaction_fanin: 4,
         tablets,
-        perturb,
         ..BigTableConfig::default()
     };
     let engine_seed = phase_seed(seed, platform, PHASE_ENGINE);
@@ -506,7 +505,6 @@ enum ShardJob {
         shard: usize,
         tablet: usize,
         tablets: usize,
-        perturb: Option<pool::Perturbation>,
         ops: SharedOps,
     },
     BigQuery {
@@ -541,13 +539,10 @@ impl ShardJob {
                 shard,
                 tablet,
                 tablets,
-                perturb,
                 ops,
             } => {
                 let stream = ops.get_or_init(|| bigtable_ops(queries, seed));
-                JobOutput::Tablet(run_tablet_ops(
-                    stream, seed, shard, tablet, tablets, true, perturb,
-                ))
+                JobOutput::Tablet(run_tablet_ops(stream, seed, shard, tablet, tablets, true))
             }
             ShardJob::BigQuery {
                 queries,
@@ -662,7 +657,6 @@ fn fleet_jobs(config: FleetConfig) -> Vec<((Platform, usize, usize), ShardJob)> 
                                 shard: shard.index,
                                 tablet,
                                 tablets,
-                                perturb: config.perturb,
                                 ops: Arc::clone(&ops),
                             },
                         ));
@@ -681,24 +675,6 @@ fn fleet_jobs(config: FleetConfig) -> Vec<((Platform, usize, usize), ShardJob)> 
         }
     }
     jobs
-}
-
-/// Flushes a pending group of tablet runs (one BigTable shard) into the run
-/// list, assembling them into the shard's canonical record stream.
-fn flush_tablet_group(
-    runs: &mut Vec<ShardRun>,
-    pending: &mut Vec<BigTableTabletRun>,
-    key: &mut Option<(Platform, usize)>,
-) {
-    if let Some((platform, shard)) = key.take() {
-        let (executions, telemetry) = assemble_bigtable_shard(std::mem::take(pending));
-        runs.push(ShardRun {
-            platform,
-            shard,
-            executions,
-            telemetry,
-        });
-    }
 }
 
 /// Runs the whole fleet, one [`ShardRun`] per shard in canonical
@@ -722,35 +698,47 @@ pub fn run_fleet_telemetry(config: FleetConfig) -> Vec<ShardRun> {
     // identity, and results are re-sorted below, so fleet output is
     // unchanged by dispatch order.
     schedule.sort_by_key(|(_, job)| std::cmp::Reverse(job_weight(job)));
-    let jobs: Vec<_> = schedule
+    let (tags, jobs): (Vec<_>, Vec<_>) = schedule
         .into_iter()
         .map(|(tag, job)| (tag, move || job.run()))
+        .unzip();
+    // The pool returns outputs in input order, so each zips onto its tag.
+    let mut outputs: Vec<_> = tags
+        .into_iter()
+        .zip(pool::run_jobs_perturbed(
+            config.parallelism,
+            jobs,
+            config.perturb,
+        ))
         .collect();
-    let mut outputs = pool::run_tagged_jobs_perturbed(config.parallelism, jobs, config.perturb);
     outputs.sort_by_key(|((platform, shard, part), _)| (*platform as usize, *shard, *part));
 
-    let mut runs: Vec<ShardRun> = Vec::new();
-    let mut pending: Vec<BigTableTabletRun> = Vec::new();
-    let mut pending_key: Option<(Platform, usize)> = None;
-    for ((platform, shard, _part), output) in outputs {
-        if pending_key.is_some() && pending_key != Some((platform, shard)) {
-            flush_tablet_group(&mut runs, &mut pending, &mut pending_key);
-        }
-        match output {
-            JobOutput::Shard(executions, registry) => runs.push(ShardRun {
-                platform,
-                shard,
-                executions,
-                telemetry: registry,
-            }),
-            JobOutput::Tablet(run) => {
-                pending_key = Some((platform, shard));
-                pending.push(run);
+    // In canonical order a BigTable shard's tablet runs are adjacent.
+    let mut runs = Vec::new();
+    let mut outputs = outputs.into_iter().peekable();
+    while let Some(((platform, shard, _), output)) = outputs.next() {
+        let (executions, telemetry) = match output {
+            JobOutput::Shard(executions, telemetry) => (executions, telemetry),
+            JobOutput::Tablet(first) => {
+                let mut tablets = vec![first];
+                while let Some((_, JobOutput::Tablet(run))) =
+                    outputs.next_if(|((next_platform, next_shard, _), output)| {
+                        (*next_platform, *next_shard) == (platform, shard)
+                            && matches!(output, JobOutput::Tablet(_))
+                    })
+                {
+                    tablets.push(run);
+                }
+                assemble_bigtable_shard(tablets)
             }
-        }
+        };
+        runs.push(ShardRun {
+            platform,
+            shard,
+            executions,
+            telemetry,
+        });
     }
-    flush_tablet_group(&mut runs, &mut pending, &mut pending_key);
-    runs.sort_by_key(|run| (run.platform as usize, run.shard));
     runs
 }
 
@@ -889,27 +877,16 @@ mod tests {
     fn tablet_jobs_assemble_to_inline_shard_run() {
         // The per-tablet decomposition the fleet schedules must equal an
         // in-order tablet loop record-for-record — even with tablets
-        // produced out of order and with the in-tablet LSM batches
-        // perturbed.
+        // produced out of order.
         let (queries, seed) = (150, 77);
         let in_order = bigtable_shard_in_order(queries, seed, 3);
         let tablets = DEFAULT_BIGTABLE_TABLETS;
         let runs: Vec<BigTableTabletRun> = (0..tablets)
             .rev()
-            .map(|tablet| {
-                run_bigtable_tablet(
-                    queries,
-                    seed,
-                    3,
-                    tablet,
-                    tablets,
-                    true,
-                    Some(pool::Perturbation::new(9)),
-                )
-            })
+            .map(|tablet| run_bigtable_tablet(queries, seed, 3, tablet, tablets, true, None))
             .collect();
         let (assembled, _) = assemble_bigtable_shard(runs);
-        assert_records_eq(&in_order, &assembled, "reversed, perturbed tablets");
+        assert_records_eq(&in_order, &assembled, "reversed tablets");
     }
 
     #[test]
@@ -917,61 +894,67 @@ mod tests {
         // A fleet run shares one op stream between a shard's tablet jobs;
         // the public per-tablet runner, which benches time and check
         // against the fleet's records, builds its own. Every BigTable shard
-        // the fleet produces — sequential or parallel, perturbed or not —
-        // must equal the public runner's tablets assembled, in records and
-        // in telemetry.
-        let base = FleetConfig {
-            db_queries: 60,
-            analytics_queries: 2,
-            fact_rows: 200,
-            seed: 0x7AB,
-            parallelism: 1,
-            shards: 2,
-            tablets: 3,
-            perturb: None,
-        };
-        let plan = platform_plan(&base, Platform::BigTable);
-        let reference: Vec<(Vec<QueryExecution>, String)> = plan
-            .shards()
-            .iter()
-            .map(|shard| {
-                let runs = (0..base.tablets)
-                    .map(|tablet| {
-                        run_bigtable_tablet(
-                            shard.items,
-                            shard.seed,
-                            shard.index,
-                            tablet,
-                            base.tablets,
-                            true,
-                            None,
-                        )
-                    })
-                    .collect();
-                let (executions, telemetry) = assemble_bigtable_shard(runs);
-                (executions, telemetry.to_json())
-            })
-            .collect();
-        for (parallelism, perturb) in [(1, None), (2, None), (1, Some(9)), (2, Some(9))] {
-            let config = FleetConfig {
-                parallelism,
-                perturb: perturb.map(pool::Perturbation::new),
-                ..base
+        // the fleet produces — one tablet per shard or several, sequential
+        // or parallel, perturbed or not — must equal the public runner's
+        // tablets assembled, in records and in telemetry.
+        for tablets in [1, 3] {
+            let base = FleetConfig {
+                db_queries: 60,
+                analytics_queries: 2,
+                fact_rows: 200,
+                seed: 0x7AB,
+                parallelism: 1,
+                shards: 2,
+                tablets,
+                perturb: None,
             };
-            let fleet: Vec<ShardRun> = run_fleet_telemetry(config)
-                .into_iter()
-                .filter(|run| run.platform == Platform::BigTable)
+            let plan = platform_plan(&base, Platform::BigTable);
+            let reference: Vec<(Vec<QueryExecution>, String)> = plan
+                .shards()
+                .iter()
+                .map(|shard| {
+                    let runs = (0..tablets)
+                        .map(|tablet| {
+                            run_bigtable_tablet(
+                                shard.items,
+                                shard.seed,
+                                shard.index,
+                                tablet,
+                                tablets,
+                                true,
+                                None,
+                            )
+                        })
+                        .collect();
+                    let (executions, telemetry) = assemble_bigtable_shard(runs);
+                    (executions, telemetry.to_json())
+                })
                 .collect();
-            assert_eq!(fleet.len(), reference.len());
-            for (shard, (run, (executions, metrics))) in fleet.iter().zip(&reference).enumerate() {
-                let what =
-                    format!("shard {shard} at parallelism {parallelism}, perturb {perturb:?}");
-                assert_eq!(run.shard, shard, "{what}");
-                assert_records_eq(&run.executions, executions, &what);
-                assert!(
-                    run.telemetry.to_json() == *metrics,
-                    "{what}: telemetry differs"
-                );
+            for (parallelism, perturb) in [(1, None), (2, None), (1, Some(9)), (2, Some(9))] {
+                let config = FleetConfig {
+                    parallelism,
+                    perturb: perturb.map(pool::Perturbation::new),
+                    ..base
+                };
+                let fleet: Vec<ShardRun> = run_fleet_telemetry(config)
+                    .into_iter()
+                    .filter(|run| run.platform == Platform::BigTable)
+                    .collect();
+                assert_eq!(fleet.len(), reference.len());
+                for (shard, (run, (executions, metrics))) in
+                    fleet.iter().zip(&reference).enumerate()
+                {
+                    let what = format!(
+                        "{tablets} tablets, shard {shard} at parallelism {parallelism}, \
+                         perturb {perturb:?}"
+                    );
+                    assert_eq!(run.shard, shard, "{what}");
+                    assert_records_eq(&run.executions, executions, &what);
+                    assert!(
+                        run.telemetry.to_json() == *metrics,
+                        "{what}: telemetry differs"
+                    );
+                }
             }
         }
     }
@@ -990,7 +973,6 @@ mod tests {
             shard: 0,
             tablet: 0,
             tablets: config.tablets,
-            perturb: None,
             ops: SharedOps::default(),
         };
         let tablet = tablet_job(bt_queries);

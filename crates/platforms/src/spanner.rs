@@ -755,15 +755,13 @@ impl Spanner {
             .into_iter()
             .filter(|s| s.trace == trace)
             .collect();
-        let mut exec = QueryExecution {
+        QueryExecution {
             platform: Platform::Spanner,
             label,
             spans,
             cpu_work: meter.take(),
-            request: RequestId::UNTAGGED,
-        };
-        exec.stamp_request(self.current_request);
-        exec
+            request: self.current_request,
+        }
     }
 }
 

@@ -35,6 +35,7 @@ use std::sync::{Arc, OnceLock};
 
 use hsdp_taxes::framed::{self, FramedError};
 use hsdp_taxes::protowire::{FieldDescriptor, FieldType, Message, MessageDescriptor, Value};
+use hsdp_telemetry::json;
 
 use crate::crosscheck::wilson_interval;
 use crate::stacks::{max_abs_delta, ns_shares, share_deltas, ShareDelta};
@@ -836,10 +837,10 @@ impl DriftReport {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str(&format!("\n    {{\"kind\": \"{kind}\", \"name\": \""));
+            json::escape(&d.name, &mut out);
             out.push_str(&format!(
-                "\n    {{\"kind\": \"{kind}\", \"name\": \"{}\", \"before\": {}, \
-                 \"after\": {}, \"delta\": {}}}",
-                json_escape(&d.name),
+                "\", \"before\": {}, \"after\": {}, \"delta\": {}}}",
                 json_f64(d.before),
                 json_f64(d.after),
                 json_f64(d.delta()),
@@ -936,11 +937,11 @@ impl RegressionReport {
     #[must_use]
     pub fn to_json(&self, top: usize) -> String {
         let mut out = String::from("{\n  \"schema\": \"hsdp-profile-history-report/1\",\n");
-        out.push_str(&format!(
-            "  \"baseline_commit\": \"{}\",\n  \"latest_commit\": \"{}\",\n",
-            json_escape(&self.baseline_commit),
-            json_escape(&self.latest_commit)
-        ));
+        out.push_str("  \"baseline_commit\": \"");
+        json::escape(&self.baseline_commit, &mut out);
+        out.push_str("\",\n  \"latest_commit\": \"");
+        json::escape(&self.latest_commit, &mut out);
+        out.push_str("\",\n");
         for (label, deltas) in [
             ("categories", &self.category_deltas),
             ("stacks", &self.stack_deltas),
@@ -955,9 +956,10 @@ impl RegressionReport {
                 if i > 0 {
                     out.push(',');
                 }
+                out.push_str("\n    {\"name\": \"");
+                json::escape(&d.name, &mut out);
                 out.push_str(&format!(
-                    "\n    {{\"name\": \"{}\", \"before\": {}, \"after\": {}, \"delta\": {}}}",
-                    json_escape(&d.name),
+                    "\", \"before\": {}, \"after\": {}, \"delta\": {}}}",
                     json_f64(d.before),
                     json_f64(d.after),
                     json_f64(d.delta()),
@@ -974,21 +976,6 @@ impl RegressionReport {
         ));
         out
     }
-}
-
-/// Escapes a string for a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Formats a float as a finite JSON number.

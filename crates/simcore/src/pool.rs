@@ -179,27 +179,6 @@ where
     out
 }
 
-/// Runs tagged jobs on the pool and returns `(tag, result)` pairs in input
-/// order. The tag travels *around* the pool, not through it — workers never
-/// see it — so callers can attribute each result to its origin (e.g.
-/// `(platform, shard)` for per-shard telemetry registries) without
-/// threading identity into every job closure. `perturbation` is as in
-/// [`run_jobs_perturbed`].
-pub fn run_tagged_jobs_perturbed<K, T, F>(
-    parallelism: usize,
-    jobs: Vec<(K, F)>,
-    perturbation: Option<Perturbation>,
-) -> Vec<(K, T)>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    let (tags, thunks): (Vec<K>, Vec<F>) = jobs.into_iter().unzip();
-    tags.into_iter()
-        .zip(run_jobs_perturbed(parallelism, thunks, perturbation))
-        .collect()
-}
-
 /// One shard of a sharded workload: a contiguous slice of the query stream
 /// with its own independently derived RNG seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,8 +206,8 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Derives an independent seed for sub-shard part `part` in phase
     /// `phase` — the seed discipline shard plans use ([`Shard::seed`]),
-    /// exposed for callers that decompose a shard further (e.g. per-tablet
-    /// LSM jobs) and need the same purity guarantee: the seed is a function
+    /// exposed for callers that decompose a shard further (e.g. into
+    /// tablets) and need the same purity guarantee: the seed is a function
     /// of `(base, part, phase)` only, never of the schedule.
     #[must_use]
     pub fn derive_seed(base: u64, part: u64, phase: u64) -> u64 {
@@ -332,16 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn tagged_jobs_keep_tags_aligned() {
-        type TaggedJob = (&'static str, fn() -> u32);
-        for parallelism in [1, 4] {
-            let jobs: Vec<TaggedJob> = vec![("a", || 1), ("b", || 2), ("c", || 3)];
-            let got = run_tagged_jobs_perturbed(parallelism, jobs, None);
-            assert_eq!(got, vec![("a", 1), ("b", 2), ("c", 3)]);
-        }
-    }
-
-    #[test]
     fn perturbed_schedules_return_identical_results() {
         let make_jobs = || -> Vec<_> {
             (0..23u64)
@@ -381,14 +350,6 @@ mod tests {
         let canonical: Vec<usize> = (0..16).collect();
         assert_eq!(started.len(), 16);
         assert_ne!(started, canonical, "dispatch order must be permuted");
-    }
-
-    #[test]
-    fn perturbed_tagged_jobs_keep_tags_aligned() {
-        type TaggedJob = (&'static str, fn() -> u32);
-        let jobs: Vec<TaggedJob> = vec![("a", || 1), ("b", || 2), ("c", || 3), ("d", || 4)];
-        let got = run_tagged_jobs_perturbed(4, jobs, Some(Perturbation::new(3)));
-        assert_eq!(got, vec![("a", 1), ("b", 2), ("c", 3), ("d", 4)]);
     }
 
     #[test]

@@ -392,8 +392,9 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// An empty registry whose recording methods are no-ops — the
-    /// uninstrumented baseline for overhead probes.
+    /// An empty registry whose recording methods are no-ops. Platform
+    /// engines start with one, so their warmup records nothing until the
+    /// runner sets an enabled registry for traffic.
     #[must_use]
     pub fn disabled() -> Self {
         MetricsRegistry {
