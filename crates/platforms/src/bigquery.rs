@@ -7,7 +7,9 @@
 //! protobuf dominate the datacenter taxes (Figure 5), and core compute
 //! splits across filter/aggregate/compute/join/sort (Table 5, Figure 4).
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use hsdp_core::category::{CoreComputeOp, DatacenterTax, Platform, SystemTax};
 use hsdp_core::request::RequestId;
@@ -142,13 +144,7 @@ impl BigQuery {
         self.partitions.clear();
         let workers = self.config.workers;
         for w in 0..workers {
-            let part_rows: Vec<FactRow> = rows
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % workers == w)
-                .map(|(_, r)| r.clone())
-                .collect();
-            let table = ColumnTable::from_rows(&part_rows);
+            let table = ColumnTable::from_rows(rows.iter().skip(w).step_by(workers));
             let encoded = table.encode_compressed();
             let column_files = encoded
                 .iter()
@@ -527,7 +523,8 @@ impl BigQuery {
             // Group by (user, region): the high-cardinality keys that make
             // analytics shuffles heavy. Only the narrow, cache-friendly
             // integer columns are scanned.
-            let mut partials: HashMap<u64, (i64, u64)> = HashMap::new();
+            let mut partials =
+                IdMap::with_capacity_and_hasher(self.row_count(), Default::default());
             for w in 0..self.config.workers {
                 io += self.scan_columns(w, &[0, 1, 3], &mut op);
                 let part = &self.partitions[w].table;
@@ -543,12 +540,7 @@ impl BigQuery {
                     part.rows() as u64,
                     costs::AGG_NS_PER_ROW,
                 );
-                for i in 0..part.rows() {
-                    let key = (users[i].unsigned_abs() << 8) | (u64::from(regions[i]) % 256);
-                    let entry = partials.entry(key).or_insert((0, 0));
-                    entry.0 += bytes[i];
-                    entry.1 += 1;
-                }
+                aggregate_partition(&mut partials, users, regions, bytes);
             }
             let groups = partials.len() as u64;
             // Shuffle the partial aggregates (hash-partitioned by group).
@@ -611,14 +603,10 @@ impl BigQuery {
                 self.dim.len() as u64 * self.config.workers as u64,
                 costs::JOIN_NS_PER_ROW,
             );
-            let dim_names: HashMap<u32, String> = self
-                .dim
-                .iter()
-                .map(|d| (d.region, d.name.clone()))
-                .collect();
+            let (name_ids, names) = dim_name_ids(&self.dim);
 
             let mut io = SimDuration::ZERO;
-            let mut joined: HashMap<String, i64> = HashMap::new();
+            let mut joined = vec![None; names.len()];
             for w in 0..self.config.workers {
                 io += self.scan_columns(w, &[1, 3], &mut op);
                 let part = &self.partitions[w].table;
@@ -633,13 +621,9 @@ impl BigQuery {
                     part.rows() as u64,
                     costs::JOIN_NS_PER_ROW,
                 );
-                for i in 0..part.rows() {
-                    if let Some(name) = dim_names.get(&regions[i]) {
-                        *joined.entry(name.clone()).or_insert(0) += bytes[i];
-                    }
-                }
+                join_partition(&mut joined, &name_ids, regions, bytes);
             }
-            let groups = joined.len() as u64;
+            let groups = joined.iter().filter(|sum| sum.is_some()).count() as u64;
             op.charge_ops(
                 CoreComputeOp::Aggregate,
                 "post_join_agg",
@@ -690,16 +674,12 @@ impl BigQuery {
                     (rows as f64 * log_n) as u64,
                     costs::SORT_NS_PER_ROW_LOG,
                 );
-                let mut local: Vec<(i64, u64)> = (0..rows)
-                    .map(|i| (bytes[i], users[i].unsigned_abs()))
-                    .collect();
-                local.sort_by_key(|e| std::cmp::Reverse(e.0));
-                candidates.extend(local.into_iter().take(k));
+                candidates.extend(partition_top_k(users, bytes, k));
             }
             let shuffle = self.collect_results(&mut op, (k * 16) as u64, trace.0);
             // Final merge of the worker top-k lists.
             let merge_n = candidates.len();
-            candidates.sort_by_key(|e| std::cmp::Reverse(e.0));
+            candidates.sort_by_key(|e| Reverse(e.0));
             candidates.truncate(k);
             {
                 let mut sort = op.scope("sort");
@@ -729,11 +709,115 @@ impl BigQuery {
     }
 }
 
+/// A hasher for the engine's own integer keys: one multiply per word, and
+/// a rotate that moves the product's well-mixed high bits into the low bits
+/// a hash table indexes by. Keys come from the engine's generator, not from
+/// outside the program, so collision flooding is not a concern.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+/// A hash map keyed by engine-generated integers.
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The aggregate kernel over one partition: folds each row's bytes and a
+/// count into its (user, region) group.
+fn aggregate_partition(
+    partials: &mut IdMap<u64, (i64, u64)>,
+    users: &[i64],
+    regions: &[u32],
+    bytes: &[i64],
+) {
+    for ((&user, &region), &b) in users.iter().zip(regions).zip(bytes) {
+        let key = (user.unsigned_abs() << 8) | (u64::from(region) % 256);
+        let entry = partials.entry(key).or_insert((0, 0));
+        entry.0 += b;
+        entry.1 += 1;
+    }
+}
+
+/// The join's build side: every dimension region's name id, and the
+/// distinct names in id order (first seen in dimension order). A region
+/// listed twice takes its later row's name.
+fn dim_name_ids(dim: &[DimRow]) -> (IdMap<u32, usize>, Vec<&str>) {
+    let mut names: Vec<&str> = Vec::new();
+    let mut ids: HashMap<&str, usize> = HashMap::new();
+    let mut region_ids = IdMap::default();
+    for row in dim {
+        let id = *ids.entry(&row.name).or_insert_with(|| {
+            names.push(&row.name);
+            names.len() - 1
+        });
+        region_ids.insert(row.region, id);
+    }
+    (region_ids, names)
+}
+
+/// The join's probe side over one partition: adds each fact row's bytes to
+/// its region's name slot; rows whose region the dimension lacks drop out.
+fn join_partition(
+    sums: &mut [Option<i64>],
+    name_ids: &IdMap<u32, usize>,
+    regions: &[u32],
+    bytes: &[i64],
+) {
+    for (region, &b) in regions.iter().zip(bytes) {
+        if let Some(&id) = name_ids.get(region) {
+            *sums[id].get_or_insert(0) += b;
+        }
+    }
+}
+
+/// One partition's top `k` rows by bytes, as `(bytes, user)`: the rows,
+/// in the order, that a stable sort by descending bytes puts first. Rows
+/// tie on bytes, so the selection keys on `(descending bytes, row)`, a
+/// total order.
+fn partition_top_k(users: &[i64], bytes: &[i64], k: usize) -> Vec<(i64, u64)> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut order: Vec<(Reverse<i64>, usize)> = bytes
+        .iter()
+        .enumerate()
+        .map(|(row, &b)| (Reverse(b), row))
+        .collect();
+    if k < order.len() {
+        order.select_nth_unstable(k - 1);
+        order.truncate(k);
+    }
+    order.sort_unstable();
+    order
+        .into_iter()
+        .map(|(Reverse(b), row)| (b, users[row].unsigned_abs()))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hsdp_core::category::{BroadCategory, CpuCategory};
+    use hsdp_rng::{Rng, StdRng};
     use hsdp_workload::rows::FactGen;
+    use std::collections::BTreeMap;
 
     fn engine(rows: usize) -> BigQuery {
         let mut rng = hsdp_rng::StdRng::seed_from_u64(31);
@@ -742,6 +826,141 @@ mod tests {
         let mut bq = BigQuery::new(BigQueryConfig::default(), 5);
         bq.load(&data, gen.dimension());
         bq
+    }
+
+    /// One worker partition's `user_id`, `region` and `bytes` columns.
+    struct Partition {
+        users: Vec<i64>,
+        regions: Vec<u32>,
+        bytes: Vec<i64>,
+    }
+
+    /// Randomized partitions: some empty, users and bytes drawn from
+    /// ranges that may be narrow enough for groups and `bytes` to tie, and
+    /// regions past 30, which [`random_dimension`] never lists.
+    fn random_partitions(rng: &mut StdRng) -> Vec<Partition> {
+        let users = [3, 40, 100_000][rng.random_range(0..3usize)];
+        let max_bytes = [4, 1_000, 200_000][rng.random_range(0..3usize)];
+        (0..rng.random_range(1..=8usize))
+            .map(|_| {
+                let rows = rng.random_range(0..=300usize);
+                Partition {
+                    users: (0..rows).map(|_| rng.random_range(-users..users)).collect(),
+                    regions: (0..rows).map(|_| rng.random_range(0..40u32)).collect(),
+                    bytes: (0..rows).map(|_| rng.random_range(0..max_bytes)).collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// A dimension over regions 0..30 whose rows may repeat a region (with
+    /// another name) and share names between regions.
+    fn random_dimension(rng: &mut StdRng) -> Vec<DimRow> {
+        (0..rng.random_range(0..=40usize))
+            .map(|_| DimRow {
+                region: rng.random_range(0..30u32),
+                name: format!("n{}", rng.random_range(0..12u32)),
+            })
+            .collect()
+    }
+
+    /// The aggregate as first written, kept as the oracle: a SipHash map
+    /// grown from empty.
+    fn reference_aggregate(partitions: &[Partition]) -> HashMap<u64, (i64, u64)> {
+        let mut partials: HashMap<u64, (i64, u64)> = HashMap::new();
+        for part in partitions {
+            for i in 0..part.users.len() {
+                let key = (part.users[i].unsigned_abs() << 8) | (u64::from(part.regions[i]) % 256);
+                let entry = partials.entry(key).or_insert((0, 0));
+                entry.0 += part.bytes[i];
+                entry.1 += 1;
+            }
+        }
+        partials
+    }
+
+    /// The join as first written, kept as the oracle: each matched fact
+    /// row clones its region's name into a `String`-keyed map.
+    fn reference_join(dim: &[DimRow], partitions: &[Partition]) -> HashMap<String, i64> {
+        let dim_names: HashMap<u32, String> =
+            dim.iter().map(|d| (d.region, d.name.clone())).collect();
+        let mut joined: HashMap<String, i64> = HashMap::new();
+        for part in partitions {
+            for i in 0..part.regions.len() {
+                if let Some(name) = dim_names.get(&part.regions[i]) {
+                    *joined.entry(name.clone()).or_insert(0) += part.bytes[i];
+                }
+            }
+        }
+        joined
+    }
+
+    /// One partition's top-k as first written, kept as the oracle: a
+    /// stable sort of every row by descending bytes, then the first `k`.
+    fn reference_top_k(users: &[i64], bytes: &[i64], k: usize) -> Vec<(i64, u64)> {
+        let mut local: Vec<(i64, u64)> = (0..users.len())
+            .map(|i| (bytes[i], users[i].unsigned_abs()))
+            .collect();
+        local.sort_by_key(|e| Reverse(e.0));
+        local.into_iter().take(k).collect()
+    }
+
+    #[test]
+    fn aggregate_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(0xA66);
+        for _ in 0..200 {
+            let partitions = random_partitions(&mut rng);
+            let rows = partitions.iter().map(|p| p.users.len()).sum();
+            let mut partials = IdMap::with_capacity_and_hasher(rows, Default::default());
+            for part in &partitions {
+                aggregate_partition(&mut partials, &part.users, &part.regions, &part.bytes);
+            }
+            let want = reference_aggregate(&partitions);
+            assert_eq!(partials.len(), want.len(), "group count");
+            assert_eq!(
+                partials.into_iter().collect::<BTreeMap<_, _>>(),
+                want.into_iter().collect::<BTreeMap<_, _>>()
+            );
+        }
+    }
+
+    #[test]
+    fn join_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(0x701);
+        for _ in 0..200 {
+            let dim = random_dimension(&mut rng);
+            let partitions = random_partitions(&mut rng);
+            let (name_ids, names) = dim_name_ids(&dim);
+            let mut sums = vec![None; names.len()];
+            for part in &partitions {
+                join_partition(&mut sums, &name_ids, &part.regions, &part.bytes);
+            }
+            let joined: BTreeMap<String, i64> = names
+                .iter()
+                .zip(&sums)
+                .filter_map(|(name, sum)| Some(((*name).to_owned(), (*sum)?)))
+                .collect();
+            let want = reference_join(&dim, &partitions);
+            assert_eq!(joined.len(), want.len(), "group count");
+            assert_eq!(joined, want.into_iter().collect::<BTreeMap<_, _>>());
+        }
+    }
+
+    #[test]
+    fn top_k_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(0x70F);
+        for _ in 0..100 {
+            for part in random_partitions(&mut rng) {
+                let rows = part.users.len();
+                for k in [0, 1, 2, 50, rows.saturating_sub(1), rows, rows + 1] {
+                    assert_eq!(
+                        partition_top_k(&part.users, &part.bytes, k),
+                        reference_top_k(&part.users, &part.bytes, k),
+                        "k = {k} of {rows} rows"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

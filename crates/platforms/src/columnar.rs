@@ -138,6 +138,10 @@ impl Column {
 
     /// Decodes a column from [`Column::encode`] output.
     ///
+    /// The value count and every string length come from the input, so
+    /// each is checked against the bytes that remain before anything is
+    /// allocated or sliced for it.
+    ///
     /// # Errors
     ///
     /// Returns [`ColumnError`] on malformed input.
@@ -146,6 +150,17 @@ impl Column {
         let (count, n) = decode_varint(rest)?;
         let count = usize::try_from(count).map_err(|_| ColumnError::Malformed("count"))?;
         let mut pos = n;
+        // The fewest body bytes `count` values can take: a varint or a
+        // string's length prefix is at least a byte, a float is eight, a
+        // bool one bit.
+        let min_body = match tag {
+            1 => count.checked_mul(8),
+            3 => Some(count.div_ceil(8)),
+            _ => Some(count),
+        };
+        if min_body.is_none_or(|min| min > rest.len() - pos) {
+            return Err(ColumnError::Malformed("count exceeds body"));
+        }
         match tag {
             0 => {
                 let mut values = Vec::with_capacity(count);
@@ -159,8 +174,9 @@ impl Column {
             1 => {
                 let mut values = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let bytes = rest
-                        .get(pos..pos + 8)
+                    let bytes = pos
+                        .checked_add(8)
+                        .and_then(|end| rest.get(pos..end))
                         .ok_or(ColumnError::Malformed("float body"))?;
                     // audit: allow(panic, get(pos..pos + 8) returned Some so the slice is exactly 8 bytes)
                     values.push(f64::from_le_bytes(bytes.try_into().expect("8 bytes")));
@@ -175,8 +191,9 @@ impl Column {
                     pos += n;
                     let len =
                         usize::try_from(len).map_err(|_| ColumnError::Malformed("str len"))?;
-                    let bytes = rest
-                        .get(pos..pos + len)
+                    let bytes = pos
+                        .checked_add(len)
+                        .and_then(|end| rest.get(pos..end))
                         .ok_or(ColumnError::Malformed("str body"))?;
                     values.push(
                         std::str::from_utf8(bytes)
@@ -222,19 +239,25 @@ pub struct ColumnTable {
 }
 
 impl ColumnTable {
-    /// Builds a partition from fact rows.
+    /// Builds a partition from fact rows, taken by reference (a slice, a
+    /// `&Vec`, or any cloneable iterator over rows: one pass per column).
     #[must_use]
-    pub fn from_rows(rows: &[FactRow]) -> Self {
+    pub fn from_rows<'a, I>(rows: I) -> Self
+    where
+        I: IntoIterator<Item = &'a FactRow>,
+        I::IntoIter: Clone,
+    {
+        let rows = rows.into_iter();
         ColumnTable {
             columns: vec![
-                Column::Int64(rows.iter().map(|r| r.user_id).collect()),
-                Column::U32(rows.iter().map(|r| r.region).collect()),
-                Column::Float64(rows.iter().map(|r| r.latency_ms).collect()),
-                Column::Int64(rows.iter().map(|r| r.bytes).collect()),
-                Column::Str(rows.iter().map(|r| r.url.clone()).collect()),
-                Column::Bool(rows.iter().map(|r| r.success).collect()),
+                Column::Int64(rows.clone().map(|r| r.user_id).collect()),
+                Column::U32(rows.clone().map(|r| r.region).collect()),
+                Column::Float64(rows.clone().map(|r| r.latency_ms).collect()),
+                Column::Int64(rows.clone().map(|r| r.bytes).collect()),
+                Column::Str(rows.clone().map(|r| r.url.clone()).collect()),
+                Column::Bool(rows.clone().map(|r| r.success).collect()),
             ],
-            rows: rows.len(),
+            rows: rows.count(),
         }
     }
 

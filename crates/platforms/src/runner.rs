@@ -567,14 +567,16 @@ impl ShardJob {
 /// database jobs. Timing the job runners alone at 0 to 5,000 queries (the
 /// zero-query runs are the `fleet/warmup/*` entries; medians of three
 /// runs on a 2-thread host, which spread by up to a third) puts a Spanner
-/// shard at ≈ 11.5 ms + 6 µs per query, a BigTable tablet job at
+/// shard at ≈ 11.5 ms + 6 µs per query and a BigTable tablet job at
 /// ≈ 9.5 ms + 2.4 µs per shard query (building the shard's op stream
 /// itself, which in the fleet only the first of a shard's tablet jobs
-/// does), and a BigQuery shard at ≈ 570 ns per fact row plus ≈ 40 ns per
-/// row per query. A refit to those numbers keeps the dispatch order of the
-/// traffic-heavy shape but reorders the default and the analytics-heavy
-/// shapes, so the constants stay until a change measures what that
-/// reordering costs.
+/// does). A BigQuery shard timed alone at 0 and 100 queries over 8,000
+/// and 40,000 fact rows (medians of five runs on the same kind of host)
+/// costs ≈ 300 ns per fact row plus ≈ 6 ns per row per query, about
+/// 0.24 ms per query at 40,000 rows. A refit to those numbers keeps the
+/// dispatch order of the traffic-heavy shape but reorders the default and
+/// the analytics-heavy shapes, so the constants stay until a change
+/// measures what that reordering costs.
 fn job_weight(job: &ShardJob) -> u64 {
     match *job {
         ShardJob::Spanner { queries, .. } => 7_000_000 + 100_000 * queries as u64,
