@@ -5,9 +5,6 @@
 //! - [`pipeline`] — a real multi-threaded chained pipeline (stages on
 //!   worker threads connected by FIFOs), the software analogue of chained
 //!   accelerators.
-//! - [`modeled`] — an event-level simulator of synchronous / asynchronous /
-//!   chained accelerator execution, cross-checking the closed-form
-//!   Equations 5–12.
 //! - [`validate`] — the Table 8 experiment: replaying the paper's RTL
 //!   measurements through the model, and measuring our own
 //!   protobuf-serialize → SHA3 pipeline against the model's estimate.
@@ -16,12 +13,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod modeled;
 pub mod pipeline;
 pub mod validate;
 
-pub use modeled::{
-    analytic_chained, simulate_asynchronous, simulate_chained, simulate_synchronous, StageSpec,
-};
 pub use pipeline::{run_chained, run_sequential, FnStage, PipelineRun, PipelineStage};
 pub use validate::{paper_replay, software_validation, PaperReplay, SoftwareValidation};

@@ -14,11 +14,8 @@
 
 use std::time::Instant;
 
-use hsdp_core::accel::{AcceleratorSpec, Speedup};
-use hsdp_core::category::{CpuCategory, DatacenterTax};
-use hsdp_core::chained::{chain_estimate, ChainStage};
-use hsdp_core::paper::{Table8, TABLE8};
-use hsdp_core::units::Seconds;
+use hsdp_core::chained::chain_estimate;
+use hsdp_core::paper::{table8_stages, Table8, TABLE8};
 use hsdp_rng::StdRng;
 use hsdp_taxes::sha3::Sha3_256;
 use hsdp_workload::proto_corpus;
@@ -41,30 +38,8 @@ pub struct PaperReplay {
 #[must_use]
 pub fn paper_replay() -> PaperReplay {
     let t8 = TABLE8;
-    let stages = [
-        ChainStage {
-            category: CpuCategory::Datacenter(DatacenterTax::Protobuf),
-            original: Seconds::from_micros(t8.proto_tsub_us),
-            spec: AcceleratorSpec::builder(
-                // audit: allow(panic, Table 8 publishes speedups >= 1 by construction)
-                Speedup::new(t8.proto_speedup).expect("published speedup"),
-            )
-            .setup(Seconds::from_micros(t8.proto_setup_us))
-            .build(),
-        },
-        ChainStage {
-            category: CpuCategory::Datacenter(DatacenterTax::Cryptography),
-            original: Seconds::from_micros(t8.sha3_tsub_us),
-            spec: AcceleratorSpec::builder(
-                // audit: allow(panic, Table 8 publishes speedups >= 1 by construction)
-                Speedup::new(t8.sha3_speedup).expect("published speedup"),
-            )
-            .setup(Seconds::from_micros(t8.sha3_setup_us))
-            .build(),
-        },
-    ];
-    // audit: allow(panic, the stages array above is statically non-empty)
-    let est = chain_estimate(&stages).expect("two stages");
+    // audit: allow(panic, the Table 8 chain has two stages)
+    let est = chain_estimate(&table8_stages()).expect("two stages");
     // Eq. 9: t'_cpu = t_chnd + t_nacc (no other accelerated components).
     let modeled_us = est.chained_time.as_micros() + t8.nacc_cpu_us;
     PaperReplay {

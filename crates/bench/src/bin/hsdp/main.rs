@@ -139,10 +139,17 @@ fn profile(args: &[String]) -> Result<(), CliError> {
     }
     // Read every input before the fleet runs.
     let bench = match flags.value("--bench") {
-        Some(path) => parse_bench_entries(
-            &std::fs::read_to_string(path)
-                .map_err(|e| flags.error(format!("cannot read --bench {path}: {e}")))?,
-        ),
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| flags.error(format!("cannot read --bench {path}: {e}")))?;
+            hsdp_telemetry::json::validate(&text)
+                .map_err(|e| flags.error(format!("--bench {path} is not a bench report: {e}")))?;
+            let entries = parse_bench_entries(&text);
+            if entries.is_empty() {
+                return Err(flags.error(format!("--bench {path} holds no bench entries")));
+            }
+            entries
+        }
         None => BTreeMap::new(),
     };
 

@@ -1,7 +1,6 @@
 //! Regeneration functions for every table and figure in the paper's
 //! evaluation, each returning the rendered exhibit as text.
 
-use hsdp_core::accel::Speedup;
 use hsdp_core::category::{BroadCategory, Platform};
 use hsdp_core::paper;
 use hsdp_core::study;
@@ -368,33 +367,13 @@ pub fn table8(messages: usize) -> String {
 /// Ablation: the chained-penalty bound (Eq. 11 max) vs summed penalties.
 #[must_use]
 pub fn ablation_chain_penalty() -> String {
-    use hsdp_core::accel::AcceleratorSpec;
-    use hsdp_core::category::{CpuCategory, DatacenterTax};
-    use hsdp_core::chained::{chain_estimate, chain_estimate_summed_penalties, ChainStage};
-    use hsdp_core::units::Seconds;
+    use hsdp_core::chained::{chain_estimate, chain_estimate_summed_penalties};
 
     let t8 = paper::TABLE8;
-    let stages = [
-        ChainStage {
-            category: CpuCategory::Datacenter(DatacenterTax::Protobuf),
-            original: Seconds::from_micros(t8.proto_tsub_us),
-            // audit: allow(panic, Table 8 publishes speedups >= 1 by construction)
-            spec: AcceleratorSpec::builder(Speedup::new(t8.proto_speedup).expect("valid"))
-                .setup(Seconds::from_micros(t8.proto_setup_us))
-                .build(),
-        },
-        ChainStage {
-            category: CpuCategory::Datacenter(DatacenterTax::Cryptography),
-            original: Seconds::from_micros(t8.sha3_tsub_us),
-            // audit: allow(panic, Table 8 publishes speedups >= 1 by construction)
-            spec: AcceleratorSpec::builder(Speedup::new(t8.sha3_speedup).expect("valid"))
-                .setup(Seconds::from_micros(t8.sha3_setup_us))
-                .build(),
-        },
-    ];
-    // audit: allow(panic, the stages array above is statically non-empty)
+    let stages = paper::table8_stages();
+    // audit: allow(panic, the Table 8 chain has two stages)
     let max_bound = chain_estimate(&stages).expect("two stages");
-    // audit: allow(panic, the stages array above is statically non-empty)
+    // audit: allow(panic, the Table 8 chain has two stages)
     let sum_bound = chain_estimate_summed_penalties(&stages).expect("two stages");
     let measured = t8.measured_chained_us - t8.nacc_cpu_us;
     format!(

@@ -182,7 +182,8 @@ fn json_f64(v: f64) -> String {
 /// document (`hsdp-bench-fleet/1` schema), for the profile-history
 /// snapshot (`hsdp profile --snapshot STORE --bench FILE`). The harness writes one entry
 /// object per line, so a line-oriented scan is exact for documents we
-/// produce; unparseable lines are skipped rather than failing the append.
+/// produce; lines that hold no entry are skipped. `hsdp profile` rejects a
+/// file that is not JSON or yields no entry.
 #[must_use]
 pub fn parse_bench_entries(json: &str) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();

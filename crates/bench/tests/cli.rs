@@ -3,6 +3,7 @@
 //! subcommand, and prints usage when the command itself is missing or
 //! unknown.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 fn hsdp(args: &[&str]) -> Output {
@@ -105,6 +106,28 @@ fn unreadable_inputs_name_the_path() {
         &["profile", "--snapshot", "s.bin", "--bench", missing],
         missing,
     );
+}
+
+#[test]
+fn bench_files_that_are_not_bench_reports_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("hsdp-cli-bench-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let store = dir.join("history.bin");
+    let store = store.to_str().expect("utf-8 temp path");
+    for (name, content) in [("prose.txt", "not json at all\n"), ("empty.json", "{}")] {
+        let bench = dir.join(name);
+        std::fs::write(&bench, content).expect("write bench file");
+        let bench = bench.to_str().expect("utf-8 temp path");
+        rejects(
+            &["profile", "--snapshot", store, "--bench", bench],
+            "--bench",
+        );
+        assert!(
+            !Path::new(store).exists(),
+            "{name}: the store is created only after --bench is accepted"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

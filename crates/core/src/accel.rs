@@ -129,12 +129,6 @@ impl Placement {
             link: Bandwidth::from_gb_per_sec(4.0),
         }
     }
-
-    /// True for on-chip placement.
-    #[must_use]
-    pub fn is_on_chip(self) -> bool {
-        matches!(self, Placement::OnChip)
-    }
 }
 
 impl fmt::Display for Placement {
@@ -157,11 +151,10 @@ impl fmt::Display for Placement {
 /// use hsdp_core::accel::{AcceleratorSpec, Placement, Speedup};
 /// use hsdp_core::units::{Bytes, Seconds};
 ///
-/// let spec = AcceleratorSpec::builder(Speedup::new(8.0)?)
-///     .setup(Seconds::from_micros(1.0))
-///     .placement(Placement::off_chip_pcie_gen5())
-///     .payload(Bytes::from_kib(64.0))
-///     .build();
+/// let spec = AcceleratorSpec::ideal(Speedup::new(8.0)?)
+///     .with_setup(Seconds::from_micros(1.0))
+///     .with_placement(Placement::off_chip_pcie_gen5())
+///     .with_payload(Bytes::from_kib(64.0));
 /// // t'_sub = t_sub / s_sub + t_pen
 /// let accelerated = spec.accelerated_time(Seconds::from_millis(1.0));
 /// assert!(accelerated.as_secs() < 1e-3);
@@ -177,25 +170,17 @@ pub struct AcceleratorSpec {
 }
 
 impl AcceleratorSpec {
-    /// Starts building a spec with the given speedup; all penalties default
-    /// to zero, placement to on-chip, and invocation to synchronous.
-    #[must_use]
-    pub fn builder(speedup: Speedup) -> AcceleratorSpecBuilder {
-        AcceleratorSpecBuilder {
-            spec: AcceleratorSpec {
-                speedup,
-                setup: Seconds::ZERO,
-                payload: Bytes::ZERO,
-                placement: Placement::OnChip,
-                overlap: OverlapFactor::SYNCHRONOUS,
-            },
-        }
-    }
-
-    /// An ideal on-chip synchronous accelerator with no penalties.
+    /// An ideal on-chip synchronous accelerator with no penalties: zero
+    /// setup and payload. The `with_*` methods configure the rest.
     #[must_use]
     pub fn ideal(speedup: Speedup) -> AcceleratorSpec {
-        AcceleratorSpec::builder(speedup).build()
+        AcceleratorSpec {
+            speedup,
+            setup: Seconds::ZERO,
+            payload: Bytes::ZERO,
+            placement: Placement::OnChip,
+            overlap: OverlapFactor::SYNCHRONOUS,
+        }
     }
 
     /// The acceleration factor `s_sub_i`.
@@ -283,48 +268,6 @@ impl AcceleratorSpec {
     }
 }
 
-/// Builder for [`AcceleratorSpec`] ([C-BUILDER]).
-#[derive(Debug, Clone)]
-pub struct AcceleratorSpecBuilder {
-    spec: AcceleratorSpec,
-}
-
-impl AcceleratorSpecBuilder {
-    /// Sets the setup time `t_setup_i`.
-    #[must_use]
-    pub fn setup(mut self, setup: Seconds) -> Self {
-        self.spec.setup = setup;
-        self
-    }
-
-    /// Sets the offload payload `B_i`.
-    #[must_use]
-    pub fn payload(mut self, payload: Bytes) -> Self {
-        self.spec.payload = payload;
-        self
-    }
-
-    /// Sets the placement.
-    #[must_use]
-    pub fn placement(mut self, placement: Placement) -> Self {
-        self.spec.placement = placement;
-        self
-    }
-
-    /// Sets the overlap factor `g_sub_i`.
-    #[must_use]
-    pub fn overlap(mut self, overlap: OverlapFactor) -> Self {
-        self.spec.overlap = overlap;
-        self
-    }
-
-    /// Finishes building.
-    #[must_use]
-    pub fn build(self) -> AcceleratorSpec {
-        self.spec
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,29 +299,26 @@ mod tests {
     #[test]
     fn on_chip_penalty_is_setup_only() {
         // Equation 8 with B_i = 0: t_pen = t_setup.
-        let spec = AcceleratorSpec::builder(Speedup::new(8.0).unwrap())
-            .setup(Seconds::from_micros(3.0))
-            .payload(Bytes::from_mib(100.0)) // ignored on-chip
-            .build();
+        let spec = AcceleratorSpec::ideal(Speedup::new(8.0).unwrap())
+            .with_setup(Seconds::from_micros(3.0))
+            .with_payload(Bytes::from_mib(100.0)); // ignored on-chip
         assert!((spec.penalty().as_micros() - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn off_chip_penalty_includes_round_trip() {
         // 4 GB/s link, 4 GB payload: 2 * B/BW = 2 seconds.
-        let spec = AcceleratorSpec::builder(Speedup::new(8.0).unwrap())
-            .setup(Seconds::new(0.5))
-            .payload(Bytes::new(4e9))
-            .placement(Placement::off_chip_pcie_gen5())
-            .build();
+        let spec = AcceleratorSpec::ideal(Speedup::new(8.0).unwrap())
+            .with_setup(Seconds::new(0.5))
+            .with_payload(Bytes::new(4e9))
+            .with_placement(Placement::off_chip_pcie_gen5());
         assert!((spec.penalty().as_secs() - 2.5).abs() < 1e-9);
     }
 
     #[test]
     fn accelerated_time_is_eq7() {
-        let spec = AcceleratorSpec::builder(Speedup::new(10.0).unwrap())
-            .setup(Seconds::new(0.1))
-            .build();
+        let spec =
+            AcceleratorSpec::ideal(Speedup::new(10.0).unwrap()).with_setup(Seconds::new(0.1));
         let t = spec.accelerated_time(Seconds::new(1.0));
         assert!((t.as_secs() - 0.2).abs() < 1e-12);
         let t_np = spec.accelerated_time_no_penalty(Seconds::new(1.0));
@@ -389,7 +329,7 @@ mod tests {
     fn ideal_spec_has_no_penalty() {
         let spec = AcceleratorSpec::ideal(Speedup::new(64.0).unwrap());
         assert!(spec.penalty().is_zero());
-        assert!(spec.placement().is_on_chip());
+        assert_eq!(spec.placement(), Placement::OnChip);
         assert_eq!(spec.overlap(), OverlapFactor::SYNCHRONOUS);
     }
 
@@ -404,7 +344,7 @@ mod tests {
         assert_eq!(spec.setup(), Seconds::new(1.0));
         assert_eq!(spec.payload(), Bytes::new(8.0));
         assert!((spec.speedup().factor() - 2.0).abs() < 1e-12);
-        assert!(!spec.placement().is_on_chip());
+        assert_eq!(spec.placement(), Placement::off_chip_pcie_gen5());
     }
 
     #[test]

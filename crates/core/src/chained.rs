@@ -129,9 +129,8 @@ mod tests {
         ChainStage {
             category: CpuCategory::from(DatacenterTax::Protobuf),
             original: Seconds::from_micros(original_us),
-            spec: AcceleratorSpec::builder(Speedup::new(speedup).unwrap())
-                .setup(Seconds::from_micros(setup_us))
-                .build(),
+            spec: AcceleratorSpec::ideal(Speedup::new(speedup).unwrap())
+                .with_setup(Seconds::from_micros(setup_us)),
         }
     }
 
@@ -193,23 +192,7 @@ mod tests {
     fn paper_table8_shape() {
         // Reproduces the arithmetic of Table 8: serialization 518.3us at 31x
         // with 1488.9us setup; SHA3 1112.5us at 51.3x with 4.1us setup.
-        let stages = [
-            ChainStage {
-                category: CpuCategory::from(DatacenterTax::Protobuf),
-                original: Seconds::from_micros(518.3),
-                spec: AcceleratorSpec::builder(Speedup::new(31.0).unwrap())
-                    .setup(Seconds::from_micros(1488.9))
-                    .build(),
-            },
-            ChainStage {
-                category: CpuCategory::from(DatacenterTax::Cryptography),
-                original: Seconds::from_micros(1112.5),
-                spec: AcceleratorSpec::builder(Speedup::new(51.3).unwrap())
-                    .setup(Seconds::from_micros(4.1))
-                    .build(),
-            },
-        ];
-        let est = chain_estimate(&stages).unwrap();
+        let est = chain_estimate(&crate::paper::table8_stages()).unwrap();
         // t_lpen = 1488.9us (protobuf setup), t_lsubnp = 1112.5/51.3 = 21.7us.
         assert!((est.largest_penalty.as_micros() - 1488.9).abs() < 1e-6);
         assert!((est.largest_stage.as_micros() - 21.686).abs() < 0.01);

@@ -86,18 +86,6 @@ impl QueryPhases {
     pub fn without_dependencies(&self) -> QueryPhases {
         QueryPhases::new(self.cpu, Seconds::ZERO, self.overlap)
     }
-
-    /// Fraction of end-to-end time attributable to CPU (after the overlap
-    /// subtraction is charged to the dependency side, matching the paper's
-    /// trace-attribution priority of remote work and IO over CPU, Section 3).
-    ///
-    /// Returns 0 for a zero-length query.
-    #[must_use]
-    pub fn cpu_fraction(&self) -> f64 {
-        self.cpu
-            .ratio(self.end_to_end())
-            .map_or(0.0, |r| r.min(1.0))
-    }
 }
 
 /// Equation 1: `t_e2e = t_cpu + t_dep - (1 - f) * min(t_cpu, t_dep)`.
@@ -194,18 +182,6 @@ mod tests {
         let stripped = q.without_dependencies();
         assert!(stripped.dep().is_zero());
         assert!((stripped.end_to_end().as_secs() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cpu_fraction_bounds() {
-        let q = QueryPhases::new(
-            Seconds::new(1.0),
-            Seconds::new(3.0),
-            OverlapFactor::SYNCHRONOUS,
-        );
-        assert!((q.cpu_fraction() - 0.25).abs() < 1e-12);
-        let empty = QueryPhases::cpu_only(Seconds::ZERO);
-        assert_eq!(empty.cpu_fraction(), 0.0);
     }
 
     #[test]

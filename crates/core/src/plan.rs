@@ -180,12 +180,6 @@ impl AccelerationPlan {
         Ok(())
     }
 
-    /// The accelerator assigned to `category`, if any.
-    #[must_use]
-    pub fn assignment(&self, category: CpuCategory) -> Option<&AcceleratorSpec> {
-        self.assignments.get(&category)
-    }
-
     /// Number of assigned accelerators (the paper's `U`).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -469,9 +463,7 @@ mod tests {
     fn chained_amortizes_setup_versus_sync() {
         let setup = Seconds::from_millis(10.0);
         let mut plan = AccelerationPlan::new(InvocationModel::Synchronous);
-        let spec = AcceleratorSpec::builder(Speedup::new(8.0).unwrap())
-            .setup(setup)
-            .build();
+        let spec = AcceleratorSpec::ideal(Speedup::new(8.0).unwrap()).with_setup(setup);
         plan.assign(proto(), spec);
         plan.assign(compression(), spec);
         let chained = plan.with_invocation(InvocationModel::Chained);
@@ -540,8 +532,8 @@ mod tests {
         plan.try_assign(proto(), spec).unwrap();
         assert!(plan.try_assign(proto(), spec).is_err());
         assert_eq!(plan.len(), 1);
-        assert!(plan.assignment(proto()).is_some());
-        assert!(plan.assignment(read()).is_none());
+        assert!(plan.assignments.contains_key(&proto()));
+        assert!(!plan.assignments.contains_key(&read()));
     }
 
     #[test]

@@ -208,15 +208,6 @@ impl QueryPopulation {
         self.records.iter().map(|r| r.weight).sum()
     }
 
-    /// Weighted total original end-to-end time.
-    #[must_use]
-    pub fn total_end_to_end(&self) -> Seconds {
-        self.records
-            .iter()
-            .map(|r| r.end_to_end().scaled(r.weight))
-            .sum()
-    }
-
     /// Time-weighted aggregate speedup of a plan over the population:
     /// `Σ w_i * t_e2e_i  /  Σ w_i * t'_e2e_i`.
     ///
@@ -232,16 +223,6 @@ impl QueryPopulation {
             accelerated += outcome.accelerated_e2e.scaled(r.weight);
         }
         speedup_ratio(original, accelerated)
-    }
-
-    /// The largest per-query speedup of a plan over the population — the
-    /// "peaks" the paper quotes for Figure 9 (e.g. 3,223.6x for BigTable).
-    #[must_use]
-    pub fn peak_speedup(&self, plan: &AccelerationPlan) -> f64 {
-        self.records
-            .iter()
-            .map(|r| plan.evaluate(&r.phases(), &r.breakdown).speedup)
-            .fold(1.0, f64::max)
     }
 
     /// Aggregate *co-design* speedup: the original system keeps its IO and
@@ -275,23 +256,6 @@ impl QueryPopulation {
                 speedup_ratio(original, accelerated)
             })
             .fold(1.0, f64::max)
-    }
-
-    /// A derived population with every query's non-CPU dependencies removed
-    /// (the "Without Remote Work & IO" scenario of Figures 9–10).
-    #[must_use]
-    pub fn without_dependencies(&self) -> QueryPopulation {
-        QueryPopulation {
-            records: self
-                .records
-                .iter()
-                .map(|r| QueryRecord {
-                    io: Seconds::ZERO,
-                    remote: Seconds::ZERO,
-                    ..r.clone()
-                })
-                .collect(),
-        }
     }
 
     /// The sub-population belonging to one query group, or `None` if the
@@ -455,17 +419,6 @@ mod tests {
         // Original total: 1 + 10 = 11. Accelerated: ~0 + 9 = 9.
         let s = pop.aggregate_speedup(&plan);
         assert!((s - 11.0 / 9.0).abs() < 1e-6);
-        // Peak comes from the CPU-only query: effectively unbounded.
-        assert!(pop.peak_speedup(&plan) > 1e6);
-    }
-
-    #[test]
-    fn without_dependencies_strips_io_and_remote() {
-        let pop = QueryPopulation::new(vec![record(1.0, 2.0, 3.0, 1.0)]).unwrap();
-        let stripped = pop.without_dependencies();
-        assert!(stripped.records()[0].io.is_zero());
-        assert!(stripped.records()[0].remote.is_zero());
-        assert!((stripped.total_end_to_end().as_secs() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -32,19 +32,6 @@ pub fn path_of(frames: &[&'static str]) -> FramePath {
     Arc::from(frames)
 }
 
-/// Renders `path + leaf` in Brendan Gregg collapsed-stack notation:
-/// frames joined by `;`, outermost first, leaf last.
-#[must_use]
-pub fn collapsed(path: &[&'static str], leaf: &str) -> String {
-    let mut out = String::new();
-    for frame in path {
-        out.push_str(frame);
-        out.push(';');
-    }
-    out.push_str(leaf);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,16 +39,6 @@ mod tests {
     #[test]
     fn empty_path_is_empty() {
         assert!(empty_path().is_empty());
-        assert_eq!(collapsed(&empty_path(), "leaf"), "leaf");
-    }
-
-    #[test]
-    fn collapsed_joins_outermost_first() {
-        let path = path_of(&["spanner.commit", "consensus"]);
-        assert_eq!(
-            collapsed(&path, "paxos_propose"),
-            "spanner.commit;consensus;paxos_propose"
-        );
     }
 
     #[test]

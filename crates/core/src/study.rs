@@ -73,11 +73,10 @@ pub fn build_plan(
 ) -> AccelerationPlan {
     let mut plan = AccelerationPlan::new(config.invocation);
     for &category in categories {
-        let spec = AcceleratorSpec::builder(speedup)
-            .setup(setup)
-            .payload(payload)
-            .placement(config.placement)
-            .build();
+        let spec = AcceleratorSpec::ideal(speedup)
+            .with_setup(setup)
+            .with_payload(payload)
+            .with_placement(config.placement);
         plan.assign(category, spec);
     }
     plan

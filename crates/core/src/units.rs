@@ -88,12 +88,6 @@ impl Seconds {
         self.0 * 1e6
     }
 
-    /// The value in milliseconds.
-    #[must_use]
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Returns the smaller of two time spans.
     #[must_use]
     pub fn min(self, other: Seconds) -> Seconds {
@@ -208,7 +202,7 @@ impl fmt::Display for Seconds {
 /// ```
 /// use hsdp_core::units::{Bytes, Bandwidth};
 /// let payload = Bytes::from_kib(64.0);
-/// let link = Bandwidth::from_gib_per_sec(4.0);
+/// let link = Bandwidth::from_gb_per_sec(4.0);
 /// let t = link.transfer_time(payload);
 /// assert!(t.as_secs() > 0.0);
 /// ```
@@ -262,12 +256,6 @@ impl Bytes {
     #[must_use]
     pub fn from_gib(gib: f64) -> Self {
         Bytes::new(gib * 1024.0 * 1024.0 * 1024.0)
-    }
-
-    /// Creates a byte count from PiB (fleet-scale provisioning, Table 1).
-    #[must_use]
-    pub fn from_pib(pib: f64) -> Self {
-        Bytes::new(pib * 1024f64.powi(5))
     }
 
     /// The raw byte count.
@@ -379,22 +367,10 @@ impl Bandwidth {
         }
     }
 
-    /// Creates a bandwidth from GiB/s.
-    #[must_use]
-    pub fn from_gib_per_sec(gib: f64) -> Self {
-        Bandwidth::new(gib * 1024.0 * 1024.0 * 1024.0)
-    }
-
     /// Creates a bandwidth from GB/s (decimal, as in "PCIe Gen5 4GB/s").
     #[must_use]
     pub fn from_gb_per_sec(gb: f64) -> Self {
         Bandwidth::new(gb * 1e9)
-    }
-
-    /// The raw value in bytes per second.
-    #[must_use]
-    pub fn as_bytes_per_sec(self) -> f64 {
-        self.0
     }
 
     /// Time to move `payload` across this link once (`B / BW`).
@@ -420,7 +396,6 @@ mod tests {
         assert_eq!(Seconds::from_millis(1.0).as_secs(), 1e-3);
         assert_eq!(Seconds::from_nanos(1.0).as_secs(), 1e-9);
         assert_eq!(Seconds::new(2.0).as_micros(), 2e6);
-        assert_eq!(Seconds::new(2.0).as_millis(), 2e3);
     }
 
     #[test]
@@ -475,7 +450,6 @@ mod tests {
         assert_eq!(Bytes::from_kib(1.0).as_f64(), 1024.0);
         assert_eq!(Bytes::from_mib(1.0).as_f64(), 1024.0 * 1024.0);
         assert_eq!(Bytes::from_gib(1.0).as_f64(), 1024f64.powi(3));
-        assert_eq!(Bytes::from_pib(1.0).as_f64(), 1024f64.powi(5));
         assert_eq!(Bytes::from_mib(2.0).ratio(Bytes::from_mib(1.0)), Some(2.0));
         assert_eq!(Bytes::from_mib(2.0).ratio(Bytes::ZERO), None);
     }
@@ -484,7 +458,7 @@ mod tests {
     fn bytes_display() {
         assert_eq!(Bytes::new(10.0).to_string(), "10B");
         assert_eq!(Bytes::from_kib(1.5).to_string(), "1.50KiB");
-        assert_eq!(Bytes::from_pib(2.0).to_string(), "2.00PiB");
+        assert_eq!(Bytes::new(2.0 * 1024f64.powi(5)).to_string(), "2.00PiB");
     }
 
     #[test]

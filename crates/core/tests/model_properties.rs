@@ -113,10 +113,9 @@ fn invocation_model_ordering() {
         let speedup = rng.random_range(1.0..64.0);
         let g = rng.random::<f64>();
         let setup = rng.random_range(0.0..0.01);
-        let spec = AcceleratorSpec::builder(Speedup::new(speedup).expect("speedup >= 1"))
-            .setup(Seconds::new(setup))
-            .overlap(OverlapFactor::new(g).expect("unit interval overlap"))
-            .build();
+        let spec = AcceleratorSpec::ideal(Speedup::new(speedup).expect("speedup >= 1"))
+            .with_setup(Seconds::new(setup))
+            .with_overlap(OverlapFactor::new(g).expect("unit interval overlap"));
         let mut plan = AccelerationPlan::new(InvocationModel::Synchronous);
         for c in CATEGORIES {
             plan.assign(c, spec);
@@ -148,9 +147,8 @@ fn chained_never_slower_than_sync() {
         let breakdown = arb_breakdown(&mut rng);
         let speedup = rng.random_range(1.0..64.0);
         let setup = rng.random_range(0.0..0.1);
-        let spec = AcceleratorSpec::builder(Speedup::new(speedup).expect("speedup >= 1"))
-            .setup(Seconds::new(setup))
-            .build();
+        let spec = AcceleratorSpec::ideal(Speedup::new(speedup).expect("speedup >= 1"))
+            .with_setup(Seconds::new(setup));
         let mut plan = AccelerationPlan::new(InvocationModel::Synchronous);
         for c in CATEGORIES {
             plan.assign(c, spec);

@@ -127,18 +127,6 @@ impl Bloom {
     pub fn entries(&self) -> usize {
         self.entries
     }
-
-    /// Size of the filter in bytes.
-    #[must_use]
-    pub fn byte_size(&self) -> usize {
-        self.words.len() * 8
-    }
-
-    /// Number of 64-byte blocks (always a power of two).
-    #[must_use]
-    pub fn block_count(&self) -> usize {
-        self.words.len() / BLOCK_WORDS
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +165,7 @@ mod tests {
     fn empty_filter_contains_nothing() {
         let bloom = Bloom::new(10);
         assert!(!bloom.may_contain(b"anything"));
-        assert!(bloom.byte_size() > 0);
+        assert!(!bloom.words.is_empty());
     }
 
     /// Satellite invariant: sizing is exact. The old `bit_count / 64 + 1`
@@ -187,18 +175,19 @@ mod tests {
     fn sizing_is_exact_power_of_two_blocks() {
         for expected in [0usize, 1, 3, 7, 51, 64, 1000, 10_000, 123_457] {
             let bloom = Bloom::new(expected);
+            let blocks = bloom.words.len() / BLOCK_WORDS;
+            let bits = bloom.words.len() * 64;
             assert!(
-                bloom.block_count().is_power_of_two(),
-                "expected {expected}: {} blocks",
-                bloom.block_count()
+                blocks.is_power_of_two(),
+                "expected {expected}: {blocks} blocks"
             );
-            // Exactly block_count * 64 bytes — no slack word.
-            assert_eq!(bloom.byte_size(), bloom.block_count() * BLOCK_BITS / 8);
+            // Exactly `blocks` 64-byte blocks — no slack word.
+            assert_eq!(bits, blocks * BLOCK_BITS);
             // At least the bits-per-key budget.
-            assert!(bloom.byte_size() * 8 >= expected.max(1) * BITS_PER_KEY);
+            assert!(bits >= expected.max(1) * BITS_PER_KEY);
             // Never more than 2x the budget (next_power_of_two), floored at
             // one block.
-            assert!(bloom.byte_size() * 8 <= (expected.max(1) * BITS_PER_KEY * 2).max(BLOCK_BITS));
+            assert!(bits <= (expected.max(1) * BITS_PER_KEY * 2).max(BLOCK_BITS));
         }
     }
 

@@ -33,7 +33,6 @@ pub mod merge;
 pub mod meter;
 pub mod runner;
 pub mod spanner;
-pub mod twopc;
 
 pub use bigquery::{BigQuery, BigQueryConfig};
 pub use bigtable::{BigTable, BigTableConfig};
@@ -41,4 +40,3 @@ pub use exec::QueryExecution;
 pub use meter::{CpuWorkItem, WorkMeter};
 pub use runner::FleetConfig;
 pub use spanner::{Spanner, SpannerConfig};
-pub use twopc::{distributed_commit, TxnWrite};

@@ -159,12 +159,6 @@ impl Spanner {
         self.log.len()
     }
 
-    /// Number of live keys.
-    #[must_use]
-    pub fn key_count(&self) -> usize {
-        self.state.len()
-    }
-
     /// The simulated clock.
     #[must_use]
     pub fn now(&self) -> SimTime {
@@ -326,59 +320,6 @@ impl Spanner {
         self.telemetry
             .record_duration(("spanner", "consensus_quorum_wait_ns", ""), wait);
         wait
-    }
-
-    /// Replicates one record through the group's consensus and applies it,
-    /// charging CPU work into the caller's meter. Returns the quorum wait.
-    ///
-    /// This is the building block the two-phase-commit coordinator
-    /// ([`crate::twopc`]) composes across groups; [`Spanner::commit`] is the
-    /// single-group client-facing path.
-    pub fn replicate_record(
-        &mut self,
-        meter: &mut WorkMeter,
-        key: &[u8],
-        value: Option<&[u8]>,
-        salt: u64,
-    ) -> SimDuration {
-        let mut meter = meter.scope("replicate");
-        let encoded = self.encode_txn(&mut meter, key, value);
-        let crc = crc32c(&encoded);
-        meter.charge_bytes(
-            SystemTax::Edac,
-            "crc32c",
-            encoded.len() as u64,
-            costs::CRC_NS_PER_BYTE,
-        );
-        let wait = self.consensus_round(&mut meter, encoded.len() as u64, salt);
-        self.log.push(LogEntry {
-            index: self.log.len() as u64 + 1,
-            key: key.to_vec(),
-            value_crc: crc,
-        });
-        meter.charge_ops(
-            CoreComputeOp::Write,
-            "apply_write",
-            1,
-            costs::BTREE_OP_NS * 2.0,
-        );
-        if let Some(v) = value {
-            self.state.insert(key.to_vec(), v.to_vec());
-        }
-        wait
-    }
-
-    /// Reads a key's current value without simulation side effects (the
-    /// verification hook for tests).
-    #[must_use]
-    pub fn lookup(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.state.get(key).cloned()
-    }
-
-    /// Advances the group's clock to at least `at` (used by the 2PC
-    /// coordinator to keep participant clocks coherent).
-    pub fn advance_clock_to(&mut self, at: SimTime) {
-        self.clock = self.clock.max(at);
     }
 
     /// Commits a write transaction.
@@ -782,7 +723,7 @@ mod tests {
         // Regional quorum wait: hundreds of microseconds of remote work.
         assert!(d.remote.as_secs_f64() > 2e-4, "remote {}", d.remote);
         assert_eq!(s.log_len(), 1);
-        assert_eq!(s.key_count(), 1);
+        assert_eq!(s.state.get(b"k1".as_slice()), Some(&b"v1".to_vec()));
         // Consensus CPU was charged.
         let b = crate::meter::items_breakdown(&exec.cpu_work);
         assert!(b.share(CpuCategory::from(CoreComputeOp::Consensus)) > 0.0);

@@ -12,9 +12,7 @@
 use std::collections::BTreeMap;
 
 use hsdp_core::category::{BroadCategory, CoreComputeOp, CpuCategory, DatacenterTax, SystemTax};
-use hsdp_core::component::CpuBreakdown;
-use hsdp_core::stack::{empty_path, FramePath};
-use hsdp_core::units::Seconds;
+use hsdp_core::stack::FramePath;
 use hsdp_simcore::time::SimDuration;
 
 use crate::stacks::StackProfile;
@@ -31,23 +29,6 @@ pub struct LeafWork {
     /// Call-frame path active when the work was charged (outermost first,
     /// leaf not included).
     pub stack: FramePath,
-}
-
-impl LeafWork {
-    /// A work item with an empty call-frame path (no scopes active).
-    #[must_use]
-    pub fn unstacked(
-        category: impl Into<CpuCategory>,
-        leaf: &'static str,
-        time: SimDuration,
-    ) -> Self {
-        LeafWork {
-            category: category.into(),
-            leaf,
-            time,
-            stack: empty_path(),
-        }
-    }
 }
 
 /// The profiler configuration.
@@ -133,37 +114,6 @@ impl CycleProfile {
         self.category_samples(category) as f64 / broad_total as f64
     }
 
-    /// The heaviest leaf functions, descending by samples.
-    #[must_use]
-    pub fn top_leaves(&self, n: usize) -> Vec<(&'static str, CpuCategory, u64)> {
-        let mut leaves: Vec<(&'static str, CpuCategory, u64)> = self
-            .samples
-            .iter()
-            .map(|(&(category, leaf), &count)| (leaf, category, count))
-            .collect();
-        leaves.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
-        leaves.truncate(n);
-        leaves
-    }
-
-    /// Converts the sample counts into a model-ready breakdown (total time
-    /// reconstructed from samples × period is irrelevant for shares, so the
-    /// breakdown is normalized to 1 second).
-    #[must_use]
-    pub fn to_breakdown(&self) -> CpuBreakdown {
-        if self.total == 0 {
-            return CpuBreakdown::new();
-        }
-        let mut by_category: BTreeMap<CpuCategory, u64> = BTreeMap::new();
-        for (&(category, _), &count) in &self.samples {
-            *by_category.entry(category).or_insert(0) += count;
-        }
-        by_category
-            .into_iter()
-            .map(|(category, count)| (category, Seconds::new(count as f64 / self.total as f64)))
-            .collect()
-    }
-
     /// The categories present in Figure 4 order for the given platform,
     /// with their within-broad shares.
     #[must_use]
@@ -241,39 +191,16 @@ impl GwpProfiler {
         self.stacks.record(stack, leaf, category, time, fired);
     }
 
-    /// Offers a batch of work items.
-    pub fn observe_all<'a, I>(&mut self, items: I)
-    where
-        I: IntoIterator<Item = &'a LeafWork>,
-    {
-        for item in items {
-            self.observe(item);
-        }
-    }
-
     /// The aggregated profile, rolled up from the stack profile.
     #[must_use]
     pub fn profile(&self) -> CycleProfile {
         CycleProfile::from_stacks(&self.stacks)
     }
 
-    /// The aggregated stack-tree profile (exact + sampled weights).
-    #[must_use]
-    pub fn stack_profile(&self) -> &StackProfile {
-        &self.stacks
-    }
-
     /// Consumes the profiler, returning the profile.
     #[must_use]
     pub fn into_profile(self) -> CycleProfile {
         self.profile()
-    }
-
-    /// Consumes the profiler, returning both the leaf-level cycle profile
-    /// and the stack-tree profile.
-    #[must_use]
-    pub fn into_parts(self) -> (CycleProfile, StackProfile) {
-        (self.profile(), self.stacks)
     }
 
     /// Consumes the profiler, returning just the stack-tree profile —
@@ -294,9 +221,15 @@ impl GwpProfiler {
 mod tests {
     use super::*;
     use hsdp_core::category::Platform;
+    use hsdp_core::stack::empty_path;
 
     fn work(category: impl Into<CpuCategory>, leaf: &'static str, micros: u64) -> LeafWork {
-        LeafWork::unstacked(category, leaf, SimDuration::from_micros(micros))
+        LeafWork {
+            category: category.into(),
+            leaf,
+            time: SimDuration::from_micros(micros),
+            stack: empty_path(),
+        }
     }
 
     #[test]
@@ -344,32 +277,9 @@ mod tests {
     }
 
     #[test]
-    fn top_leaves_ordering() {
-        let mut profiler = GwpProfiler::new(GwpConfig {
-            sample_period: SimDuration::from_micros(1),
-        });
-        profiler.observe(&work(SystemTax::OperatingSystems, "syscall", 300));
-        profiler.observe(&work(CoreComputeOp::Filter, "simd_filter", 700));
-        let top = profiler.profile().top_leaves(2);
-        assert_eq!(top[0].0, "simd_filter");
-        assert_eq!(top[1].0, "syscall");
-    }
-
-    #[test]
-    fn breakdown_is_normalized() {
-        let mut profiler = GwpProfiler::new(GwpConfig::default());
-        profiler.observe(&work(CoreComputeOp::Read, "a", 100_000));
-        profiler.observe(&work(SystemTax::Stl, "b", 100_000));
-        let b = profiler.into_profile().to_breakdown();
-        assert!((b.total().as_secs() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_profile_is_safe() {
         let p = CycleProfile::default();
         assert_eq!(p.broad_share(BroadCategory::SystemTax), 0.0);
-        assert!(p.to_breakdown().is_empty());
-        assert!(p.top_leaves(5).is_empty());
         assert!(p
             .core_compute_rows(Platform::BigQuery)
             .iter()

@@ -10,6 +10,7 @@
 //! plus occasional large items worth several samples each.
 
 use hsdp_core::category::{CoreComputeOp, CpuCategory, DatacenterTax, SystemTax};
+use hsdp_core::stack::empty_path;
 use hsdp_profiling::crosscheck::{category_estimates, ci_coverage, mean_abs_share_error};
 use hsdp_profiling::gwp::{GwpConfig, GwpProfiler, LeafWork};
 use hsdp_rng::{Rng, StdRng};
@@ -54,7 +55,12 @@ fn workload(seed: u64, items: usize) -> Vec<LeafWork> {
             let scale: f64 = rng.random::<f64>() * rng.random::<f64>() * 6.0 + 0.1;
             // audit: allow(cast, synthetic duration in ns fits u64 comfortably)
             let ns = ((mean_ns as f64) * scale) as u64 + 1;
-            LeafWork::unstacked(category, leaf, SimDuration::from_nanos(ns))
+            LeafWork {
+                category,
+                leaf,
+                time: SimDuration::from_nanos(ns),
+                stack: empty_path(),
+            }
         })
         .collect()
 }
@@ -63,8 +69,10 @@ fn run_at(period: SimDuration, work: &[LeafWork]) -> (f64, f64, u64) {
     let mut profiler = GwpProfiler::new(GwpConfig {
         sample_period: period,
     });
-    profiler.observe_all(work);
-    let (_, stacks) = profiler.into_parts();
+    for item in work {
+        profiler.observe(item);
+    }
+    let stacks = profiler.into_stack_profile();
     let estimates = category_estimates(&stacks);
     assert_eq!(estimates.len(), 6, "every category estimated");
     (
@@ -133,8 +141,10 @@ fn exact_shares_are_period_invariant() {
         let mut profiler = GwpProfiler::new(GwpConfig {
             sample_period: SimDuration::from_micros(period_us),
         });
-        profiler.observe_all(&work);
-        let (_, stacks) = profiler.into_parts();
+        for item in &work {
+            profiler.observe(item);
+        }
+        let stacks = profiler.into_stack_profile();
         category_estimates(&stacks)
             .into_iter()
             .map(|e| (e.name, e.exact_share))

@@ -170,15 +170,13 @@ impl ReferenceFold {
         }
     }
 
-    /// `CycleProfile::top_leaves(usize::MAX)` of the leaf map.
-    fn top_leaves(&self) -> Vec<(&'static str, CpuCategory, u64)> {
-        let mut leaves: Vec<(&'static str, CpuCategory, u64)> = self
-            .leaf_samples
-            .iter()
-            .map(|(&(category, leaf), &count)| (leaf, category, count))
-            .collect();
-        leaves.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
-        leaves
+    /// The leaf map's samples summed per category.
+    fn category_samples(&self) -> BTreeMap<CpuCategory, u64> {
+        let mut by_category = BTreeMap::new();
+        for (&(category, _), &count) in &self.leaf_samples {
+            *by_category.entry(category).or_insert(0) += count;
+        }
+        by_category
     }
 }
 
@@ -193,7 +191,7 @@ fn assert_folds_agree(work: &[LeafWork], period: SimDuration, what: &str) {
         reference.observe(item);
     }
     let profile = profiler.profile();
-    let stacks: &StackProfile = profiler.stack_profile();
+    let stacks: StackProfile = profiler.into_stack_profile();
     assert_eq!(
         stacks.frame_count(),
         reference.frames.len(),
@@ -213,11 +211,13 @@ fn assert_folds_agree(work: &[LeafWork], period: SimDuration, what: &str) {
         "{what}: pprof bytes"
     );
     assert_eq!(profile.total_samples(), reference.leaf_total, "{what}");
-    assert_eq!(
-        profile.top_leaves(usize::MAX),
-        reference.top_leaves(),
-        "{what}: rolled-up cycle profile"
-    );
+    for (category, count) in reference.category_samples() {
+        assert_eq!(
+            profile.category_samples(category),
+            count,
+            "{what}: rolled-up cycle profile, {category:?}"
+        );
+    }
 }
 
 fn item(

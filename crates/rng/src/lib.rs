@@ -279,29 +279,6 @@ pub const fn derive_seed(base: u64, stream: u64, index: u64) -> u64 {
     splitmix_mix(splitmix_mix(splitmix_mix(base) ^ stream) ^ index)
 }
 
-impl StdRng {
-    /// The one sanctioned wall-clock escape hatch: a generator seeded from
-    /// `SystemTime` sub-second entropy — *not* secure, but varied enough for
-    /// exploratory runs where the caller deliberately did not pick a seed.
-    ///
-    /// Deterministic code must instead thread a seed through
-    /// [`derive_seed`] / a `ShardPlan` shard seed. The `determinism` audit
-    /// rule flags every call site of this constructor (and the raw
-    /// `SystemTime::now` read below), so any use in model/platform code has
-    /// to carry a written waiver.
-    #[must_use]
-    pub fn from_wall_clock_entropy() -> Self {
-        use std::time::{SystemTime, UNIX_EPOCH};
-        // audit: allow(determinism, the sanctioned entropy escape hatch: explicitly opt-in, never reachable from fleet code without an audit waiver at the call site)
-        let nanos = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.subsec_nanos())
-            .unwrap_or(0);
-        let entropy_seed = 0xD1F7_5EED ^ u64::from(nanos);
-        StdRng::seed_from_u64(entropy_seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,15 +304,6 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn wall_clock_entropy_rng_is_usable() {
-        // Nothing deterministic can be asserted about the seed itself; the
-        // constructor just has to hand back a working generator.
-        let mut rng = StdRng::from_wall_clock_entropy();
-        let draws: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
-        assert!(draws.windows(2).any(|w| w[0] != w[1]));
     }
 
     #[test]

@@ -26,17 +26,6 @@ impl LatencyModel {
         }
     }
 
-    /// A cross-region path: 30 ms base, 1 GB/s, 10% jitter — the consensus
-    /// round-trip cost of a globally replicated database.
-    #[must_use]
-    pub fn cross_region() -> Self {
-        LatencyModel {
-            base: SimDuration::from_millis(30),
-            bandwidth: 1e9,
-            jitter_frac: 0.1,
-        }
-    }
-
     /// One-way latency for a message of `bytes`, jittered by `seed`.
     ///
     /// # Panics
@@ -109,12 +98,5 @@ mod tests {
         let m = LatencyModel::intra_cluster();
         let rt = m.round_trip(1024, 4096, 7);
         assert!(rt >= m.base + m.base);
-    }
-
-    #[test]
-    fn cross_region_is_slower_than_intra_cluster() {
-        let fast = LatencyModel::intra_cluster().one_way(1024, 1);
-        let slow = LatencyModel::cross_region().one_way(1024, 1);
-        assert!(slow.as_nanos() > 100 * fast.as_nanos());
     }
 }

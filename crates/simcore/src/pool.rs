@@ -237,12 +237,6 @@ impl ShardPlan {
         &self.shards
     }
 
-    /// Total items across all shards.
-    #[must_use]
-    pub fn total_items(&self) -> usize {
-        self.shards.iter().map(|s| s.items).sum()
-    }
-
     /// Number of non-empty shards.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -371,7 +365,8 @@ mod tests {
     fn shard_plan_is_thread_count_free_and_exact() {
         for (total, shards) in [(0, 4), (1, 4), (7, 3), (300, 4), (300, 7), (5, 9)] {
             let plan = ShardPlan::new(total, shards, 0xC0FFEE, 1);
-            assert_eq!(plan.total_items(), total, "total {total} shards {shards}");
+            let planned: usize = plan.shards().iter().map(|s| s.items).sum();
+            assert_eq!(planned, total, "total {total} shards {shards}");
             assert!(plan.len() <= shards.max(1));
             // Remainder goes to the lowest indices: sizes are non-increasing.
             let sizes: Vec<_> = plan.shards().iter().map(|s| s.items).collect();

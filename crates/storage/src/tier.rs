@@ -16,16 +16,6 @@ pub enum TierKind {
 impl TierKind {
     /// The tiers from fastest to slowest.
     pub const ALL: [TierKind; 3] = [TierKind::Ram, TierKind::Ssd, TierKind::Hdd];
-
-    /// The next slower tier, if any.
-    #[must_use]
-    pub fn slower(self) -> Option<TierKind> {
-        match self {
-            TierKind::Ram => Some(TierKind::Ssd),
-            TierKind::Ssd => Some(TierKind::Hdd),
-            TierKind::Hdd => None,
-        }
-    }
 }
 
 impl std::fmt::Display for TierKind {
@@ -55,24 +45,13 @@ impl TierSpec {
     ///
     /// # Panics
     ///
-    /// Panics if bandwidth is not positive (checked at construction via
-    /// [`TierSpec::validated`]; direct struct literals are on the caller).
+    /// Panics if bandwidth is not positive. [`TierSpec::typical`] always
+    /// builds a positive one; a struct literal must set one too.
     #[must_use]
     pub fn access_time(&self, bytes: u64) -> SimDuration {
         assert!(self.bandwidth > 0.0, "tier bandwidth must be positive");
         // audit: allow(cast, u64 byte count to f64 for bandwidth division is exact below 2^53)
         self.access_latency + SimDuration::from_secs_f64(bytes as f64 / self.bandwidth)
-    }
-
-    /// Validates the spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive bandwidth.
-    #[must_use]
-    pub fn validated(self) -> Self {
-        assert!(self.bandwidth > 0.0, "tier bandwidth must be positive");
-        self
     }
 
     /// Representative defaults per tier kind, scaled to `capacity` bytes:
@@ -130,11 +109,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tier_ordering_and_slower_chain() {
-        assert_eq!(TierKind::Ram.slower(), Some(TierKind::Ssd));
-        assert_eq!(TierKind::Ssd.slower(), Some(TierKind::Hdd));
-        assert_eq!(TierKind::Hdd.slower(), None);
-        assert!(TierKind::Ram < TierKind::Hdd);
+    fn tiers_order_fastest_first() {
+        assert!(TierKind::ALL.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -52,4 +52,4 @@ pub use compress::{compress, decompress};
 pub use crc::crc32c;
 pub use error::{CompressError, WireError};
 pub use protowire::{FieldDescriptor, FieldType, Message, MessageDescriptor, Value};
-pub use sha3::{Sha3_256, Sha3_512};
+pub use sha3::Sha3_256;

@@ -241,26 +241,6 @@ impl Histogram {
         }
     }
 
-    /// The lower bound of the bucket where the cumulative count first
-    /// reaches `q * count` (`0.0 <= q <= 1.0`); 0 when empty. A bucket-
-    /// resolution quantile estimator, accurate to the 1/16 bucket width.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        // audit: allow(cast, ceil of a clamped non-negative f64 rank fits u64)
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (&index, &n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return bucket_lower_bound(index);
-            }
-        }
-        self.max
-    }
-
     /// Interpolated quantile: finds the bucket where the cumulative count
     /// crosses `q * count`, then interpolates linearly within that bucket's
     /// `[lower, upper)` range by the fraction of the bucket's observations
@@ -468,12 +448,6 @@ impl MetricsRegistry {
         self.counters.get(&key).copied().unwrap_or(0)
     }
 
-    /// A gauge's current value (0 when never touched).
-    #[must_use]
-    pub fn gauge(&self, key: MetricKey) -> u64 {
-        self.gauges.get(&key).copied().unwrap_or(0)
-    }
-
     /// A histogram, if any observation was recorded under `key`.
     #[must_use]
     pub fn histogram(&self, key: MetricKey) -> Option<&Histogram> {
@@ -646,9 +620,6 @@ mod tests {
         assert_eq!(h.min(), 5);
         assert_eq!(h.max(), 100_000);
         assert!(h.mean() > 25_000.0);
-        assert_eq!(h.quantile(0.0), 5);
-        assert!(h.quantile(1.0) <= 100_000);
-        assert!(h.quantile(0.5) >= 16);
     }
 
     #[test]
@@ -656,7 +627,6 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
-        assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile_interpolated(0.5), 0.0);
         assert_eq!(h.p50(), 0);

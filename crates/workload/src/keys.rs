@@ -82,12 +82,6 @@ impl KeyGen {
         }
     }
 
-    /// Number of distinct keys.
-    #[must_use]
-    pub fn keyspace(&self) -> u64 {
-        self.zipf.n
-    }
-
     /// Draws a key. Rank is FNV-mixed so popular keys scatter across the
     /// sorted keyspace (as production hashing layers do).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u8> {
@@ -225,7 +219,7 @@ mod tests {
         let gen = KeyGen::new("t", 1000, 0.9);
         assert_eq!(gen.key_for_rank(5), gen.key_for_rank(5));
         assert_ne!(gen.key_for_rank(5), gen.key_for_rank(6));
-        assert_eq!(gen.keyspace(), 1000);
+        assert_eq!(gen.zipf.n, 1000);
     }
 
     #[test]

@@ -29,39 +29,6 @@ pub struct DbMix {
 }
 
 impl DbMix {
-    /// A read-heavy OLTP mix (YCSB-B-like: 90/5/2.5/2.5).
-    #[must_use]
-    pub fn read_heavy() -> Self {
-        DbMix {
-            read: 0.90,
-            write: 0.05,
-            scan: 0.025,
-            rmw: 0.025,
-        }
-    }
-
-    /// A balanced mix (50/30/10/10).
-    #[must_use]
-    pub fn balanced() -> Self {
-        DbMix {
-            read: 0.50,
-            write: 0.30,
-            scan: 0.10,
-            rmw: 0.10,
-        }
-    }
-
-    /// A write-heavy ingest mix (20/70/5/5).
-    #[must_use]
-    pub fn write_heavy() -> Self {
-        DbMix {
-            read: 0.20,
-            write: 0.70,
-            scan: 0.05,
-            rmw: 0.05,
-        }
-    }
-
     /// Validates that fractions sum to ~1.
     #[must_use]
     pub fn is_normalized(&self) -> bool {
@@ -158,15 +125,17 @@ mod tests {
 
     #[test]
     fn presets_are_normalized() {
-        assert!(DbMix::read_heavy().is_normalized());
-        assert!(DbMix::balanced().is_normalized());
-        assert!(DbMix::write_heavy().is_normalized());
         assert!(AnalyticsMix::dashboard().is_normalized());
     }
 
     #[test]
     fn sampling_respects_fractions() {
-        let mix = DbMix::read_heavy();
+        let mix = DbMix {
+            read: 0.90,
+            write: 0.05,
+            scan: 0.025,
+            rmw: 0.025,
+        };
         let mut rng = hsdp_rng::StdRng::seed_from_u64(1);
         let mut reads = 0;
         for _ in 0..10_000 {

@@ -35,7 +35,7 @@ pub fn check(lines: &[Line]) -> Vec<CitationFinding> {
         if line.in_test {
             continue;
         }
-        let Some(item) = public_item(&line.code) else {
+        let Some((kw, name)) = public_item(&line.code) else {
             continue;
         };
         // Collect the doc block: contiguous comment-only and attribute-only
@@ -67,7 +67,7 @@ pub fn check(lines: &[Line]) -> Vec<CitationFinding> {
                 line: line.number,
                 doc_lines,
                 message: format!(
-                    "public {item} has no paper citation in its docs; cite the equation/figure \
+                    "public {kw} `{name}` has no paper citation in its docs; cite the equation/figure \
                      it implements (e.g. `Eq. 1`, `Figure 9`, `Table 8`) or whitelist with \
                      `// audit: allow(citation, <reason>)`"
                 ),
@@ -77,10 +77,10 @@ pub fn check(lines: &[Line]) -> Vec<CitationFinding> {
     findings
 }
 
-/// Returns `Some("fn name")`-style description if the line declares a
-/// public item; `pub(crate)`/`pub(super)` and `pub use`/`pub mod` are not
-/// part of the citable surface.
-fn public_item(code: &str) -> Option<String> {
+/// Returns the item keyword and name if the line declares a public item;
+/// `pub(crate)`/`pub(super)` and `pub use`/`pub mod` are not part of the
+/// public surface.
+pub(crate) fn public_item(code: &str) -> Option<(String, String)> {
     let toks = crate::lexer::tokens(code);
     let mut i = 0;
     if toks.first().map(String::as_str) != Some("pub") {
@@ -91,10 +91,11 @@ fn public_item(code: &str) -> Option<String> {
         return None; // pub(crate) / pub(super): not public API
     }
     // Skip qualifiers that may precede the item keyword.
-    while matches!(
-        toks.get(i).map(String::as_str),
-        Some("unsafe" | "async" | "extern")
-    ) {
+    while match toks.get(i).map(String::as_str) {
+        Some("unsafe" | "async" | "extern") => true,
+        Some("const") => toks.get(i + 1).is_some_and(|t| t == "fn"),
+        _ => false,
+    } {
         i += 1;
     }
     let kw = toks.get(i)?;
@@ -102,7 +103,7 @@ fn public_item(code: &str) -> Option<String> {
         return None;
     }
     let name = toks.get(i + 1).cloned().unwrap_or_default();
-    Some(format!("{kw} `{name}`"))
+    Some((kw.clone(), name))
 }
 
 /// True when the doc text cites the paper: a marker followed by a digit

@@ -1,7 +1,7 @@
 //! `xtask` — workspace static analysis, from scratch and dependency-free.
 //!
 //! Run as `cargo run -p xtask -- audit`. The auditor walks the workspace
-//! sources and enforces four rules tailored to this paper-model codebase:
+//! sources and enforces seven rules tailored to this paper-model codebase:
 //!
 //! | rule       | what it enforces                                              |
 //! |------------|---------------------------------------------------------------|
@@ -17,6 +17,8 @@
 //! |            | tie-prone unstable sorts in model/platform code                |
 //! | `unsafe`   | quarantine discipline: `unsafe` only inside `simd`/`hw`        |
 //! |            | submodules, and every `unsafe` block carries `// SAFETY:`      |
+//! | `reach`    | no dead surface: every library `pub` item is named by some     |
+//! |            | code besides its own definition and its own unit tests         |
 //!
 //! Every rule shares one escape hatch, the inline pragma
 //! `// audit: allow(<rule>, <reason>)` (or `# audit: allow(dep, <reason>)`
@@ -33,6 +35,7 @@ pub mod flow;
 pub mod lexer;
 pub mod panics;
 pub mod pragma;
+mod reach;
 pub mod unsafety;
 
 use std::fmt;
@@ -157,6 +160,8 @@ pub fn run_audit(root: &Path, filter: &[RuleKind]) -> io::Result<AuditReport> {
     let (rust_files, manifests) = collect_files(root)?;
     report.rust_files = rust_files.len();
     report.manifests = manifests.len();
+    // The `reach` rule looks across files, so it runs after the loop.
+    let mut scanned: Vec<(String, Vec<lexer::Line>, PragmaIndex)> = Vec::new();
 
     for rel in &rust_files {
         let source = fs::read_to_string(root.join(rel))?;
@@ -257,6 +262,30 @@ pub fn run_audit(root: &Path, filter: &[RuleKind]) -> io::Result<AuditReport> {
                     message: finding.message,
                 });
             }
+        }
+
+        if enabled(RuleKind::Reach) {
+            scanned.push((rel_str, lines, index));
+        }
+    }
+
+    if enabled(RuleKind::Reach) {
+        let files: Vec<(&str, &[lexer::Line])> = scanned
+            .iter()
+            .map(|(rel, lines, _)| (rel.as_str(), lines.as_slice()))
+            .collect();
+        for (fi, line, message) in reach::check(&files) {
+            let (rel, _, index) = &scanned[fi];
+            if index.allows(line, RuleKind::Reach) {
+                report.pragmas_honoured += 1;
+                continue;
+            }
+            report.findings.push(Finding {
+                rule: RuleKind::Reach,
+                file: rel.clone(),
+                line,
+                message,
+            });
         }
     }
 

@@ -22,6 +22,8 @@ Static-analysis audit of the workspace. Rules:
                reads, float accumulation in merge paths, unstable sorts)
   unsafe       quarantine discipline (`unsafe` only in simd/hw submodules,
                every unsafe block documented with `// SAFETY:`)
+  reach        no dead surface (every library `pub` item is named by some
+               code besides its definition and its own unit tests)
 
 Options:
   --root PATH   workspace root to audit (default: current directory)

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `<rule>` is one of `cast`, `panic`, `citation`, `dep`, `determinism`,
-//! `unsafe`; `<reason>` is a
+//! `unsafe`, `reach`; `<reason>` is a
 //! free-form, non-empty justification. A pragma suppresses findings of that
 //! rule on its own line, or — when it sits on a comment-only line — on the
 //! next line that carries code. A pragma with a missing or empty reason is
@@ -33,6 +33,8 @@ pub enum RuleKind {
     /// `unsafe` code outside the `simd`/`hw` quarantine submodules, or an
     /// `unsafe` block inside them lacking a `// SAFETY:` comment.
     Unsafe,
+    /// A library `pub` item that nothing but its own unit tests names.
+    Reach,
     /// A malformed `audit: allow` pragma (bad rule name or empty reason).
     Pragma,
 }
@@ -47,6 +49,7 @@ impl RuleKind {
             RuleKind::Dep => "dep",
             RuleKind::Determinism => "determinism",
             RuleKind::Unsafe => "unsafe",
+            RuleKind::Reach => "reach",
             RuleKind::Pragma => "pragma",
         }
     }
@@ -60,6 +63,7 @@ impl RuleKind {
             "dep" => Some(RuleKind::Dep),
             "determinism" => Some(RuleKind::Determinism),
             "unsafe" => Some(RuleKind::Unsafe),
+            "reach" => Some(RuleKind::Reach),
             "pragma" => Some(RuleKind::Pragma),
             _ => None,
         }
@@ -120,7 +124,7 @@ pub fn scan_comment(comment: &str) -> PragmaScan {
             Some(RuleKind::Pragma) | None => {
                 out.malformed.push(format!(
                     "unknown audit rule `{rule_str}` (expected cast, panic, citation, dep, \
-                     determinism, or unsafe)"
+                     determinism, unsafe, or reach)"
                 ));
             }
             Some(rule) => {

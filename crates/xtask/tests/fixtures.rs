@@ -439,7 +439,7 @@ fn clean_tree_audits_clean() {
     );
     fx.write(
         "crates/demo/src/lib.rs",
-        "pub use other::thing;\n\npub fn f(count: u64) -> f64 {\n    count as f64\n}\n",
+        "pub use other::thing;\n\npub fn f(count: u64) -> f64 {\n    count as f64\n}\n\nfn twice(count: u64) -> f64 {\n    2.0 * f(count)\n}\n",
     );
     let report = fx.audit();
     assert!(report.is_clean(), "{:?}", report.findings);
@@ -475,6 +475,93 @@ fn unsafe_rule_fires_and_pragma_suppresses() {
         "pub fn g(p: *const u8) -> u8 {\n    // SAFETY: caller passes a valid pointer in this fixture.\n    unsafe { *p }\n}\n",
     );
     let report = fx.audit_rule(RuleKind::Unsafe);
+    assert!(report.is_clean(), "{:?}", report.findings);
+    assert_eq!(report.pragmas_honoured, 1);
+}
+
+/// A library item no other code names.
+const UNREACHED: &str = "pub fn helper() -> u8 {\n    7\n}\n";
+
+#[test]
+fn reach_rule_flags_an_unreached_item() {
+    let fx = Fixture::new("reach");
+    fx.write("crates/demo/src/lib.rs", UNREACHED);
+    let report = fx.audit_rule(RuleKind::Reach);
+    assert_eq!(count(&report, RuleKind::Reach), 1, "{:?}", report.findings);
+    assert_eq!(report.findings[0].line, 1);
+    assert!(report.findings[0].message.contains("fn `helper`"));
+}
+
+#[test]
+fn reach_rule_is_cleared_by_another_crates_source() {
+    let fx = Fixture::new("reach-crate");
+    fx.write("crates/demo/src/lib.rs", UNREACHED);
+    fx.write(
+        "crates/user/src/lib.rs",
+        "fn twice() -> u8 {\n    2 * demo::helper()\n}\n",
+    );
+    let report = fx.audit_rule(RuleKind::Reach);
+    assert_eq!(count(&report, RuleKind::Reach), 0, "{:?}", report.findings);
+}
+
+#[test]
+fn reach_rule_ignores_the_items_own_unit_tests() {
+    let fx = Fixture::new("reach-own-test");
+    fx.write(
+        "crates/demo/src/lib.rs",
+        &format!("{UNREACHED}\n#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{\n        assert_eq!(super::helper(), 7);\n    }}\n}}\n"),
+    );
+    let report = fx.audit_rule(RuleKind::Reach);
+    assert_eq!(count(&report, RuleKind::Reach), 1, "{:?}", report.findings);
+}
+
+#[test]
+fn reach_rule_is_cleared_by_an_integration_test() {
+    let fx = Fixture::new("reach-itest");
+    fx.write("crates/demo/src/lib.rs", UNREACHED);
+    fx.write(
+        "crates/demo/tests/oracle.rs",
+        "#[test]\nfn t() {\n    assert_eq!(demo::helper(), 7);\n}\n",
+    );
+    let report = fx.audit_rule(RuleKind::Reach);
+    assert_eq!(count(&report, RuleKind::Reach), 0, "{:?}", report.findings);
+}
+
+#[test]
+fn reach_rule_is_cleared_by_the_benchmark() {
+    let fx = Fixture::new("reach-bench");
+    fx.write("crates/demo/src/lib.rs", UNREACHED);
+    fx.write(
+        "fleetbench/main.rs",
+        "fn main() {\n    println!(\"{}\", demo::helper());\n}\n",
+    );
+    let report = fx.audit_rule(RuleKind::Reach);
+    assert_eq!(count(&report, RuleKind::Reach), 0, "{:?}", report.findings);
+}
+
+#[test]
+fn reach_rule_ignores_comments_strings_and_reexports() {
+    let fx = Fixture::new("reach-prose");
+    fx.write("crates/demo/src/inner.rs", UNREACHED);
+    fx.write(
+        "crates/demo/src/lib.rs",
+        "pub mod inner;\npub use inner::{\n    helper,\n};\n\n// helper() is documented here\nfn name() -> &'static str {\n    \"helper\"\n}\n",
+    );
+    let report = fx.audit_rule(RuleKind::Reach);
+    assert_eq!(count(&report, RuleKind::Reach), 1, "{:?}", report.findings);
+    assert_eq!(report.findings[0].file, "crates/demo/src/inner.rs");
+}
+
+#[test]
+fn reach_rule_pragma_suppresses() {
+    let fx = Fixture::new("reach-pragma");
+    fx.write(
+        "crates/demo/src/lib.rs",
+        &format!(
+            "/// Deliberate API.\n// audit: allow(reach, kept for the next change)\n{UNREACHED}"
+        ),
+    );
+    let report = fx.audit_rule(RuleKind::Reach);
     assert!(report.is_clean(), "{:?}", report.findings);
     assert_eq!(report.pragmas_honoured, 1);
 }
