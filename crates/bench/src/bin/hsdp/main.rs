@@ -23,6 +23,7 @@ use std::process::ExitCode;
 use args::{Accepted, CliError, Flags};
 use hsdp_bench::harness::parse_bench_entries;
 use hsdp_bench::{exhibits, tail, telemetry_out, FleetRun};
+use hsdp_core::request::RequestId;
 use hsdp_platforms::runner::{default_parallelism, FleetConfig};
 use hsdp_profiling::history::{HistoryError, HistoryStore, SnapshotMeta};
 use hsdp_simcore::pool::Perturbation;
@@ -114,7 +115,17 @@ fn fleet_config(flags: &Flags) -> Result<FleetConfig, CliError> {
     if let Some(perturb) = flags.number("--perturb")? {
         config.perturb = Some(Perturbation::new(perturb));
     }
-    if let Some(queries) = flags.number("--db-queries")? {
+    if let Some(queries) = flags.number::<usize>("--db-queries")? {
+        // Each shard numbers its requests from 0, and the last must still
+        // fit a request id.
+        let per_shard = queries.div_ceil(config.shards.max(1));
+        if per_shard as u64 > RequestId::INDEX_LIMIT {
+            return Err(flags.error(format!(
+                "--db-queries {queries} puts {per_shard} requests on a shard; \
+                 a request id names at most {}",
+                RequestId::INDEX_LIMIT
+            )));
+        }
         config.db_queries = queries;
     }
     Ok(config)

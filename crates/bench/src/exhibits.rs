@@ -79,10 +79,11 @@ pub fn figure2_exhibit(runs: &[PlatformRun]) -> String {
     for run in runs {
         out.push_str(&report::render_figure2(run.platform, &run.figure2));
     }
-    out.push_str(
+    let [cpu, remote, io] = paper::OVERALL_E2E_SHARES.map(|share| share * 100.0);
+    out.push_str(&format!(
         "paper anchors: databases >60% CPU-heavy queries; BigQuery 10%;\n\
-         fleet-wide 48% / 22% / 30% CPU / remote / IO\n",
-    );
+         fleet-wide {cpu:.0}% / {remote:.0}% / {io:.0}% CPU / remote / IO\n",
+    ));
     out
 }
 
@@ -217,12 +218,31 @@ pub fn tables6_7() -> String {
 // Figures 9–10 (speedup sweeps).
 // ---------------------------------------------------------------------------
 
+/// `x` to one decimal place, its whole part grouped by thousands
+/// (`3,223.6`).
+fn thousands(x: f64) -> String {
+    let text = format!("{x:.1}");
+    let (whole, fraction) = text.split_once('.').unwrap_or((&text, "0"));
+    let mut out = String::new();
+    for (i, digit) in whole.chars().enumerate() {
+        if i > 0 && (whole.len() - i) % 3 == 0 {
+            out.push(',');
+        }
+        out.push(digit);
+    }
+    format!("{out}.{fraction}")
+}
+
 /// Figure 9: the synchronous on-chip upper-bound sweep.
 #[must_use]
 pub fn figure9() -> String {
-    let mut out = String::from(
+    let peaks = paper::FIG9_PEAKS_NO_DEPS.map(|peak| format!("{}x", thousands(peak)));
+    let bounds = paper::FIG9_BOUNDS_WITH_DEPS.map(|bound| format!("{bound:.1}x"));
+    let mut out = format!(
         "Figure 9 — synchronous on-chip upper bound (aggregate / peak)\n\
-         paper peaks w/o deps: 9.1x / 3,223.6x / 8.5x; with deps: 2.0x / 2.2x / 1.4x\n",
+         paper peaks w/o deps: {}; with deps: {}\n",
+        peaks.join(" / "),
+        bounds.join(" / "),
     );
     for platform in Platform::ALL {
         let population = paper::query_population(platform);

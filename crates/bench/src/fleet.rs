@@ -41,8 +41,8 @@ fn gwp_pass<'a>(executions: impl IntoIterator<Item = &'a QueryExecution>) -> Gwp
         sample_period: sample_period(),
     });
     for exec in executions {
-        for w in &exec.cpu_work {
-            profiler.observe_parts(w.category, w.leaf, w.time, &w.stack);
+        for &(site, time) in exec.cpu_work.entries() {
+            profiler.observe_site(site, time);
         }
     }
     profiler

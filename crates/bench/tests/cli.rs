@@ -96,6 +96,14 @@ fn zero_parallelism_is_rejected_by_every_subcommand() {
 }
 
 #[test]
+fn db_queries_no_request_id_can_name_are_rejected() {
+    let most = u64::MAX.to_string();
+    for command in ["profile", "summary"] {
+        rejects(&[command, "--db-queries", &most], "--db-queries");
+    }
+}
+
+#[test]
 fn unreadable_inputs_name_the_path() {
     let missing = std::env::temp_dir().join(format!("hsdp-cli-missing-{}", std::process::id()));
     let missing = missing.to_str().expect("utf-8 temp path");

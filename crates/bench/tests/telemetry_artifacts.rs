@@ -137,7 +137,7 @@ fn critical_path_cpu_agrees_with_gwp_universe() {
                         category: item.category,
                         leaf: item.leaf,
                         time: item.time,
-                        stack: item.stack.clone(),
+                        stack: item.stack,
                     });
                 }
             }

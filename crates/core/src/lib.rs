@@ -21,7 +21,9 @@
 //! - [`chained`] — the chained-execution extension (Equations 10–12).
 //! - [`profile`] — query populations, Figure 2 groups, platform profiles.
 //! - [`request`] — deterministic per-request identity for tail attribution.
-//! - [`stack`] — call-frame paths for stack-aware GWP profiling.
+//! - [`stack`] — interned call-frame paths and charge sites for stack-aware
+//!   GWP profiling.
+//! - [`hash`] — a one-multiply hasher for keys the program generates.
 //! - [`study`] — the limit studies behind Figures 9, 10, 13, 14, 15.
 //! - [`paper`] — every published constant, plus calibrated synthetic query
 //!   populations.
@@ -64,6 +66,7 @@ pub mod category;
 pub mod chained;
 pub mod component;
 pub mod error;
+pub mod hash;
 pub mod model;
 pub mod paper;
 pub mod plan;

@@ -828,15 +828,12 @@ pub fn table8_stages() -> [ChainStage; 2] {
 
 /// Section 4.2: share of all end-to-end time spent on compute / remote work /
 /// IO across platforms (48% / 22% / 30%).
-// audit: allow(reach, paper anchor the planned fidelity artifact compares the fleet's time split against)
 pub const OVERALL_E2E_SHARES: [f64; 3] = [0.48, 0.22, 0.30];
 
 /// Figure 9 published peaks without non-CPU dependencies, per platform.
-// audit: allow(reach, paper anchor the planned fidelity artifact compares the Figure 9 peaks against)
 pub const FIG9_PEAKS_NO_DEPS: [f64; 3] = [9.1, 3223.6, 8.5];
 
 /// Figure 9 published upper bounds with dependencies retained, per platform.
-// audit: allow(reach, paper anchor the planned fidelity artifact compares the Figure 9 bounds against)
 pub const FIG9_BOUNDS_WITH_DEPS: [f64; 3] = [2.0, 2.2, 1.4];
 
 #[cfg(test)]

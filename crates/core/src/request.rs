@@ -8,8 +8,8 @@
 //! parallelism and under schedule perturbation, with no global counter to
 //! race on.
 //!
-//! The id packs into one `u64` so it can ride on every `CpuWorkItem` and
-//! span without allocation:
+//! The id packs into one `u64` so it can ride on every query execution
+//! without allocation:
 //!
 //! ```text
 //! bits 56..64   platform code + 1   (so any tagged id is nonzero)
@@ -38,6 +38,11 @@ impl RequestId {
     /// Work not attributable to any single request (preload, engine setup).
     pub const UNTAGGED: RequestId = RequestId(0);
 
+    /// Requests one shard can name: per-shard indices run
+    /// `0..INDEX_LIMIT`. A workload that puts more on a shard must be
+    /// refused before it runs, or two of its requests would share an id.
+    pub const INDEX_LIMIT: u64 = 1 << INDEX_BITS;
+
     /// Packs `(platform, shard, index)` into a tagged id.
     ///
     /// `index` is the request's position in the platform's canonical
@@ -45,6 +50,10 @@ impl RequestId {
     /// construction.
     #[must_use]
     pub fn tag(platform: Platform, shard: usize, index: usize) -> RequestId {
+        debug_assert!(
+            (index as u64) < Self::INDEX_LIMIT && (shard as u64) < 1 << SHARD_BITS,
+            "request {index} of shard {shard} does not fit a request id"
+        );
         let code = match platform {
             Platform::Spanner => 1u64,
             Platform::BigTable => 2,

@@ -9,9 +9,9 @@
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use hsdp_core::category::{CoreComputeOp, DatacenterTax, Platform, SystemTax};
+use hsdp_core::hash::IdMap;
 use hsdp_core::request::RequestId;
 use hsdp_rpc::latency::LatencyModel;
 use hsdp_rpc::span::SpanKind;
@@ -24,7 +24,7 @@ use hsdp_workload::rows::{DimRow, FactRow};
 
 use crate::columnar::{Column, ColumnTable};
 use crate::costs;
-use crate::exec::QueryExecution;
+use crate::exec::{trace_spans, QueryExecution};
 use crate::meter::{CpuCounters, WorkMeter};
 
 /// Engine configuration.
@@ -438,12 +438,7 @@ impl BigQuery {
             self.current_request,
         );
         self.cpu.add(&self.telemetry, meter.items());
-        let spans: Vec<_> = self
-            .tracer
-            .take_spans()
-            .into_iter()
-            .filter(|s| s.trace == trace)
-            .collect();
+        let spans = trace_spans(&mut self.tracer, trace);
         QueryExecution {
             platform: Platform::BigQuery,
             label,
@@ -708,36 +703,6 @@ impl BigQuery {
         self.finish_query(trace, root, meter, io_wall, shuffle, "top-k")
     }
 }
-
-/// A hasher for the engine's own integer keys: one multiply per word, and
-/// a rotate that moves the product's well-mixed high bits into the low bits
-/// a hash table indexes by. Keys come from the engine's generator, not from
-/// outside the program, so collision flooding is not a concern.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
-    }
-}
-
-/// A hash map keyed by engine-generated integers.
-type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// The aggregate kernel over one partition: folds each row's bytes and a
 /// count into its (user, region) group.

@@ -45,7 +45,7 @@ use hsdp_telemetry::MetricsRegistry;
 
 use crate::bloom::Bloom;
 use crate::costs;
-use crate::exec::QueryExecution;
+use crate::exec::{trace_spans, QueryExecution};
 use crate::merge::Entry;
 use crate::meter::{CpuCounters, WorkMeter};
 
@@ -369,11 +369,7 @@ fn finish_query(
         request,
     );
     cpu.add(telemetry, meter.items());
-    let spans: Vec<_> = tracer
-        .take_spans()
-        .into_iter()
-        .filter(|s| s.trace == trace)
-        .collect();
+    let spans = trace_spans(tracer, trace);
     let mut meter = meter;
     QueryExecution {
         platform: Platform::BigTable,

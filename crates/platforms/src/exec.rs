@@ -6,9 +6,10 @@ use hsdp_core::profile::QueryRecord;
 use hsdp_core::request::RequestId;
 use hsdp_core::units::Seconds;
 use hsdp_rpc::decompose::{decompose, E2eDecomposition};
-use hsdp_rpc::span::Span;
+use hsdp_rpc::span::{Span, TraceId};
+use hsdp_rpc::tracer::Tracer;
 
-use crate::meter::{items_breakdown, CpuWorkItem};
+use crate::meter::{items_breakdown, CpuWork};
 
 /// Everything recorded about one executed query: its Dapper-style span
 /// tree and its labeled CPU work.
@@ -21,7 +22,7 @@ pub struct QueryExecution {
     /// The spans of this query's trace.
     pub spans: Vec<Span>,
     /// Labeled CPU work charged during execution.
-    pub cpu_work: Vec<CpuWorkItem>,
+    pub cpu_work: CpuWork,
     /// The traffic request this execution answered
     /// ([`RequestId::UNTAGGED`] for non-traffic work such as preloads).
     pub request: RequestId,
@@ -53,4 +54,13 @@ impl QueryExecution {
             weight,
         }
     }
+}
+
+/// Drains `tracer`'s finished spans and keeps `trace`'s, at exact
+/// capacity: the span list a finished query stores. Copied, not shrunk in
+/// place, for the reason [`crate::meter::WorkMeter::take`] gives.
+pub(crate) fn trace_spans(tracer: &mut Tracer, trace: TraceId) -> Vec<Span> {
+    let mut spans = tracer.take_spans();
+    spans.retain(|s| s.trace == trace);
+    spans.as_slice().to_vec()
 }

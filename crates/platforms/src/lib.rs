@@ -40,3 +40,19 @@ pub use exec::QueryExecution;
 pub use meter::{CpuWorkItem, WorkMeter};
 pub use runner::FleetConfig;
 pub use spanner::{Spanner, SpannerConfig};
+
+/// The engines and their records cross threads: a fleet worker builds an
+/// engine, runs it and hands its records back. A field that is not `Send`
+/// (a raw-pointer map key, say) fails the build here instead of at the
+/// first caller that moves one. The engines are not `Sync`: their tiered
+/// stores box a `CachePolicy` that is only `Send`.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send::<Spanner>();
+    assert_send::<BigTable>();
+    assert_send::<BigQuery>();
+    assert_send_sync::<bigtable::ScanAssembler>();
+    assert_send_sync::<QueryExecution>();
+    assert_send_sync::<WorkMeter>();
+};

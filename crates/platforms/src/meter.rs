@@ -6,16 +6,21 @@
 //! calibrated cost model ([`crate::costs`]) and labeled with the fine
 //! [`CpuCategory`] and a leaf-function name, exactly the shape GWP samples
 //! arrive in (Section 5.1).
+//!
+//! A charge is stored as a 16-byte `(site, time)` entry of a [`CpuWork`]:
+//! the `(path, leaf, category)` it lands on is an interned
+//! [`Site`](hsdp_core::stack::Site), shared by every charge at that site
+//! across the process. Readers see each entry as a [`CpuWorkItem`].
 
 use hsdp_core::category::CpuCategory;
 use hsdp_core::component::CpuBreakdown;
-use hsdp_core::stack::{empty_path, FramePath};
+use hsdp_core::stack::{FramePath, Site, SiteMap};
 use hsdp_core::units::Seconds;
 use hsdp_simcore::time::SimDuration;
 use hsdp_telemetry::{category_key, MetricsRegistry};
 
-/// One labeled unit of CPU work.
-#[derive(Debug, Clone, PartialEq)]
+/// One labeled unit of CPU work: the view of a [`CpuWork`] entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuWorkItem {
     /// Fine-grained cycle category.
     pub category: CpuCategory,
@@ -27,32 +32,128 @@ pub struct CpuWorkItem {
     pub time: SimDuration,
 }
 
+/// One stored charge: where it landed and how long it ran.
+type Entry = (&'static Site, SimDuration);
+
+/// One query's labeled CPU work, in charge order: a 16-byte
+/// `(site, time)` entry per charge, held at exact capacity once handed
+/// over by [`WorkMeter::take`].
+///
+/// Iterating yields [`CpuWorkItem`] views by value. Equality is by
+/// content: sites are interned, so equal sites are the same site.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CpuWork {
+    entries: Vec<Entry>,
+}
+
+impl CpuWork {
+    /// Number of charges.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when nothing was charged.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The charges as [`CpuWorkItem`] views, in charge order.
+    #[must_use]
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(self.entries.iter())
+    }
+
+    /// The stored `(site, time)` entries, for readers that key on site
+    /// identity.
+    #[must_use]
+    pub fn entries(&self) -> &[(&'static Site, SimDuration)] {
+        &self.entries
+    }
+
+    /// Appends `other`'s charges after this work's, at exact capacity.
+    pub fn extend(&mut self, other: CpuWork) {
+        self.entries.reserve_exact(other.entries.len());
+        self.entries.extend(other.entries);
+    }
+}
+
+impl FromIterator<CpuWorkItem> for CpuWork {
+    /// Interns each item's site.
+    fn from_iter<I: IntoIterator<Item = CpuWorkItem>>(items: I) -> Self {
+        let mut entries: Vec<Entry> = items
+            .into_iter()
+            .map(|item| {
+                (
+                    Site::intern(item.stack, item.leaf, item.category),
+                    item.time,
+                )
+            })
+            .collect();
+        entries.shrink_to_fit();
+        CpuWork { entries }
+    }
+}
+
+impl<'a> IntoIterator for &'a CpuWork {
+    type Item = CpuWorkItem;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`CpuWork`]'s charges as [`CpuWorkItem`] views.
+#[derive(Debug, Clone)]
+pub struct Iter<'a>(std::slice::Iter<'a, Entry>);
+
+impl Iterator for Iter<'_> {
+    type Item = CpuWorkItem;
+
+    fn next(&mut self) -> Option<CpuWorkItem> {
+        self.0.next().map(|&(site, time)| CpuWorkItem {
+            category: site.category(),
+            leaf: site.leaf(),
+            stack: site.stack(),
+            time,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
 /// Accumulates labeled CPU work during query execution.
 ///
-/// Besides the flat item list, the meter maintains a *frame stack*: scopes
-/// pushed via [`WorkMeter::scope`] (or [`WorkMeter::push_frame`]) tag every
-/// subsequent charge with the enclosing frame path, so each
-/// [`CpuWorkItem`] carries the full stack a GWP interrupt would see. Each
-/// push snapshots the path into an `Arc` once; charges then clone the
-/// `Arc`, keeping the per-charge cost constant regardless of depth.
+/// Besides the work, the meter maintains a *frame stack*: scopes pushed
+/// via [`WorkMeter::scope`] (or [`WorkMeter::push_frame`]) tag every
+/// subsequent charge with the enclosing frame path, so each charge carries
+/// the full stack a GWP interrupt would see. A push resolves the child
+/// path through the parent's interned handle and a charge resolves its
+/// site through the current path's, so neither allocates once the process
+/// has seen that scope and site.
 ///
 /// A totals-only meter (`WorkMeter::totals_only`) keeps the running total
-/// and the frame names but no items and no path snapshots: the meter for
-/// work whose records no artifact reads, such as warmup.
+/// and the frame stack but no work: the meter for work whose records no
+/// artifact reads, such as warmup.
 #[derive(Debug, Default)]
 pub struct WorkMeter {
-    items: Vec<CpuWorkItem>,
+    work: CpuWork,
     total: SimDuration,
     totals_only: bool,
-    frames: Vec<&'static str>,
-    /// `paths[d]` is the shared snapshot of `frames[..=d]`, so popping is a
-    /// truncation and the current path is always `paths.last()`. Empty on a
-    /// totals-only meter.
-    paths: Vec<FramePath>,
+    /// The path charges are attributed to.
+    path: FramePath,
+    /// The enclosing paths, outermost first, restored on pop.
+    parents: Vec<FramePath>,
 }
 
 impl WorkMeter {
-    /// An empty meter that keeps every item.
+    /// An empty meter that keeps every charge.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -60,7 +161,7 @@ impl WorkMeter {
 
     /// An empty meter that keeps only the total charged.
     #[must_use]
-    pub(crate) fn totals_only() -> Self {
+    pub fn totals_only() -> Self {
         WorkMeter {
             totals_only: true,
             ..Self::default()
@@ -68,39 +169,29 @@ impl WorkMeter {
     }
 
     /// Folds in another meter, such as a scan partial's: adds its total
-    /// and appends its items as charged, stacks included.
-    pub(crate) fn absorb(&mut self, other: WorkMeter) {
+    /// and appends its charges as made, stacks included.
+    pub fn absorb(&mut self, other: WorkMeter) {
         self.total += other.total;
         if !self.totals_only {
-            self.items.extend(other.items);
+            self.work.entries.extend(other.work.entries);
         }
-    }
-
-    /// The call-frame path charges are currently attributed to (empty on
-    /// a totals-only meter).
-    #[must_use]
-    pub fn current_path(&self) -> FramePath {
-        self.paths.last().cloned().unwrap_or_else(empty_path)
     }
 
     /// The current frame stack, outermost first.
     #[must_use]
     pub fn frames(&self) -> &[&'static str] {
-        &self.frames
+        &self.path
     }
 
     /// Pushes a call frame; prefer the RAII [`WorkMeter::scope`] guard.
     pub fn push_frame(&mut self, name: &'static str) {
-        self.frames.push(name);
-        if !self.totals_only {
-            self.paths.push(FramePath::from(self.frames.as_slice()));
-        }
+        self.parents.push(self.path);
+        self.path = self.path.child(name);
     }
 
     /// Pops the innermost call frame (no-op when the stack is empty).
     pub fn pop_frame(&mut self) {
-        self.frames.pop();
-        self.paths.pop();
+        self.path = self.parents.pop().unwrap_or_default();
     }
 
     /// Enters a named call frame for the guard's lifetime. The guard derefs
@@ -115,7 +206,8 @@ impl WorkMeter {
     ///     let mut m = meter.scope("consensus");
     ///     m.charge(CoreComputeOp::Write, "paxos_propose", SimDuration::from_nanos(5));
     /// }
-    /// assert_eq!(&*meter.items()[0].stack, &["consensus"]);
+    /// let item = meter.items().iter().next().unwrap();
+    /// assert_eq!(&*item.stack, &["consensus"]);
     /// assert!(meter.frames().is_empty());
     /// ```
     pub fn scope(&mut self, name: &'static str) -> FrameScope<'_> {
@@ -137,12 +229,8 @@ impl WorkMeter {
         if self.totals_only {
             return;
         }
-        self.items.push(CpuWorkItem {
-            category: category.into(),
-            leaf,
-            stack: self.current_path(),
-            time,
-        });
+        let site = Site::intern(self.path, leaf, category.into());
+        self.work.entries.push((site, time));
     }
 
     /// Charges byte-proportional work (`bytes * ns_per_byte`).
@@ -182,16 +270,24 @@ impl WorkMeter {
         self.total
     }
 
-    /// The items charged so far (none on a totals-only meter).
+    /// The work charged so far (none on a totals-only meter).
     #[must_use]
-    pub fn items(&self) -> &[CpuWorkItem] {
-        &self.items
+    pub fn items(&self) -> &CpuWork {
+        &self.work
     }
 
-    /// Drains the items and resets the total, leaving the meter empty.
-    pub fn take(&mut self) -> Vec<CpuWorkItem> {
+    /// Hands over the work at exact capacity and resets the total, leaving
+    /// the meter empty.
+    pub fn take(&mut self) -> CpuWork {
         self.total = SimDuration::ZERO;
-        std::mem::take(&mut self.items)
+        // A copy, not a shrink in place: shrinking leaves a small hole per
+        // query in the heap, and later allocations scattered into those
+        // holes measurably slowed the BigTable warmup that follows traffic.
+        let work = CpuWork {
+            entries: self.work.entries.as_slice().to_vec(),
+        };
+        self.work.entries.clear();
+        work
     }
 }
 
@@ -234,49 +330,60 @@ pub(crate) fn warmup_meter(telemetry: &MetricsRegistry) -> WorkMeter {
     }
 }
 
-/// Charged CPU summed per `(category, leaf)` until it is added to a
-/// registry's `("cpu", category, leaf)` nanosecond counters, so the
-/// registry's `"cpu"` subsystem sum equals the meter totals *exactly* — the
-/// invariant the telemetry unit tests pin. A platform sees a few dozen
-/// keys, so the sums live in a short list searched linearly; leaves compare
-/// as strings, as the registry's keys do.
+/// Charged CPU summed per site until it is added to a registry's
+/// `("cpu", category, leaf)` nanosecond counters, so the registry's `"cpu"`
+/// subsystem sum equals the meter totals *exactly* — the invariant the
+/// telemetry unit tests pin. A charge finds its sum by site identity; the
+/// sums fold per `(category, leaf text)`, as the registry keys them, only
+/// when drained.
 #[derive(Debug, Default)]
 pub(crate) struct CpuCounters {
-    sums: Vec<(CpuCategory, &'static str, u64)>,
+    /// Index into `sums` of each site seen.
+    slots: SiteMap<usize>,
+    /// Per-site sums, in first-seen order.
+    sums: Vec<(&'static Site, u64)>,
 }
 
 impl CpuCounters {
-    /// Adds each item's time to its key's sum, if `registry` records.
-    pub(crate) fn add(&mut self, registry: &MetricsRegistry, items: &[CpuWorkItem]) {
+    /// Adds each charge's time to its site's sum, if `registry` records.
+    pub(crate) fn add(&mut self, registry: &MetricsRegistry, work: &CpuWork) {
         if !registry.is_enabled() {
             return;
         }
-        for item in items {
-            let ns = item.time.as_nanos();
-            match self
-                .sums
-                .iter_mut()
-                .find(|(category, leaf, _)| *category == item.category && *leaf == item.leaf)
-            {
-                Some((_, _, sum)) => *sum += ns,
-                None => self.sums.push((item.category, item.leaf, ns)),
+        for &(site, time) in work.entries() {
+            let next = self.sums.len();
+            let slot = *self.slots.entry(site).or_insert(next);
+            match self.sums.get_mut(slot) {
+                Some((_, sum)) => *sum += time.as_nanos(),
+                None => self.sums.push((site, time.as_nanos())),
             }
         }
     }
 
     /// Adds every sum to `registry` (once per key) and clears the sums.
     pub(crate) fn drain_into(&mut self, registry: &mut MetricsRegistry) {
-        for (category, leaf, ns) in self.sums.drain(..) {
+        let mut keyed: Vec<(CpuCategory, &'static str, u64)> = Vec::new();
+        for (site, ns) in self.sums.drain(..) {
+            let (category, leaf) = (site.category(), site.leaf());
+            match keyed
+                .iter_mut()
+                .find(|(c, l, _)| *c == category && *l == leaf)
+            {
+                Some((_, _, sum)) => *sum += ns,
+                None => keyed.push((category, leaf, ns)),
+            }
+        }
+        self.slots.clear();
+        for (category, leaf, ns) in keyed {
             registry.counter_add(("cpu", category_key(category), leaf), ns);
         }
     }
 }
 
-/// Converts a list of work items into a breakdown (for drained items).
+/// Converts charged work into a breakdown.
 #[must_use]
-pub fn items_breakdown(items: &[CpuWorkItem]) -> CpuBreakdown {
-    items
-        .iter()
+pub fn items_breakdown(work: &CpuWork) -> CpuBreakdown {
+    work.iter()
         .map(|i| (i.category, Seconds::new(i.time.as_secs_f64())))
         .collect()
 }
@@ -285,6 +392,7 @@ pub fn items_breakdown(items: &[CpuWorkItem]) -> CpuBreakdown {
 mod tests {
     use super::*;
     use hsdp_core::category::{CoreComputeOp, DatacenterTax};
+    use hsdp_core::stack::empty_path;
 
     #[test]
     fn charge_accumulates_and_labels() {
@@ -312,8 +420,12 @@ mod tests {
     }
 
     /// The per-item mirror [`CpuCounters`] replaced, kept as its oracle:
-    /// one registry update per item.
-    fn record_cpu_items(registry: &mut MetricsRegistry, items: &[CpuWorkItem]) {
+    /// one registry update per item, read from the items as made rather
+    /// than from interned sites.
+    fn record_cpu_items(
+        registry: &mut MetricsRegistry,
+        items: impl IntoIterator<Item = CpuWorkItem>,
+    ) {
         for item in items {
             registry.counter_add(
                 ("cpu", category_key(item.category), item.leaf),
@@ -322,11 +434,11 @@ mod tests {
         }
     }
 
-    /// Folds `items` through [`CpuCounters`] into a fresh registry.
-    fn folded(items: &[CpuWorkItem]) -> MetricsRegistry {
+    /// Folds `work` through [`CpuCounters`] into a fresh registry.
+    fn folded(work: &CpuWork) -> MetricsRegistry {
         let mut counters = CpuCounters::default();
         let mut registry = MetricsRegistry::new();
-        counters.add(&registry, items);
+        counters.add(&registry, work);
         counters.drain_into(&mut registry);
         registry
     }
@@ -399,14 +511,15 @@ mod tests {
                     }
                 })
                 .collect();
+            let work: CpuWork = items.iter().copied().collect();
             let mut oracle = MetricsRegistry::new();
-            record_cpu_items(&mut oracle, &items);
+            record_cpu_items(&mut oracle, items.iter().copied());
             // Folding in two batches equals folding once.
             let mut counters = CpuCounters::default();
             let mut registry = MetricsRegistry::new();
             let (head, tail) = items.split_at(len / 3);
-            counters.add(&registry, head);
-            counters.add(&registry, tail);
+            counters.add(&registry, &head.iter().copied().collect());
+            counters.add(&registry, &tail.iter().copied().collect());
             // One sum per registry key: the twin leaf folds with its text.
             assert_eq!(
                 counters.sums.len(),
@@ -415,11 +528,7 @@ mod tests {
             );
             counters.drain_into(&mut registry);
             assert_eq!(registry, oracle, "round {round}");
-            assert_eq!(
-                registry.to_json(),
-                folded(&items).to_json(),
-                "round {round}"
-            );
+            assert_eq!(registry.to_json(), folded(&work).to_json(), "round {round}");
         }
     }
 
@@ -522,9 +631,10 @@ mod tests {
         }
         op.charge(CoreComputeOp::Read, "c", SimDuration::from_nanos(1));
         drop(op);
-        // Charges at the same depth reuse the same Arc snapshot.
-        let items = meter.items();
-        assert!(std::sync::Arc::ptr_eq(&items[0].stack, &items[2].stack));
+        // Charges at the same depth carry the same interned path.
+        let items: Vec<CpuWorkItem> = meter.items().iter().collect();
+        assert_eq!(items[0].stack, items[2].stack);
+        assert!(std::ptr::eq(&*items[0].stack, &*items[2].stack));
         assert_eq!(&*items[1].stack, &["op", "stage"]);
     }
 
@@ -533,7 +643,8 @@ mod tests {
         let mut meter = WorkMeter::new();
         meter.pop_frame();
         meter.charge(CoreComputeOp::Read, "x", SimDuration::from_nanos(1));
-        assert!(meter.items()[0].stack.is_empty());
+        let item = meter.items().iter().next().expect("one charge");
+        assert!(item.stack.is_empty());
     }
 
     #[test]
@@ -545,5 +656,25 @@ mod tests {
         assert!(meter.items().is_empty());
         assert_eq!(meter.total(), SimDuration::ZERO, "take resets the total");
         assert_eq!(items_breakdown(&items).total().as_secs(), 1e-8);
+    }
+
+    /// The saving this layout exists for: a stored charge is a site
+    /// reference and a duration, and a query's work keeps no spare slots.
+    #[test]
+    fn entries_are_16_bytes_and_taken_work_has_no_spare_capacity() {
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+        let mut meter = WorkMeter::new();
+        let mut op = meter.scope("op");
+        for ns in 1..=5 {
+            op.charge(CoreComputeOp::Read, "a", SimDuration::from_nanos(ns));
+        }
+        drop(op);
+        let mut work = meter.take();
+        assert_eq!(work.len(), 5);
+        assert_eq!(work.entries.capacity(), work.len());
+        meter.charge(CoreComputeOp::Write, "b", SimDuration::from_nanos(9));
+        work.extend(meter.take());
+        assert_eq!(work.len(), 6);
+        assert_eq!(work.entries.capacity(), work.len(), "extend stays exact");
     }
 }

@@ -24,7 +24,7 @@ use hsdp_taxes::protowire::{FieldDescriptor, FieldType, Message, MessageDescript
 use hsdp_telemetry::MetricsRegistry;
 
 use crate::costs;
-use crate::exec::QueryExecution;
+use crate::exec::{trace_spans, QueryExecution};
 use crate::meter::{CpuCounters, WorkMeter};
 
 /// Consensus-group configuration.
@@ -625,6 +625,7 @@ impl Spanner {
         let read_exec = self.read(&key);
         let commit_exec = self.commit(key, new_value);
         let mut spans = read_exec.spans;
+        spans.reserve_exact(commit_exec.spans.len());
         spans.extend(commit_exec.spans);
         let mut cpu_work = read_exec.cpu_work;
         cpu_work.extend(commit_exec.cpu_work);
@@ -690,12 +691,7 @@ impl Spanner {
         self.telemetry
             .gauge_max(("spanner", "log_len_peak", ""), self.log.len() as u64);
         self.cpu.add(&self.telemetry, meter.items());
-        let spans: Vec<_> = self
-            .tracer
-            .take_spans()
-            .into_iter()
-            .filter(|s| s.trace == trace)
-            .collect();
+        let spans = trace_spans(&mut self.tracer, trace);
         QueryExecution {
             platform: Platform::Spanner,
             label,

@@ -3,7 +3,7 @@
 //! `parallelism` setting.
 
 use hsdp_core::category::Platform;
-use hsdp_platforms::meter::items_breakdown;
+use hsdp_platforms::meter::{items_breakdown, CpuWork};
 use hsdp_platforms::runner::{fold_fleet, run_fleet_telemetry, FleetConfig};
 use hsdp_platforms::QueryExecution;
 
@@ -52,8 +52,8 @@ fn fleet_output_is_parallelism_invariant() {
             }
             // The profiling view (the labeled cycle breakdown the GWP
             // pipeline consumes) folds to the identical distribution.
-            let items_a: Vec<_> = ea.iter().flat_map(|e| e.cpu_work.clone()).collect();
-            let items_b: Vec<_> = eb.iter().flat_map(|e| e.cpu_work.clone()).collect();
+            let items_a: CpuWork = ea.iter().flat_map(|e| &e.cpu_work).collect();
+            let items_b: CpuWork = eb.iter().flat_map(|e| &e.cpu_work).collect();
             assert_eq!(
                 items_breakdown(&items_a),
                 items_breakdown(&items_b),

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use hsdp_core::category::{BroadCategory, CoreComputeOp, CpuCategory, DatacenterTax, SystemTax};
-use hsdp_core::stack::FramePath;
+use hsdp_core::stack::{FramePath, Site, SiteMap};
 use hsdp_simcore::time::SimDuration;
 
 use crate::stacks::StackProfile;
@@ -153,6 +153,8 @@ pub struct GwpProfiler {
     stacks: StackProfile,
     /// Time carried over until the next sample fires.
     residual: SimDuration,
+    /// The stack-profile cell of each site observed, keyed by identity.
+    site_cells: SiteMap<usize>,
 }
 
 impl GwpProfiler {
@@ -163,6 +165,7 @@ impl GwpProfiler {
             config,
             stacks: StackProfile::new(),
             residual: SimDuration::ZERO,
+            site_cells: SiteMap::default(),
         }
     }
 
@@ -172,23 +175,24 @@ impl GwpProfiler {
     /// whether a sample fires, so the stack tree carries both exact
     /// nanoseconds and sampled counts.
     pub fn observe(&mut self, work: &LeafWork) {
-        self.observe_parts(work.category, work.leaf, work.time, &work.stack);
+        self.observe_site(
+            Site::intern(work.stack, work.leaf, work.category),
+            work.time,
+        );
     }
 
-    /// [`GwpProfiler::observe`] on a work item's fields, so a caller
-    /// holding them elsewhere need not build a [`LeafWork`].
-    pub fn observe_parts(
-        &mut self,
-        category: CpuCategory,
-        leaf: &'static str,
-        time: SimDuration,
-        stack: &[&'static str],
-    ) {
+    /// [`GwpProfiler::observe`] for `time` charged at `site`. The site's
+    /// content is looked up in the stack profile once; later charges at the
+    /// same site go straight to its cell.
+    pub fn observe_site(&mut self, site: &'static Site, time: SimDuration) {
         let period = self.config.sample_period.as_nanos().max(1);
         let budget = self.residual.as_nanos() + time.as_nanos();
-        let fired = budget / period;
         self.residual = SimDuration::from_nanos(budget % period);
-        self.stacks.record(stack, leaf, category, time, fired);
+        let cell = *self.site_cells.entry(site).or_insert_with(|| {
+            self.stacks
+                .cell_of(&site.stack(), site.leaf(), site.category())
+        });
+        self.stacks.add(cell, time, budget / period);
     }
 
     /// The aggregated profile, rolled up from the stack profile.
@@ -216,6 +220,13 @@ impl GwpProfiler {
         self.config.sample_period
     }
 }
+
+/// A profiler may be built on one thread and returned from another, as a
+/// per-shard fold would; its site map keys must not cost it `Send`/`Sync`.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<GwpProfiler>();
+};
 
 #[cfg(test)]
 mod tests {

@@ -139,6 +139,20 @@ impl StackProfile {
         exact: SimDuration,
         samples: u64,
     ) {
+        let cell = self.cell_of(stack, leaf, category);
+        self.add(cell, exact, samples);
+    }
+
+    /// The index of the `(stack, leaf, category)` cell, made when new with
+    /// the interning [`StackProfile::record`] describes. A caller that
+    /// keeps the index may [`StackProfile::add`] later records of the same
+    /// cell without this lookup.
+    pub(crate) fn cell_of(
+        &mut self,
+        stack: &[&'static str],
+        leaf: &'static str,
+        category: CpuCategory,
+    ) -> usize {
         let path = match self.last_path {
             Some(last) if self.path_matches(last, stack) => last,
             _ => self.intern_path(stack),
@@ -149,7 +163,7 @@ impl StackProfile {
             .iter()
             .find(|&&(l, c, _)| l == leaf && c == category)
             .map(|&(_, _, cell)| cell);
-        let cell = match found {
+        match found {
             Some(cell) => cell,
             None => {
                 let leaf_id = self.intern(leaf);
@@ -163,7 +177,12 @@ impl StackProfile {
                 self.paths[path].cells.push((leaf, category, cell));
                 cell
             }
-        };
+        }
+    }
+
+    /// Adds one record's weight to cell `cell` (from
+    /// [`StackProfile::cell_of`]).
+    pub(crate) fn add(&mut self, cell: usize, exact: SimDuration, samples: u64) {
         let weight = &mut self.cells[cell].weight;
         weight.samples += samples;
         weight.exact_ns += exact.as_nanos();

@@ -10,7 +10,6 @@
 //! streams built to hit the fast path's edges.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use hsdp_core::category::{CoreComputeOp, CpuCategory, DatacenterTax, SystemTax};
 use hsdp_core::stack::{empty_path, path_of, FramePath};
@@ -253,7 +252,7 @@ fn small_fleet_run_folds_identically() {
             category: w.category,
             leaf: w.leaf,
             time: w.time,
-            stack: w.stack.clone(),
+            stack: w.stack,
         })
         .collect();
     assert!(
@@ -275,33 +274,30 @@ fn synthetic_edge_streams_fold_identically() {
     let read = CoreComputeOp::Read;
     let proto = DatacenterTax::Protobuf;
     let stl = SystemTax::Stl;
-    // Equal content in distinct allocations: the path comparison must be by
-    // content, never by identity.
+    // Equal content reached two ways, one through a frame text at a second
+    // address: interning must hand both the same path.
+    let consensus: &'static str = Box::leak(String::from("consensus").into_boxed_str());
     let commit_a = path_of(&["spanner.commit", "consensus"]);
-    let commit_b: FramePath = Arc::from(vec!["spanner.commit", "consensus"]);
-    assert!(!Arc::ptr_eq(&commit_a, &commit_b));
+    let commit_b = path_of(&["spanner.commit"]).child(consensus);
+    assert_eq!(commit_a, commit_b);
     let scan = path_of(&["bigtable.scan"]);
     let deep = path_of(&["bigquery.join", "shuffle", "spanner.commit"]);
     let prefix = path_of(&["spanner.commit"]);
     let streams: Vec<(&str, Vec<LeafWork>)> = vec![
         (
-            "equal content in distinct arcs",
+            "equal content reached two ways",
             vec![
-                item(read, "paxos", 1_500, commit_a.clone()),
-                item(read, "paxos", 2_500, commit_b.clone()),
-                item(proto, "encode", 700, commit_b.clone()),
-                item(read, "paxos", 900, commit_a.clone()),
+                item(read, "paxos", 1_500, commit_a),
+                item(read, "paxos", 2_500, commit_b),
+                item(proto, "encode", 700, commit_b),
+                item(read, "paxos", 900, commit_a),
             ],
         ),
         (
             "alternating paths",
             (0..40)
                 .map(|i| {
-                    let stack = if i % 2 == 0 {
-                        scan.clone()
-                    } else {
-                        deep.clone()
-                    };
+                    let stack = if i % 2 == 0 { scan } else { deep };
                     item(
                         read,
                         if i % 3 == 0 { "a" } else { "b" },
@@ -314,10 +310,10 @@ fn synthetic_edge_streams_fold_identically() {
         (
             "one leaf under two categories",
             vec![
-                item(read, "memcpy", 3_000, scan.clone()),
-                item(stl, "memcpy", 1_000, scan.clone()),
-                item(read, "memcpy", 10, scan.clone()),
-                item(stl, "memcpy", 4_000, prefix.clone()),
+                item(read, "memcpy", 3_000, scan),
+                item(stl, "memcpy", 1_000, scan),
+                item(read, "memcpy", 10, scan),
+                item(stl, "memcpy", 4_000, prefix),
             ],
         ),
         (
@@ -325,7 +321,7 @@ fn synthetic_edge_streams_fold_identically() {
             vec![
                 item(stl, "malloc", 2_000, empty_path()),
                 item(stl, "malloc", 2_000, path_of(&[])),
-                item(read, "scan", 5, scan.clone()),
+                item(read, "scan", 5, scan),
                 item(stl, "malloc", 1, empty_path()),
                 item(proto, "decode", 0, empty_path()),
             ],
@@ -333,12 +329,12 @@ fn synthetic_edge_streams_fold_identically() {
         (
             "a leaf named like a frame",
             vec![
-                item(read, "consensus", 1_000, prefix.clone()),
-                item(read, "paxos", 1_000, commit_a.clone()),
+                item(read, "consensus", 1_000, prefix),
+                item(read, "paxos", 1_000, commit_a),
                 item(read, "spanner.commit", 1_000, empty_path()),
-                item(read, "bigtable.scan", 500, scan.clone()),
+                item(read, "bigtable.scan", 500, scan),
                 item(read, "shuffle", 500, path_of(&["bigquery.join"])),
-                item(read, "leaf", 500, deep.clone()),
+                item(read, "leaf", 500, deep),
             ],
         ),
         ("no items", Vec::new()),
