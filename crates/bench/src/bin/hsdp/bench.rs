@@ -25,7 +25,7 @@
 use hsdp_accelsim::validate::software_validation;
 use hsdp_bench::harness::{time_ns, BenchRecord, BenchReport};
 use hsdp_bench::tail::render_json;
-use hsdp_bench::telemetry_out::trace_groups;
+use hsdp_bench::telemetry_out::{critical_path_json, trace_groups};
 use hsdp_bench::FleetRun;
 use hsdp_core::category::Platform;
 use hsdp_platforms::bloom::Bloom;
@@ -509,9 +509,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     })?;
 
     // --- Fleet artifacts: the serial per-record folds. ---------------------
-    // One p=1 run's records through the GWP stack fold, the trace export
-    // and the tail report, each timed alone. Reported ungated, since they
-    // measure the host.
+    // One p=1 run's records through the GWP stack fold, the trace export,
+    // the critical-path walk, the tail report and the profile JSON (the
+    // decomposition sums and the record CRC), each timed alone. Reported
+    // ungated, since they measure the host.
     let artifact_run = FleetRun::new(FleetConfig {
         parallelism: 1,
         ..fleet_config
@@ -528,8 +529,16 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             }),
         ),
         (
+            "fleet/artifact/critical_path_json",
+            best_of(5, || time_ns(1, || critical_path_json(&artifact_run.runs))),
+        ),
+        (
             "fleet/artifact/tail_json",
             best_of(5, || time_ns(1, || render_json(&artifact_run.tail("")))),
+        ),
+        (
+            "fleet/artifact/profile_json",
+            best_of(5, || time_ns(1, || artifact_run.profile_json())),
         ),
     ] {
         report.push(BenchRecord {

@@ -29,6 +29,7 @@ use hsdp_core::request::RequestId;
 use hsdp_platforms::runner::{platform_key, FleetConfig, ShardRun};
 use hsdp_platforms::QueryExecution;
 use hsdp_profiling::heavy::SpaceSaving;
+use hsdp_rpc::decompose::trace_window;
 use hsdp_telemetry::critical_path::{critical_path, PathCategory};
 use hsdp_telemetry::registry::{bucket_lower_bound, key_path};
 use hsdp_telemetry::{json, MetricsRegistry};
@@ -159,7 +160,8 @@ struct ExecStat {
 impl ExecStat {
     fn of(exec: &QueryExecution) -> Self {
         let mut stat = ExecStat {
-            e2e_ns: exec.decomposition().end_to_end.as_nanos(),
+            e2e_ns: trace_window(&exec.spans)
+                .map_or(0, |(first, last)| last.since(first).as_nanos()),
             cpu_ns: 0,
             tax_ns: 0,
         };

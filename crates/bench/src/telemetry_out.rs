@@ -6,8 +6,8 @@
 //! The artifact set is the paper's observability stack made exportable:
 //! merged performance counters (registry), Dapper-style spans in Chrome
 //! trace-event form (one Perfetto process per platform, one thread lane per
-//! shard), and per-platform critical-path attributions next to the interval
-//! decomposition they must cohere with. All three are byte-identical across
+//! shard), and per-platform critical-path attributions next to the metered
+//! CPU they must cohere with. All three are byte-identical across
 //! `parallelism` settings and schedule perturbations.
 
 use hsdp_core::category::Platform;
@@ -77,7 +77,8 @@ pub fn critical_path_json(runs: &[ShardRun]) -> String {
     out
 }
 
-/// The three-view agreement report for one platform's executions.
+/// The critical-path and metered-CPU agreement report for one platform's
+/// executions.
 #[must_use]
 pub fn platform_agreement(runs: &[ShardRun], platform: Platform) -> crosscheck::PathAgreement {
     crosscheck::agree(

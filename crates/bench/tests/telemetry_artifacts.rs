@@ -70,9 +70,15 @@ fn critical_path_fractions_partition_each_platform() {
         let ns_sum: u64 = PathCategory::ALL.iter().map(|&c| report.path.ns(c)).sum();
         assert_eq!(ns_sum, report.path.total_ns(), "{platform}: ns partition");
         // Both wall-clock attributions cover the same window.
+        let decomposed_ns: u64 = runs
+            .iter()
+            .filter(|run| run.platform == platform)
+            .flat_map(|run| &run.executions)
+            .map(|exec| exec.decomposition().end_to_end.as_nanos())
+            .sum();
         assert_eq!(
             report.path.total_ns(),
-            report.decomposition.end_to_end.as_nanos(),
+            decomposed_ns,
             "{platform}: critical path and decomposition windows differ"
         );
     }

@@ -205,8 +205,10 @@ fn charge_proto(meter: &mut WorkMeter, bytes: u64, decode: bool) {
 }
 
 /// Encodes SSTable entries: varint-length-prefixed pairs, compressed,
-/// checksummed. Returns (encoded bytes, raw bytes) and charges the work.
-fn encode_sstable(meter: &mut WorkMeter, entries: &[(Vec<u8>, Vec<u8>)]) -> (Vec<u8>, u64) {
+/// checksummed. Returns the (encoded, raw) lengths in bytes and charges the
+/// work. Nothing reads the encoded bytes or their checksum, so the
+/// checksum is charged at its simulated cost and not computed.
+fn encode_sstable(meter: &mut WorkMeter, entries: &[(Vec<u8>, Vec<u8>)]) -> (u64, u64) {
     let mut meter = meter.scope("sstable_encode");
     let mut raw = Vec::new();
     for (k, v) in entries {
@@ -216,8 +218,7 @@ fn encode_sstable(meter: &mut WorkMeter, entries: &[(Vec<u8>, Vec<u8>)]) -> (Vec
         raw.extend_from_slice(v);
     }
     let raw_len = raw.len() as u64;
-    let compressed = hsdp_taxes::compress::compress(&raw);
-    let _ = crc32c(&compressed);
+    let encoded_len = hsdp_taxes::compress::compress(&raw).len() as u64;
     meter.charge_bytes(
         DatacenterTax::Compression,
         "block_compress",
@@ -227,7 +228,7 @@ fn encode_sstable(meter: &mut WorkMeter, entries: &[(Vec<u8>, Vec<u8>)]) -> (Vec
     meter.charge_bytes(
         SystemTax::Edac,
         "crc32c",
-        compressed.len() as u64,
+        encoded_len,
         costs::CRC_NS_PER_BYTE,
     );
     meter.charge_bytes(
@@ -236,7 +237,7 @@ fn encode_sstable(meter: &mut WorkMeter, entries: &[(Vec<u8>, Vec<u8>)]) -> (Vec
         raw_len,
         costs::MEMCPY_NS_PER_BYTE,
     );
-    (compressed, raw_len)
+    (encoded_len, raw_len)
 }
 
 /// Charges the filesystem-client write taxes for a new run of `bytes`.
@@ -278,8 +279,8 @@ fn flush_run(meter: &mut WorkMeter, entries: &[Entry]) -> u64 {
         costs::STL_NS_PER_ENTRY,
     );
     let (encoded, _raw) = encode_sstable(&mut scope, entries);
-    charge_run_write(&mut scope, encoded.len() as u64);
-    encoded.len() as u64
+    charge_run_write(&mut scope, encoded);
+    encoded
 }
 
 /// Merges one level's runs (oldest-first) into a single run for the next
@@ -320,8 +321,8 @@ fn merge_run(meter: &mut WorkMeter, inputs: Vec<SsTable>) -> (Vec<Entry>, u64, u
         costs::STL_NS_PER_ENTRY,
     );
     let (encoded, _raw) = encode_sstable(&mut scope, &entries);
-    charge_run_write(&mut scope, encoded.len() as u64);
-    (entries, encoded.len() as u64, input_entries)
+    charge_run_write(&mut scope, encoded);
+    (entries, encoded, input_entries)
 }
 
 /// Common query tail: lay the CPU/IO/remote spans on the instance timeline

@@ -6,11 +6,11 @@
 //! third view, the critical-path walk. These views must cohere: for a trace
 //! whose spans lay out sequentially, the CPU nanoseconds on the critical
 //! path are exactly the metered CPU time that GWP samples from, and every
-//! view's category fractions must partition their own total. This module
-//! computes all three for a set of traces so tests (and the report bins)
-//! can pin the invariants.
+//! view's category fractions must partition their own total. [`agree`]
+//! sums the critical path and the metered CPU over a set of traces, the
+//! two figures `critical_path.json`, `hsdp summary` and the fleet checks
+//! read; tests set the Section 4.1 interval decomposition beside them.
 
-use hsdp_rpc::decompose::{decompose, E2eDecomposition};
 use hsdp_rpc::span::Span;
 use hsdp_simcore::time::SimDuration;
 use hsdp_telemetry::category_key;
@@ -18,19 +18,14 @@ use hsdp_telemetry::critical_path::{critical_path, CriticalPathBreakdown, PathCa
 
 use crate::stacks::StackProfile;
 
-/// One trace-set's agreement report between the critical-path walk, the
-/// Section 4.1 interval decomposition, and the metered CPU total.
+/// One trace-set's agreement report between the critical-path walk and
+/// the metered CPU total.
 #[derive(Debug, Clone, Copy)]
 pub struct PathAgreement {
     /// Critical-path attribution summed over all traces.
     pub path: CriticalPathBreakdown,
-    /// Interval decomposition summed over all traces.
-    pub decomposition: E2eDecomposition,
     /// Metered CPU (the GWP sampling universe) summed over all traces.
     pub metered_cpu: SimDuration,
-    /// Summed wall-clock CPU-span time (per-worker stripe for fan-out
-    /// platforms; equals `metered_cpu` for single-server platforms).
-    pub cpu_span_wall: SimDuration,
 }
 
 impl PathAgreement {
@@ -58,7 +53,8 @@ impl PathAgreement {
     }
 }
 
-/// Aggregates the three views over `(trace spans, metered cpu)` pairs.
+/// Sums the critical path and the metered CPU over `(trace spans, metered
+/// cpu)` pairs.
 ///
 /// Each element is one request's span tree plus the CPU time its meter
 /// charged (the denominator GWP samples against).
@@ -67,31 +63,15 @@ pub fn agree<'a, I>(traces: I) -> PathAgreement
 where
     I: IntoIterator<Item = (&'a [Span], SimDuration)>,
 {
-    let mut path = CriticalPathBreakdown::new();
-    let mut decomposition = E2eDecomposition::default();
-    let mut metered_cpu = SimDuration::ZERO;
-    let mut cpu_span_wall = SimDuration::ZERO;
+    let mut report = PathAgreement {
+        path: CriticalPathBreakdown::new(),
+        metered_cpu: SimDuration::ZERO,
+    };
     for (spans, metered) in traces {
-        path.merge(&critical_path(spans));
-        let d = decompose(spans);
-        decomposition.cpu += d.cpu;
-        decomposition.io += d.io;
-        decomposition.remote += d.remote;
-        decomposition.end_to_end += d.end_to_end;
-        decomposition.idle += d.idle;
-        metered_cpu += metered;
-        cpu_span_wall += spans
-            .iter()
-            .filter(|s| s.kind == hsdp_rpc::span::SpanKind::Cpu)
-            .map(Span::duration)
-            .sum();
+        report.path.merge(&critical_path(spans));
+        report.metered_cpu += metered;
     }
-    PathAgreement {
-        path,
-        decomposition,
-        metered_cpu,
-        cpu_span_wall,
-    }
+    report
 }
 
 // ---------------------------------------------------------------------------
@@ -222,6 +202,7 @@ pub fn ci_coverage(estimates: &[ShareEstimate]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsdp_rpc::decompose::decompose;
     use hsdp_rpc::span::{SpanId, SpanKind, TraceId};
     use hsdp_simcore::time::SimTime;
 
@@ -250,8 +231,13 @@ mod tests {
         assert!((report.fraction_sum() - 1.0).abs() < 1e-9);
         assert!((report.path_cpu_over_metered() - 1.0).abs() < 1e-12);
         assert_eq!(report.path.ns(PathCategory::Cpu), 40);
-        assert_eq!(report.decomposition.cpu.as_nanos(), 40);
-        assert_eq!(report.cpu_span_wall.as_nanos(), 40);
+        assert_eq!(decompose(&spans).cpu.as_nanos(), 40);
+        let cpu_span_wall: SimDuration = spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Cpu)
+            .map(Span::duration)
+            .sum();
+        assert_eq!(cpu_span_wall.as_nanos(), 40);
     }
 
     #[test]
@@ -268,11 +254,9 @@ mod tests {
         let report = agree([(spans.as_slice(), SimDuration::from_nanos(70))]);
         assert!((report.fraction_sum() - 1.0).abs() < 1e-9);
         assert_eq!(report.path.ns(PathCategory::Cpu), 70);
-        assert_eq!(report.decomposition.cpu.as_nanos(), 20);
-        assert_eq!(
-            report.path.total_ns(),
-            report.decomposition.end_to_end.as_nanos()
-        );
+        let decomposition = decompose(&spans);
+        assert_eq!(decomposition.cpu.as_nanos(), 20);
+        assert_eq!(report.path.total_ns(), decomposition.end_to_end.as_nanos());
     }
 
     #[test]

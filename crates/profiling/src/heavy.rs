@@ -13,9 +13,11 @@
 //!
 //! Every operation is a pure function of the sketch state and its
 //! arguments: eviction picks the minimum `(count, key)` counter (totally
-//! ordered — no hash iteration, no RNG), found in `O(log capacity)` through
-//! an ordered `(count, key)` index, and [`SpaceSaving::entries`]
-//! reports in canonical `(count desc, key asc)` order. Replaying the same
+//! ordered — no hash iteration, no RNG), kept at the top of a binary
+//! min-heap on `(count, key)` and replaced in `O(log capacity)`; a hash map
+//! from key to heap slot is only ever looked up, never iterated. And
+//! [`SpaceSaving::entries`] reports in canonical `(count desc, key asc)`
+//! order. Replaying the same
 //! stream therefore yields byte-identical output; the fleet's shard
 //! streams are themselves deterministic, and shard sketches merge in
 //! canonical `(platform, shard)` order, so the merged sketch is identical
@@ -28,7 +30,7 @@
 //! (absorbed counters inflate `err`, never deflate `count`). Any key whose
 //! true weight exceeds `total / capacity` is guaranteed to be tracked.
 
-use std::collections::{BTreeMap, BTreeSet};
+use hsdp_core::hash::IdMap;
 
 /// One tracked counter: an overestimate of the key's true total weight and
 /// the maximum amount by which it can overestimate.
@@ -42,15 +44,38 @@ pub struct HitterEntry {
     pub err: u64,
 }
 
+impl HitterEntry {
+    /// The eviction order: the least `(count, key)` goes first.
+    fn rank(&self) -> (u64, u64) {
+        (self.count, self.key)
+    }
+}
+
 /// A deterministic space-saving top-k sketch over weighted `u64` keys.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares content (capacity, total and [`SpaceSaving::entries`]),
+/// not the heap layout, which depends on the order the counters were
+/// reached in.
+#[derive(Debug, Clone)]
 pub struct SpaceSaving {
     capacity: usize,
     total: u64,
-    counters: BTreeMap<u64, (u64, u64)>, // key -> (count, err)
-    /// Every tracked `(count, key)`; the first is the eviction victim.
-    by_count: BTreeSet<(u64, u64)>,
+    /// Every tracked counter, a binary min-heap on `(count, key)`: the
+    /// first is the eviction victim.
+    heap: Vec<HitterEntry>,
+    /// Each tracked key's slot in `heap`; looked up, never iterated.
+    slots: IdMap<u64, usize>,
 }
+
+impl PartialEq for SpaceSaving {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.total == other.total
+            && self.entries() == other.entries()
+    }
+}
+
+impl Eq for SpaceSaving {}
 
 impl SpaceSaving {
     /// Creates a sketch tracking at most `capacity` keys. A zero capacity
@@ -60,8 +85,8 @@ impl SpaceSaving {
         SpaceSaving {
             capacity: capacity.max(1),
             total: 0,
-            counters: BTreeMap::new(),
-            by_count: BTreeSet::new(),
+            heap: Vec::new(),
+            slots: IdMap::default(),
         }
     }
 
@@ -80,13 +105,13 @@ impl SpaceSaving {
     /// Number of keys currently tracked (at most `capacity`).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.counters.len()
+        self.heap.len()
     }
 
     /// True when no weight has been observed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
+        self.heap.is_empty()
     }
 
     /// Adds `weight` to `key`'s counter. If the sketch is full and `key`
@@ -100,12 +125,12 @@ impl SpaceSaving {
         if self.add(key, weight, 0) {
             return;
         }
-        if self.counters.len() < self.capacity {
-            self.admit(key, weight, 0);
-            return;
-        }
-        let floor = self.evict_min().unwrap_or(0);
-        self.admit(key, floor.saturating_add(weight), floor);
+        let floor = self.victim().map_or(0, |victim| victim.count);
+        self.admit(HitterEntry {
+            key,
+            count: floor.saturating_add(weight),
+            err: floor,
+        });
     }
 
     /// Folds `other` into `self`. Shared keys sum their counts and errors;
@@ -121,65 +146,107 @@ impl SpaceSaving {
             if self.add(entry.key, entry.count, entry.err) {
                 continue;
             }
-            if self.counters.len() < self.capacity {
-                self.admit(entry.key, entry.count, entry.err);
-                continue;
-            }
-            if let Some(&min) = self.by_count.first() {
-                if min >= (entry.count, entry.key) {
-                    // The incoming counter cannot beat the current minimum;
-                    // absorbing it into an eviction would only inflate error.
-                    continue;
-                }
-            }
-            let floor = self.evict_min().unwrap_or(0);
-            self.admit(
-                entry.key,
-                entry.count.saturating_add(floor),
-                entry.err.saturating_add(floor),
-            );
+            let floor = match self.victim() {
+                // The incoming counter cannot beat the current minimum;
+                // absorbing it into an eviction would only inflate error.
+                Some(victim) if victim.rank() >= entry.rank() => continue,
+                Some(victim) => victim.count,
+                None => 0,
+            };
+            self.admit(HitterEntry {
+                key: entry.key,
+                count: entry.count.saturating_add(floor),
+                err: entry.err.saturating_add(floor),
+            });
         }
     }
 
-    /// Starts tracking the untracked `key`.
-    fn admit(&mut self, key: u64, count: u64, err: u64) {
-        self.counters.insert(key, (count, err));
-        self.by_count.insert((count, key));
+    /// The counter the next admission evicts: the minimum `(count, key)`
+    /// when the sketch is full, `None` while it has room.
+    fn victim(&self) -> Option<HitterEntry> {
+        if self.heap.len() < self.capacity {
+            return None;
+        }
+        self.heap.first().copied()
+    }
+
+    /// Starts tracking the untracked `entry.key`, in place of the victim
+    /// when the sketch is full.
+    fn admit(&mut self, entry: HitterEntry) {
+        if self.victim().is_some() {
+            self.slots.remove(&self.heap[0].key);
+            self.heap[0] = entry;
+            self.sift_down(0);
+        } else {
+            self.heap.push(entry);
+            self.sift_up(self.heap.len() - 1);
+        }
     }
 
     /// Adds to `key`'s count and error when it is tracked; false when it
     /// is not.
     fn add(&mut self, key: u64, count: u64, err: u64) -> bool {
-        let Some(counter) = self.counters.get_mut(&key) else {
+        let Some(&slot) = self.slots.get(&key) else {
             return false;
         };
-        self.by_count.remove(&(counter.0, key));
-        counter.0 = counter.0.saturating_add(count);
-        counter.1 = counter.1.saturating_add(err);
-        self.by_count.insert((counter.0, key));
+        let counter = &mut self.heap[slot];
+        counter.count = counter.count.saturating_add(count);
+        counter.err = counter.err.saturating_add(err);
+        // A larger count can only move the counter away from the top.
+        self.sift_down(slot);
         true
     }
 
-    /// Drops the minimum `(count, key)` counter — the deterministic
-    /// eviction victim — and returns its count. `None` only when no keys
-    /// are tracked (callers reach here with `len() >= capacity >= 1`, but
-    /// degrade to a plain insert rather than aborting if that invariant
-    /// ever breaks).
-    fn evict_min(&mut self) -> Option<u64> {
-        let (count, key) = self.by_count.pop_first()?;
-        self.counters.remove(&key);
-        Some(count)
+    /// Moves the counter at `slot` toward the top while it ranks below its
+    /// parent.
+    fn sift_up(&mut self, mut slot: usize) {
+        let entry = self.heap[slot];
+        while slot > 0 {
+            let parent = (slot - 1) / 2;
+            if self.heap[parent].rank() <= entry.rank() {
+                break;
+            }
+            self.place(slot, self.heap[parent]);
+            slot = parent;
+        }
+        self.place(slot, entry);
+    }
+
+    /// Moves the counter at `slot` away from the top while a child ranks
+    /// below it.
+    fn sift_down(&mut self, mut slot: usize) {
+        let entry = self.heap[slot];
+        loop {
+            let left = 2 * slot + 1;
+            let Some(&left_entry) = self.heap.get(left) else {
+                break;
+            };
+            let (child, least) = match self.heap.get(left + 1) {
+                Some(&right_entry) if right_entry.rank() < left_entry.rank() => {
+                    (left + 1, right_entry)
+                }
+                _ => (left, left_entry),
+            };
+            if least.rank() >= entry.rank() {
+                break;
+            }
+            self.place(slot, least);
+            slot = child;
+        }
+        self.place(slot, entry);
+    }
+
+    /// Puts `entry` in heap slot `slot` and records its key's slot.
+    fn place(&mut self, slot: usize, entry: HitterEntry) {
+        self.heap[slot] = entry;
+        self.slots.insert(entry.key, slot);
     }
 
     /// The tracked counters in canonical order: count descending, key
     /// ascending — the order every report and artifact emits.
     #[must_use]
     pub fn entries(&self) -> Vec<HitterEntry> {
-        let mut out: Vec<HitterEntry> = self
-            .counters
-            .iter()
-            .map(|(&key, &(count, err))| HitterEntry { key, count, err })
-            .collect();
+        let mut out = self.heap.clone();
         out.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
         out
     }
@@ -189,7 +256,7 @@ impl SpaceSaving {
 mod tests {
     use super::*;
     use hsdp_rng::derive_seed;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
 
     /// The sketch as it was before the `(count, key)` index: the eviction
     /// victim is found by scanning every counter. The oracle the indexed
@@ -435,6 +502,42 @@ mod tests {
         }
         assert_eq!(s1, s2);
         assert_eq!(s1.entries(), s2.entries());
+    }
+
+    #[test]
+    fn equal_counters_reached_in_different_orders_compare_equal() {
+        // The same counters, observed in opposite orders, then with one
+        // eviction each taken by a different route: the heap layouts
+        // differ, the sketches do not.
+        let ops = [(7u64, 3u64), (2, 9), (5, 1), (11, 4), (3, 6), (2, 2)];
+        let mut forward = SpaceSaving::new(8);
+        let mut backward = SpaceSaving::new(8);
+        for &(key, weight) in &ops {
+            forward.observe(key, weight);
+        }
+        for &(key, weight) in ops.iter().rev() {
+            backward.observe(key, weight);
+        }
+        assert_eq!(forward, backward);
+        let mut merged = SpaceSaving::new(8);
+        merged.merge(&backward);
+        assert_eq!(merged, forward);
+
+        let mut full_a = SpaceSaving::new(2);
+        full_a.observe(1, 5);
+        full_a.observe(2, 4);
+        full_a.observe(3, 1); // evicts key 2 (count 4): key 3 gets 5, err 4
+        let mut full_b = SpaceSaving::new(2);
+        full_b.observe(3, 1);
+        full_b.observe(1, 5);
+        full_b.observe(3, 4); // no eviction: key 3 reaches 5 by its own weight
+        assert_ne!(full_a, full_b, "errors differ, so the sketches do");
+        let mut full_c = SpaceSaving::new(2);
+        full_c.observe(2, 4);
+        full_c.observe(1, 5);
+        full_c.observe(3, 1);
+        assert_eq!(full_a, full_c);
+        assert_ne!(SpaceSaving::new(8), SpaceSaving::new(9), "capacity counts");
     }
 
     #[test]

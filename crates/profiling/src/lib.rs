@@ -9,9 +9,9 @@
 //! - [`microarch`] — a CPI-stack model fitted to the paper's Tables 6–7,
 //!   predicting IPC from MPKI statistics.
 //! - [`report`] — text-table rendering for the regeneration benches.
-//! - [`crosscheck`] — agreement checks between the GWP cycle view, the
-//!   Section 4.1 interval decomposition, and the telemetry crate's
-//!   critical-path walk, plus sampling-error bounds for the estimator.
+//! - [`crosscheck`] — agreement between the GWP cycle view (metered CPU)
+//!   and the telemetry crate's critical-path walk, plus sampling-error
+//!   bounds for the estimator.
 //! - [`stacks`] — deterministic stack-tree profiles with collapsed-stack
 //!   (flamegraph) and pprof export.
 //! - [`history`] — per-commit profile history: an append-only, checksummed

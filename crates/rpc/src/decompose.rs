@@ -77,40 +77,46 @@ pub fn decompose_proportional(spans: &[Span]) -> E2eDecomposition {
     decompose_with(spans, Attribution::Proportional)
 }
 
+/// A trace's wall-clock window: the first start and the last end over
+/// *all* its spans, containers included. `None` for an empty trace. The
+/// window's width is the trace's end-to-end time.
+#[must_use]
+pub fn trace_window(spans: &[Span]) -> Option<(SimTime, SimTime)> {
+    let (first, rest) = spans.split_first()?;
+    Some(rest.iter().fold((first.start, first.end), |(lo, hi), s| {
+        (lo.min(s.start), hi.max(s.end))
+    }))
+}
+
 /// Decomposes a trace with the chosen attribution rule.
 #[must_use]
 pub fn decompose_with(spans: &[Span], attribution: Attribution) -> E2eDecomposition {
-    let categorized: Vec<&Span> = spans
-        .iter()
-        .filter(|s| s.kind != SpanKind::Container && !s.duration().is_zero())
-        .collect();
-    // End-to-end wall clock spans *all* spans including containers.
-    let first_start = spans.iter().map(|s| s.start).min();
-    let last_end = spans.iter().map(|s| s.end).max();
-    let (Some(first), Some(last)) = (first_start, last_end) else {
+    let Some((first, last)) = trace_window(spans) else {
         return E2eDecomposition::default();
     };
     let end_to_end = last.since(first);
-
-    // Elementary-interval sweep over all categorized span boundaries.
-    let mut boundaries: Vec<SimTime> = categorized.iter().flat_map(|s| [s.start, s.end]).collect();
-    boundaries.sort_unstable();
-    boundaries.dedup();
+    let categorized = || {
+        spans
+            .iter()
+            .filter(|s| s.kind != SpanKind::Container && !s.duration().is_zero())
+    };
 
     let mut cpu = 0f64;
     let mut io = 0f64;
     let mut remote = 0f64;
     let mut covered = 0u64;
 
-    for window in boundaries.windows(2) {
-        let (lo, hi) = (window[0], window[1]);
-        let width = hi.since(lo).as_nanos();
-        if width == 0 {
-            continue;
-        }
+    // Elementary-interval sweep over all categorized span boundaries, in
+    // ascending order. Each window runs from `lo` to the least boundary
+    // above it, found in the same pass that finds the spans active over
+    // the window: no boundary lies strictly inside a window, so a span that
+    // starts by `lo` and ends after it covers the whole window.
+    let mut lo = categorized().map(|s| s.start).min();
+    while let Some(window_lo) = lo {
         let mut active = [false; 3]; // [cpu, io, remote]
-        for span in &categorized {
-            if span.start <= lo && span.end >= hi {
+        let mut hi: Option<SimTime> = None;
+        for span in categorized() {
+            if span.start <= window_lo && span.end > window_lo {
                 match span.kind {
                     SpanKind::Cpu => active[0] = true,
                     SpanKind::Io => active[1] = true,
@@ -118,10 +124,20 @@ pub fn decompose_with(spans: &[Span], attribution: Attribution) -> E2eDecomposit
                     SpanKind::Container => {}
                 }
             }
+            for boundary in [span.start, span.end] {
+                if boundary > window_lo && hi.is_none_or(|hi| boundary < hi) {
+                    hi = Some(boundary);
+                }
+            }
         }
+        let Some(window_hi) = hi else {
+            break;
+        };
+        lo = hi;
         if !(active[0] || active[1] || active[2]) {
             continue;
         }
+        let width = window_hi.since(window_lo).as_nanos();
         covered += width;
         let w = width as f64;
         match attribution {
@@ -162,6 +178,121 @@ pub fn decompose_with(spans: &[Span], attribution: Attribution) -> E2eDecomposit
 mod tests {
     use super::*;
     use crate::span::{SpanId, TraceId};
+    use hsdp_rng::{Rng, StdRng};
+
+    /// The sweep [`decompose_with`] replaced, kept as its oracle: the
+    /// categorized spans and their boundaries collected into `Vec`s, and
+    /// the boundaries sorted.
+    fn reference_decompose_with(spans: &[Span], attribution: Attribution) -> E2eDecomposition {
+        let categorized: Vec<&Span> = spans
+            .iter()
+            .filter(|s| s.kind != SpanKind::Container && !s.duration().is_zero())
+            .collect();
+        let first_start = spans.iter().map(|s| s.start).min();
+        let last_end = spans.iter().map(|s| s.end).max();
+        let (Some(first), Some(last)) = (first_start, last_end) else {
+            return E2eDecomposition::default();
+        };
+        let end_to_end = last.since(first);
+        let mut boundaries: Vec<SimTime> =
+            categorized.iter().flat_map(|s| [s.start, s.end]).collect();
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        let (mut cpu, mut io, mut remote, mut covered) = (0f64, 0f64, 0f64, 0u64);
+        for window in boundaries.windows(2) {
+            let (lo, hi) = (window[0], window[1]);
+            let width = hi.since(lo).as_nanos();
+            if width == 0 {
+                continue;
+            }
+            let mut active = [false; 3];
+            for span in &categorized {
+                if span.start <= lo && span.end >= hi {
+                    match span.kind {
+                        SpanKind::Cpu => active[0] = true,
+                        SpanKind::Io => active[1] = true,
+                        SpanKind::RemoteWork => active[2] = true,
+                        SpanKind::Container => {}
+                    }
+                }
+            }
+            if !(active[0] || active[1] || active[2]) {
+                continue;
+            }
+            covered += width;
+            let w = width as f64;
+            match attribution {
+                Attribution::Priority => {
+                    if active[2] {
+                        remote += w;
+                    } else if active[1] {
+                        io += w;
+                    } else {
+                        cpu += w;
+                    }
+                }
+                Attribution::Proportional => {
+                    let n = active.iter().filter(|&&a| a).count() as f64;
+                    if active[0] {
+                        cpu += w / n;
+                    }
+                    if active[1] {
+                        io += w / n;
+                    }
+                    if active[2] {
+                        remote += w / n;
+                    }
+                }
+            }
+        }
+        E2eDecomposition {
+            cpu: SimDuration::from_nanos(cpu.round() as u64),
+            io: SimDuration::from_nanos(io.round() as u64),
+            remote: SimDuration::from_nanos(remote.round() as u64),
+            end_to_end,
+            idle: SimDuration::from_nanos(end_to_end.as_nanos().saturating_sub(covered)),
+        }
+    }
+
+    #[test]
+    fn scanning_sweep_matches_the_sorting_sweep_on_random_traces() {
+        // Small time universes force equal timestamps and shared
+        // boundaries; zero-length, backwards and container spans mix in,
+        // and odd widths make the proportional split round.
+        const KINDS: [SpanKind; 4] = [
+            SpanKind::Cpu,
+            SpanKind::Io,
+            SpanKind::RemoteWork,
+            SpanKind::Container,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5EE9);
+        for trace in 0..20_000 {
+            let horizon = rng.random_range(1..=200u64);
+            let len = rng.random_range(0..=10usize);
+            let spans: Vec<Span> = (0..len)
+                .map(|_| {
+                    let start = rng.random_range(0..horizon);
+                    let end = match rng.random_range(0..5u32) {
+                        0 => start,
+                        1 => start.saturating_sub(rng.random_range(1..5u64)),
+                        _ => start + rng.random_range(1..=horizon),
+                    };
+                    span(KINDS[rng.random_range(0..KINDS.len())], start, end)
+                })
+                .collect();
+            for attribution in [Attribution::Priority, Attribution::Proportional] {
+                assert_eq!(
+                    decompose_with(&spans, attribution),
+                    reference_decompose_with(&spans, attribution),
+                    "trace {trace} {attribution:?}: {spans:?}"
+                );
+            }
+            assert_eq!(
+                trace_window(&spans).map(|(lo, hi)| hi.since(lo)),
+                (!spans.is_empty()).then(|| decompose(&spans).end_to_end)
+            );
+        }
+    }
 
     fn span(kind: SpanKind, start: u64, end: u64) -> Span {
         Span {

@@ -58,25 +58,23 @@ const fn build_slicing_tables() -> [[u32; 256]; 8] {
 /// assert_eq!(hsdp_taxes::crc::crc32c(b"123456789"), 0xe306_9283);
 /// ```
 #[must_use]
+#[inline]
 pub fn crc32c(data: &[u8]) -> u32 {
     crc32c_append(0, data)
 }
 
 /// Extends a CRC32C over more data (streaming use) — the dispatched entry.
 ///
-/// Resolves once per process to the best implementation the host supports:
-/// the hardware `crc32` instruction path in [`crate::simd::crc`] (SSE4.2 /
-/// aarch64 CRC, 3-way stream-interleaved) when detected, else the scalar
-/// slicing-by-8 path. All paths are bit-identical for every input; set
-/// `HSDP_FORCE_SCALAR=1` to pin the scalar path
+/// Runs the best implementation the host supports, resolved once per
+/// process: the hardware `crc32` instruction path in [`crate::simd::crc`]
+/// (SSE4.2 / aarch64 CRC, 3-way stream-interleaved) when detected, else the
+/// scalar slicing-by-8 path. All paths are bit-identical for every input;
+/// set `HSDP_FORCE_SCALAR=1` to pin the scalar path
 /// (see [`crate::dispatch`]).
 #[must_use]
+#[inline]
 pub fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
-    type CrcFn = fn(u32, &[u8]) -> u32;
-    static IMPL: std::sync::OnceLock<CrcFn> = std::sync::OnceLock::new();
-    let resolved =
-        *IMPL.get_or_init(|| crate::simd::crc::crc32c_fn().unwrap_or(crc32c_append_slicing8));
-    resolved(crc, data)
+    crate::simd::crc::crc32c_append(crc, data)
 }
 
 /// Extends a CRC32C over more data — the scalar tier, used on hosts without
@@ -121,6 +119,7 @@ impl Crc32c {
     }
 
     /// Absorbs more input.
+    #[inline]
     pub fn update(&mut self, data: &[u8]) {
         self.crc = crc32c_append(self.crc, data);
     }

@@ -3,13 +3,15 @@
 //! CRC32C is the one tax kernel with two shipped tiers: the hardware `crc32`
 //! instruction (SSE4.2 on x86-64, the CRC extension on aarch64) and the
 //! portable slicing-by-8 loop. This module performs **one-time** feature
-//! detection, and the CRC entry point caches the function pointer it
-//! resolves from it. The other kernels have a single implementation each:
-//! their SIMD tiers did not pay for themselves on the inputs a fleet run
-//! feeds them and were deleted (DESIGN.md, "One implementation per kernel").
+//! detection, and the CRC entry point reads the cached features on each
+//! update to pick the kernel it calls. The other kernels have a single
+//! implementation each: their SIMD tiers did not pay for themselves on the
+//! inputs a fleet run feeds them and were deleted (DESIGN.md, "One
+//! implementation per kernel").
 //!
 //! Detection runs once per process via [`CpuFeatures::get`] and is cached in
-//! a `OnceLock`, so the steady-state dispatch cost is a single indirect call.
+//! a `OnceLock`, so the steady-state dispatch cost is one read of the cached
+//! features before a direct call into the chosen kernel.
 //!
 //! ## Forcing the scalar path
 //!
@@ -48,6 +50,7 @@ impl CpuFeatures {
     }
 
     /// The process-wide detected feature set (detection runs on first call).
+    #[inline]
     pub fn get() -> &'static Self {
         static FEATURES: OnceLock<CpuFeatures> = OnceLock::new();
         FEATURES.get_or_init(Self::detect)

@@ -93,29 +93,44 @@ fn shift_block(crc: u32) -> u32 {
         ^ SHIFT_BLOCK[3][(crc >> 24) as usize]
 }
 
-/// Resolves the hardware CRC32C implementation for the detected features,
-/// or `None` when the host has no fast path (or scalar is forced).
-pub fn crc32c_fn() -> Option<fn(u32, &[u8]) -> u32> {
+/// True when the host has the CRC instruction [`crc32c_hw`] is compiled
+/// for and the scalar tier is not forced: read from the features
+/// [`crate::dispatch::CpuFeatures::get`] detects once per process.
+#[inline]
+fn hardware_crc() -> bool {
     let features = crate::dispatch::CpuFeatures::get();
     #[cfg(target_arch = "x86_64")]
-    if features.sse42 {
-        return Some(crc32c_hw_entry);
-    }
+    return features.sse42;
     #[cfg(target_arch = "aarch64")]
-    if features.aarch64_crc {
-        return Some(crc32c_hw_entry);
+    return features.aarch64_crc;
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    {
+        let _ = features;
+        false
     }
-    let _ = features;
-    None
 }
 
-/// Safe entry point installed by [`crc32c_fn`].
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-fn crc32c_hw_entry(crc: u32, data: &[u8]) -> u32 {
-    // SAFETY: `crc32c_fn` installs this entry only after `CpuFeatures::get`
-    // confirmed the required CRC instruction set on this CPU, which is the
-    // sole precondition of the target_feature function.
-    unsafe { crc32c_hw(crc, data) }
+/// Extends `crc` over `data` on the best tier the host supports: the body
+/// of [`crate::crc::crc32c_append`]. Inlined into its callers, an update
+/// costs one test of the cached features and one call into the kernel,
+/// with no function pointer or wrapper between them.
+#[inline]
+pub(crate) fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    if hardware_crc() {
+        // SAFETY: `hardware_crc` is true only when `CpuFeatures::get`
+        // confirmed the CRC instruction set on this CPU, which is the sole
+        // precondition of the target_feature function.
+        return unsafe { crc32c_hw(crc, data) };
+    }
+    crate::crc::crc32c_append_slicing8(crc, data)
+}
+
+/// The dispatched entry ([`crate::crc::crc32c_append`]) when it runs the
+/// hardware tier, or `None` when the host has no fast path (or scalar is
+/// forced): lets the equivalence tests drive the exact path production uses.
+pub fn crc32c_fn() -> Option<fn(u32, &[u8]) -> u32> {
+    hardware_crc().then_some(crate::crc::crc32c_append as fn(u32, &[u8]) -> u32)
 }
 
 /// Hardware CRC32C over `data`, extending `crc` — x86-64 SSE4.2 path.

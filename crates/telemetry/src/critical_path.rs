@@ -9,8 +9,7 @@
 //! fractions sum to 1.0 up to float rounding — the complement to the
 //! GWP-style CPU fractions, which weigh *cycles* rather than *waiting*.
 
-use std::collections::BTreeMap;
-
+use hsdp_rpc::decompose::trace_window;
 use hsdp_rpc::span::{Span, SpanId, SpanKind};
 
 /// Ancestor-chain cap: traces here are a few levels deep; anything deeper
@@ -150,110 +149,310 @@ impl CriticalPathBreakdown {
 #[must_use]
 pub fn critical_path(spans: &[Span]) -> CriticalPathBreakdown {
     let mut out = CriticalPathBreakdown::new();
-    if spans.is_empty() {
+    let Some((window_lo, window_hi)) = trace_window(spans) else {
         return out;
-    }
-
-    // Child index: parent id -> children. A span whose parent is missing
-    // from the set (or self-referential) is treated as a root.
-    let ids: BTreeMap<SpanId, &Span> = spans.iter().map(|s| (s.id, s)).collect();
-    let mut children: BTreeMap<SpanId, Vec<&Span>> = BTreeMap::new();
-    let mut roots: Vec<&Span> = Vec::new();
-    for span in spans {
-        match span.parent {
-            Some(parent) if parent != span.id && ids.contains_key(&parent) => {
-                children.entry(parent).or_default().push(span);
-            }
-            _ => roots.push(span),
-        }
-    }
-
-    // The trace window: first start to last end across all spans.
-    let window_lo = spans.iter().map(|s| s.start.as_nanos()).min().unwrap_or(0);
-    let window_hi = spans.iter().map(|s| s.end.as_nanos()).max().unwrap_or(0);
-
+    };
+    let index = TraceIndex::new(spans);
     // Treat the roots as children of a virtual Idle-kind container over the
     // whole window.
-    walk_children(
-        &roots,
+    index.walk_children(
+        index.roots(),
         PathCategory::Idle,
-        window_lo,
-        window_hi,
-        &children,
+        window_lo.as_nanos(),
+        window_hi.as_nanos(),
         0,
         &mut out,
     );
     out
 }
 
-/// Attributes `[lo, hi]` of `span`'s timeline: slowest-finishing children
-/// claim their segments (recursively); the remainder is span self time.
-fn walk_span(
-    span: &Span,
-    lo: u64,
-    hi: u64,
-    children: &BTreeMap<SpanId, Vec<&Span>>,
-    depth: usize,
-    out: &mut CriticalPathBreakdown,
-) {
-    let own = PathCategory::of_kind(span.kind);
-    match children.get(&span.id) {
-        Some(kids) if depth < MAX_DEPTH => {
-            walk_children(kids, own, lo, hi, children, depth, out);
-        }
-        _ => out.charge(own, lo, hi),
-    }
+/// A span's place in a [`TraceIndex`]: `(is child, parent id, position)`.
+/// A root's parent id is 0.
+type Slot = (bool, u64, usize);
+
+/// One trace's span tree, indexed once, in one allocation.
+///
+/// `tree` holds one [`Slot`] per span, sorted: the roots come first, then
+/// each parent's children as one contiguous run. Positions break ties, so
+/// roots and every child run keep slice order, which the walk's tie-break
+/// relies on. A span whose parent is missing from the set (or is itself)
+/// is a root. The parent-present test scans the trace, as each step of the
+/// walk scans a container's children, so indexing costs no more than the
+/// walk's own `O(n²)` worst case and on the few-span traces a fleet records
+/// beats sorting the ids for a binary search.
+struct TraceIndex<'a> {
+    spans: &'a [Span],
+    tree: Vec<Slot>,
+    roots: usize,
 }
 
-/// The backward walk shared by real containers and the virtual root: pick,
-/// at each cursor, the unconsumed child active before the cursor whose
-/// (clamped) end is latest; charge the gap above it to `self_category` and
-/// recurse into the child below it.
-fn walk_children(
-    kids: &[&Span],
-    self_category: PathCategory,
-    lo: u64,
-    hi: u64,
-    children: &BTreeMap<SpanId, Vec<&Span>>,
-    depth: usize,
-    out: &mut CriticalPathBreakdown,
-) {
-    let mut consumed = vec![false; kids.len()];
-    let mut cursor = hi;
-    while cursor > lo {
-        // The candidate maximizing min(end, cursor), tie-broken by (end,
-        // id) so the walk is deterministic for identical timestamps.
-        let mut best: Option<(u64, u64, u64, usize)> = None;
-        for (i, kid) in kids.iter().enumerate() {
-            if consumed[i] || kid.start.as_nanos() >= cursor {
-                continue;
-            }
-            let clamped = kid.end.as_nanos().min(cursor);
-            let rank = (clamped, kid.end.as_nanos(), kid.id.0, i);
-            if best.is_none_or(|b| (b.0, b.1, b.2) < (rank.0, rank.1, rank.2)) {
-                best = Some(rank);
-            }
-        }
-        let Some((clamped_end, _, _, index)) = best else {
-            break;
-        };
-        consumed[index] = true;
-        let kid = kids[index];
-        // Gap between the chain's latest child end and the cursor is the
-        // parent's own waiting.
-        out.charge(self_category, clamped_end, cursor);
-        let kid_lo = kid.start.as_nanos().max(lo);
-        walk_span(kid, kid_lo, clamped_end, children, depth + 1, out);
-        cursor = kid_lo;
+impl<'a> TraceIndex<'a> {
+    fn new(spans: &'a [Span]) -> Self {
+        let mut tree: Vec<Slot> = spans
+            .iter()
+            .enumerate()
+            .map(|(position, span)| match span.parent {
+                Some(parent) if parent != span.id && spans.iter().any(|s| s.id == parent) => {
+                    (true, parent.0, position)
+                }
+                _ => (false, 0, position),
+            })
+            .collect();
+        tree.sort_unstable();
+        let roots = tree.partition_point(|&(child, _, _)| !child);
+        TraceIndex { spans, tree, roots }
     }
-    out.charge(self_category, lo, cursor);
+
+    fn roots(&self) -> &[Slot] {
+        &self.tree[..self.roots]
+    }
+
+    /// The spans whose parent is `id`, in slice order.
+    fn children(&self, id: SpanId) -> &[Slot] {
+        let kids = &self.tree[self.roots..];
+        let first = kids.partition_point(|&(_, parent, _)| parent < id.0);
+        let end = kids.partition_point(|&(_, parent, _)| parent <= id.0);
+        &kids[first..end]
+    }
+
+    /// Attributes `[lo, hi]` of `span`'s timeline: slowest-finishing
+    /// children claim their segments (recursively); the remainder is span
+    /// self time.
+    fn walk_span(
+        &self,
+        span: &Span,
+        lo: u64,
+        hi: u64,
+        depth: usize,
+        out: &mut CriticalPathBreakdown,
+    ) {
+        let own = PathCategory::of_kind(span.kind);
+        let kids = self.children(span.id);
+        if !kids.is_empty() && depth < MAX_DEPTH {
+            self.walk_children(kids, own, lo, hi, depth, out);
+        } else {
+            out.charge(own, lo, hi);
+        }
+    }
+
+    /// The backward walk shared by real containers and the virtual root:
+    /// pick, at each cursor, the child active before the cursor whose
+    /// (clamped) end is latest; charge the gap above it to `self_category`
+    /// and recurse into the child below it.
+    ///
+    /// A chosen child's start (clamped to `lo`) becomes the new cursor, and
+    /// only a child that starts before the cursor is eligible, so no child
+    /// is chosen twice and the walk needs no record of the ones it took.
+    fn walk_children(
+        &self,
+        kids: &[Slot],
+        self_category: PathCategory,
+        lo: u64,
+        hi: u64,
+        depth: usize,
+        out: &mut CriticalPathBreakdown,
+    ) {
+        let mut cursor = hi;
+        while cursor > lo {
+            // The candidate maximizing min(end, cursor), tie-broken by (end,
+            // id) and then by slice order, so the walk is deterministic for
+            // identical timestamps.
+            let mut best: Option<((u64, u64, u64), &Span)> = None;
+            for &(_, _, position) in kids {
+                let kid = &self.spans[position];
+                if kid.start.as_nanos() >= cursor {
+                    continue;
+                }
+                let rank = (kid.end.as_nanos().min(cursor), kid.end.as_nanos(), kid.id.0);
+                if best.is_none_or(|(best_rank, _)| best_rank < rank) {
+                    best = Some((rank, kid));
+                }
+            }
+            let Some(((clamped_end, _, _), kid)) = best else {
+                break;
+            };
+            // Gap between the chain's latest child end and the cursor is the
+            // parent's own waiting.
+            out.charge(self_category, clamped_end, cursor);
+            let kid_lo = kid.start.as_nanos().max(lo);
+            self.walk_span(kid, kid_lo, clamped_end, depth + 1, out);
+            cursor = kid_lo;
+        }
+        out.charge(self_category, lo, cursor);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsdp_rng::{Rng, StdRng};
     use hsdp_rpc::span::{SpanKind, TraceId};
     use hsdp_simcore::time::SimTime;
+    use std::collections::BTreeMap;
+
+    /// The walk [`critical_path`] replaced, kept as its oracle: an id map
+    /// and a child map per trace, and a `consumed` flag per child.
+    fn reference_critical_path(spans: &[Span]) -> CriticalPathBreakdown {
+        fn walk_span(
+            span: &Span,
+            lo: u64,
+            hi: u64,
+            children: &BTreeMap<SpanId, Vec<&Span>>,
+            depth: usize,
+            out: &mut CriticalPathBreakdown,
+        ) {
+            let own = PathCategory::of_kind(span.kind);
+            match children.get(&span.id) {
+                Some(kids) if depth < MAX_DEPTH => {
+                    walk_children(kids, own, lo, hi, children, depth, out);
+                }
+                _ => out.charge(own, lo, hi),
+            }
+        }
+
+        fn walk_children(
+            kids: &[&Span],
+            self_category: PathCategory,
+            lo: u64,
+            hi: u64,
+            children: &BTreeMap<SpanId, Vec<&Span>>,
+            depth: usize,
+            out: &mut CriticalPathBreakdown,
+        ) {
+            let mut consumed = vec![false; kids.len()];
+            let mut cursor = hi;
+            while cursor > lo {
+                let mut best: Option<(u64, u64, u64, usize)> = None;
+                for (i, kid) in kids.iter().enumerate() {
+                    if consumed[i] || kid.start.as_nanos() >= cursor {
+                        continue;
+                    }
+                    let clamped = kid.end.as_nanos().min(cursor);
+                    let rank = (clamped, kid.end.as_nanos(), kid.id.0, i);
+                    if best.is_none_or(|b| (b.0, b.1, b.2) < (rank.0, rank.1, rank.2)) {
+                        best = Some(rank);
+                    }
+                }
+                let Some((clamped_end, _, _, index)) = best else {
+                    break;
+                };
+                consumed[index] = true;
+                let kid = kids[index];
+                out.charge(self_category, clamped_end, cursor);
+                let kid_lo = kid.start.as_nanos().max(lo);
+                walk_span(kid, kid_lo, clamped_end, children, depth + 1, out);
+                cursor = kid_lo;
+            }
+            out.charge(self_category, lo, cursor);
+        }
+
+        let mut out = CriticalPathBreakdown::new();
+        if spans.is_empty() {
+            return out;
+        }
+        let ids: BTreeMap<SpanId, &Span> = spans.iter().map(|s| (s.id, s)).collect();
+        let mut children: BTreeMap<SpanId, Vec<&Span>> = BTreeMap::new();
+        let mut roots: Vec<&Span> = Vec::new();
+        for span in spans {
+            match span.parent {
+                Some(parent) if parent != span.id && ids.contains_key(&parent) => {
+                    children.entry(parent).or_default().push(span);
+                }
+                _ => roots.push(span),
+            }
+        }
+        let window_lo = spans.iter().map(|s| s.start.as_nanos()).min().unwrap_or(0);
+        let window_hi = spans.iter().map(|s| s.end.as_nanos()).max().unwrap_or(0);
+        walk_children(
+            &roots,
+            PathCategory::Idle,
+            window_lo,
+            window_hi,
+            &children,
+            0,
+            &mut out,
+        );
+        out
+    }
+
+    /// A random trace over a small id and time universe, so it has every
+    /// shape the walk must survive: several roots, missing,
+    /// self-referential and cyclic parents, duplicate ids, zero-length and
+    /// backwards spans, and equal timestamps.
+    fn random_trace(rng: &mut StdRng) -> Vec<Span> {
+        const KINDS: [SpanKind; 4] = [
+            SpanKind::Cpu,
+            SpanKind::Io,
+            SpanKind::RemoteWork,
+            SpanKind::Container,
+        ];
+        let len = rng.random_range(0..=12usize);
+        let ids = rng.random_range(1..=14u64);
+        (0..len)
+            .map(|_| {
+                let id = rng.random_range(0..ids);
+                let parent = match rng.random_range(0..5u32) {
+                    0 => None,
+                    1 => Some(id),
+                    _ => Some(rng.random_range(0..=ids)),
+                };
+                let start = rng.random_range(0..40u64);
+                let end = match rng.random_range(0..5u32) {
+                    0 => start,
+                    1 => start.saturating_sub(rng.random_range(1..4u64)),
+                    _ => start + rng.random_range(1..40u64),
+                };
+                let kind = KINDS[rng.random_range(0..KINDS.len())];
+                span(id, parent, kind, start, end)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn indexed_walk_matches_the_map_walk_on_random_traces() {
+        let mut rng = StdRng::seed_from_u64(0x0C21_71CA);
+        for trace in 0..20_000 {
+            let spans = random_trace(&mut rng);
+            assert_eq!(
+                critical_path(&spans),
+                reference_critical_path(&spans),
+                "trace {trace}: {spans:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn chains_deeper_than_the_cap_match_the_map_walk() {
+        // A nested chain twice as deep as MAX_DEPTH, with random kinds and
+        // a random sibling under each link; and the same chain closed into
+        // a cycle hanging off a root through a duplicate id.
+        let mut rng = StdRng::seed_from_u64(0xDEE9);
+        for _ in 0..50 {
+            let depth = 2 * MAX_DEPTH as u64;
+            let mut spans = Vec::new();
+            for level in 0..depth {
+                let parent = level.checked_sub(1);
+                let kind = if rng.random_bool(0.5) {
+                    SpanKind::Container
+                } else {
+                    SpanKind::RemoteWork
+                };
+                spans.push(span(level, parent, kind, level, 4 * depth - level));
+                let start = rng.random_range(level..3 * depth);
+                spans.push(span(
+                    depth + level,
+                    parent,
+                    SpanKind::Cpu,
+                    start,
+                    start + rng.random_range(0..depth),
+                ));
+            }
+            assert_eq!(critical_path(&spans), reference_critical_path(&spans));
+            spans[0].parent = Some(SpanId(depth - 1));
+            spans.push(span(0, None, SpanKind::Io, 0, 5 * depth));
+            assert_eq!(critical_path(&spans), reference_critical_path(&spans));
+        }
+    }
 
     fn span(id: u64, parent: Option<u64>, kind: SpanKind, start: u64, end: u64) -> Span {
         Span {

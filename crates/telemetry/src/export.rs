@@ -8,14 +8,18 @@
 //!
 //! Timestamps: trace-event `ts`/`dur` are microseconds; simulator spans are
 //! integer nanoseconds. Values are emitted as fixed-point decimal micros
-//! (`"{}.{:03}"`) so no float formatting is involved and the output is
-//! byte-deterministic.
-
-use std::fmt::Write;
+//! (`1.500` for 1500 ns), so no float formatting is involved and the output
+//! is byte-deterministic. Every number is written digit by digit into one
+//! buffer, reserved once from the span count: the export makes no
+//! `core::fmt` call.
 
 use hsdp_rpc::span::{Span, SpanKind};
 
 use crate::json::escape;
+
+/// Bytes reserved per span event. A fleet-traffic event averages about
+/// 163; an export whose events run longer grows the buffer as usual.
+const EVENT_BYTES: usize = 192;
 
 /// One swimlane's worth of spans plus its process/thread labels. The spans
 /// are borrowed from the records they came from.
@@ -44,39 +48,68 @@ fn kind_category(kind: SpanKind) -> &'static str {
     }
 }
 
-fn push_metadata(out: &mut String, name: &str, pid: u32, tid: u32, arg_key: &str, arg_val: &str) {
-    out.push_str(&format!(
-        "    {{\"name\": \"{name}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"{arg_key}\": \""
-    ));
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] += (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&digit| char::from(digit)));
+}
+
+/// Appends integer nanoseconds as fixed-point decimal microseconds: the
+/// whole microseconds, a point, and three digits of nanoseconds.
+fn push_micros(out: &mut String, nanos: u64) {
+    push_decimal(out, nanos / 1_000);
+    let frac = nanos % 1_000;
+    out.push('.');
+    for digit in [frac / 100, frac / 10 % 10, frac % 10] {
+        out.push(char::from(b'0' + digit as u8));
+    }
+}
+
+fn push_metadata(out: &mut String, name: &str, pid: u32, tid: u32, arg_val: &str) {
+    out.push_str("    {\"name\": \"");
+    out.push_str(name);
+    out.push_str("\", \"ph\": \"M\", \"pid\": ");
+    push_decimal(out, u64::from(pid));
+    out.push_str(", \"tid\": ");
+    push_decimal(out, u64::from(tid));
+    out.push_str(", \"args\": {\"name\": \"");
     escape(arg_val, out);
     out.push_str("\"}}");
 }
 
-/// Appends one `"X"` (complete) event. Times are integer nanoseconds
-/// written as fixed-point decimal microseconds.
-fn push_event(out: &mut String, span: &Span, pid: u32, tid: u32) -> std::fmt::Result {
+/// Appends one `"X"` (complete) event. `lane` is the group's
+/// `, "pid": P, "tid": T, "args": {"trace": ` run, the same for every
+/// event on the lane.
+fn push_event(out: &mut String, span: &Span, lane: &str) {
     let start = span.start.as_nanos();
     let dur = span.end.as_nanos().saturating_sub(start);
     out.push_str("    {\"name\": \"");
     escape(span.name, out);
-    write!(
-        out,
-        "\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}.{:03}, \"dur\": {}.{:03}, \
-         \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"trace\": {}, \"span\": {}, \"parent\": ",
-        kind_category(span.kind),
-        start / 1_000,
-        start % 1_000,
-        dur / 1_000,
-        dur % 1_000,
-        span.trace.0,
-        span.id.0,
-    )?;
+    out.push_str("\", \"cat\": \"");
+    out.push_str(kind_category(span.kind));
+    out.push_str("\", \"ph\": \"X\", \"ts\": ");
+    push_micros(out, start);
+    out.push_str(", \"dur\": ");
+    push_micros(out, dur);
+    out.push_str(lane);
+    push_decimal(out, span.trace.0);
+    out.push_str(", \"span\": ");
+    push_decimal(out, span.id.0);
+    out.push_str(", \"parent\": ");
     match span.parent {
-        Some(parent) => write!(out, "{}", parent.0)?,
+        Some(parent) => push_decimal(out, parent.0),
         None => out.push_str("null"),
     }
     out.push_str("}}");
-    Ok(())
 }
 
 /// Serializes `groups` into one Chrome trace-event JSON document.
@@ -87,7 +120,8 @@ fn push_event(out: &mut String, span: &Span, pid: u32, tid: u32) -> std::fmt::Re
 /// for a given input.
 #[must_use]
 pub fn chrome_trace_json(groups: &[TraceGroup<'_>]) -> String {
-    let mut out = String::new();
+    let spans: usize = groups.iter().map(|group| group.spans.len()).sum();
+    let mut out = String::with_capacity((spans + 2 * groups.len() + 1) * EVENT_BYTES);
     out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n");
     let mut first = true;
     let sep = |out: &mut String, first: &mut bool| {
@@ -104,14 +138,7 @@ pub fn chrome_trace_json(groups: &[TraceGroup<'_>]) -> String {
         if !named_pids.contains(&group.pid) {
             named_pids.push(group.pid);
             sep(&mut out, &mut first);
-            push_metadata(
-                &mut out,
-                "process_name",
-                group.pid,
-                0,
-                "name",
-                &group.process_name,
-            );
+            push_metadata(&mut out, "process_name", group.pid, 0, &group.process_name);
         }
         sep(&mut out, &mut first);
         push_metadata(
@@ -119,16 +146,21 @@ pub fn chrome_trace_json(groups: &[TraceGroup<'_>]) -> String {
             "thread_name",
             group.pid,
             group.tid,
-            "name",
             &group.thread_name,
         );
     }
 
+    let mut lane = String::new();
     for group in groups {
+        lane.clear();
+        lane.push_str(", \"pid\": ");
+        push_decimal(&mut lane, u64::from(group.pid));
+        lane.push_str(", \"tid\": ");
+        push_decimal(&mut lane, u64::from(group.tid));
+        lane.push_str(", \"args\": {\"trace\": ");
         for span in &group.spans {
             sep(&mut out, &mut first);
-            // Writing into a `String` cannot fail.
-            let _ = push_event(&mut out, span, group.pid, group.tid);
+            push_event(&mut out, span, &lane);
         }
     }
 
