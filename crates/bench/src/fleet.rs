@@ -254,7 +254,8 @@ pub fn profile_fleet(config: FleetConfig) -> Vec<PlatformRun> {
             let weight = 1.0 / executions.len().max(1) as f64;
             let records = executions
                 .iter()
-                .map(|e| e.to_query_record(weight))
+                .zip(&decomposed)
+                .map(|(e, d)| e.to_query_record(d, weight))
                 .collect();
             let population = QueryPopulation::new(records)
                 // audit: allow(panic, documented: a fleet config with zero queries for a platform has no population to measure)

@@ -8,7 +8,7 @@
 //! ## Layout
 //!
 //! - [`units`] — `Seconds` / `Bytes` / `Bandwidth` newtypes.
-//! - [`audit`] — redundant invariant checks over breakdowns, populations,
+//! - [`audit`](mod@audit) — redundant invariant checks over breakdowns, populations,
 //!   and speedup curves, wired into `debug_assert!` hooks.
 //! - [`category`] — platforms and the core-compute / datacenter-tax /
 //!   system-tax taxonomy (Tables 2–5).

@@ -12,20 +12,17 @@ use std::collections::HashMap;
 
 use hsdp_core::category::{CoreComputeOp, DatacenterTax, Platform, SystemTax};
 use hsdp_core::hash::IdMap;
-use hsdp_core::request::RequestId;
 use hsdp_rpc::latency::LatencyModel;
 use hsdp_rpc::span::SpanKind;
-use hsdp_rpc::tracer::Tracer;
-use hsdp_simcore::time::{SimDuration, SimTime};
+use hsdp_simcore::time::SimDuration;
 use hsdp_storage::cache::PolicyKind;
 use hsdp_storage::tiered::TieredStore;
-use hsdp_telemetry::MetricsRegistry;
 use hsdp_workload::rows::{DimRow, FactRow};
 
 use crate::columnar::{Column, ColumnTable};
 use crate::costs;
-use crate::exec::{trace_spans, QueryExecution};
-use crate::meter::{CpuCounters, WorkMeter};
+use crate::exec::{OpenQuery, QueryExecution, QueryRecorder};
+use crate::meter::WorkMeter;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,19 +55,15 @@ struct StoredPartition {
 /// The analytics-engine simulator.
 #[derive(Debug)]
 pub struct BigQuery {
+    /// The engine's clock, tracer, telemetry and request id.
+    pub recorder: QueryRecorder,
     config: BigQueryConfig,
-    clock: SimTime,
-    tracer: Tracer,
     stores: Vec<TieredStore>,
     partitions: Vec<StoredPartition>,
     dim: Vec<DimRow>,
     net: LatencyModel,
     shuffle_net: LatencyModel,
     seed: u64,
-    telemetry: MetricsRegistry,
-    /// CPU charged since the registry was set, added to it when taken.
-    cpu: CpuCounters,
-    current_request: RequestId,
 }
 
 impl BigQuery {
@@ -84,9 +77,8 @@ impl BigQuery {
         assert!(config.workers > 0, "need at least one worker");
         let (ram, ssd, hdd) = config.tier_bytes;
         BigQuery {
+            recorder: QueryRecorder::new(),
             config,
-            clock: SimTime::ZERO,
-            tracer: Tracer::new(),
             stores: (0..config.workers)
                 .map(|_| TieredStore::new(ram, ssd, hdd, PolicyKind::TwoQ))
                 .collect(),
@@ -101,40 +93,7 @@ impl BigQuery {
                 jitter_frac: 0.2,
             },
             seed,
-            telemetry: MetricsRegistry::disabled(),
-            cpu: CpuCounters::default(),
-            current_request: RequestId::UNTAGGED,
         }
-    }
-
-    /// Sets the request identity stamped onto subsequent query executions
-    /// and their latency exemplars. The runner calls this before each
-    /// traffic query; [`RequestId::UNTAGGED`] marks background work.
-    pub fn set_request(&mut self, request: RequestId) {
-        self.current_request = request;
-    }
-
-    /// Replaces the telemetry registry (pass [`MetricsRegistry::new`] to
-    /// turn recording on; it is off by default). CPU charged under the
-    /// previous registry and not yet taken is discarded with it.
-    pub fn set_telemetry(&mut self, registry: MetricsRegistry) {
-        self.telemetry = registry;
-        self.cpu = CpuCounters::default();
-    }
-
-    /// Takes the telemetry collected so far, leaving recording disabled.
-    /// The CPU charged since the registry was set is added to its `"cpu"`
-    /// counters here, once per `(category, leaf)`.
-    pub fn take_telemetry(&mut self) -> MetricsRegistry {
-        self.cpu.drain_into(&mut self.telemetry);
-        std::mem::replace(&mut self.telemetry, MetricsRegistry::disabled())
-    }
-
-    /// Spans still open in the tracer — zero between queries; asserted at
-    /// end-of-run by the fleet driver.
-    #[must_use]
-    pub fn open_spans(&self) -> usize {
-        self.tracer.open_count()
     }
 
     /// Loads the fact table (partitioned round-robin across workers) and
@@ -167,12 +126,6 @@ impl BigQuery {
     #[must_use]
     pub fn row_count(&self) -> usize {
         self.partitions.iter().map(|p| p.table.rows()).sum()
-    }
-
-    /// The simulated clock.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.clock
     }
 
     /// Per-worker column scan: charges IO + decompress + decode for the
@@ -332,13 +285,13 @@ impl BigQuery {
             bytes_per_worker * self.config.workers as u64,
             costs::PROTO_DECODE_NS_PER_BYTE,
         );
-        self.telemetry.counter_add(("bigquery", "shuffles", ""), 1);
-        self.telemetry.counter_add(
+        let telemetry = &mut self.recorder.telemetry;
+        telemetry.counter_add(("bigquery", "shuffles", ""), 1);
+        telemetry.counter_add(
             ("bigquery", "shuffle_bytes", ""),
             bytes_per_worker * self.config.workers as u64,
         );
-        self.telemetry
-            .record_duration(("bigquery", "shuffle_wait_ns", ""), slowest);
+        telemetry.record_duration(("bigquery", "shuffle_wait_ns", ""), slowest);
         slowest
     }
 
@@ -368,90 +321,46 @@ impl BigQuery {
         self.net.one_way(bytes, self.seed ^ salt)
     }
 
-    fn start_query(
-        &mut self,
-        name: &'static str,
-    ) -> (hsdp_rpc::span::TraceId, hsdp_rpc::tracer::OpenSpan) {
-        let trace = self.tracer.new_trace();
-        let root = self
-            .tracer
-            .start(trace, None, name, SpanKind::Container, self.clock);
-        (trace, root)
-    }
-
+    /// BigQuery's span layout: column decode pipelines with the fetch, so
+    /// the CPU span starts halfway through the IO span (the overlap the
+    /// Section 4.1 attribution rule then charges to IO); then the shuffle
+    /// (a zero IO lays CPU alone, a zero shuffle no span); then the query
+    /// tail. Fleet cycles spread across the worker pool: wall-clock CPU is
+    /// the per-worker stripe.
     fn finish_query(
         &mut self,
-        trace: hsdp_rpc::span::TraceId,
-        root: hsdp_rpc::tracer::OpenSpan,
-        mut meter: WorkMeter,
+        query: OpenQuery,
+        meter: WorkMeter,
         io_time: SimDuration,
         shuffle_time: SimDuration,
         label: &'static str,
     ) -> QueryExecution {
-        let started = self.clock;
-        // Fleet cycles spread across the worker pool: wall-clock CPU is
-        // the per-worker stripe. Column decode pipelines with the fetch, so
-        // the CPU span starts halfway through the IO span (the overlap the
-        // Section 4.1 attribution rule then charges to IO).
         let cpu_wall =
             SimDuration::from_nanos(meter.total().as_nanos() / self.config.workers as u64);
+        let recorder = &mut self.recorder;
         if !io_time.is_zero() {
-            let io_span = self.tracer.start(
-                trace,
-                Some(root.id()),
-                "column_io",
-                SpanKind::Io,
-                self.clock,
-            );
-            let io_end = self.clock + io_time;
-            let cpu_start = self.clock + SimDuration::from_nanos(io_time.as_nanos() / 2);
-            let cpu_span =
-                self.tracer
-                    .start(trace, Some(root.id()), "cpu", SpanKind::Cpu, cpu_start);
-            self.tracer.finish(io_span, io_end);
-            self.clock = (cpu_start + cpu_wall).max(io_end);
-            self.tracer.finish(cpu_span, cpu_start + cpu_wall);
+            let (trace, root) = (query.root.trace(), Some(query.root.id()));
+            let tracer = &mut recorder.tracer;
+            let io_span = tracer.start(trace, root, "column_io", SpanKind::Io, recorder.clock);
+            let io_end = recorder.clock + io_time;
+            let cpu_start = recorder.clock + SimDuration::from_nanos(io_time.as_nanos() / 2);
+            let cpu_span = tracer.start(trace, root, "cpu", SpanKind::Cpu, cpu_start);
+            tracer.finish(io_span, io_end);
+            recorder.clock = (cpu_start + cpu_wall).max(io_end);
+            tracer.finish(cpu_span, cpu_start + cpu_wall);
         } else {
-            let cpu_span =
-                self.tracer
-                    .start(trace, Some(root.id()), "cpu", SpanKind::Cpu, self.clock);
-            self.clock += cpu_wall;
-            self.tracer.finish(cpu_span, self.clock);
+            recorder.lay(&query, "cpu", SpanKind::Cpu, cpu_wall);
         }
         if !shuffle_time.is_zero() {
-            let remote = self.tracer.start(
-                trace,
-                Some(root.id()),
-                "shuffle",
-                SpanKind::RemoteWork,
-                self.clock,
-            );
-            self.clock += shuffle_time;
-            self.tracer.finish(remote, self.clock);
+            recorder.lay(&query, "shuffle", SpanKind::RemoteWork, shuffle_time);
         }
-        self.tracer.finish(root, self.clock);
-        self.telemetry
-            .counter_add(("bigquery", "queries", label), 1);
-        self.telemetry.record_duration_tagged(
-            ("bigquery", "query_latency_ns", label),
-            self.clock.since(started),
-            self.current_request,
-        );
-        self.cpu.add(&self.telemetry, meter.items());
-        let spans = trace_spans(&mut self.tracer, trace);
-        QueryExecution {
-            platform: Platform::BigQuery,
-            label,
-            spans,
-            cpu_work: meter.take(),
-            request: self.current_request,
-        }
+        recorder.finish(Platform::BigQuery, query, meter, label)
     }
 
     /// `SELECT url, bytes WHERE latency_ms > threshold AND success`.
     pub fn scan_filter(&mut self, latency_threshold: f64) -> QueryExecution {
         let mut meter = WorkMeter::new();
-        let (trace, root) = self.start_query("bigquery.scan_filter");
+        let query = self.recorder.open("bigquery.scan_filter");
 
         let (io_wall, collect) = {
             let mut op = meter.scope("bigquery.scan_filter");
@@ -494,7 +403,7 @@ impl BigQuery {
             let collect = self.collect_results(
                 &mut op,
                 result_bytes / self.config.workers as u64 + 64,
-                trace.0,
+                query.root.trace().0,
             );
             op.charge_ops(
                 SystemTax::MiscSystem,
@@ -504,13 +413,13 @@ impl BigQuery {
             );
             (io_wall, collect)
         };
-        self.finish_query(trace, root, meter, io_wall, collect, "scan-filter")
+        self.finish_query(query, meter, io_wall, collect, "scan-filter")
     }
 
     /// `SELECT region, SUM(bytes), AVG(latency) GROUP BY region`.
     pub fn group_aggregate(&mut self) -> QueryExecution {
         let mut meter = WorkMeter::new();
-        let (trace, root) = self.start_query("bigquery.group_aggregate");
+        let query = self.recorder.open("bigquery.group_aggregate");
 
         let (io_wall, shuffle) = {
             let mut op = meter.scope("bigquery.group_aggregate");
@@ -545,7 +454,7 @@ impl BigQuery {
             let total_rows = self.row_count() as u64;
             let shuffle_bytes =
                 (total_rows * 24).max(groups * 24) / self.config.workers as u64 + 64;
-            let shuffle = self.shuffle(&mut op, shuffle_bytes, trace.0);
+            let shuffle = self.shuffle(&mut op, shuffle_bytes, query.root.trace().0);
             // Final merge + post-aggregation compute (averages).
             {
                 let mut agg = op.scope("aggregate");
@@ -577,20 +486,20 @@ impl BigQuery {
             let io_wall = SimDuration::from_nanos(io.as_nanos() / self.config.workers as u64);
             (io_wall, shuffle)
         };
-        self.finish_query(trace, root, meter, io_wall, shuffle, "group-aggregate")
+        self.finish_query(query, meter, io_wall, shuffle, "group-aggregate")
     }
 
     /// Fact-to-dimension hash join, aggregated per region name.
     pub fn join(&mut self) -> QueryExecution {
         let mut meter = WorkMeter::new();
-        let (trace, root) = self.start_query("bigquery.join");
+        let query = self.recorder.open("bigquery.join");
 
         let (io_wall, broadcast) = {
             let mut op = meter.scope("bigquery.join");
             // Broadcast the small dimension table to every worker over the
             // ordinary cluster fabric.
             let dim_bytes: u64 = self.dim.iter().map(|d| d.name.len() as u64 + 8).sum();
-            let broadcast = self.collect_results(&mut op, dim_bytes, trace.0 ^ 0xd1);
+            let broadcast = self.collect_results(&mut op, dim_bytes, query.root.trace().0 ^ 0xd1);
             // Build the hash table once per worker.
             op.scope("hash_join").charge_ops(
                 CoreComputeOp::Join,
@@ -640,13 +549,13 @@ impl BigQuery {
             let io_wall = SimDuration::from_nanos(io.as_nanos() / self.config.workers as u64);
             (io_wall, broadcast)
         };
-        self.finish_query(trace, root, meter, io_wall, broadcast, "join")
+        self.finish_query(query, meter, io_wall, broadcast, "join")
     }
 
     /// Global top-k by latency.
     pub fn top_k(&mut self, k: usize) -> QueryExecution {
         let mut meter = WorkMeter::new();
-        let (trace, root) = self.start_query("bigquery.top_k");
+        let query = self.recorder.open("bigquery.top_k");
 
         let (io_wall, shuffle) = {
             let mut op = meter.scope("bigquery.top_k");
@@ -671,7 +580,7 @@ impl BigQuery {
                 );
                 candidates.extend(partition_top_k(users, bytes, k));
             }
-            let shuffle = self.collect_results(&mut op, (k * 16) as u64, trace.0);
+            let shuffle = self.collect_results(&mut op, (k * 16) as u64, query.root.trace().0);
             // Final merge of the worker top-k lists.
             let merge_n = candidates.len();
             candidates.sort_by_key(|e| Reverse(e.0));
@@ -700,7 +609,7 @@ impl BigQuery {
             let io_wall = SimDuration::from_nanos(io.as_nanos() / self.config.workers as u64);
             (io_wall, shuffle)
         };
-        self.finish_query(trace, root, meter, io_wall, shuffle, "top-k")
+        self.finish_query(query, meter, io_wall, shuffle, "top-k")
     }
 }
 

@@ -11,8 +11,8 @@
 //! # Sharding and leveled compaction
 //!
 //! The key space is partitioned into `config.tablets` tablets by
-//! [`route_key`] (a crc32c of the key bytes). Each [`Tablet`] owns an
-//! independent memtable/SSTable stack, clock, tracer, and storage stack, so
+//! [`route_key`] (a crc32c of the key bytes). Each tablet owns an
+//! independent memtable/SSTable stack, recorder, and storage stack, so
 //! tablets are schedulable as independent pool jobs by the fleet driver —
 //! that is what breaks the one-big-LSM straggler the fleet bench exposed.
 //!
@@ -33,10 +33,9 @@ use std::ops::Bound;
 use hsdp_core::category::{CoreComputeOp, DatacenterTax, Platform, SystemTax};
 use hsdp_core::request::RequestId;
 use hsdp_rpc::latency::LatencyModel;
-use hsdp_rpc::span::{SpanKind, TraceId};
-use hsdp_rpc::tracer::{OpenSpan, Tracer};
+use hsdp_rpc::span::SpanKind;
 use hsdp_simcore::pool::ShardPlan;
-use hsdp_simcore::time::{SimDuration, SimTime};
+use hsdp_simcore::time::SimDuration;
 use hsdp_storage::cache::PolicyKind;
 use hsdp_storage::tiered::TieredStore;
 use hsdp_taxes::crc::crc32c;
@@ -45,9 +44,9 @@ use hsdp_telemetry::MetricsRegistry;
 
 use crate::bloom::Bloom;
 use crate::costs;
-use crate::exec::{trace_spans, QueryExecution};
+use crate::exec::{OpenQuery, QueryExecution, QueryRecorder};
 use crate::merge::Entry;
-use crate::meter::{CpuCounters, WorkMeter};
+use crate::meter::WorkMeter;
 
 /// Tablet-server tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -325,60 +324,25 @@ fn merge_run(meter: &mut WorkMeter, inputs: Vec<SsTable>) -> (Vec<Entry>, u64, u
     (entries, encoded, input_entries)
 }
 
-/// Common query tail: lay the CPU/IO/remote spans on the instance timeline
-/// and package the execution record.
-#[allow(clippy::too_many_arguments)]
+/// BigTable's span layout, shared by tablets and the scan coordinator:
+/// CPU, then storage IO, then the compaction wait, each laid from the
+/// clock (a zero IO or wait lays no span); then the query tail.
 fn finish_query(
-    clock: &mut SimTime,
-    tracer: &mut Tracer,
-    telemetry: &mut MetricsRegistry,
-    cpu: &mut CpuCounters,
-    trace: TraceId,
-    root: OpenSpan,
+    recorder: &mut QueryRecorder,
+    query: OpenQuery,
     meter: WorkMeter,
     io_time: SimDuration,
     remote_time: SimDuration,
     label: &'static str,
-    request: RequestId,
 ) -> QueryExecution {
-    let started = *clock;
-    let cpu_time = meter.total();
-    let cpu_span = tracer.start(trace, Some(root.id()), "cpu", SpanKind::Cpu, *clock);
-    *clock += cpu_time;
-    tracer.finish(cpu_span, *clock);
+    recorder.lay(&query, "cpu", SpanKind::Cpu, meter.total());
     if !io_time.is_zero() {
-        let io_span = tracer.start(trace, Some(root.id()), "storage_io", SpanKind::Io, *clock);
-        *clock += io_time;
-        tracer.finish(io_span, *clock);
+        recorder.lay(&query, "storage_io", SpanKind::Io, io_time);
     }
     if !remote_time.is_zero() {
-        let remote_span = tracer.start(
-            trace,
-            Some(root.id()),
-            "compaction_wait",
-            SpanKind::RemoteWork,
-            *clock,
-        );
-        *clock += remote_time;
-        tracer.finish(remote_span, *clock);
+        recorder.lay(&query, "compaction_wait", SpanKind::RemoteWork, remote_time);
     }
-    tracer.finish(root, *clock);
-    telemetry.counter_add(("bigtable", "queries", label), 1);
-    telemetry.record_duration_tagged(
-        ("bigtable", "query_latency_ns", label),
-        clock.since(started),
-        request,
-    );
-    cpu.add(telemetry, meter.items());
-    let spans = trace_spans(tracer, trace);
-    let mut meter = meter;
-    QueryExecution {
-        platform: Platform::BigTable,
-        label,
-        spans,
-        cpu_work: meter.take(),
-        request,
-    }
+    recorder.finish(Platform::BigTable, query, meter, label)
 }
 
 /// One LSM component's scan window, yielding `(key, value length)` in key
@@ -431,16 +395,16 @@ fn merge_windows<'a, I>(
     }
 }
 
-/// One tablet: an independent LSM instance over its own clock, tracer, and
+/// One tablet: an independent LSM instance over its own recorder and
 /// tiered storage slice. The fleet driver schedules tablets as independent
 /// pool jobs; [`BigTable`] drives them inline behind the key router.
 #[derive(Debug)]
 pub(crate) struct Tablet {
+    /// The tablet's clock, tracer, telemetry and request id.
+    pub(crate) recorder: QueryRecorder,
     config: BigTableConfig,
     id: usize,
     flush_bytes: usize,
-    clock: SimTime,
-    tracer: Tracer,
     store: TieredStore,
     net: LatencyModel,
     memtable: BTreeMap<Vec<u8>, Vec<u8>>,
@@ -452,10 +416,6 @@ pub(crate) struct Tablet {
     next_sst_id: u64,
     compactions: u64,
     rng_seed: u64,
-    telemetry: MetricsRegistry,
-    /// CPU charged since the registry was set, added to it when taken.
-    cpu: CpuCounters,
-    current_request: RequestId,
 }
 
 impl Tablet {
@@ -467,11 +427,10 @@ impl Tablet {
         let share = config.tablets.max(1) as u64;
         let (ram, ssd, hdd) = config.tier_bytes;
         Tablet {
+            recorder: QueryRecorder::new(),
             config: *config,
             id,
             flush_bytes: (config.memtable_flush_bytes / config.tablets.max(1)).max(512),
-            clock: SimTime::ZERO,
-            tracer: Tracer::new(),
             store: TieredStore::new(
                 (ram / share).max(64 * 1024),
                 (ssd / share).max(256 * 1024),
@@ -485,40 +444,7 @@ impl Tablet {
             next_sst_id: 1,
             compactions: 0,
             rng_seed: seed,
-            telemetry: MetricsRegistry::disabled(),
-            cpu: CpuCounters::default(),
-            current_request: RequestId::UNTAGGED,
         }
-    }
-
-    /// Replaces the telemetry registry, discarding CPU charged under the
-    /// previous one and not yet taken.
-    pub(crate) fn set_telemetry(&mut self, registry: MetricsRegistry) {
-        self.telemetry = registry;
-        self.cpu = CpuCounters::default();
-    }
-
-    /// Sets the request identity stamped onto subsequent query executions
-    /// and their latency exemplars.
-    pub(crate) fn set_request(&mut self, request: RequestId) {
-        self.current_request = request;
-    }
-
-    /// Takes the telemetry, first adding the CPU charged since the registry
-    /// was set to its `"cpu"` counters, once per `(category, leaf)`.
-    pub(crate) fn take_telemetry(&mut self) -> MetricsRegistry {
-        self.cpu.drain_into(&mut self.telemetry);
-        std::mem::replace(&mut self.telemetry, MetricsRegistry::disabled())
-    }
-
-    #[must_use]
-    pub(crate) fn open_spans(&self) -> usize {
-        self.tracer.open_count()
-    }
-
-    #[must_use]
-    pub(crate) fn now(&self) -> SimTime {
-        self.clock
     }
 
     #[must_use]
@@ -629,12 +555,10 @@ impl Tablet {
 
         let encoded_bytes = flush_run(meter, &entries);
         let flush_io = self.install_run(0, entries, encoded_bytes);
-        self.telemetry
-            .counter_add(("bigtable", "memtable_flushes", ""), 1);
-        self.telemetry
-            .counter_add(("bigtable", "tablet_flushes", tablet_label(self.id)), 1);
-        self.telemetry
-            .record_duration(("bigtable", "flush_io_ns", ""), flush_io);
+        let telemetry = &mut self.recorder.telemetry;
+        telemetry.counter_add(("bigtable", "memtable_flushes", ""), 1);
+        telemetry.counter_add(("bigtable", "tablet_flushes", tablet_label(self.id)), 1);
+        telemetry.record_duration(("bigtable", "flush_io_ns", ""), flush_io);
         let mut wait = SimDuration::ZERO;
         for (level, read_io, inputs) in merges {
             let charged = meter.total();
@@ -643,16 +567,14 @@ impl Tablet {
             let write_io = self.install_run(level + 1, entries, encoded_bytes);
             self.compactions += 1;
             wait = wait.max(read_io + cpu + write_io);
-            self.telemetry
-                .counter_add(("bigtable", "compactions", ""), 1);
-            self.telemetry
-                .counter_add(("bigtable", "level_merges", level_label(level)), 1);
-            self.telemetry
-                .counter_add(("bigtable", "compaction_entries", ""), input_entries);
-            self.telemetry
-                .record_duration(("bigtable", "compaction_io_ns", ""), read_io + write_io);
+            let telemetry = &mut self.recorder.telemetry;
+            telemetry.counter_add(("bigtable", "compactions", ""), 1);
+            telemetry.counter_add(("bigtable", "level_merges", level_label(level)), 1);
+            telemetry.counter_add(("bigtable", "compaction_entries", ""), input_entries);
+            telemetry.record_duration(("bigtable", "compaction_io_ns", ""), read_io + write_io);
         }
-        self.telemetry
+        self.recorder
+            .telemetry
             .gauge_max(("bigtable", "sstables_peak", ""), self.run_count() as u64);
         (flush_io, wait)
     }
@@ -668,20 +590,18 @@ impl Tablet {
     /// its meter, which also pays for the flushes and merges the put
     /// triggers, keeps only totals, unless telemetry is recording.
     pub(crate) fn preload(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        let meter = crate::meter::warmup_meter(&self.telemetry);
-        self.tracer.set_discard(true);
-        self.run_put(key, value, meter);
-        self.tracer.set_discard(false);
+        QueryRecorder::warmup(
+            self,
+            |tablet| &mut tablet.recorder,
+            |tablet, meter| tablet.run_put(key, value, meter),
+        );
     }
 
     /// The put path behind [`Tablet::put`] and [`Tablet::preload`],
     /// charging into `meter`.
     fn run_put(&mut self, key: Vec<u8>, value: Vec<u8>, mut meter: WorkMeter) -> QueryExecution {
-        let trace = self.tracer.new_trace();
-        let start = self.clock;
-        let root = self
-            .tracer
-            .start(trace, None, "bigtable.put", SpanKind::Container, start);
+        let query = self.recorder.open("bigtable.put");
+        let trace = query.root.trace();
 
         let (io_time, remote_time) = {
             let mut op = meter.scope("bigtable.put");
@@ -749,27 +669,19 @@ impl Tablet {
         };
 
         finish_query(
-            &mut self.clock,
-            &mut self.tracer,
-            &mut self.telemetry,
-            &mut self.cpu,
-            trace,
-            root,
+            &mut self.recorder,
+            query,
             meter,
             io_time,
             remote_time,
             "put",
-            self.current_request,
         )
     }
 
     /// Executes a get.
     pub(crate) fn get(&mut self, key: &[u8]) -> QueryExecution {
         let mut meter = WorkMeter::new();
-        let trace = self.tracer.new_trace();
-        let root = self
-            .tracer
-            .start(trace, None, "bigtable.get", SpanKind::Container, self.clock);
+        let query = self.recorder.open("bigtable.get");
 
         let io_time = {
             let mut op = meter.scope("bigtable.get");
@@ -858,17 +770,12 @@ impl Tablet {
         };
 
         finish_query(
-            &mut self.clock,
-            &mut self.tracer,
-            &mut self.telemetry,
-            &mut self.cpu,
-            trace,
-            root,
+            &mut self.recorder,
+            query,
             meter,
             io_time,
             SimDuration::ZERO,
             "get",
-            self.current_request,
         )
     }
 
@@ -1001,79 +908,23 @@ fn assemble_rows(partials: &[ScanPartial], limit: usize) -> Vec<usize> {
 }
 
 /// Folds per-tablet scan partials into one scan [`QueryExecution`] on the
-/// scan coordinator's own clock, tracer, and telemetry. Tablet key ranges
-/// are disjoint, so the fold is a merge of disjoint sorted row sets —
-/// order-insensitive in content, but partials must arrive in canonical
-/// tablet order so the metered work lands in a deterministic sequence.
-#[derive(Debug)]
+/// scan coordinator's own recorder. Tablet key ranges are disjoint, so the
+/// fold is a merge of disjoint sorted row sets — order-insensitive in
+/// content, but partials must arrive in canonical tablet order so the
+/// metered work lands in a deterministic sequence.
+#[derive(Debug, Default)]
 pub struct ScanAssembler {
-    clock: SimTime,
-    tracer: Tracer,
-    telemetry: MetricsRegistry,
-    /// CPU charged since the registry was set, added to it when taken.
-    cpu: CpuCounters,
-    current_request: RequestId,
-}
-
-impl Default for ScanAssembler {
-    /// The same coordinator as [`ScanAssembler::new`]: telemetry off.
-    fn default() -> Self {
-        Self::new()
-    }
+    /// The coordinator's clock, tracer, telemetry and request id.
+    pub recorder: QueryRecorder,
 }
 
 impl ScanAssembler {
-    /// A fresh scan coordinator (telemetry off).
-    #[must_use]
-    pub fn new() -> Self {
-        ScanAssembler {
-            clock: SimTime::ZERO,
-            tracer: Tracer::new(),
-            telemetry: MetricsRegistry::disabled(),
-            cpu: CpuCounters::default(),
-            current_request: RequestId::UNTAGGED,
-        }
-    }
-
-    /// Replaces the telemetry registry, discarding CPU charged under the
-    /// previous one and not yet taken.
-    pub fn set_telemetry(&mut self, registry: MetricsRegistry) {
-        self.telemetry = registry;
-        self.cpu = CpuCounters::default();
-    }
-
-    /// Sets the request identity stamped onto subsequently assembled scans.
-    pub fn set_request(&mut self, request: RequestId) {
-        self.current_request = request;
-    }
-
-    /// Takes the telemetry collected so far, leaving recording disabled.
-    /// The CPU charged since the registry was set is added to its `"cpu"`
-    /// counters here, once per `(category, leaf)`.
-    pub fn take_telemetry(&mut self) -> MetricsRegistry {
-        self.cpu.drain_into(&mut self.telemetry);
-        std::mem::replace(&mut self.telemetry, MetricsRegistry::disabled())
-    }
-
-    /// Spans still open in the coordinator's tracer.
-    #[must_use]
-    pub fn open_spans(&self) -> usize {
-        self.tracer.open_count()
-    }
-
     /// Assembles one scan from its per-tablet partials (canonical tablet
     /// order), producing the query's execution record.
     pub fn assemble(&mut self, partials: Vec<ScanPartial>) -> QueryExecution {
         let limit = partials.first().map_or(0, |p| p.limit);
         let mut meter = WorkMeter::new();
-        let trace = self.tracer.new_trace();
-        let root = self.tracer.start(
-            trace,
-            None,
-            "bigtable.scan",
-            SpanKind::Container,
-            self.clock,
-        );
+        let query = self.recorder.open("bigtable.scan");
 
         let io_time = {
             let mut op = meter.scope("bigtable.scan");
@@ -1117,23 +968,18 @@ impl ScanAssembler {
         };
 
         finish_query(
-            &mut self.clock,
-            &mut self.tracer,
-            &mut self.telemetry,
-            &mut self.cpu,
-            trace,
-            root,
+            &mut self.recorder,
+            query,
             meter,
             io_time,
             SimDuration::ZERO,
             "scan",
-            self.current_request,
         )
     }
 }
 
-/// The tablet-server simulator: `config.tablets` independent [`Tablet`]
-/// LSM instances behind the [`route_key`] router, plus the scan coordinator
+/// The tablet-server simulator: `config.tablets` independent tablet LSM
+/// instances behind the [`route_key`] router, plus the scan coordinator
 /// that fans scans out across tablets and folds their partials.
 #[derive(Debug)]
 pub struct BigTable {
@@ -1151,7 +997,7 @@ impl BigTable {
             tablets: (0..count)
                 .map(|t| Tablet::new(&config, t, tablet_seed(seed, t)))
                 .collect(),
-            scans: ScanAssembler::new(),
+            scans: ScanAssembler::default(),
         }
     }
 
@@ -1162,13 +1008,13 @@ impl BigTable {
     pub fn set_telemetry(&mut self, registry: MetricsRegistry) {
         let enabled = registry.is_enabled();
         for tablet in &mut self.tablets {
-            tablet.set_telemetry(if enabled {
+            tablet.recorder.set_telemetry(if enabled {
                 MetricsRegistry::new()
             } else {
                 MetricsRegistry::disabled()
             });
         }
-        self.scans.set_telemetry(if enabled {
+        self.scans.recorder.set_telemetry(if enabled {
             registry
         } else {
             MetricsRegistry::disabled()
@@ -1182,9 +1028,9 @@ impl BigTable {
         let mut parts: Vec<MetricsRegistry> = self
             .tablets
             .iter_mut()
-            .map(Tablet::take_telemetry)
+            .map(|tablet| tablet.recorder.take_telemetry())
             .collect();
-        parts.push(self.scans.take_telemetry());
+        parts.push(self.scans.recorder.take_telemetry());
         if parts.iter().any(MetricsRegistry::is_enabled) {
             let mut merged = MetricsRegistry::new();
             for part in &parts {
@@ -1200,28 +1046,17 @@ impl BigTable {
     /// by every tablet and the scan coordinator.
     pub fn set_request(&mut self, request: RequestId) {
         for tablet in &mut self.tablets {
-            tablet.set_request(request);
+            tablet.recorder.set_request(request);
         }
-        self.scans.set_request(request);
+        self.scans.recorder.set_request(request);
     }
 
     /// Spans still open across all tablets and the scan coordinator — zero
     /// between queries; asserted at end-of-run by the fleet driver.
     #[must_use]
     pub fn open_spans(&self) -> usize {
-        self.tablets.iter().map(Tablet::open_spans).sum::<usize>() + self.scans.open_spans()
-    }
-
-    /// The furthest simulated clock across tablets and the scan
-    /// coordinator.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.tablets
-            .iter()
-            .map(Tablet::now)
-            .chain(std::iter::once(self.scans.clock))
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        let tablets: usize = self.tablets.iter().map(|t| t.recorder.open_spans()).sum();
+        tablets + self.scans.recorder.open_spans()
     }
 
     /// Number of level merges performed across all tablets.
@@ -1520,31 +1355,31 @@ mod tests {
                     tablet.put(k, v);
                 }
             }
-            let warm = (tablet.compactions(), tablet.now());
-            tablet.set_telemetry(MetricsRegistry::new());
-            let mut scans = ScanAssembler::new();
-            scans.set_telemetry(MetricsRegistry::new());
+            let warm = (tablet.compactions(), tablet.recorder.now());
+            tablet.recorder.set_telemetry(MetricsRegistry::new());
+            let mut scans = ScanAssembler::default();
+            scans.recorder.set_telemetry(MetricsRegistry::new());
             let mut execs = Vec::new();
             for i in 0..240u32 {
                 let request = RequestId::tag(Platform::BigTable, 0, i as usize);
-                tablet.set_request(request);
+                tablet.recorder.set_request(request);
                 let (k, v) = kv(i % 89 + 60);
                 execs.push(tablet.put(k, v));
                 if i % 3 == 0 {
                     execs.push(tablet.get(&kv(i % 150).0));
                 }
                 if i % 7 == 0 {
-                    scans.set_request(request);
+                    scans.recorder.set_request(request);
                     let partial = tablet.scan_partial(b"key-0000", 8);
                     execs.push(scans.assemble(vec![partial]));
                 }
             }
-            let mut metrics = tablet.take_telemetry();
-            metrics.merge(&scans.take_telemetry());
+            let mut metrics = tablet.recorder.take_telemetry();
+            metrics.merge(&scans.recorder.take_telemetry());
             (
                 execs,
                 metrics.to_json(),
-                tablet.now(),
+                tablet.recorder.now(),
                 tablet.compactions(),
                 tablet.run_histogram(),
                 warm,
@@ -1751,14 +1586,6 @@ mod tests {
             contested >= 10,
             "partials disagreed on a key only {contested} times"
         );
-    }
-
-    #[test]
-    fn scan_assembler_default_is_new() {
-        let (mut default, mut new) = (ScanAssembler::default(), ScanAssembler::new());
-        assert_eq!(format!("{default:?}"), format!("{new:?}"));
-        assert!(!default.take_telemetry().is_enabled(), "telemetry off");
-        assert_eq!(default.take_telemetry(), new.take_telemetry());
     }
 
     #[test]

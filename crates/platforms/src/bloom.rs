@@ -20,7 +20,7 @@ const HASHES: u32 = 7;
 /// A cache-line-blocked Bloom filter over byte-string keys.
 ///
 /// Sizing invariant: the table is a power-of-two number of 512-bit blocks
-/// holding at least [`BITS_PER_KEY`] bits per expected key — exactly
+/// holding at least `BITS_PER_KEY` bits per expected key — exactly
 /// `bits / 64` words, no slack word, no `%` on the probe path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bloom {

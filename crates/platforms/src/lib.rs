@@ -14,8 +14,10 @@
 //!   distributed shuffle.
 //!
 //! Shared infrastructure: [`meter`] (labeled CPU work charging),
-//! [`costs`] (the calibrated cost model), [`exec`] (per-query records),
-//! [`columnar`] (the column codec), [`bloom`] (cache-line-blocked filters),
+//! [`costs`] (the calibrated cost model), [`exec`] (per-query records and
+//! the [`QueryRecorder`](exec::QueryRecorder) every engine writes them
+//! through: clock, tracer, telemetry, request id, query tail and
+//! record-free warmup), [`columnar`] (the column codec), [`bloom`] (cache-line-blocked filters),
 //! [`merge`] (the loser-tree compaction merge), and [`runner`] (workload
 //! drivers).
 

@@ -8,9 +8,9 @@
 //! arrive in (Section 5.1).
 //!
 //! A charge is stored as a 16-byte `(site, time)` entry of a [`CpuWork`]:
-//! the `(path, leaf, category)` it lands on is an interned
-//! [`Site`](hsdp_core::stack::Site), shared by every charge at that site
-//! across the process. Readers see each entry as a [`CpuWorkItem`].
+//! the `(path, leaf, category)` it lands on is an interned [`Site`], shared
+//! by every charge at that site across the process. Readers see each entry
+//! as a [`CpuWorkItem`].
 
 use hsdp_core::category::CpuCategory;
 use hsdp_core::component::CpuBreakdown;
@@ -317,16 +317,6 @@ impl std::ops::DerefMut for FrameScope<'_> {
 impl Drop for FrameScope<'_> {
     fn drop(&mut self) {
         self.meter.pop_frame();
-    }
-}
-
-/// The meter for a warmup op, whose record no artifact reads: totals only,
-/// unless `telemetry` is recording, since [`CpuCounters`] folds items.
-pub(crate) fn warmup_meter(telemetry: &MetricsRegistry) -> WorkMeter {
-    if telemetry.is_enabled() {
-        WorkMeter::new()
-    } else {
-        WorkMeter::totals_only()
     }
 }
 

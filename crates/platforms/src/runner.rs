@@ -152,12 +152,13 @@ pub fn run_spanner_shard(
         db.preload(key, value);
     }
     if telemetry {
-        db.set_telemetry(MetricsRegistry::new());
+        db.recorder.set_telemetry(MetricsRegistry::new());
     }
 
     let executions: Vec<QueryExecution> = (0..queries)
         .map(|index| {
-            db.set_request(RequestId::tag(platform, shard, index));
+            db.recorder
+                .set_request(RequestId::tag(platform, shard, index));
             match mix.sample(&mut traffic_rng) {
                 DbOp::Read => {
                     let key = keys.sample(&mut traffic_rng);
@@ -175,8 +176,12 @@ pub fn run_spanner_shard(
             }
         })
         .collect();
-    assert_eq!(db.open_spans(), 0, "spanner left spans open at end-of-run");
-    (executions, db.take_telemetry())
+    assert_eq!(
+        db.recorder.open_spans(),
+        0,
+        "spanner left spans open at end-of-run"
+    );
+    (executions, db.recorder.take_telemetry())
 }
 
 /// One operation in a BigTable shard's deterministic op stream.
@@ -315,7 +320,7 @@ fn run_tablet_ops(
     let mut scans = Vec::new();
     for (idx, op) in ops.iter().enumerate() {
         if telemetry && idx == preload {
-            tb.set_telemetry(MetricsRegistry::new());
+            tb.recorder.set_telemetry(MetricsRegistry::new());
         }
         // Request identity is the op's position in the traffic stream —
         // identical on every tablet that touches the op, so scan partials
@@ -323,7 +328,8 @@ fn run_tablet_ops(
         // untagged and keeps no record: it is warmup, not workload.
         let traffic = idx.checked_sub(preload);
         if let Some(index) = traffic {
-            tb.set_request(RequestId::tag(platform, shard, index));
+            tb.recorder
+                .set_request(RequestId::tag(platform, shard, index));
         }
         let exec = match op {
             BtOp::Put { key, value } => {
@@ -358,13 +364,17 @@ fn run_tablet_ops(
             executions.push((idx, exec));
         }
     }
-    assert_eq!(tb.open_spans(), 0, "bigtable tablet left spans open");
+    assert_eq!(
+        tb.recorder.open_spans(),
+        0,
+        "bigtable tablet left spans open"
+    );
     BigTableTabletRun {
         shard,
         tablet,
         executions,
         scans,
-        telemetry: tb.take_telemetry(),
+        telemetry: tb.recorder.take_telemetry(),
         queries: ops.len() - preload,
         preload,
     }
@@ -401,9 +411,9 @@ pub fn assemble_bigtable_shard(
     // Stable by op index: within one scan, partials keep tablet order.
     scan_parts.sort_by_key(|(idx, _)| *idx);
 
-    let mut scans = ScanAssembler::new();
+    let mut scans = ScanAssembler::default();
     if telemetry_on {
-        scans.set_telemetry(MetricsRegistry::new());
+        scans.recorder.set_telemetry(MetricsRegistry::new());
     }
     let mut parts = scan_parts.into_iter().peekable();
     while let Some((idx, first)) = parts.next() {
@@ -414,14 +424,16 @@ pub fn assemble_bigtable_shard(
             }
         }
         if let Some(index) = idx.checked_sub(preload) {
-            scans.set_request(RequestId::tag(Platform::BigTable, shard, index));
+            scans
+                .recorder
+                .set_request(RequestId::tag(Platform::BigTable, shard, index));
         }
         let exec = scans.assemble(group);
         if let Some(slot) = idx.checked_sub(preload).and_then(|i| slots.get_mut(i)) {
             *slot = Some(exec);
         }
     }
-    registries.push(scans.take_telemetry());
+    registries.push(scans.recorder.take_telemetry());
 
     let executions: Vec<QueryExecution> = slots.into_iter().flatten().collect();
     debug_assert_eq!(
@@ -464,13 +476,14 @@ pub fn run_bigquery_shard(
     );
     bq.load(&rows, gen.dimension());
     if telemetry {
-        bq.set_telemetry(MetricsRegistry::new());
+        bq.recorder.set_telemetry(MetricsRegistry::new());
     }
     let mix = AnalyticsMix::dashboard();
 
     let executions: Vec<QueryExecution> = (0..queries)
         .map(|index| {
-            bq.set_request(RequestId::tag(platform, shard, index));
+            bq.recorder
+                .set_request(RequestId::tag(platform, shard, index));
             match mix.sample(&mut traffic_rng) {
                 AnalyticsQuery::ScanFilter => {
                     let threshold = 10.0 + traffic_rng.random::<f64>() * 60.0;
@@ -482,8 +495,12 @@ pub fn run_bigquery_shard(
             }
         })
         .collect();
-    assert_eq!(bq.open_spans(), 0, "bigquery left spans open at end-of-run");
-    (executions, bq.take_telemetry())
+    assert_eq!(
+        bq.recorder.open_spans(),
+        0,
+        "bigquery left spans open at end-of-run"
+    );
+    (executions, bq.recorder.take_telemetry())
 }
 
 /// A BigTable shard's op stream, shared by the shard's tablet jobs:

@@ -12,20 +12,17 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hsdp_core::category::{CoreComputeOp, DatacenterTax, Platform, SystemTax};
-use hsdp_core::request::RequestId;
 use hsdp_rpc::latency::LatencyModel;
 use hsdp_rpc::span::SpanKind;
-use hsdp_rpc::tracer::Tracer;
-use hsdp_simcore::time::{SimDuration, SimTime};
+use hsdp_simcore::time::SimDuration;
 use hsdp_storage::cache::PolicyKind;
 use hsdp_storage::tiered::TieredStore;
 use hsdp_taxes::crc::crc32c;
 use hsdp_taxes::protowire::{FieldDescriptor, FieldType, Message, MessageDescriptor, Value};
-use hsdp_telemetry::MetricsRegistry;
 
 use crate::costs;
-use crate::exec::{trace_spans, QueryExecution};
-use crate::meter::{CpuCounters, WorkMeter};
+use crate::exec::{OpenQuery, QueryExecution, QueryRecorder};
+use crate::meter::WorkMeter;
 
 /// Consensus-group configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,19 +59,15 @@ pub struct LogEntry {
 /// The consensus-group simulator (leader's view).
 #[derive(Debug)]
 pub struct Spanner {
+    /// The group's clock, tracer, telemetry and request id.
+    pub recorder: QueryRecorder,
     config: SpannerConfig,
-    clock: SimTime,
-    tracer: Tracer,
     store: TieredStore,
     state: BTreeMap<Vec<u8>, Vec<u8>>,
     log: Vec<LogEntry>,
     net_region: LatencyModel,
     txn_desc: Arc<MessageDescriptor>,
     seed: u64,
-    telemetry: MetricsRegistry,
-    /// CPU charged since the registry was set, added to it when taken.
-    cpu: CpuCounters,
-    current_request: RequestId,
 }
 
 impl Spanner {
@@ -103,9 +96,8 @@ impl Spanner {
             .expect("static schema is valid"),
         );
         Spanner {
+            recorder: QueryRecorder::new(),
             config,
-            clock: SimTime::ZERO,
-            tracer: Tracer::new(),
             store: TieredStore::new(ram, ssd, hdd, PolicyKind::Lru),
             state: BTreeMap::new(),
             log: Vec::new(),
@@ -117,52 +109,13 @@ impl Spanner {
             },
             txn_desc,
             seed,
-            telemetry: MetricsRegistry::disabled(),
-            cpu: CpuCounters::default(),
-            current_request: RequestId::UNTAGGED,
         }
-    }
-
-    /// Sets the request identity stamped onto subsequent query executions
-    /// and their latency exemplars. The runner calls this before each
-    /// traffic query; [`RequestId::UNTAGGED`] marks background work.
-    pub fn set_request(&mut self, request: RequestId) {
-        self.current_request = request;
-    }
-
-    /// Replaces the telemetry registry (pass [`MetricsRegistry::new`] to
-    /// turn recording on; it is off by default). CPU charged under the
-    /// previous registry and not yet taken is discarded with it.
-    pub fn set_telemetry(&mut self, registry: MetricsRegistry) {
-        self.telemetry = registry;
-        self.cpu = CpuCounters::default();
-    }
-
-    /// Takes the telemetry collected so far, leaving recording disabled.
-    /// The CPU charged since the registry was set is added to its `"cpu"`
-    /// counters here, once per `(category, leaf)`.
-    pub fn take_telemetry(&mut self) -> MetricsRegistry {
-        self.cpu.drain_into(&mut self.telemetry);
-        std::mem::replace(&mut self.telemetry, MetricsRegistry::disabled())
-    }
-
-    /// Spans still open in the tracer — zero between queries; asserted at
-    /// end-of-run by the fleet driver.
-    #[must_use]
-    pub fn open_spans(&self) -> usize {
-        self.tracer.open_count()
     }
 
     /// The committed log length.
     #[must_use]
     pub fn log_len(&self) -> usize {
         self.log.len()
-    }
-
-    /// The simulated clock.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.clock
     }
 
     fn charge_rpc(&self, meter: &mut WorkMeter, bytes: u64) {
@@ -228,7 +181,7 @@ impl Spanner {
             // audit: allow(panic, field ids match the static schema defined in new())
             msg.set(2, Value::Bytes(v.to_vec())).expect("schema field");
         }
-        msg.set(3, Value::Fixed64(self.clock.as_nanos()))
+        msg.set(3, Value::Fixed64(self.recorder.clock.as_nanos()))
             // audit: allow(panic, field ids match the static schema defined in new())
             .expect("schema field");
         let bytes = msg.encode_to_vec();
@@ -311,14 +264,13 @@ impl Spanner {
         } else {
             round_trips[needed_acks - 1]
         };
-        self.telemetry
-            .counter_add(("spanner", "consensus_rounds", ""), 1);
-        self.telemetry.counter_add(
+        let telemetry = &mut self.recorder.telemetry;
+        telemetry.counter_add(("spanner", "consensus_rounds", ""), 1);
+        telemetry.counter_add(
             ("spanner", "consensus_replicated_bytes", ""),
             bytes * followers as u64,
         );
-        self.telemetry
-            .record_duration(("spanner", "consensus_quorum_wait_ns", ""), wait);
+        telemetry.record_duration(("spanner", "consensus_quorum_wait_ns", ""), wait);
         wait
     }
 
@@ -333,23 +285,17 @@ impl Spanner {
     /// dropped and its meter keeps only the total. With telemetry on, the
     /// meter keeps its items, so the CPU counters see the commit.
     pub fn preload(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        let meter = crate::meter::warmup_meter(&self.telemetry);
-        self.tracer.set_discard(true);
-        self.run_commit(key, value, meter);
-        self.tracer.set_discard(false);
+        QueryRecorder::warmup(
+            self,
+            |db| &mut db.recorder,
+            |db, meter| db.run_commit(key, value, meter),
+        );
     }
 
     /// The commit path behind [`Spanner::commit`] and [`Spanner::preload`],
     /// charging into `meter`.
     fn run_commit(&mut self, key: Vec<u8>, value: Vec<u8>, mut meter: WorkMeter) -> QueryExecution {
-        let trace = self.tracer.new_trace();
-        let root = self.tracer.start(
-            trace,
-            None,
-            "spanner.commit",
-            SpanKind::Container,
-            self.clock,
-        );
+        let query = self.recorder.open("spanner.commit");
 
         let (io, remote) = {
             let mut op = meter.scope("spanner.commit");
@@ -375,7 +321,7 @@ impl Spanner {
             }
 
             // Replicate through consensus.
-            let remote = self.consensus_round(&mut op, encoded.len() as u64, trace.0);
+            let remote = self.consensus_round(&mut op, encoded.len() as u64, query.root.trace().0);
 
             // Apply to the state machine and persist.
             self.log.push(LogEntry {
@@ -427,16 +373,13 @@ impl Spanner {
             (io, remote)
         };
 
-        self.finish_query(trace, root, meter, io, remote, "commit")
+        self.finish_query(query, meter, io, remote, "commit")
     }
 
     /// A strong (leader-lease) point read.
     pub fn read(&mut self, key: &[u8]) -> QueryExecution {
         let mut meter = WorkMeter::new();
-        let trace = self.tracer.new_trace();
-        let root = self
-            .tracer
-            .start(trace, None, "spanner.read", SpanKind::Container, self.clock);
+        let query = self.recorder.open("spanner.read");
 
         let io = {
             let mut op = meter.scope("spanner.read");
@@ -523,21 +466,14 @@ impl Spanner {
             io
         };
 
-        self.finish_query(trace, root, meter, io, SimDuration::ZERO, "read")
+        self.finish_query(query, meter, io, SimDuration::ZERO, "read")
     }
 
     /// A SQL-style scan: filter up to `limit` rows whose value length
     /// exceeds `min_len` starting at `start_key`.
     pub fn query(&mut self, start_key: &[u8], limit: usize, min_len: usize) -> QueryExecution {
         let mut meter = WorkMeter::new();
-        let trace = self.tracer.new_trace();
-        let root = self.tracer.start(
-            trace,
-            None,
-            "spanner.query",
-            SpanKind::Container,
-            self.clock,
-        );
+        let query = self.recorder.open("spanner.query");
 
         let io = {
             let mut op = meter.scope("spanner.query");
@@ -616,7 +552,7 @@ impl Spanner {
             io
         };
 
-        self.finish_query(trace, root, meter, io, SimDuration::ZERO, "query")
+        self.finish_query(query, meter, io, SimDuration::ZERO, "query")
     }
 
     /// A read-modify-write transaction: strong read + conditional commit.
@@ -634,7 +570,7 @@ impl Spanner {
             label: "read-modify-write",
             spans,
             cpu_work,
-            request: self.current_request,
+            request: self.recorder.request,
         }
     }
 
@@ -644,61 +580,29 @@ impl Spanner {
         })
     }
 
+    /// Spanner's span layout: CPU, then the consensus wait, then storage
+    /// IO, each laid from the clock (a zero wait or IO lays no span); then
+    /// the query tail.
     fn finish_query(
         &mut self,
-        trace: hsdp_rpc::span::TraceId,
-        root: hsdp_rpc::tracer::OpenSpan,
-        mut meter: WorkMeter,
+        query: OpenQuery,
+        meter: WorkMeter,
         io_time: SimDuration,
         remote_time: SimDuration,
         label: &'static str,
     ) -> QueryExecution {
-        let started = self.clock;
-        let cpu_span = self
-            .tracer
-            .start(trace, Some(root.id()), "cpu", SpanKind::Cpu, self.clock);
-        self.clock += meter.total();
-        self.tracer.finish(cpu_span, self.clock);
+        let recorder = &mut self.recorder;
+        recorder.lay(&query, "cpu", SpanKind::Cpu, meter.total());
         if !remote_time.is_zero() {
-            let remote_span = self.tracer.start(
-                trace,
-                Some(root.id()),
-                "consensus_wait",
-                SpanKind::RemoteWork,
-                self.clock,
-            );
-            self.clock += remote_time;
-            self.tracer.finish(remote_span, self.clock);
+            recorder.lay(&query, "consensus_wait", SpanKind::RemoteWork, remote_time);
         }
         if !io_time.is_zero() {
-            let io_span = self.tracer.start(
-                trace,
-                Some(root.id()),
-                "storage_io",
-                SpanKind::Io,
-                self.clock,
-            );
-            self.clock += io_time;
-            self.tracer.finish(io_span, self.clock);
+            recorder.lay(&query, "storage_io", SpanKind::Io, io_time);
         }
-        self.tracer.finish(root, self.clock);
-        self.telemetry.counter_add(("spanner", "queries", label), 1);
-        self.telemetry.record_duration_tagged(
-            ("spanner", "query_latency_ns", label),
-            self.clock.since(started),
-            self.current_request,
-        );
-        self.telemetry
+        recorder
+            .telemetry
             .gauge_max(("spanner", "log_len_peak", ""), self.log.len() as u64);
-        self.cpu.add(&self.telemetry, meter.items());
-        let spans = trace_spans(&mut self.tracer, trace);
-        QueryExecution {
-            platform: Platform::Spanner,
-            label,
-            spans,
-            cpu_work: meter.take(),
-            request: self.current_request,
-        }
+        recorder.finish(Platform::Spanner, query, meter, label)
     }
 }
 
@@ -796,20 +700,6 @@ mod tests {
             .decomposition()
             .remote;
         assert!(s >= f, "quorum-5 wait {s} >= quorum-2 wait {f}");
-    }
-
-    #[test]
-    fn second_set_telemetry_discards_cpu_not_yet_added() {
-        let mut s = db();
-        s.set_telemetry(MetricsRegistry::new());
-        s.commit(b"k".to_vec(), b"v".to_vec());
-        s.set_telemetry(MetricsRegistry::new());
-        assert_eq!(s.take_telemetry().counter_subsystem_sum("cpu"), 0);
-        // A fresh registry then sees exactly the next query's CPU.
-        s.set_telemetry(MetricsRegistry::new());
-        let exec = s.read(b"k");
-        let metered: u64 = exec.cpu_work.iter().map(|i| i.time.as_nanos()).sum();
-        assert_eq!(s.take_telemetry().counter_subsystem_sum("cpu"), metered);
     }
 
     #[test]

@@ -107,7 +107,7 @@ fn hand_built_engine_emits_the_pinned_records_and_metrics() {
     let rows = gen.rows(3_000, &mut rng);
     let mut bq = BigQuery::new(BigQueryConfig::default(), SEED);
     bq.load(&rows, awkward_dimension());
-    bq.set_telemetry(MetricsRegistry::new());
+    bq.recorder.set_telemetry(MetricsRegistry::new());
     let queries: [fn(&mut BigQuery) -> QueryExecution; 7] = [
         |bq| bq.scan_filter(25.0),
         BigQuery::group_aggregate,
@@ -121,13 +121,14 @@ fn hand_built_engine_emits_the_pinned_records_and_metrics() {
         .iter()
         .enumerate()
         .map(|(index, query)| {
-            bq.set_request(RequestId::tag(Platform::BigQuery, 0, index));
+            bq.recorder
+                .set_request(RequestId::tag(Platform::BigQuery, 0, index));
             query(&mut bq)
         })
         .collect();
-    assert_eq!(bq.open_spans(), 0);
+    assert_eq!(bq.recorder.open_spans(), 0);
     assert_eq!(
-        pins(&executions, &bq.take_telemetry()),
+        pins(&executions, &bq.recorder.take_telemetry()),
         [(24_731, 0x619b_6e9d), (2_986, 0xddc4_42c0)],
         "hand-built engine: records or metrics changed"
     );

@@ -36,10 +36,11 @@ fn serve(record_free: bool) -> Served {
             db.commit(key, value);
         }
     }
-    db.set_telemetry(MetricsRegistry::new());
+    db.recorder.set_telemetry(MetricsRegistry::new());
     let executions = (0..240)
         .map(|index| {
-            db.set_request(RequestId::tag(Platform::Spanner, 0, index));
+            db.recorder
+                .set_request(RequestId::tag(Platform::Spanner, 0, index));
             let key = keys.sample(&mut rng);
             match index % 4 {
                 0 => db.read(&key),
@@ -49,11 +50,11 @@ fn serve(record_free: bool) -> Served {
             }
         })
         .collect();
-    assert_eq!(db.open_spans(), 0);
+    assert_eq!(db.recorder.open_spans(), 0);
     Served {
         executions,
-        metrics: db.take_telemetry().to_json(),
-        now: db.now(),
+        metrics: db.recorder.take_telemetry().to_json(),
+        now: db.recorder.now(),
         log_len: db.log_len(),
     }
 }
@@ -87,7 +88,7 @@ fn spanner_preload_with_telemetry_on_records_like_commit() {
     // sees every counter a commit would add, CPU included.
     let metrics = |record_free: bool| {
         let mut db = Spanner::new(SpannerConfig::default(), 3);
-        db.set_telemetry(MetricsRegistry::new());
+        db.recorder.set_telemetry(MetricsRegistry::new());
         for i in 0..50u32 {
             let key = format!("k{i:03}").into_bytes();
             if record_free {
@@ -96,7 +97,7 @@ fn spanner_preload_with_telemetry_on_records_like_commit() {
                 db.commit(key, vec![b'v'; 120]);
             }
         }
-        db.take_telemetry()
+        db.recorder.take_telemetry()
     };
     let (recorded, record_free) = (metrics(false), metrics(true));
     assert!(recorded.counter_subsystem_sum("cpu") > 0);

@@ -139,8 +139,8 @@ impl KeccakState {
 /// An incremental SHA-3 hasher with a compile-time digest size.
 ///
 /// `RATE` is the sponge rate in bytes (`200 - 2 * DIGEST`), and `DIGEST` the
-/// output size in bytes. Use the [`Sha3_224`], [`Sha3_256`], [`Sha3_384`],
-/// [`Sha3_512`] aliases.
+/// output size in bytes. [`Sha3_256`] is the one alias; the tests name the
+/// 224-, 384- and 512-bit variants for their known answers.
 #[derive(Debug, Clone)]
 pub struct Sha3<const RATE: usize, const DIGEST: usize> {
     state: KeccakState,

@@ -4,14 +4,14 @@
 //! The `crc32` instruction retires one 8-byte step per cycle but has ~3
 //! cycles of latency, so a single dependent chain leaves two thirds of the
 //! unit idle. The fast path therefore splits the input into three
-//! independent [`BLOCK`]-byte legs, drives all three chains in one
+//! independent `BLOCK`-byte legs, drives all three chains in one
 //! interleaved loop, and then *recombines* the three partial CRCs.
 //!
 //! Recombination uses the carry-less algebra the PCLMUL folding constants
 //! come from: advancing a CRC state across `N` zero bytes is a GF(2)-linear
 //! operator, so it is precomputed — at compile time — as a 32x32 bit-matrix
 //! raised to the `N`th power and materialized as four 256-entry tables
-//! ([`SHIFT_BLOCK`]). One application costs four table lookups, amortized
+//! (`SHIFT_BLOCK`). One application costs four table lookups, amortized
 //! over 2 KiB of input per leg.
 //!
 //! Everything here is byte-identical to [`crate::crc::crc32c_append_slicing8`]

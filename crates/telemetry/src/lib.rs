@@ -14,7 +14,7 @@
 //! - [`export`] — span export from `hsdp_rpc` traces to Chrome trace-event
 //!   JSON, loadable in Perfetto / `chrome://tracing`, with platform,
 //!   category, and shard metadata.
-//! - [`critical_path`] — the Dapper tree-walk (Section 3): attributes each
+//! - [`critical_path`](mod@critical_path) — the Dapper tree-walk (Section 3): attributes each
 //!   trace's wall-clock to the slowest child chain, yielding per-category
 //!   critical-path fractions alongside the GWP-style CPU fractions.
 //! - [`json`] — a minimal JSON syntax validator so emitted artifacts can be
