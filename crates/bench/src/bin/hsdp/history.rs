@@ -24,8 +24,8 @@
 //! or an unreadable store.
 
 use hsdp_profiling::history::{
-    detect_anomalies, regressions_since, AnomalyConfig, HistoryError, HistoryStore,
-    ProfileSnapshot, SnapshotMeta,
+    detect_anomalies, regressions_since, HistoryError, HistoryStore, ProfileSnapshot, SnapshotMeta,
+    SUSTAINED, WINDOW, Z_THRESHOLD,
 };
 use hsdp_rng::{Rng, StdRng};
 
@@ -83,14 +83,10 @@ fn load(flags: &Flags) -> Result<Vec<ProfileSnapshot>, CliError> {
 
 fn check(flags: &Flags) -> Result<(), CliError> {
     let snapshots = load(flags)?;
-    let config = AnomalyConfig::default();
-    let drifts = detect_anomalies(&snapshots, &config);
+    let drifts = detect_anomalies(&snapshots);
     println!(
-        "history check: {} snapshot(s), window {}, z {}, sustained {}",
+        "history check: {} snapshot(s), window {WINDOW}, z {Z_THRESHOLD}, sustained {SUSTAINED}",
         snapshots.len(),
-        config.window,
-        config.z_threshold,
-        config.sustained,
     );
     if drifts.is_empty() {
         println!("no sustained drift");

@@ -410,7 +410,7 @@ pub fn ablation_chain_penalty() -> String {
 /// Ablation: cache policy effect on the measured IO-heavy share.
 #[must_use]
 pub fn ablation_cache_policy() -> String {
-    use hsdp_platforms::bigtable::{BigTable, BigTableConfig};
+    use hsdp_platforms::bigtable::{BigTableConfig, Tablet};
     use hsdp_storage::cache::PolicyKind;
 
     let mut out = String::from("Ablation — cache policy vs BigTable IO-heavy share\n");
@@ -420,16 +420,14 @@ pub fn ablation_cache_policy() -> String {
         PolicyKind::TwoQ,
         PolicyKind::Predictive,
     ] {
-        let mut bt = BigTable::new(
-            BigTableConfig {
-                memtable_flush_bytes: 8 * 1024,
-                // Small caches so policy differences show.
-                tier_bytes: (24 * 1024, 96 * 1024, 1 << 40),
-                policy,
-                ..BigTableConfig::default()
-            },
-            99,
-        );
+        let config = BigTableConfig {
+            memtable_flush_bytes: 8 * 1024,
+            // Small caches so policy differences show.
+            tier_bytes: (24 * 1024, 96 * 1024, 1 << 40),
+            policy,
+            ..BigTableConfig::default()
+        };
+        let mut bt = Tablet::new(&config, 0, 99);
         let keys = hsdp_workload::keys::KeyGen::new("ab", 4_000, 0.99);
         let values = hsdp_workload::keys::ValueGen::new(300);
         let mut rng = hsdp_rng::StdRng::seed_from_u64(7);

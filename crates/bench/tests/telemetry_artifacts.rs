@@ -7,7 +7,7 @@ use hsdp_bench::telemetry_out::platform_agreement;
 use hsdp_bench::FleetRun;
 use hsdp_core::category::Platform;
 use hsdp_platforms::runner::{run_fleet_telemetry, FleetConfig, ShardRun};
-use hsdp_profiling::{GwpConfig, GwpProfiler, LeafWork};
+use hsdp_profiling::{GwpConfig, GwpProfiler};
 use hsdp_telemetry::critical_path::PathCategory;
 use hsdp_telemetry::json;
 
@@ -138,13 +138,8 @@ fn critical_path_cpu_agrees_with_gwp_universe() {
         let mut profiler = GwpProfiler::new(GwpConfig::default());
         for run in runs.iter().filter(|r| r.platform == platform) {
             for exec in &run.executions {
-                for item in &exec.cpu_work {
-                    profiler.observe(&LeafWork {
-                        category: item.category,
-                        leaf: item.leaf,
-                        time: item.time,
-                        stack: item.stack,
-                    });
+                for &(site, time) in exec.cpu_work.entries() {
+                    profiler.observe_site(site, time);
                 }
             }
         }

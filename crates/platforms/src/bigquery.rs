@@ -24,25 +24,15 @@ use crate::costs;
 use crate::exec::{OpenQuery, QueryExecution, QueryRecorder};
 use crate::meter::WorkMeter;
 
-/// Engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BigQueryConfig {
-    /// Number of stage-1 workers (and shuffle partitions).
-    pub workers: usize,
-    /// Tier capacities per worker's storage stack.
-    pub tier_bytes: (u64, u64, u64),
-}
+/// Stage-1 workers, and shuffle partitions.
+const WORKERS: usize = 8;
 
-impl Default for BigQueryConfig {
-    fn default() -> Self {
-        BigQueryConfig {
-            workers: 8,
-            // Small caches relative to table size: scans run cold, making
-            // the platform IO-heavy as in Figure 2.
-            tier_bytes: (4 * 1024, 12 * 1024, 1 << 40),
-        }
-    }
-}
+/// RAM / SSD / HDD capacities of each worker's storage stack. The caches
+/// are small relative to the table: scans run cold, making the platform
+/// IO-heavy as in Figure 2.
+const TIER_BYTES: (u64, u64, u64) = (4 * 1024, 12 * 1024, 1 << 40);
+
+const _: () = assert!(WORKERS > 0, "need at least one worker");
 
 /// Per-worker stored partition: the columnar data plus its on-disk layout.
 #[derive(Debug)]
@@ -57,7 +47,6 @@ struct StoredPartition {
 pub struct BigQuery {
     /// The engine's clock, tracer, telemetry and request id.
     pub recorder: QueryRecorder,
-    config: BigQueryConfig,
     stores: Vec<TieredStore>,
     partitions: Vec<StoredPartition>,
     dim: Vec<DimRow>,
@@ -68,18 +57,12 @@ pub struct BigQuery {
 
 impl BigQuery {
     /// A fresh engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
     #[must_use]
-    pub fn new(config: BigQueryConfig, seed: u64) -> Self {
-        assert!(config.workers > 0, "need at least one worker");
-        let (ram, ssd, hdd) = config.tier_bytes;
+    pub fn new(seed: u64) -> Self {
+        let (ram, ssd, hdd) = TIER_BYTES;
         BigQuery {
             recorder: QueryRecorder::new(),
-            config,
-            stores: (0..config.workers)
+            stores: (0..WORKERS)
                 .map(|_| TieredStore::new(ram, ssd, hdd, PolicyKind::TwoQ))
                 .collect(),
             partitions: Vec::new(),
@@ -101,9 +84,8 @@ impl BigQuery {
     pub fn load(&mut self, rows: &[FactRow], dim: Vec<DimRow>) {
         self.dim = dim;
         self.partitions.clear();
-        let workers = self.config.workers;
-        for w in 0..workers {
-            let table = ColumnTable::from_rows(rows.iter().skip(w).step_by(workers));
+        for w in 0..WORKERS {
+            let table = ColumnTable::from_rows(rows.iter().skip(w).step_by(WORKERS));
             let encoded = table.encode_compressed();
             let column_files = encoded
                 .iter()
@@ -216,7 +198,7 @@ impl BigQuery {
     fn shuffle(&mut self, meter: &mut WorkMeter, bytes_per_worker: u64, salt: u64) -> SimDuration {
         let mut meter = meter.scope("shuffle");
         let mut slowest = SimDuration::ZERO;
-        for w in 0..self.config.workers {
+        for w in 0..WORKERS {
             meter.charge_bytes(
                 DatacenterTax::Protobuf,
                 "shuffle_serialize",
@@ -282,14 +264,14 @@ impl BigQuery {
         meter.charge_bytes(
             DatacenterTax::Protobuf,
             "shuffle_deserialize",
-            bytes_per_worker * self.config.workers as u64,
+            bytes_per_worker * WORKERS as u64,
             costs::PROTO_DECODE_NS_PER_BYTE,
         );
         let telemetry = &mut self.recorder.telemetry;
         telemetry.counter_add(("bigquery", "shuffles", ""), 1);
         telemetry.counter_add(
             ("bigquery", "shuffle_bytes", ""),
-            bytes_per_worker * self.config.workers as u64,
+            bytes_per_worker * WORKERS as u64,
         );
         telemetry.record_duration(("bigquery", "shuffle_wait_ns", ""), slowest);
         slowest
@@ -335,8 +317,7 @@ impl BigQuery {
         shuffle_time: SimDuration,
         label: &'static str,
     ) -> QueryExecution {
-        let cpu_wall =
-            SimDuration::from_nanos(meter.total().as_nanos() / self.config.workers as u64);
+        let cpu_wall = SimDuration::from_nanos(meter.total().as_nanos() / WORKERS as u64);
         let recorder = &mut self.recorder;
         if !io_time.is_zero() {
             let (trace, root) = (query.root.trace(), Some(query.root.id()));
@@ -367,7 +348,7 @@ impl BigQuery {
             let mut io = SimDuration::ZERO;
             let mut matched = 0u64;
             let mut result_bytes = 0u64;
-            for w in 0..self.config.workers {
+            for w in 0..WORKERS {
                 io += self.scan_columns(w, &[2, 4, 5], &mut op);
                 let part = &self.partitions[w].table;
                 let (Column::Float64(latency), Column::Str(urls), Column::Bool(success)) =
@@ -399,10 +380,10 @@ impl BigQuery {
             }
             // Workers run in parallel: wall IO is the average stripe, modeled
             // as total/workers.
-            let io_wall = SimDuration::from_nanos(io.as_nanos() / self.config.workers as u64);
+            let io_wall = SimDuration::from_nanos(io.as_nanos() / WORKERS as u64);
             let collect = self.collect_results(
                 &mut op,
-                result_bytes / self.config.workers as u64 + 64,
+                result_bytes / WORKERS as u64 + 64,
                 query.root.trace().0,
             );
             op.charge_ops(
@@ -429,7 +410,7 @@ impl BigQuery {
             // integer columns are scanned.
             let mut partials =
                 IdMap::with_capacity_and_hasher(self.row_count(), Default::default());
-            for w in 0..self.config.workers {
+            for w in 0..WORKERS {
                 io += self.scan_columns(w, &[0, 1, 3], &mut op);
                 let part = &self.partitions[w].table;
                 let (Column::Int64(users), Column::U32(regions), Column::Int64(bytes)) =
@@ -452,8 +433,7 @@ impl BigQuery {
             // streaming fashion, so the shuffled volume tracks the input
             // rows.
             let total_rows = self.row_count() as u64;
-            let shuffle_bytes =
-                (total_rows * 24).max(groups * 24) / self.config.workers as u64 + 64;
+            let shuffle_bytes = (total_rows * 24).max(groups * 24) / WORKERS as u64 + 64;
             let shuffle = self.shuffle(&mut op, shuffle_bytes, query.root.trace().0);
             // Final merge + post-aggregation compute (averages).
             {
@@ -483,7 +463,7 @@ impl BigQuery {
                 1,
                 costs::MISC_SYSTEM_NS_PER_QUERY,
             );
-            let io_wall = SimDuration::from_nanos(io.as_nanos() / self.config.workers as u64);
+            let io_wall = SimDuration::from_nanos(io.as_nanos() / WORKERS as u64);
             (io_wall, shuffle)
         };
         self.finish_query(query, meter, io_wall, shuffle, "group-aggregate")
@@ -504,14 +484,14 @@ impl BigQuery {
             op.scope("hash_join").charge_ops(
                 CoreComputeOp::Join,
                 "hash_build",
-                self.dim.len() as u64 * self.config.workers as u64,
+                self.dim.len() as u64 * WORKERS as u64,
                 costs::JOIN_NS_PER_ROW,
             );
             let (name_ids, names) = dim_name_ids(&self.dim);
 
             let mut io = SimDuration::ZERO;
             let mut joined = vec![None; names.len()];
-            for w in 0..self.config.workers {
+            for w in 0..WORKERS {
                 io += self.scan_columns(w, &[1, 3], &mut op);
                 let part = &self.partitions[w].table;
                 let (Column::U32(regions), Column::Int64(bytes)) = (part.column(1), part.column(3))
@@ -546,7 +526,7 @@ impl BigQuery {
                 1,
                 costs::MISC_SYSTEM_NS_PER_QUERY,
             );
-            let io_wall = SimDuration::from_nanos(io.as_nanos() / self.config.workers as u64);
+            let io_wall = SimDuration::from_nanos(io.as_nanos() / WORKERS as u64);
             (io_wall, broadcast)
         };
         self.finish_query(query, meter, io_wall, broadcast, "join")
@@ -561,7 +541,7 @@ impl BigQuery {
             let mut op = meter.scope("bigquery.top_k");
             let mut io = SimDuration::ZERO;
             let mut candidates: Vec<(i64, u64)> = Vec::new();
-            for w in 0..self.config.workers {
+            for w in 0..WORKERS {
                 io += self.scan_columns(w, &[0, 3], &mut op);
                 let part = &self.partitions[w].table;
                 let (Column::Int64(users), Column::Int64(bytes)) = (part.column(0), part.column(3))
@@ -606,7 +586,7 @@ impl BigQuery {
                 1,
                 costs::MISC_SYSTEM_NS_PER_QUERY,
             );
-            let io_wall = SimDuration::from_nanos(io.as_nanos() / self.config.workers as u64);
+            let io_wall = SimDuration::from_nanos(io.as_nanos() / WORKERS as u64);
             (io_wall, shuffle)
         };
         self.finish_query(query, meter, io_wall, shuffle, "top-k")
@@ -697,7 +677,7 @@ mod tests {
         let mut rng = hsdp_rng::StdRng::seed_from_u64(31);
         let gen = FactGen::default();
         let data = gen.rows(rows, &mut rng);
-        let mut bq = BigQuery::new(BigQueryConfig::default(), 5);
+        let mut bq = BigQuery::new(5);
         bq.load(&data, gen.dimension());
         bq
     }

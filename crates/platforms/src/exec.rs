@@ -239,11 +239,11 @@ fn trace_spans(tracer: &mut Tracer, trace: TraceId) -> Vec<Span> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spanner::{Spanner, SpannerConfig};
+    use crate::spanner::Spanner;
 
     #[test]
     fn second_set_telemetry_discards_cpu_not_yet_added() {
-        let mut s = Spanner::new(SpannerConfig::default(), 7);
+        let mut s = Spanner::new(7);
         s.recorder.set_telemetry(MetricsRegistry::new());
         s.commit(b"k".to_vec(), b"v".to_vec());
         s.recorder.set_telemetry(MetricsRegistry::new());

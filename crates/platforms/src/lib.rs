@@ -6,9 +6,9 @@
 //!
 //! - [`spanner`] — a leader-led consensus group: replicated write log with
 //!   quorum waits, strong reads, SQL-style scans.
-//! - [`bigtable`] — an LSM tablet server: memtable, bloom-filtered
-//!   SSTables, compressed blocks, size-tiered compaction that surfaces as
-//!   remote work.
+//! - [`bigtable`] — LSM [`Tablet`]s behind a key router: memtable,
+//!   bloom-filtered SSTables, compressed blocks, leveled compaction that
+//!   surfaces as remote work.
 //! - [`bigquery`] — a columnar staged query engine: compressed column
 //!   scans, filter/aggregate/join/sort operators, a hash-partitioned
 //!   distributed shuffle.
@@ -36,15 +36,16 @@ pub mod meter;
 pub mod runner;
 pub mod spanner;
 
-pub use bigquery::{BigQuery, BigQueryConfig};
-pub use bigtable::{BigTable, BigTableConfig};
+pub use bigquery::BigQuery;
+pub use bigtable::{BigTableConfig, Tablet};
 pub use exec::QueryExecution;
 pub use meter::{CpuWorkItem, WorkMeter};
 pub use runner::FleetConfig;
-pub use spanner::{Spanner, SpannerConfig};
+pub use spanner::Spanner;
 
 /// The engines and their records cross threads: a fleet worker builds an
-/// engine, runs it and hands its records back. A field that is not `Send`
+/// engine (a Spanner or BigQuery shard, or one BigTable tablet), runs it
+/// and hands its records back. A field that is not `Send`
 /// (a raw-pointer map key, say) fails the build here instead of at the
 /// first caller that moves one. The engines are not `Sync`: their tiered
 /// stores box a `CachePolicy` that is only `Send`.
@@ -52,7 +53,7 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send::<Spanner>();
-    assert_send::<BigTable>();
+    assert_send::<Tablet>();
     assert_send::<BigQuery>();
     assert_send_sync::<bigtable::ScanAssembler>();
     assert_send_sync::<QueryExecution>();

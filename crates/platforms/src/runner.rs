@@ -27,10 +27,10 @@ use hsdp_workload::keys::{KeyGen, ValueGen};
 use hsdp_workload::mix::{AnalyticsMix, AnalyticsQuery, DbMix, DbOp};
 use hsdp_workload::rows::FactGen;
 
-use crate::bigquery::{BigQuery, BigQueryConfig};
-use crate::bigtable::{route_key, tablet_seed, BigTableConfig, ScanAssembler, ScanPartial, Tablet};
+use crate::bigquery::BigQuery;
+use crate::bigtable::{route_key, BigTableConfig, ScanAssembler, ScanPartial, Tablet};
 use crate::exec::QueryExecution;
-use crate::spanner::{Spanner, SpannerConfig};
+use crate::spanner::Spanner;
 
 /// Shard-level seed streams, one per platform (feeds [`ShardPlan`]).
 const STREAM_SPANNER: u64 = 0x5350_414E;
@@ -130,10 +130,7 @@ pub fn run_spanner_shard(
     let platform = Platform::Spanner;
     let mut preload_rng = StdRng::seed_from_u64(phase_seed(seed, platform, PHASE_PRELOAD));
     let mut traffic_rng = StdRng::seed_from_u64(phase_seed(seed, platform, PHASE_TRAFFIC));
-    let mut db = Spanner::new(
-        SpannerConfig::default(),
-        phase_seed(seed, platform, PHASE_ENGINE),
-    );
+    let mut db = Spanner::new(phase_seed(seed, platform, PHASE_ENGINE));
     let keys = KeyGen::new("sp", 5_000, 0.9);
     let values = ValueGen::new(400);
     // Transactional traffic: mostly reads, a healthy scan share, and the
@@ -310,12 +307,10 @@ fn run_tablet_ops(
     let preload = *preload;
     let config = BigTableConfig {
         memtable_flush_bytes: 32 * 1024,
-        compaction_fanin: 4,
         tablets,
         ..BigTableConfig::default()
     };
-    let engine_seed = phase_seed(seed, platform, PHASE_ENGINE);
-    let mut tb = Tablet::new(&config, tablet, tablet_seed(engine_seed, tablet));
+    let mut tb = Tablet::new(&config, tablet, phase_seed(seed, platform, PHASE_ENGINE));
     let mut executions = Vec::new();
     let mut scans = Vec::new();
     for (idx, op) in ops.iter().enumerate() {
@@ -470,10 +465,7 @@ pub fn run_bigquery_shard(
     let mut traffic_rng = StdRng::seed_from_u64(phase_seed(seed, platform, PHASE_TRAFFIC));
     let gen = FactGen::default();
     let rows = gen.rows(fact_rows, &mut preload_rng);
-    let mut bq = BigQuery::new(
-        BigQueryConfig::default(),
-        phase_seed(seed, platform, PHASE_ENGINE),
-    );
+    let mut bq = BigQuery::new(phase_seed(seed, platform, PHASE_ENGINE));
     bq.load(&rows, gen.dimension());
     if telemetry {
         bq.recorder.set_telemetry(MetricsRegistry::new());

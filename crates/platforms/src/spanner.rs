@@ -24,26 +24,21 @@ use crate::costs;
 use crate::exec::{OpenQuery, QueryExecution, QueryRecorder};
 use crate::meter::WorkMeter;
 
-/// Consensus-group configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpannerConfig {
-    /// Number of replicas (including the leader).
-    pub replicas: usize,
-    /// Votes needed to commit (majority by default).
-    pub quorum: usize,
-    /// Tier capacities of the leader's storage stack.
-    pub tier_bytes: (u64, u64, u64),
-}
+/// Replicas in the consensus group, the leader included.
+const REPLICAS: usize = 5;
 
-impl Default for SpannerConfig {
-    fn default() -> Self {
-        SpannerConfig {
-            replicas: 5,
-            quorum: 3,
-            tier_bytes: (8 << 20, 64 << 20, 1 << 40),
-        }
-    }
-}
+/// Votes needed to commit: a majority.
+const QUORUM: usize = 3;
+
+/// RAM / SSD / HDD capacities of the leader's storage stack.
+const TIER_BYTES: (u64, u64, u64) = (8 << 20, 64 << 20, 1 << 40);
+
+// The leader votes for itself, so a commit waits for `QUORUM - 1` follower
+// acks: at least one, and no more than there are followers.
+const _: () = assert!(
+    2 <= QUORUM && QUORUM <= REPLICAS,
+    "quorum must be within the replica set"
+);
 
 /// One replicated log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +56,6 @@ pub struct LogEntry {
 pub struct Spanner {
     /// The group's clock, tracer, telemetry and request id.
     pub recorder: QueryRecorder,
-    config: SpannerConfig,
     store: TieredStore,
     state: BTreeMap<Vec<u8>, Vec<u8>>,
     log: Vec<LogEntry>,
@@ -72,17 +66,9 @@ pub struct Spanner {
 
 impl Spanner {
     /// A fresh group.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= quorum <= replicas`.
     #[must_use]
-    pub fn new(config: SpannerConfig, seed: u64) -> Self {
-        assert!(
-            (1..=config.replicas).contains(&config.quorum),
-            "quorum must be within the replica set"
-        );
-        let (ram, ssd, hdd) = config.tier_bytes;
+    pub fn new(seed: u64) -> Self {
+        let (ram, ssd, hdd) = TIER_BYTES;
         let txn_desc = Arc::new(
             MessageDescriptor::new(
                 "TxnRequest",
@@ -97,7 +83,6 @@ impl Spanner {
         );
         Spanner {
             recorder: QueryRecorder::new(),
-            config,
             store: TieredStore::new(ram, ssd, hdd, PolicyKind::Lru),
             state: BTreeMap::new(),
             log: Vec::new(),
@@ -216,8 +201,7 @@ impl Spanner {
     /// quorum of acks. Returns the remote-work wait.
     fn consensus_round(&mut self, meter: &mut WorkMeter, bytes: u64, salt: u64) -> SimDuration {
         let mut meter = meter.scope("consensus");
-        let followers = self.config.replicas - 1;
-        let needed_acks = self.config.quorum - 1; // leader votes for itself
+        let followers = REPLICAS - 1;
         let mut round_trips: Vec<SimDuration> = (0..followers)
             .map(|i| {
                 self.net_region.round_trip(
@@ -259,11 +243,8 @@ impl Spanner {
             followers as u64 * 2,
             costs::SYSCALL_NS,
         );
-        let wait = if needed_acks == 0 {
-            SimDuration::ZERO
-        } else {
-            round_trips[needed_acks - 1]
-        };
+        // The `QUORUM - 1`th fastest follower ack completes the quorum.
+        let wait = round_trips[QUORUM - 2];
         let telemetry = &mut self.recorder.telemetry;
         telemetry.counter_add(("spanner", "consensus_rounds", ""), 1);
         telemetry.counter_add(
@@ -401,6 +382,7 @@ impl Spanner {
 
             // Session management, SQL binding, and row assembly: the read
             // path is far more than one tree lookup in a SQL database.
+            let value_len = self.state.get(key).map_or(0, Vec::len) as u64;
             let io = {
                 let mut read_path = op.scope("read_path");
                 read_path.charge_ops(CoreComputeOp::Query, "session_and_bind", 1, 20_000.0);
@@ -412,7 +394,6 @@ impl Spanner {
                     costs::BTREE_OP_NS * 2.0,
                 );
                 read_path.charge_ops(SystemTax::Stl, "btreemap_get", 1, costs::STL_NS_PER_ENTRY);
-                let value_len = self.state.get(key).map_or(0, Vec::len) as u64;
                 // Touch storage (cache-hit most of the time for hot keys).
                 let io = self
                     .store
@@ -433,7 +414,6 @@ impl Spanner {
                 io
             };
 
-            let value_len = self.state.get(key).map_or(0, Vec::len) as u64;
             let response_bytes = value_len + 48;
             {
                 let mut response = op.scope("response_encode");
@@ -612,7 +592,7 @@ mod tests {
     use hsdp_core::category::CpuCategory;
 
     fn db() -> Spanner {
-        Spanner::new(SpannerConfig::default(), 7)
+        Spanner::new(7)
     }
 
     #[test]
@@ -671,47 +651,5 @@ mod tests {
             "the commit leg pays consensus"
         );
         assert_eq!(s.log_len(), 2);
-    }
-
-    #[test]
-    fn quorum_wait_uses_kth_fastest_replica() {
-        // With quorum 2 of 5, the wait is the fastest follower; quorum 5
-        // waits for the slowest. Larger quorums never wait less.
-        let mut fast = Spanner::new(
-            SpannerConfig {
-                quorum: 2,
-                ..SpannerConfig::default()
-            },
-            7,
-        );
-        let mut slow = Spanner::new(
-            SpannerConfig {
-                quorum: 5,
-                ..SpannerConfig::default()
-            },
-            7,
-        );
-        let f = fast
-            .commit(b"k".to_vec(), b"v".to_vec())
-            .decomposition()
-            .remote;
-        let s = slow
-            .commit(b"k".to_vec(), b"v".to_vec())
-            .decomposition()
-            .remote;
-        assert!(s >= f, "quorum-5 wait {s} >= quorum-2 wait {f}");
-    }
-
-    #[test]
-    #[should_panic(expected = "quorum must be within")]
-    fn invalid_quorum_panics() {
-        let _ = Spanner::new(
-            SpannerConfig {
-                replicas: 3,
-                quorum: 4,
-                ..SpannerConfig::default()
-            },
-            1,
-        );
     }
 }

@@ -19,7 +19,7 @@
 use hsdp_core::category::Platform;
 use hsdp_core::request::RequestId;
 use hsdp_platforms::runner::run_bigquery_shard;
-use hsdp_platforms::{BigQuery, BigQueryConfig, QueryExecution};
+use hsdp_platforms::{BigQuery, QueryExecution};
 use hsdp_rng::StdRng;
 use hsdp_taxes::crc::crc32c;
 use hsdp_telemetry::MetricsRegistry;
@@ -105,7 +105,7 @@ fn hand_built_engine_emits_the_pinned_records_and_metrics() {
     };
     let mut rng = StdRng::seed_from_u64(SEED);
     let rows = gen.rows(3_000, &mut rng);
-    let mut bq = BigQuery::new(BigQueryConfig::default(), SEED);
+    let mut bq = BigQuery::new(SEED);
     bq.load(&rows, awkward_dimension());
     bq.recorder.set_telemetry(MetricsRegistry::new());
     let queries: [fn(&mut BigQuery) -> QueryExecution; 7] = [

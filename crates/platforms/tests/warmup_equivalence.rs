@@ -7,7 +7,7 @@
 
 use hsdp_core::category::Platform;
 use hsdp_core::request::RequestId;
-use hsdp_platforms::{QueryExecution, Spanner, SpannerConfig};
+use hsdp_platforms::{QueryExecution, Spanner};
 use hsdp_rng::StdRng;
 use hsdp_simcore::time::SimTime;
 use hsdp_telemetry::MetricsRegistry;
@@ -24,7 +24,7 @@ struct Served {
 /// Preloads a group (through `preload` or through `commit`), then serves
 /// a mixed, request-tagged traffic stream with telemetry on.
 fn serve(record_free: bool) -> Served {
-    let mut db = Spanner::new(SpannerConfig::default(), 0x5EED);
+    let mut db = Spanner::new(0x5EED);
     let keys = KeyGen::new("sp", 600, 0.9);
     let values = ValueGen::new(400);
     let mut rng = StdRng::seed_from_u64(11);
@@ -87,7 +87,7 @@ fn spanner_preload_with_telemetry_on_records_like_commit() {
     // Preload is warmup, but a registry that is on while it runs still
     // sees every counter a commit would add, CPU included.
     let metrics = |record_free: bool| {
-        let mut db = Spanner::new(SpannerConfig::default(), 3);
+        let mut db = Spanner::new(3);
         db.recorder.set_telemetry(MetricsRegistry::new());
         for i in 0..50u32 {
             let key = format!("k{i:03}").into_bytes();

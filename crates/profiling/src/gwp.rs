@@ -12,24 +12,10 @@
 use std::collections::BTreeMap;
 
 use hsdp_core::category::{BroadCategory, CoreComputeOp, CpuCategory, DatacenterTax, SystemTax};
-use hsdp_core::stack::{FramePath, Site, SiteMap};
+use hsdp_core::stack::{Site, SiteMap};
 use hsdp_simcore::time::SimDuration;
 
 use crate::stacks::StackProfile;
-
-/// One labeled unit of CPU work offered to the profiler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeafWork {
-    /// Fine cycle category.
-    pub category: CpuCategory,
-    /// Leaf function name.
-    pub leaf: &'static str,
-    /// CPU time spent.
-    pub time: SimDuration,
-    /// Call-frame path active when the work was charged (outermost first,
-    /// leaf not included).
-    pub stack: FramePath,
-}
 
 /// The profiler configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,19 +155,11 @@ impl GwpProfiler {
         }
     }
 
-    /// Offers one work item: samples fire every `sample_period` of
-    /// cumulative CPU time, each attributed to the active leaf. The item's
-    /// full frame path is folded into the stack profile regardless of
-    /// whether a sample fires, so the stack tree carries both exact
-    /// nanoseconds and sampled counts.
-    pub fn observe(&mut self, work: &LeafWork) {
-        self.observe_site(
-            Site::intern(work.stack, work.leaf, work.category),
-            work.time,
-        );
-    }
-
-    /// [`GwpProfiler::observe`] for `time` charged at `site`. The site's
+    /// Offers `time` of CPU work charged at `site`: samples fire every
+    /// `sample_period` of cumulative CPU time, each attributed to the
+    /// site's leaf. The site's full frame path is folded into the stack
+    /// profile regardless of whether a sample fires, so the stack tree
+    /// carries both exact nanoseconds and sampled counts. The site's
     /// content is looked up in the stack profile once; later charges at the
     /// same site go straight to its cell.
     pub fn observe_site(&mut self, site: &'static Site, time: SimDuration) {
@@ -234,13 +212,17 @@ mod tests {
     use hsdp_core::category::Platform;
     use hsdp_core::stack::empty_path;
 
-    fn work(category: impl Into<CpuCategory>, leaf: &'static str, micros: u64) -> LeafWork {
-        LeafWork {
-            category: category.into(),
-            leaf,
-            time: SimDuration::from_micros(micros),
-            stack: empty_path(),
-        }
+    /// Offers `micros` of work at the root-level site `(leaf, category)`.
+    fn observe(
+        profiler: &mut GwpProfiler,
+        category: impl Into<CpuCategory>,
+        leaf: &'static str,
+        micros: u64,
+    ) {
+        profiler.observe_site(
+            Site::intern(empty_path(), leaf, category.into()),
+            SimDuration::from_micros(micros),
+        );
     }
 
     #[test]
@@ -248,8 +230,8 @@ mod tests {
         let mut profiler = GwpProfiler::new(GwpConfig {
             sample_period: SimDuration::from_micros(1),
         });
-        profiler.observe(&work(CoreComputeOp::Read, "read_path", 3000));
-        profiler.observe(&work(DatacenterTax::Protobuf, "proto_encode", 1000));
+        observe(&mut profiler, CoreComputeOp::Read, "read_path", 3000);
+        observe(&mut profiler, DatacenterTax::Protobuf, "proto_encode", 1000);
         let p = profiler.profile();
         let read = p.category_samples(CpuCategory::Core(CoreComputeOp::Read));
         let proto = p.category_samples(CpuCategory::Datacenter(DatacenterTax::Protobuf));
@@ -264,7 +246,7 @@ mod tests {
         });
         // 100 items of 1us each = 100us total = ~10 samples.
         for _ in 0..100 {
-            profiler.observe(&work(SystemTax::Stl, "vector_push", 1));
+            observe(&mut profiler, SystemTax::Stl, "vector_push", 1);
         }
         let total = profiler.profile().total_samples();
         assert_eq!(total, 10, "residual carries across items");
@@ -275,9 +257,9 @@ mod tests {
         let mut profiler = GwpProfiler::new(GwpConfig {
             sample_period: SimDuration::from_micros(1),
         });
-        profiler.observe(&work(CoreComputeOp::Read, "a", 500));
-        profiler.observe(&work(CoreComputeOp::Write, "b", 500));
-        profiler.observe(&work(DatacenterTax::Rpc, "c", 1000));
+        observe(&mut profiler, CoreComputeOp::Read, "a", 500);
+        observe(&mut profiler, CoreComputeOp::Write, "b", 500);
+        observe(&mut profiler, DatacenterTax::Rpc, "c", 1000);
         let p = profiler.profile();
         assert!((p.broad_share(BroadCategory::CoreCompute) - 0.5).abs() < 0.02);
         assert!((p.broad_share(BroadCategory::DatacenterTax) - 0.5).abs() < 0.02);

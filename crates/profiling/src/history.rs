@@ -515,30 +515,18 @@ impl HistoryStore {
 // Sliding-window anomaly detection.
 // ---------------------------------------------------------------------------
 
-/// Tuning for the sliding-window detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnomalyConfig {
-    /// Trailing baseline window length (snapshots).
-    pub window: usize,
-    /// Robust z-score threshold against the window's median/MAD.
-    pub z_threshold: f64,
-    /// Absolute share-movement floor: drifts smaller than this never flag,
-    /// however tight the baseline noise.
-    pub min_abs_delta: f64,
-    /// Consecutive flagged snapshots required before drift is *sustained*.
-    pub sustained: usize,
-}
+/// Trailing baseline window length of the detector (snapshots).
+pub const WINDOW: usize = 5;
 
-impl Default for AnomalyConfig {
-    fn default() -> Self {
-        AnomalyConfig {
-            window: 5,
-            z_threshold: 3.5,
-            min_abs_delta: 0.01,
-            sustained: 3,
-        }
-    }
-}
+/// Robust z-score threshold against the window's median/MAD.
+pub const Z_THRESHOLD: f64 = 3.5;
+
+/// Absolute share-movement floor: drifts smaller than this never flag,
+/// however tight the baseline noise.
+const MIN_ABS_DELTA: f64 = 0.01;
+
+/// Consecutive flagged snapshots required before drift is *sustained*.
+pub const SUSTAINED: usize = 3;
 
 /// One point of a share series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -605,20 +593,19 @@ pub fn wilson_noise_floor(p: f64, samples: u64) -> f64 {
 
 /// Runs the robust sliding-window detector over one share series.
 ///
-/// For each point past the first `window`, the trailing `window` points
+/// For each point past the first [`WINDOW`], the trailing `WINDOW` points
 /// form the baseline: the point is flagged when its movement against the
 /// baseline median clears the robust z-threshold (MAD-scaled, with the
 /// Wilson noise floor as a minimum sigma) *and* the absolute floor.
 #[must_use]
-pub fn series_flags(series: &[SeriesPoint], config: &AnomalyConfig) -> Vec<SeriesFlag> {
-    let window = config.window.max(2);
+pub fn series_flags(series: &[SeriesPoint]) -> Vec<SeriesFlag> {
     let mut flags = Vec::new();
-    if series.len() <= window {
+    if series.len() <= WINDOW {
         return flags;
     }
     let shares: Vec<f64> = series.iter().map(|p| p.share).collect();
-    for t in window..series.len() {
-        let baseline = &shares[t - window..t];
+    for t in WINDOW..series.len() {
+        let baseline = &shares[t - WINDOW..t];
         let base_median = median(baseline);
         let deviations: Vec<f64> = baseline.iter().map(|x| (x - base_median).abs()).collect();
         let mad = median(&deviations);
@@ -626,7 +613,7 @@ pub fn series_flags(series: &[SeriesPoint], config: &AnomalyConfig) -> Vec<Serie
         let sigma = (mad * MAD_SIGMA).max(noise).max(1e-12);
         let delta = series[t].share - base_median;
         let z = delta / sigma;
-        if z.abs() >= config.z_threshold && delta.abs() >= config.min_abs_delta.max(noise) {
+        if z.abs() >= Z_THRESHOLD && delta.abs() >= MIN_ABS_DELTA.max(noise) {
             flags.push(SeriesFlag { index: t, delta, z });
         }
     }
@@ -634,10 +621,9 @@ pub fn series_flags(series: &[SeriesPoint], config: &AnomalyConfig) -> Vec<Serie
 }
 
 /// The longest run of consecutive, same-sign flags ending anywhere in the
-/// series, if it reaches the sustained threshold.
+/// series, if it reaches [`SUSTAINED`].
 #[must_use]
-pub fn sustained_run(flags: &[SeriesFlag], config: &AnomalyConfig) -> Option<(usize, usize, f64)> {
-    let needed = config.sustained.max(1);
+pub fn sustained_run(flags: &[SeriesFlag]) -> Option<(usize, usize, f64)> {
     let mut best: Option<(usize, usize, f64)> = None;
     let mut run_start = 0usize;
     let mut run_len = 0usize;
@@ -651,7 +637,7 @@ pub fn sustained_run(flags: &[SeriesFlag], config: &AnomalyConfig) -> Option<(us
             run_start = i;
             run_len = 1;
         }
-        if run_len >= needed {
+        if run_len >= SUSTAINED {
             let start_index = flags[run_start].index;
             best = Some((start_index, run_len, flag.delta));
         }
@@ -685,10 +671,7 @@ pub fn share_series(snapshots: &[ProfileSnapshot], key: &str, stacks: bool) -> V
 /// returning all sustained drifts (empty = healthy). Categories are checked
 /// first, then stacks, each in canonical key order.
 #[must_use]
-pub fn detect_anomalies(
-    snapshots: &[ProfileSnapshot],
-    config: &AnomalyConfig,
-) -> Vec<SustainedDrift> {
+pub fn detect_anomalies(snapshots: &[ProfileSnapshot]) -> Vec<SustainedDrift> {
     let mut drifts = Vec::new();
     for (stacks, label) in [(false, "category"), (true, "stack")] {
         let mut keys: Vec<&String> = snapshots
@@ -705,8 +688,8 @@ pub fn detect_anomalies(
         keys.dedup();
         for key in keys {
             let series = share_series(snapshots, key, stacks);
-            let flags = series_flags(&series, config);
-            if let Some((start, run, last_delta)) = sustained_run(&flags, config) {
+            let flags = series_flags(&series);
+            if let Some((start, run, last_delta)) = sustained_run(&flags) {
                 drifts.push(SustainedDrift {
                     key: format!("{label}:{key}"),
                     start,
@@ -1076,21 +1059,20 @@ mod tests {
     #[test]
     fn flat_series_never_flags() {
         let series = flat_series(20, 0.25);
-        assert!(series_flags(&series, &AnomalyConfig::default()).is_empty());
+        assert!(series_flags(&series).is_empty());
     }
 
     #[test]
     fn single_blip_flags_but_is_not_sustained() {
         let mut series = flat_series(20, 0.25);
         series[12].share = 0.32;
-        let config = AnomalyConfig::default();
-        let flags = series_flags(&series, &config);
+        let flags = series_flags(&series);
         assert!(
             flags.iter().any(|f| f.index == 12),
             "the blip itself is flagged: {flags:?}"
         );
         assert!(
-            sustained_run(&flags, &config).is_none(),
+            sustained_run(&flags).is_none(),
             "one blip is not sustained drift"
         );
     }
@@ -1101,11 +1083,10 @@ mod tests {
         for point in series.iter_mut().skip(14) {
             point.share += 0.06;
         }
-        let config = AnomalyConfig::default();
-        let flags = series_flags(&series, &config);
-        let run = sustained_run(&flags, &config).expect("sustained drift detected");
+        let flags = series_flags(&series);
+        let run = sustained_run(&flags).expect("sustained drift detected");
         assert_eq!(run.0, 14, "run starts at the shift");
-        assert!(run.1 >= config.sustained);
+        assert!(run.1 >= SUSTAINED);
         assert!(run.2 > 0.0, "regression direction is positive");
     }
 
@@ -1120,7 +1101,7 @@ mod tests {
         for point in series.iter_mut().skip(14) {
             point.share += 0.06;
         }
-        let flags = series_flags(&series, &AnomalyConfig::default());
+        let flags = series_flags(&series);
         assert!(flags.is_empty(), "sampling noise must not page: {flags:?}");
     }
 
@@ -1137,7 +1118,7 @@ mod tests {
                 .insert("spanner.commit;rpc;proto_encode".to_owned(), stack);
             s.total_exact_ns += 80_000;
         }
-        let drifts = detect_anomalies(&snapshots, &AnomalyConfig::default());
+        let drifts = detect_anomalies(&snapshots);
         assert!(
             drifts.iter().any(|d| d.key == "category:dc.protobuf"),
             "{drifts:?}"

@@ -39,10 +39,10 @@ pub use crosscheck::{
     ShareEstimate,
 };
 pub use e2e::{classify, figure2, Figure2, Figure2Row};
-pub use gwp::{CycleProfile, GwpConfig, GwpProfiler, LeafWork};
+pub use gwp::{CycleProfile, GwpConfig, GwpProfiler};
 pub use heavy::{HitterEntry, SpaceSaving};
 pub use history::{
-    detect_anomalies, regressions_since, AnomalyConfig, DriftReport, DriftThresholds, HistoryStore,
+    detect_anomalies, regressions_since, DriftReport, DriftThresholds, HistoryStore,
     ProfileSnapshot, QuantileRow, RegressionReport, SnapshotMeta, SustainedDrift,
 };
 pub use microarch::{fit_cpi_model, regenerate_tables, CalibrationRow, CpiModel};

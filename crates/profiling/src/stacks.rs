@@ -1,9 +1,9 @@
 //! Deterministic stack-tree profiles: frame interning, flamegraph-ready
 //! collapsed output, and pprof export.
 //!
-//! The platforms annotate every [`LeafWork`](crate::gwp::LeafWork) item with
-//! the call-frame path that was active when the work was charged
-//! (outermost-first, e.g. `spanner.commit → consensus`). [`StackProfile`]
+//! The platforms charge every unit of CPU work at a site that carries the
+//! call-frame path active when the work was charged (outermost-first, e.g.
+//! `spanner.commit → consensus`). [`StackProfile`]
 //! aggregates those paths two ways at once:
 //!
 //! - **exact** nanoseconds from the meter (ground truth), and

@@ -10,14 +10,17 @@
 //! plus occasional large items worth several samples each.
 
 use hsdp_core::category::{CoreComputeOp, CpuCategory, DatacenterTax, SystemTax};
-use hsdp_core::stack::empty_path;
+use hsdp_core::stack::{empty_path, Site};
 use hsdp_profiling::crosscheck::{category_estimates, ci_coverage, mean_abs_share_error};
-use hsdp_profiling::gwp::{GwpConfig, GwpProfiler, LeafWork};
+use hsdp_profiling::gwp::{GwpConfig, GwpProfiler};
 use hsdp_rng::{Rng, StdRng};
 use hsdp_simcore::time::SimDuration;
 
+/// One labeled unit of CPU work: the site it was charged at and its time.
+type Work = (&'static Site, SimDuration);
+
 /// Mixed-category work stream: deterministic in `seed`.
-fn workload(seed: u64, items: usize) -> Vec<LeafWork> {
+fn workload(seed: u64, items: usize) -> Vec<Work> {
     let mut rng = StdRng::seed_from_u64(seed);
     let menu: [(CpuCategory, &'static str, u64); 6] = [
         (CpuCategory::Core(CoreComputeOp::Read), "read_path", 900),
@@ -55,22 +58,20 @@ fn workload(seed: u64, items: usize) -> Vec<LeafWork> {
             let scale: f64 = rng.random::<f64>() * rng.random::<f64>() * 6.0 + 0.1;
             // audit: allow(cast, synthetic duration in ns fits u64 comfortably)
             let ns = ((mean_ns as f64) * scale) as u64 + 1;
-            LeafWork {
-                category,
-                leaf,
-                time: SimDuration::from_nanos(ns),
-                stack: empty_path(),
-            }
+            (
+                Site::intern(empty_path(), leaf, category),
+                SimDuration::from_nanos(ns),
+            )
         })
         .collect()
 }
 
-fn run_at(period: SimDuration, work: &[LeafWork]) -> (f64, f64, u64) {
+fn run_at(period: SimDuration, work: &[Work]) -> (f64, f64, u64) {
     let mut profiler = GwpProfiler::new(GwpConfig {
         sample_period: period,
     });
-    for item in work {
-        profiler.observe(item);
+    for &(site, time) in work {
+        profiler.observe_site(site, time);
     }
     let stacks = profiler.into_stack_profile();
     let estimates = category_estimates(&stacks);
@@ -141,8 +142,8 @@ fn exact_shares_are_period_invariant() {
         let mut profiler = GwpProfiler::new(GwpConfig {
             sample_period: SimDuration::from_micros(period_us),
         });
-        for item in &work {
-            profiler.observe(item);
+        for &(site, time) in &work {
+            profiler.observe_site(site, time);
         }
         let stacks = profiler.into_stack_profile();
         category_estimates(&stacks)

@@ -12,13 +12,24 @@
 use std::collections::BTreeMap;
 
 use hsdp_core::category::{CoreComputeOp, CpuCategory, DatacenterTax, SystemTax};
-use hsdp_core::stack::{empty_path, path_of, FramePath};
+use hsdp_core::stack::{empty_path, path_of, FramePath, Site};
 use hsdp_platforms::runner::{run_fleet_telemetry, FleetConfig};
-use hsdp_profiling::gwp::{GwpConfig, GwpProfiler, LeafWork};
+use hsdp_profiling::gwp::{GwpConfig, GwpProfiler};
 use hsdp_profiling::stacks::{StackProfile, StackWeight};
 use hsdp_simcore::time::SimDuration;
 use hsdp_taxes::pprof::{Function, Label, Location, Profile, Sample, ValueType};
 use hsdp_telemetry::category_key;
+
+/// One labeled unit of CPU work: a charge site's content and its time.
+#[derive(Debug, Clone)]
+struct WorkItem {
+    category: CpuCategory,
+    leaf: &'static str,
+    time: SimDuration,
+    /// Call-frame path active when the work was charged (outermost first,
+    /// leaf not included).
+    stack: FramePath,
+}
 
 /// The per-item fold: a sampling loop, a leaf map and a stack map.
 #[derive(Default)]
@@ -52,7 +63,7 @@ impl ReferenceFold {
         id
     }
 
-    fn observe(&mut self, work: &LeafWork) {
+    fn observe(&mut self, work: &WorkItem) {
         let mut budget = self.residual_ns + work.time.as_nanos();
         let mut fired = 0u64;
         while budget >= self.period_ns {
@@ -180,13 +191,16 @@ impl ReferenceFold {
 }
 
 /// Feeds `work` through both folds and checks every export.
-fn assert_folds_agree(work: &[LeafWork], period: SimDuration, what: &str) {
+fn assert_folds_agree(work: &[WorkItem], period: SimDuration, what: &str) {
     let mut profiler = GwpProfiler::new(GwpConfig {
         sample_period: period,
     });
     let mut reference = ReferenceFold::new(period);
     for item in work {
-        profiler.observe(item);
+        profiler.observe_site(
+            Site::intern(item.stack, item.leaf, item.category),
+            item.time,
+        );
         reference.observe(item);
     }
     let profile = profiler.profile();
@@ -224,8 +238,8 @@ fn item(
     leaf: &'static str,
     ns: u64,
     stack: FramePath,
-) -> LeafWork {
-    LeafWork {
+) -> WorkItem {
+    WorkItem {
         category: category.into(),
         leaf,
         time: SimDuration::from_nanos(ns),
@@ -244,11 +258,11 @@ fn small_fleet_run_folds_identically() {
         parallelism: 1,
         ..FleetConfig::default()
     });
-    let work: Vec<LeafWork> = runs
+    let work: Vec<WorkItem> = runs
         .iter()
         .flat_map(|run| &run.executions)
         .flat_map(|exec| &exec.cpu_work)
-        .map(|w| LeafWork {
+        .map(|w| WorkItem {
             category: w.category,
             leaf: w.leaf,
             time: w.time,
@@ -283,7 +297,7 @@ fn synthetic_edge_streams_fold_identically() {
     let scan = path_of(&["bigtable.scan"]);
     let deep = path_of(&["bigquery.join", "shuffle", "spanner.commit"]);
     let prefix = path_of(&["spanner.commit"]);
-    let streams: Vec<(&str, Vec<LeafWork>)> = vec![
+    let streams: Vec<(&str, Vec<WorkItem>)> = vec![
         (
             "equal content reached two ways",
             vec![
@@ -339,7 +353,7 @@ fn synthetic_edge_streams_fold_identically() {
         ),
         ("no items", Vec::new()),
     ];
-    let all: Vec<LeafWork> = streams.iter().flat_map(|(_, w)| w.clone()).collect();
+    let all: Vec<WorkItem> = streams.iter().flat_map(|(_, w)| w.clone()).collect();
     for period_ns in [1, 999, 2_000] {
         let period = SimDuration::from_nanos(period_ns);
         for (what, work) in &streams {
