@@ -6,6 +6,8 @@
 use std::path::Path;
 use std::process::{Command, Output};
 
+use hsdp_taxes::framed;
+
 fn hsdp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hsdp"))
         .args(args)
@@ -114,6 +116,29 @@ fn unreadable_inputs_name_the_path() {
         &["profile", "--snapshot", "s.bin", "--bench", missing],
         missing,
     );
+}
+
+#[test]
+fn a_snapshot_length_that_overflows_an_offset_is_damage_not_a_panic() {
+    // One intact frame whose payload declares a 2^64 - 1 byte commit.
+    let mut bytes = Vec::new();
+    framed::write_header(&mut bytes);
+    framed::append_frame(
+        &mut bytes,
+        &[[0x0a].as_slice(), &[0xff; 9], &[0x01]].concat(),
+    );
+    let store = std::env::temp_dir().join(format!("hsdp-cli-overflow-{}.bin", std::process::id()));
+    std::fs::write(&store, &bytes).expect("write store");
+    let store = store.to_str().expect("utf-8 temp path");
+    let out = hsdp(&["history", "check", "--store", store]);
+    std::fs::remove_file(store).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("store {store} is damaged")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -33,9 +33,9 @@ use std::iter::Peekable;
 use std::ops::Bound;
 
 use hsdp_core::category::{CoreComputeOp, DatacenterTax, Platform, SystemTax};
+use hsdp_rng::derive_seed;
 use hsdp_rpc::latency::LatencyModel;
 use hsdp_rpc::span::SpanKind;
-use hsdp_simcore::pool::ShardPlan;
 use hsdp_simcore::time::SimDuration;
 use hsdp_storage::cache::PolicyKind;
 use hsdp_storage::tiered::TieredStore;
@@ -77,7 +77,7 @@ impl Default for BigTableConfig {
 /// Run count at which a level is merged into the next level.
 const COMPACTION_FANIN: usize = 4;
 
-/// Phase tag for tablet engine seeds (fed to [`ShardPlan::derive_seed`]).
+/// Phase tag for tablet engine seeds: the `stream` of [`derive_seed`].
 const TABLET_SEED_PHASE: u64 = 0x7AB_1E7;
 
 /// Routes a key to its tablet: a pure function of the key bytes and the
@@ -435,7 +435,7 @@ impl Tablet {
             levels: Vec::new(),
             next_sst_id: 1,
             compactions: 0,
-            rng_seed: ShardPlan::derive_seed(seed, id as u64, TABLET_SEED_PHASE),
+            rng_seed: derive_seed(seed, TABLET_SEED_PHASE, id as u64),
         }
     }
 

@@ -31,10 +31,10 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
 
+use hsdp_taxes::error::WireError;
 use hsdp_taxes::framed::{self, FramedError};
-use hsdp_taxes::protowire::{FieldDescriptor, FieldType, Message, MessageDescriptor, Value};
+use hsdp_taxes::protowire::{put_bytes, put_fixed64, put_varint, Field, FieldReader};
 use hsdp_telemetry::json;
 
 use crate::crosscheck::wilson_interval;
@@ -117,110 +117,14 @@ impl ProfileSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Protowire codec.
+// Protowire codec. Snapshot fields: 1 commit (string, required), 2 sequence,
+// 3 host_parallelism, 4 cpu_features (string), 5 total_exact_ns,
+// 6 total_samples, then one entry message per map key in 7 categories,
+// 8 stacks, 9 quantiles, 10 bench and 11 tail. An entry's key is its
+// field 1 (string, required); its values follow from field 2: exact_ns in
+// 7, 8 and 11, count/p50/p95/p99 in 9, ns_per_iter (double) in 10. Every
+// other number is a uint64.
 // ---------------------------------------------------------------------------
-
-fn share_entry_descriptor() -> Arc<MessageDescriptor> {
-    static DESC: OnceLock<Arc<MessageDescriptor>> = OnceLock::new();
-    Arc::clone(DESC.get_or_init(|| {
-        Arc::new(
-            MessageDescriptor::new(
-                "ShareEntry",
-                vec![
-                    FieldDescriptor::required(1, "name", FieldType::String),
-                    FieldDescriptor::optional(2, "exact_ns", FieldType::Uint64),
-                ],
-            )
-            // audit: allow(panic, static descriptor literal is validated once at init)
-            .expect("static descriptor is valid"),
-        )
-    }))
-}
-
-fn quantile_entry_descriptor() -> Arc<MessageDescriptor> {
-    static DESC: OnceLock<Arc<MessageDescriptor>> = OnceLock::new();
-    Arc::clone(DESC.get_or_init(|| {
-        Arc::new(
-            MessageDescriptor::new(
-                "QuantileEntry",
-                vec![
-                    FieldDescriptor::required(1, "key", FieldType::String),
-                    FieldDescriptor::optional(2, "count", FieldType::Uint64),
-                    FieldDescriptor::optional(3, "p50", FieldType::Uint64),
-                    FieldDescriptor::optional(4, "p95", FieldType::Uint64),
-                    FieldDescriptor::optional(5, "p99", FieldType::Uint64),
-                ],
-            )
-            // audit: allow(panic, static descriptor literal is validated once at init)
-            .expect("static descriptor is valid"),
-        )
-    }))
-}
-
-fn bench_entry_descriptor() -> Arc<MessageDescriptor> {
-    static DESC: OnceLock<Arc<MessageDescriptor>> = OnceLock::new();
-    Arc::clone(DESC.get_or_init(|| {
-        Arc::new(
-            MessageDescriptor::new(
-                "BenchEntry",
-                vec![
-                    FieldDescriptor::required(1, "id", FieldType::String),
-                    FieldDescriptor::optional(2, "ns_per_iter", FieldType::Double),
-                ],
-            )
-            // audit: allow(panic, static descriptor literal is validated once at init)
-            .expect("static descriptor is valid"),
-        )
-    }))
-}
-
-/// The snapshot message schema (protowire dynamic descriptor).
-#[must_use]
-pub fn snapshot_descriptor() -> Arc<MessageDescriptor> {
-    static DESC: OnceLock<Arc<MessageDescriptor>> = OnceLock::new();
-    Arc::clone(DESC.get_or_init(|| {
-        Arc::new(
-            MessageDescriptor::new(
-                "ProfileSnapshot",
-                vec![
-                    FieldDescriptor::required(1, "commit", FieldType::String),
-                    FieldDescriptor::optional(2, "sequence", FieldType::Uint64),
-                    FieldDescriptor::optional(3, "host_parallelism", FieldType::Uint64),
-                    FieldDescriptor::optional(4, "cpu_features", FieldType::String),
-                    FieldDescriptor::optional(5, "total_exact_ns", FieldType::Uint64),
-                    FieldDescriptor::optional(6, "total_samples", FieldType::Uint64),
-                    FieldDescriptor::repeated(
-                        7,
-                        "categories",
-                        FieldType::Message(share_entry_descriptor()),
-                    ),
-                    FieldDescriptor::repeated(
-                        8,
-                        "stacks",
-                        FieldType::Message(share_entry_descriptor()),
-                    ),
-                    FieldDescriptor::repeated(
-                        9,
-                        "quantiles",
-                        FieldType::Message(quantile_entry_descriptor()),
-                    ),
-                    FieldDescriptor::repeated(
-                        10,
-                        "bench",
-                        FieldType::Message(bench_entry_descriptor()),
-                    ),
-                    FieldDescriptor::repeated(
-                        11,
-                        "tail",
-                        FieldType::Message(share_entry_descriptor()),
-                    ),
-                ],
-            )
-            // audit: allow(panic, static descriptor literal is validated once at init)
-            .expect("static descriptor is valid"),
-        )
-    }))
-}
 
 /// Errors from the history store and snapshot codec.
 #[derive(Debug)]
@@ -231,9 +135,7 @@ pub enum HistoryError {
     /// Container-level damage (framing, checksums, truncation).
     Framed(FramedError),
     /// Protowire-level decode failure inside a frame payload.
-    Wire(hsdp_taxes::error::WireError),
-    /// A decoded message did not carry the expected snapshot shape.
-    Schema(String),
+    Wire(WireError),
 }
 
 impl std::fmt::Display for HistoryError {
@@ -242,7 +144,6 @@ impl std::fmt::Display for HistoryError {
             HistoryError::Io(e) => write!(f, "history store I/O: {e}"),
             HistoryError::Framed(e) => write!(f, "history store container: {e}"),
             HistoryError::Wire(e) => write!(f, "snapshot decode: {e}"),
-            HistoryError::Schema(what) => write!(f, "snapshot schema: {what}"),
         }
     }
 }
@@ -261,145 +162,171 @@ impl From<FramedError> for HistoryError {
     }
 }
 
-impl From<hsdp_taxes::error::WireError> for HistoryError {
-    fn from(e: hsdp_taxes::error::WireError) -> Self {
+impl From<WireError> for HistoryError {
+    fn from(e: WireError) -> Self {
         HistoryError::Wire(e)
     }
 }
 
-fn set_str(msg: &mut Message, field: u32, value: &str) {
-    msg.set(field, Value::Str(value.to_owned()))
-        // audit: allow(panic, field number and type come from the static descriptor)
-        .expect("field matches the static descriptor");
+/// Appends one map entry as a length-delimited `field`: its key as field 1,
+/// then `values` as varint fields 2, 3, ….
+fn put_entry(field: u32, key: &str, values: &[u64], out: &mut Vec<u8>) {
+    let mut body = Vec::new();
+    put_bytes(1, key.as_bytes(), &mut body);
+    for (number, &value) in (2..).zip(values) {
+        put_varint(number, value, &mut body);
+    }
+    put_bytes(field, &body, out);
 }
 
-fn set_u64(msg: &mut Message, field: u32, value: u64) {
-    msg.set(field, Value::Uint64(value))
-        // audit: allow(panic, field number and type come from the static descriptor)
-        .expect("field matches the static descriptor");
+/// A string field's text; every occurrence must be UTF-8, even one that a
+/// first occurrence overrides.
+fn text(field: u32, bytes: &[u8]) -> Result<String, WireError> {
+    std::str::from_utf8(bytes)
+        .map(str::to_owned)
+        .map_err(|_| WireError::InvalidUtf8 { field })
 }
 
-fn get_u64(msg: &Message, field: u32) -> u64 {
-    match msg.get(field) {
-        Some(Value::Uint64(v)) => *v,
-        _ => 0,
+fn varint(field: Field<'_>) -> Option<u64> {
+    match field {
+        Field::Varint(v) => Some(v),
+        _ => None,
     }
 }
 
-fn get_str(msg: &Message, field: u32) -> String {
-    match msg.get(field) {
-        Some(Value::Str(s)) => s.clone(),
-        _ => String::new(),
+fn double(field: Field<'_>) -> Option<f64> {
+    match field {
+        Field::Fixed64(bits) => Some(f64::from_bits(bits)),
+        _ => None,
     }
+}
+
+/// Decodes one map entry: its key (field 1, required) and `N` values from
+/// field 2 on, each read by `value`. A field's first occurrence wins; one
+/// with another wire type is skipped, like an unknown field.
+fn decode_entry<T: Copy + Default, const N: usize>(
+    bytes: &[u8],
+    value: fn(Field<'_>) -> Option<T>,
+) -> Result<(String, [T; N]), WireError> {
+    let mut key = None;
+    let mut values = [None; N];
+    let mut fields = FieldReader::new(bytes);
+    while let Some((number, field)) = fields.next_field()? {
+        match (number, field) {
+            (1, Field::Bytes(b)) => {
+                key.get_or_insert(text(1, b)?);
+            }
+            (1, _) => {}
+            (n, field) => {
+                if let (Some(slot), Some(v)) = (values.get_mut(n as usize - 2), value(field)) {
+                    slot.get_or_insert(v);
+                }
+            }
+        }
+    }
+    let key = key.ok_or(WireError::MissingField { field: 1 })?;
+    Ok((key, values.map(Option::unwrap_or_default)))
 }
 
 impl ProfileSnapshot {
-    /// Encodes the snapshot to canonical protowire bytes.
+    /// Encodes the snapshot to canonical protowire bytes: every field in
+    /// number order, zeros and empty strings included.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut msg = Message::new(snapshot_descriptor());
-        set_str(&mut msg, 1, &self.meta.commit);
-        set_u64(&mut msg, 2, self.meta.sequence);
-        set_u64(&mut msg, 3, self.meta.host_parallelism);
-        set_str(&mut msg, 4, &self.meta.cpu_features);
-        set_u64(&mut msg, 5, self.total_exact_ns);
-        set_u64(&mut msg, 6, self.total_samples);
-        for (field, map) in [
-            (7u32, &self.categories),
-            (8u32, &self.stacks),
-            (11u32, &self.tail),
-        ] {
+        let mut out = Vec::new();
+        put_bytes(1, self.meta.commit.as_bytes(), &mut out);
+        put_varint(2, self.meta.sequence, &mut out);
+        put_varint(3, self.meta.host_parallelism, &mut out);
+        put_bytes(4, self.meta.cpu_features.as_bytes(), &mut out);
+        put_varint(5, self.total_exact_ns, &mut out);
+        put_varint(6, self.total_samples, &mut out);
+        for (field, map) in [(7, &self.categories), (8, &self.stacks)] {
             for (name, &exact_ns) in map {
-                let mut entry = Message::new(share_entry_descriptor());
-                set_str(&mut entry, 1, name);
-                set_u64(&mut entry, 2, exact_ns);
-                msg.push(field, Value::Message(entry))
-                    // audit: allow(panic, field number and type come from the static descriptor)
-                    .expect("field matches the static descriptor");
+                put_entry(field, name, &[exact_ns], &mut out);
             }
         }
         for (key, row) in &self.quantiles {
-            let mut entry = Message::new(quantile_entry_descriptor());
-            set_str(&mut entry, 1, key);
-            set_u64(&mut entry, 2, row.count);
-            set_u64(&mut entry, 3, row.p50);
-            set_u64(&mut entry, 4, row.p95);
-            set_u64(&mut entry, 5, row.p99);
-            msg.push(9, Value::Message(entry))
-                // audit: allow(panic, field number and type come from the static descriptor)
-                .expect("field matches the static descriptor");
+            put_entry(9, key, &[row.count, row.p50, row.p95, row.p99], &mut out);
         }
         for (id, &ns_per_iter) in &self.bench {
-            let mut entry = Message::new(bench_entry_descriptor());
-            set_str(&mut entry, 1, id);
-            entry
-                .set(2, Value::Double(ns_per_iter))
-                // audit: allow(panic, field number and type come from the static descriptor)
-                .expect("field matches the static descriptor");
-            msg.push(10, Value::Message(entry))
-                // audit: allow(panic, field number and type come from the static descriptor)
-                .expect("field matches the static descriptor");
+            let mut body = Vec::new();
+            put_bytes(1, id.as_bytes(), &mut body);
+            put_fixed64(2, ns_per_iter.to_bits(), &mut body);
+            put_bytes(10, &body, &mut out);
         }
-        msg.encode_to_vec()
+        for (name, &exact_ns) in &self.tail {
+            put_entry(11, name, &[exact_ns], &mut out);
+        }
+        out
     }
 
-    /// Decodes a snapshot from protowire bytes.
+    /// Decodes a snapshot from protowire bytes. Unknown fields, and known
+    /// ones with another wire type, are skipped; a singular field's first
+    /// occurrence wins, and of two entries with one key the later does.
     ///
     /// # Errors
     ///
-    /// Returns [`HistoryError::Wire`] on malformed bytes and
-    /// [`HistoryError::Schema`] when a repeated entry misses its key.
+    /// Returns [`HistoryError::Wire`] on malformed bytes, non-UTF-8 text,
+    /// or a missing commit or entry key.
     pub fn decode(bytes: &[u8]) -> Result<Self, HistoryError> {
-        let msg = Message::decode(snapshot_descriptor(), bytes)?;
-        let mut snapshot = ProfileSnapshot {
-            meta: SnapshotMeta {
-                commit: get_str(&msg, 1),
-                sequence: get_u64(&msg, 2),
-                host_parallelism: get_u64(&msg, 3),
-                cpu_features: get_str(&msg, 4),
-            },
-            total_exact_ns: get_u64(&msg, 5),
-            total_samples: get_u64(&msg, 6),
-            ..ProfileSnapshot::default()
-        };
-        for (field, map) in [
-            (7u32, &mut snapshot.categories),
-            (8u32, &mut snapshot.stacks),
-            (11u32, &mut snapshot.tail),
-        ] {
-            for value in msg.get_all(field) {
-                let Value::Message(entry) = value else {
-                    return Err(HistoryError::Schema("share entry is not a message".into()));
-                };
-                map.insert(get_str(entry, 1), get_u64(entry, 2));
+        let mut snapshot = ProfileSnapshot::default();
+        let (mut commit, mut cpu_features) = (None, None);
+        let [mut sequence, mut host_parallelism, mut total_exact_ns, mut total_samples] = [None; 4];
+        let mut fields = FieldReader::new(bytes);
+        while let Some((number, field)) = fields.next_field()? {
+            match (number, field) {
+                (1, Field::Bytes(b)) => {
+                    commit.get_or_insert(text(1, b)?);
+                }
+                (2, Field::Varint(v)) => {
+                    sequence.get_or_insert(v);
+                }
+                (3, Field::Varint(v)) => {
+                    host_parallelism.get_or_insert(v);
+                }
+                (4, Field::Bytes(b)) => {
+                    cpu_features.get_or_insert(text(4, b)?);
+                }
+                (5, Field::Varint(v)) => {
+                    total_exact_ns.get_or_insert(v);
+                }
+                (6, Field::Varint(v)) => {
+                    total_samples.get_or_insert(v);
+                }
+                (7 | 8 | 11, Field::Bytes(b)) => {
+                    let (name, [exact_ns]) = decode_entry(b, varint)?;
+                    let map = match number {
+                        7 => &mut snapshot.categories,
+                        8 => &mut snapshot.stacks,
+                        _ => &mut snapshot.tail,
+                    };
+                    map.insert(name, exact_ns);
+                }
+                (9, Field::Bytes(b)) => {
+                    let (key, [count, p50, p95, p99]) = decode_entry(b, varint)?;
+                    let row = QuantileRow {
+                        count,
+                        p50,
+                        p95,
+                        p99,
+                    };
+                    snapshot.quantiles.insert(key, row);
+                }
+                (10, Field::Bytes(b)) => {
+                    let (id, [ns_per_iter]) = decode_entry(b, double)?;
+                    snapshot.bench.insert(id, ns_per_iter);
+                }
+                _ => {}
             }
         }
-        for value in msg.get_all(9) {
-            let Value::Message(entry) = value else {
-                return Err(HistoryError::Schema(
-                    "quantile entry is not a message".into(),
-                ));
-            };
-            snapshot.quantiles.insert(
-                get_str(entry, 1),
-                QuantileRow {
-                    count: get_u64(entry, 2),
-                    p50: get_u64(entry, 3),
-                    p95: get_u64(entry, 4),
-                    p99: get_u64(entry, 5),
-                },
-            );
-        }
-        for value in msg.get_all(10) {
-            let Value::Message(entry) = value else {
-                return Err(HistoryError::Schema("bench entry is not a message".into()));
-            };
-            let ns = match entry.get(2) {
-                Some(Value::Double(v)) => *v,
-                _ => 0.0,
-            };
-            snapshot.bench.insert(get_str(entry, 1), ns);
-        }
+        snapshot.meta = SnapshotMeta {
+            commit: commit.ok_or(WireError::MissingField { field: 1 })?,
+            sequence: sequence.unwrap_or(0),
+            host_parallelism: host_parallelism.unwrap_or(0),
+            cpu_features: cpu_features.unwrap_or_default(),
+        };
+        snapshot.total_exact_ns = total_exact_ns.unwrap_or(0);
+        snapshot.total_samples = total_samples.unwrap_or(0);
         Ok(snapshot)
     }
 }
@@ -488,26 +415,6 @@ impl HistoryStore {
             .into_iter()
             .map(ProfileSnapshot::decode)
             .collect::<Result<Vec<_>, _>>()
-    }
-
-    /// Tolerant load: returns every intact snapshot plus the damage that
-    /// stopped the walk, if any.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and header-level container errors; frame-level damage
-    /// is returned in the tuple instead.
-    pub fn load_tolerant(
-        &self,
-    ) -> Result<(Vec<ProfileSnapshot>, Option<FramedError>), HistoryError> {
-        let bytes = std::fs::read(&self.path)?;
-        let scan = framed::scan(&bytes)?;
-        let snapshots = scan
-            .frames
-            .into_iter()
-            .map(ProfileSnapshot::decode)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((snapshots, scan.damage))
     }
 }
 
@@ -973,6 +880,8 @@ fn json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsdp_rng::{Rng, StdRng};
+    use hsdp_taxes::error::WireError;
 
     fn snapshot(commit: &str, seq: u64, proto_ns: u64, other_ns: u64) -> ProfileSnapshot {
         let mut s = ProfileSnapshot {
@@ -1190,5 +1099,355 @@ mod tests {
         assert!(json.contains("\"baseline_commit\": \"aaa\""));
         assert!(regressions_since(&snapshots, Some("zzz")).is_none());
         assert!(regressions_since(&[], None).is_none());
+    }
+
+    /// The descriptor-driven codec the typed one replaced: the snapshot as
+    /// a dynamic `Message` over four runtime descriptors. The typed codec
+    /// must write the same bytes and read the same values and errors.
+    mod descriptor_codec {
+        use std::sync::Arc;
+
+        use hsdp_taxes::error::WireError;
+        use hsdp_taxes::protowire::{
+            FieldDescriptor, FieldType, Message, MessageDescriptor, Value,
+        };
+
+        use super::super::{ProfileSnapshot, QuantileRow, SnapshotMeta};
+
+        fn entry(name: &str, key: &str, fields: &[(u32, &str, FieldType)]) -> FieldType {
+            let mut all = vec![FieldDescriptor::required(1, key, FieldType::String)];
+            for (number, name, ty) in fields {
+                all.push(FieldDescriptor::optional(*number, name, ty.clone()));
+            }
+            FieldType::Message(Arc::new(MessageDescriptor::new(name, all).unwrap()))
+        }
+
+        fn snapshot_descriptor() -> Arc<MessageDescriptor> {
+            let share = entry("ShareEntry", "name", &[(2, "exact_ns", FieldType::Uint64)]);
+            let quantile = entry(
+                "QuantileEntry",
+                "key",
+                &[
+                    (2, "count", FieldType::Uint64),
+                    (3, "p50", FieldType::Uint64),
+                    (4, "p95", FieldType::Uint64),
+                    (5, "p99", FieldType::Uint64),
+                ],
+            );
+            let bench = entry("BenchEntry", "id", &[(2, "ns_per_iter", FieldType::Double)]);
+            Arc::new(
+                MessageDescriptor::new(
+                    "ProfileSnapshot",
+                    vec![
+                        FieldDescriptor::required(1, "commit", FieldType::String),
+                        FieldDescriptor::optional(2, "sequence", FieldType::Uint64),
+                        FieldDescriptor::optional(3, "host_parallelism", FieldType::Uint64),
+                        FieldDescriptor::optional(4, "cpu_features", FieldType::String),
+                        FieldDescriptor::optional(5, "total_exact_ns", FieldType::Uint64),
+                        FieldDescriptor::optional(6, "total_samples", FieldType::Uint64),
+                        FieldDescriptor::repeated(7, "categories", share.clone()),
+                        FieldDescriptor::repeated(8, "stacks", share.clone()),
+                        FieldDescriptor::repeated(9, "quantiles", quantile),
+                        FieldDescriptor::repeated(10, "bench", bench),
+                        FieldDescriptor::repeated(11, "tail", share),
+                    ],
+                )
+                .unwrap(),
+            )
+        }
+
+        fn entry_message(desc: &Arc<MessageDescriptor>, field: u32) -> Message {
+            match &desc.field(field).unwrap().ty {
+                FieldType::Message(entry) => Message::new(Arc::clone(entry)),
+                other => panic!("field {field} is a {}", other.name()),
+            }
+        }
+
+        fn get_u64(msg: &Message, field: u32) -> u64 {
+            match msg.get(field) {
+                Some(Value::Uint64(v)) => *v,
+                _ => 0,
+            }
+        }
+
+        fn get_str(msg: &Message, field: u32) -> String {
+            match msg.get(field) {
+                Some(Value::Str(s)) => s.clone(),
+                _ => String::new(),
+            }
+        }
+
+        pub fn encode(s: &ProfileSnapshot) -> Vec<u8> {
+            let desc = snapshot_descriptor();
+            let mut msg = Message::new(Arc::clone(&desc));
+            msg.set(1, Value::Str(s.meta.commit.clone())).unwrap();
+            msg.set(2, Value::Uint64(s.meta.sequence)).unwrap();
+            msg.set(3, Value::Uint64(s.meta.host_parallelism)).unwrap();
+            msg.set(4, Value::Str(s.meta.cpu_features.clone())).unwrap();
+            msg.set(5, Value::Uint64(s.total_exact_ns)).unwrap();
+            msg.set(6, Value::Uint64(s.total_samples)).unwrap();
+            for (field, map) in [(7, &s.categories), (8, &s.stacks), (11, &s.tail)] {
+                for (name, &exact_ns) in map {
+                    let mut entry = entry_message(&desc, field);
+                    entry.set(1, Value::Str(name.clone())).unwrap();
+                    entry.set(2, Value::Uint64(exact_ns)).unwrap();
+                    msg.push(field, Value::Message(entry)).unwrap();
+                }
+            }
+            for (key, row) in &s.quantiles {
+                let mut entry = entry_message(&desc, 9);
+                entry.set(1, Value::Str(key.clone())).unwrap();
+                entry.set(2, Value::Uint64(row.count)).unwrap();
+                entry.set(3, Value::Uint64(row.p50)).unwrap();
+                entry.set(4, Value::Uint64(row.p95)).unwrap();
+                entry.set(5, Value::Uint64(row.p99)).unwrap();
+                msg.push(9, Value::Message(entry)).unwrap();
+            }
+            for (id, &ns_per_iter) in &s.bench {
+                let mut entry = entry_message(&desc, 10);
+                entry.set(1, Value::Str(id.clone())).unwrap();
+                entry.set(2, Value::Double(ns_per_iter)).unwrap();
+                msg.push(10, Value::Message(entry)).unwrap();
+            }
+            msg.encode_to_vec()
+        }
+
+        /// Every entry of a repeated field, in wire order. `Message` reads
+        /// only a field's first value, so the entries are peeled off the
+        /// front of that field's own canonical encoding one at a time.
+        fn entries(desc: &Arc<MessageDescriptor>, msg: &Message, field: u32) -> Vec<Message> {
+            let only = Arc::new(
+                MessageDescriptor::new("Only", vec![desc.field(field).unwrap().clone()]).unwrap(),
+            );
+            let mut rest = Message::decode(Arc::clone(&only), &msg.encode_to_vec())
+                .unwrap()
+                .encode_to_vec();
+            let mut out = Vec::new();
+            while !rest.is_empty() {
+                let front = Message::decode(Arc::clone(&only), &rest).unwrap();
+                let Some(Value::Message(entry)) = front.get(field) else {
+                    panic!("field {field} holds a non-message");
+                };
+                let mut one = Message::new(Arc::clone(&only));
+                one.push(field, Value::Message(entry.clone())).unwrap();
+                rest.drain(..one.encoded_len());
+                out.push(entry.clone());
+            }
+            out
+        }
+
+        pub fn decode(bytes: &[u8]) -> Result<ProfileSnapshot, WireError> {
+            let desc = snapshot_descriptor();
+            let msg = Message::decode(Arc::clone(&desc), bytes)?;
+            let mut snapshot = ProfileSnapshot {
+                meta: SnapshotMeta {
+                    commit: get_str(&msg, 1),
+                    sequence: get_u64(&msg, 2),
+                    host_parallelism: get_u64(&msg, 3),
+                    cpu_features: get_str(&msg, 4),
+                },
+                total_exact_ns: get_u64(&msg, 5),
+                total_samples: get_u64(&msg, 6),
+                ..ProfileSnapshot::default()
+            };
+            for (field, map) in [
+                (7, &mut snapshot.categories),
+                (8, &mut snapshot.stacks),
+                (11, &mut snapshot.tail),
+            ] {
+                for entry in entries(&desc, &msg, field) {
+                    map.insert(get_str(&entry, 1), get_u64(&entry, 2));
+                }
+            }
+            for entry in entries(&desc, &msg, 9) {
+                snapshot.quantiles.insert(
+                    get_str(&entry, 1),
+                    QuantileRow {
+                        count: get_u64(&entry, 2),
+                        p50: get_u64(&entry, 3),
+                        p95: get_u64(&entry, 4),
+                        p99: get_u64(&entry, 5),
+                    },
+                );
+            }
+            for entry in entries(&desc, &msg, 10) {
+                let ns = match entry.get(2) {
+                    Some(Value::Double(v)) => *v,
+                    _ => 0.0,
+                };
+                snapshot.bench.insert(get_str(&entry, 1), ns);
+            }
+            Ok(snapshot)
+        }
+    }
+
+    /// A snapshot with seeded-random content that reaches every field:
+    /// empty and multi-byte strings, zero and full-width integers, and
+    /// doubles of any bit pattern (NaN included).
+    fn random_snapshot(rng: &mut StdRng) -> ProfileSnapshot {
+        const WORDS: [&str; 5] = ["", "dc.protobuf", "root;frame;leaf", "ünï;cödé", "x"];
+        let word = |rng: &mut StdRng| -> String {
+            let i = rng.random_range(0..WORDS.len());
+            format!("{}{}", WORDS[i], rng.random_range(0u32..4))
+        };
+        let number = |rng: &mut StdRng| -> u64 {
+            match rng.random_range(0u32..3) {
+                0 => 0,
+                1 => rng.random_range(0u64..300),
+                _ => rng.random(),
+            }
+        };
+        let mut s = ProfileSnapshot {
+            meta: SnapshotMeta {
+                commit: word(rng),
+                sequence: number(rng),
+                host_parallelism: number(rng),
+                cpu_features: word(rng),
+            },
+            total_exact_ns: number(rng),
+            total_samples: number(rng),
+            ..ProfileSnapshot::default()
+        };
+        for map in [&mut s.categories, &mut s.stacks, &mut s.tail] {
+            for _ in 0..rng.random_range(0usize..5) {
+                map.insert(word(rng), number(rng));
+            }
+        }
+        for _ in 0..rng.random_range(0usize..3) {
+            let row = QuantileRow {
+                count: number(rng),
+                p50: number(rng),
+                p95: number(rng),
+                p99: number(rng),
+            };
+            s.quantiles.insert(word(rng), row);
+        }
+        for _ in 0..rng.random_range(0usize..3) {
+            let ns = match rng.random_range(0u32..3) {
+                0 => 0.0,
+                1 => 1.5e8,
+                _ => f64::from_bits(rng.random()),
+            };
+            s.bench.insert(word(rng), ns);
+        }
+        s
+    }
+
+    /// The typed and the descriptor decoder's outcomes on `bytes`, made
+    /// comparable: a decoded snapshot as its canonical encoding (doubles
+    /// may be NaN), a failure as its wire error.
+    fn both_decoders(bytes: &[u8]) -> [Result<Vec<u8>, WireError>; 2] {
+        let typed = ProfileSnapshot::decode(bytes).map_err(|e| match e {
+            HistoryError::Wire(e) => e,
+            other => panic!("decode failed outside the wire format: {other}"),
+        });
+        [typed, descriptor_codec::decode(bytes)].map(|r| r.map(|s| s.encode()))
+    }
+
+    #[test]
+    fn typed_codec_encodes_like_the_descriptor_codec() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_C0DE);
+        let mut snapshots = vec![ProfileSnapshot::default(), snapshot("abc", 7, 600, 400)];
+        snapshots.extend((0..300).map(|_| random_snapshot(&mut rng)));
+        for (round, s) in snapshots.iter().enumerate() {
+            assert_eq!(s.encode(), descriptor_codec::encode(s), "snapshot {round}");
+        }
+    }
+
+    #[test]
+    fn mutated_snapshots_decode_like_the_descriptor_codec() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_F11B);
+        let mut outcomes = [0usize; 2];
+        for _ in 0..24 {
+            let bytes = random_snapshot(&mut rng).encode();
+            let mut cases: Vec<Vec<u8>> =
+                (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+            for _ in 0..120 {
+                let mut flipped = bytes.clone();
+                flipped[rng.random_range(0..bytes.len())] ^= 1 << rng.random_range(0u32..8);
+                cases.push(flipped);
+                let mut inserted = bytes.clone();
+                inserted.insert(rng.random_range(0..=bytes.len()), 0xff);
+                cases.push(inserted);
+            }
+            for case in &cases {
+                let [typed, oracle] = both_decoders(case);
+                assert_eq!(typed, oracle, "input {case:02x?}");
+                outcomes[usize::from(typed.is_err())] += 1;
+            }
+        }
+        // The mutations reach both outcomes, not only one of them.
+        assert!(outcomes.iter().all(|&n| n > 500), "ok/err: {outcomes:?}");
+    }
+
+    #[test]
+    fn decode_keeps_the_descriptor_codec_rules() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_2175);
+        let a = snapshot("first", 1, 600, 400);
+        let mut b = snapshot("second", 2, 100, 900);
+        b.stacks.insert("only;in;b".to_owned(), 5);
+        // Repeated singular fields: the first wins. Two entries with one
+        // key: the later wins.
+        let merged = ProfileSnapshot::decode(&[a.encode(), b.encode()].concat()).unwrap();
+        assert_eq!(merged.meta, a.meta);
+        assert_eq!(merged.categories, b.categories);
+        assert_eq!(merged.stacks["only;in;b"], 5);
+        let commit = [0x0a, 0x01, b'c'];
+        let cases: Vec<(Vec<u8>, Option<WireError>)> = vec![
+            // The commit is required, and so is every entry's key.
+            (vec![0x10, 0x05], Some(WireError::MissingField { field: 1 })),
+            (
+                [&commit[..], &[0x3a, 0x02, 0x10, 0x05]].concat(),
+                Some(WireError::MissingField { field: 1 }),
+            ),
+            // Every string occurrence is UTF-8, even one that loses.
+            (
+                [&commit[..], &[0x0a, 0x01, 0xff]].concat(),
+                Some(WireError::InvalidUtf8 { field: 1 }),
+            ),
+            (
+                [
+                    &commit[..],
+                    &[0x3a, 0x06, 0x0a, 0x01, b'k', 0x0a, 0x01, 0xc3],
+                ]
+                .concat(),
+                Some(WireError::InvalidUtf8 { field: 1 }),
+            ),
+            // Unknown fields and known fields with another wire type are
+            // skipped.
+            (
+                [&commit[..], &[0x11, 0, 0, 0, 0, 0, 0, 0, 7, 0x60, 0x01]].concat(),
+                None,
+            ),
+            (
+                [&commit[..], &[0x52, 0x05, 0x0a, 0x01, b'b', 0x10, 0x07]].concat(),
+                None,
+            ),
+            // A length that overflows the offset arithmetic is truncation,
+            // on a known field and on an unknown one.
+            (
+                [&[0x0a][..], &[0xff; 9], &[0x01]].concat(),
+                Some(WireError::TruncatedField { field: 1 }),
+            ),
+            (
+                [&commit[..], &[0x62], &[0xff; 9], &[0x01]].concat(),
+                Some(WireError::TruncatedField { field: 12 }),
+            ),
+        ];
+        for (bytes, error) in cases {
+            let [typed, oracle] = both_decoders(&bytes);
+            assert_eq!(typed, oracle, "input {bytes:02x?}");
+            assert_eq!(typed.err(), error, "input {bytes:02x?}");
+        }
+        let skipped = ProfileSnapshot::decode(&[0x0a, 0x01, b'c', 0x11, 0, 0, 0, 0, 0, 0, 0, 7]);
+        assert_eq!(skipped.unwrap().meta.sequence, 0);
+        for _ in 0..50 {
+            let pair = [
+                random_snapshot(&mut rng).encode(),
+                random_snapshot(&mut rng).encode(),
+            ];
+            let [typed, oracle] = both_decoders(&pair.concat());
+            assert_eq!(typed, oracle);
+        }
     }
 }

@@ -10,8 +10,8 @@
 //!   predicting IPC from MPKI statistics.
 //! - [`report`] — text-table rendering for the regeneration benches.
 //! - [`crosscheck`] — agreement between the GWP cycle view (metered CPU)
-//!   and the telemetry crate's critical-path walk, plus sampling-error
-//!   bounds for the estimator.
+//!   and the telemetry crate's critical-path walk, plus the Wilson
+//!   interval that bounds a sampled share.
 //! - [`stacks`] — deterministic stack-tree profiles with collapsed-stack
 //!   (flamegraph) and pprof export.
 //! - [`history`] — per-commit profile history: an append-only, checksummed
@@ -34,10 +34,7 @@ pub mod microarch;
 pub mod report;
 pub mod stacks;
 
-pub use crosscheck::{
-    agree, category_estimates, ci_coverage, mean_abs_share_error, wilson_interval, PathAgreement,
-    ShareEstimate,
-};
+pub use crosscheck::{agree, wilson_interval, PathAgreement};
 pub use e2e::{classify, figure2, Figure2, Figure2Row};
 pub use gwp::{CycleProfile, GwpConfig, GwpProfiler};
 pub use heavy::{HitterEntry, SpaceSaving};

@@ -204,16 +204,6 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Derives an independent seed for sub-shard part `part` in phase
-    /// `phase` — the seed discipline shard plans use ([`Shard::seed`]),
-    /// exposed for callers that decompose a shard further (e.g. into
-    /// tablets) and need the same purity guarantee: the seed is a function
-    /// of `(base, part, phase)` only, never of the schedule.
-    #[must_use]
-    pub fn derive_seed(base: u64, part: u64, phase: u64) -> u64 {
-        derive_seed(base, phase, part)
-    }
-
     /// Plans `total` items across at most `shards` shards (at least one).
     #[must_use]
     pub fn new(total: usize, shards: usize, base_seed: u64, stream: u64) -> Self {
@@ -386,18 +376,6 @@ mod tests {
         }
         // Same inputs, same plan: the decomposition is pure.
         assert_eq!(a, ShardPlan::new(100, 8, 11, 1));
-    }
-
-    #[test]
-    fn derive_seed_is_pure_and_collision_free_across_parts() {
-        let mut seeds = std::collections::HashSet::new();
-        for phase in [1u64, 2, 0x7AB_1E7] {
-            for part in 0..16u64 {
-                let seed = ShardPlan::derive_seed(0xC0FFEE, part, phase);
-                assert_eq!(seed, ShardPlan::derive_seed(0xC0FFEE, part, phase));
-                assert!(seeds.insert(seed), "collision at part {part} phase {phase}");
-            }
-        }
     }
 
     #[test]

@@ -362,17 +362,6 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
     Ok(out)
 }
 
-/// The compression ratio achieved on `data` (original / compressed size).
-///
-/// Returns 1.0 for empty input.
-#[must_use]
-pub fn compression_ratio(data: &[u8]) -> f64 {
-    if data.is_empty() {
-        return 1.0;
-    }
-    data.len() as f64 / compress(data).len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,8 +576,7 @@ mod tests {
 
     #[test]
     fn ratio_reports_sensibly() {
-        assert!(compression_ratio(&vec![0u8; 10_000]) > 50.0);
-        assert_eq!(compression_ratio(b""), 1.0);
+        assert!(compress(&[0u8; 10_000]).len() * 50 < 10_000);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! A pprof `profile.proto` encoder/decoder over the [`crate::protowire`]
-//! primitives.
+//! field reader and writers.
 //!
 //! The fleet profiler exports stack-tree profiles in pprof's wire format so
 //! standard tooling (`pprof`, speedscope, Perfetto) can open them. This
-//! module dogfoods the repo's own protobuf tax kernel as the serializer:
-//! tags, varints, and length-delimited submessages all go through
-//! [`crate::protowire::encode_tag`] / [`crate::varint::encode_varint`].
+//! module dogfoods the repo's own protobuf tax kernel: fields are written
+//! with [`crate::protowire::put_bytes`] and its siblings and read with
+//! [`crate::protowire::FieldReader`].
 //!
 //! Only the subset of `profile.proto` the exporter produces is modeled:
 //! sample types, samples (packed location ids + values + string labels),
@@ -14,7 +14,7 @@
 //! The bytes are emitted raw (not gzipped); pprof auto-detects that.
 
 use crate::error::WireError;
-use crate::protowire::{decode_tag, encode_tag, WireType};
+use crate::protowire::{put_bytes, put_varint, Field, FieldReader};
 use crate::varint::{decode_varint, encode_varint};
 
 /// `ValueType`: a measurement dimension, both indices into the string table.
@@ -157,16 +157,9 @@ const LINE_FUNCTION_ID: u32 = 1;
 const FUNCTION_ID: u32 = 1;
 const FUNCTION_NAME: u32 = 2;
 
-fn encode_len_delimited(field: u32, payload: &[u8], out: &mut Vec<u8>) {
-    encode_tag(field, WireType::LengthDelimited, out);
-    encode_varint(payload.len() as u64, out);
-    out.extend_from_slice(payload);
-}
-
 fn encode_varint_field(field: u32, value: u64, out: &mut Vec<u8>) {
     if value != 0 {
-        encode_tag(field, WireType::Varint, out);
-        encode_varint(value, out);
+        put_varint(field, value, out);
     }
 }
 
@@ -174,7 +167,7 @@ fn encode_value_type(vt: ValueType, field: u32, out: &mut Vec<u8>) {
     let mut body = Vec::new();
     encode_varint_field(VALUE_TYPE_TYPE, vt.kind, &mut body);
     encode_varint_field(VALUE_TYPE_UNIT, vt.unit, &mut body);
-    encode_len_delimited(field, &body, out);
+    put_bytes(field, &body, out);
 }
 
 impl Profile {
@@ -192,7 +185,7 @@ impl Profile {
                 for &id in &sample.location_ids {
                     encode_varint(id, &mut packed);
                 }
-                encode_len_delimited(SAMPLE_LOCATION_ID, &packed, &mut body);
+                put_bytes(SAMPLE_LOCATION_ID, &packed, &mut body);
             }
             if !sample.values.is_empty() {
                 let mut packed = Vec::new();
@@ -202,32 +195,32 @@ impl Profile {
                     // audit: allow(cast, i64 -> u64 two's complement reinterpretation is the protobuf wire rule)
                     encode_varint(v as u64, &mut packed);
                 }
-                encode_len_delimited(SAMPLE_VALUE, &packed, &mut body);
+                put_bytes(SAMPLE_VALUE, &packed, &mut body);
             }
             for label in &sample.labels {
                 let mut lab = Vec::new();
                 encode_varint_field(LABEL_KEY, label.key, &mut lab);
                 encode_varint_field(LABEL_STR, label.str_value, &mut lab);
-                encode_len_delimited(SAMPLE_LABEL, &lab, &mut body);
+                put_bytes(SAMPLE_LABEL, &lab, &mut body);
             }
-            encode_len_delimited(PROFILE_SAMPLE, &body, &mut out);
+            put_bytes(PROFILE_SAMPLE, &body, &mut out);
         }
         for loc in &self.locations {
             let mut body = Vec::new();
             encode_varint_field(LOCATION_ID, loc.id, &mut body);
             let mut line = Vec::new();
             encode_varint_field(LINE_FUNCTION_ID, loc.function_id, &mut line);
-            encode_len_delimited(LOCATION_LINE, &line, &mut body);
-            encode_len_delimited(PROFILE_LOCATION, &body, &mut out);
+            put_bytes(LOCATION_LINE, &line, &mut body);
+            put_bytes(PROFILE_LOCATION, &body, &mut out);
         }
         for func in &self.functions {
             let mut body = Vec::new();
             encode_varint_field(FUNCTION_ID, func.id, &mut body);
             encode_varint_field(FUNCTION_NAME, func.name, &mut body);
-            encode_len_delimited(PROFILE_FUNCTION, &body, &mut out);
+            put_bytes(PROFILE_FUNCTION, &body, &mut out);
         }
         for s in &self.string_table {
-            encode_len_delimited(PROFILE_STRING_TABLE, s.as_bytes(), &mut out);
+            put_bytes(PROFILE_STRING_TABLE, s.as_bytes(), &mut out);
         }
         // audit: allow(cast, i64 -> u64 two's complement reinterpretation is the protobuf wire rule)
         encode_varint_field(PROFILE_DURATION_NANOS, self.duration_nanos as u64, &mut out);
@@ -247,32 +240,32 @@ impl Profile {
     pub fn decode(buf: &[u8]) -> Result<Self, PprofError> {
         let mut profile = Profile::default();
         let mut fields = FieldReader::new(buf);
-        while let Some((field, payload)) = fields.next_field()? {
+        while let Some((field, payload)) = next_field(&mut fields)? {
             match (field, payload) {
-                (PROFILE_SAMPLE_TYPE, Payload::Bytes(b)) => {
+                (PROFILE_SAMPLE_TYPE, Field::Bytes(b)) => {
                     profile.sample_types.push(decode_value_type(b)?);
                 }
-                (PROFILE_SAMPLE, Payload::Bytes(b)) => {
+                (PROFILE_SAMPLE, Field::Bytes(b)) => {
                     profile.samples.push(decode_sample(b)?);
                 }
-                (PROFILE_LOCATION, Payload::Bytes(b)) => {
+                (PROFILE_LOCATION, Field::Bytes(b)) => {
                     profile.locations.push(decode_location(b)?);
                 }
-                (PROFILE_FUNCTION, Payload::Bytes(b)) => {
+                (PROFILE_FUNCTION, Field::Bytes(b)) => {
                     profile.functions.push(decode_function(b)?);
                 }
-                (PROFILE_STRING_TABLE, Payload::Bytes(b)) => {
+                (PROFILE_STRING_TABLE, Field::Bytes(b)) => {
                     let s = std::str::from_utf8(b).map_err(|_| WireError::InvalidUtf8 { field })?;
                     profile.string_table.push(s.to_owned());
                 }
-                (PROFILE_DURATION_NANOS, Payload::Varint(v)) => {
+                (PROFILE_DURATION_NANOS, Field::Varint(v)) => {
                     // audit: allow(cast, u64 -> i64 two's complement reinterpretation is the protobuf wire rule)
                     profile.duration_nanos = v as i64;
                 }
-                (PROFILE_PERIOD_TYPE, Payload::Bytes(b)) => {
+                (PROFILE_PERIOD_TYPE, Field::Bytes(b)) => {
                     profile.period_type = Some(decode_value_type(b)?);
                 }
-                (PROFILE_PERIOD, Payload::Varint(v)) => {
+                (PROFILE_PERIOD, Field::Varint(v)) => {
                     // audit: allow(cast, u64 -> i64 two's complement reinterpretation is the protobuf wire rule)
                     profile.period = v as i64;
                 }
@@ -371,70 +364,15 @@ impl Profile {
     }
 }
 
-/// A decoded field payload.
-enum Payload<'a> {
-    Varint(u64),
-    Bytes(&'a [u8]),
-}
-
-/// Streams `(field, payload)` pairs off a message body, skipping fixed-width
-/// fields the caller does not consume.
-struct FieldReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> FieldReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        FieldReader { buf, pos: 0 }
-    }
-
-    fn next_field(&mut self) -> Result<Option<(u32, Payload<'a>)>, WireError> {
-        if self.pos >= self.buf.len() {
-            return Ok(None);
-        }
-        let (field, wire_type, consumed) = decode_tag(&self.buf[self.pos..])?;
-        self.pos += consumed;
-        let payload = match wire_type {
-            WireType::Varint => {
-                let (value, n) = decode_varint(&self.buf[self.pos..])?;
-                self.pos += n;
-                Payload::Varint(value)
-            }
-            WireType::LengthDelimited => {
-                let (len, n) = decode_varint(&self.buf[self.pos..])?;
-                self.pos += n;
-                let len = usize::try_from(len).map_err(|_| WireError::TruncatedField { field })?;
-                let end = self
-                    .pos
-                    .checked_add(len)
-                    .filter(|&e| e <= self.buf.len())
-                    .ok_or(WireError::TruncatedField { field })?;
-                let bytes = &self.buf[self.pos..end];
-                self.pos = end;
-                Payload::Bytes(bytes)
-            }
-            WireType::Fixed64 => {
-                if self.pos + 8 > self.buf.len() {
-                    return Err(WireError::TruncatedField { field });
-                }
-                let mut raw = [0u8; 8];
-                raw.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
-                self.pos += 8;
-                Payload::Varint(u64::from_le_bytes(raw))
-            }
-            WireType::Fixed32 => {
-                if self.pos + 4 > self.buf.len() {
-                    return Err(WireError::TruncatedField { field });
-                }
-                let mut raw = [0u8; 4];
-                raw.copy_from_slice(&self.buf[self.pos..self.pos + 4]);
-                self.pos += 4;
-                Payload::Varint(u64::from(u32::from_le_bytes(raw)))
-            }
-        };
-        Ok(Some((field, payload)))
-    }
+/// The next field of a pprof message body. pprof reads a fixed64 or
+/// fixed32 payload on a scalar field as its number, so both arrive as
+/// [`Field::Varint`].
+fn next_field<'a>(fields: &mut FieldReader<'a>) -> Result<Option<(u32, Field<'a>)>, WireError> {
+    Ok(fields.next_field()?.map(|(number, field)| match field {
+        Field::Fixed64(v) => (number, Field::Varint(v)),
+        Field::Fixed32(v) => (number, Field::Varint(u64::from(v))),
+        other => (number, other),
+    }))
 }
 
 fn decode_packed_u64(buf: &[u8]) -> Result<Vec<u64>, WireError> {
@@ -451,10 +389,10 @@ fn decode_packed_u64(buf: &[u8]) -> Result<Vec<u64>, WireError> {
 fn decode_value_type(buf: &[u8]) -> Result<ValueType, WireError> {
     let mut vt = ValueType::default();
     let mut fields = FieldReader::new(buf);
-    while let Some((field, payload)) = fields.next_field()? {
+    while let Some((field, payload)) = next_field(&mut fields)? {
         match (field, payload) {
-            (VALUE_TYPE_TYPE, Payload::Varint(v)) => vt.kind = v,
-            (VALUE_TYPE_UNIT, Payload::Varint(v)) => vt.unit = v,
+            (VALUE_TYPE_TYPE, Field::Varint(v)) => vt.kind = v,
+            (VALUE_TYPE_UNIT, Field::Varint(v)) => vt.unit = v,
             _ => {}
         }
     }
@@ -464,13 +402,13 @@ fn decode_value_type(buf: &[u8]) -> Result<ValueType, WireError> {
 fn decode_sample(buf: &[u8]) -> Result<Sample, WireError> {
     let mut sample = Sample::default();
     let mut fields = FieldReader::new(buf);
-    while let Some((field, payload)) = fields.next_field()? {
+    while let Some((field, payload)) = next_field(&mut fields)? {
         match (field, payload) {
-            (SAMPLE_LOCATION_ID, Payload::Bytes(b)) => {
+            (SAMPLE_LOCATION_ID, Field::Bytes(b)) => {
                 sample.location_ids.extend(decode_packed_u64(b)?);
             }
-            (SAMPLE_LOCATION_ID, Payload::Varint(v)) => sample.location_ids.push(v),
-            (SAMPLE_VALUE, Payload::Bytes(b)) => {
+            (SAMPLE_LOCATION_ID, Field::Varint(v)) => sample.location_ids.push(v),
+            (SAMPLE_VALUE, Field::Bytes(b)) => {
                 sample.values.extend(
                     decode_packed_u64(b)?
                         .into_iter()
@@ -479,17 +417,17 @@ fn decode_sample(buf: &[u8]) -> Result<Sample, WireError> {
                 );
             }
             // audit: allow(cast, u64 -> i64 two's complement reinterpretation is the protobuf wire rule)
-            (SAMPLE_VALUE, Payload::Varint(v)) => sample.values.push(v as i64),
-            (SAMPLE_LABEL, Payload::Bytes(b)) => {
+            (SAMPLE_VALUE, Field::Varint(v)) => sample.values.push(v as i64),
+            (SAMPLE_LABEL, Field::Bytes(b)) => {
                 let mut label = Label {
                     key: 0,
                     str_value: 0,
                 };
                 let mut lab = FieldReader::new(b);
-                while let Some((f, p)) = lab.next_field()? {
+                while let Some((f, p)) = next_field(&mut lab)? {
                     match (f, p) {
-                        (LABEL_KEY, Payload::Varint(v)) => label.key = v,
-                        (LABEL_STR, Payload::Varint(v)) => label.str_value = v,
+                        (LABEL_KEY, Field::Varint(v)) => label.key = v,
+                        (LABEL_STR, Field::Varint(v)) => label.str_value = v,
                         _ => {}
                     }
                 }
@@ -507,13 +445,13 @@ fn decode_location(buf: &[u8]) -> Result<Location, WireError> {
         function_id: 0,
     };
     let mut fields = FieldReader::new(buf);
-    while let Some((field, payload)) = fields.next_field()? {
+    while let Some((field, payload)) = next_field(&mut fields)? {
         match (field, payload) {
-            (LOCATION_ID, Payload::Varint(v)) => loc.id = v,
-            (LOCATION_LINE, Payload::Bytes(b)) => {
+            (LOCATION_ID, Field::Varint(v)) => loc.id = v,
+            (LOCATION_LINE, Field::Bytes(b)) => {
                 let mut line = FieldReader::new(b);
-                while let Some((f, p)) = line.next_field()? {
-                    if let (LINE_FUNCTION_ID, Payload::Varint(v)) = (f, p) {
+                while let Some((f, p)) = next_field(&mut line)? {
+                    if let (LINE_FUNCTION_ID, Field::Varint(v)) = (f, p) {
                         loc.function_id = v;
                     }
                 }
@@ -527,10 +465,10 @@ fn decode_location(buf: &[u8]) -> Result<Location, WireError> {
 fn decode_function(buf: &[u8]) -> Result<Function, WireError> {
     let mut func = Function { id: 0, name: 0 };
     let mut fields = FieldReader::new(buf);
-    while let Some((field, payload)) = fields.next_field()? {
+    while let Some((field, payload)) = next_field(&mut fields)? {
         match (field, payload) {
-            (FUNCTION_ID, Payload::Varint(v)) => func.id = v,
-            (FUNCTION_NAME, Payload::Varint(v)) => func.name = v,
+            (FUNCTION_ID, Field::Varint(v)) => func.id = v,
+            (FUNCTION_NAME, Field::Varint(v)) => func.name = v,
             _ => {}
         }
     }
@@ -540,6 +478,8 @@ fn decode_function(buf: &[u8]) -> Result<Function, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protowire::{put_fixed32, put_fixed64};
+    use hsdp_rng::{Rng, StdRng};
 
     fn sample_profile() -> Profile {
         Profile {
@@ -641,11 +581,8 @@ mod tests {
         let mut bytes = profile.encode();
         // Append an unknown varint field (100) and an unknown
         // length-delimited field (101).
-        encode_tag(100, WireType::Varint, &mut bytes);
-        encode_varint(42, &mut bytes);
-        encode_tag(101, WireType::LengthDelimited, &mut bytes);
-        encode_varint(3, &mut bytes);
-        bytes.extend_from_slice(b"xyz");
+        put_varint(100, 42, &mut bytes);
+        put_bytes(101, b"xyz", &mut bytes);
         let decoded = Profile::decode(&bytes).expect("unknown fields skipped");
         assert_eq!(decoded, profile);
     }
@@ -657,10 +594,11 @@ mod tests {
             // Truncation either errors or decodes a prefix; never panics.
             let _ = Profile::decode(&bytes[..cut]);
         }
-        // A declared length past the end must error.
+        // A declared length past the end must error: a 1,000-byte sample
+        // cut right after its length.
         let mut bad = Vec::new();
-        encode_tag(PROFILE_SAMPLE, WireType::LengthDelimited, &mut bad);
-        encode_varint(1000, &mut bad);
+        put_bytes(PROFILE_SAMPLE, &[0; 1000], &mut bad);
+        bad.truncate(3);
         assert!(Profile::decode(&bad).is_err());
     }
 
@@ -670,5 +608,289 @@ mod tests {
         p.samples[0].values = vec![-5, 9];
         let decoded = Profile::decode(&p.encode()).expect("decodes");
         assert_eq!(decoded.samples[0].values, vec![-5, 9]);
+    }
+
+    /// The reader `Profile::decode` used before it read through
+    /// `protowire::FieldReader`: a private field walker with its own
+    /// length checks. It is the oracle for values and errors.
+    mod former_reader {
+        use super::super::*;
+        use crate::protowire::{decode_tag, WireType};
+        use crate::varint::decode_varint;
+
+        enum Payload<'a> {
+            Varint(u64),
+            Bytes(&'a [u8]),
+        }
+
+        struct FieldReader<'a> {
+            buf: &'a [u8],
+            pos: usize,
+        }
+
+        impl<'a> FieldReader<'a> {
+            fn new(buf: &'a [u8]) -> Self {
+                FieldReader { buf, pos: 0 }
+            }
+
+            fn next_field(&mut self) -> Result<Option<(u32, Payload<'a>)>, WireError> {
+                if self.pos >= self.buf.len() {
+                    return Ok(None);
+                }
+                let (field, wire_type, consumed) = decode_tag(&self.buf[self.pos..])?;
+                self.pos += consumed;
+                let payload = match wire_type {
+                    WireType::Varint => {
+                        let (value, n) = decode_varint(&self.buf[self.pos..])?;
+                        self.pos += n;
+                        Payload::Varint(value)
+                    }
+                    WireType::LengthDelimited => {
+                        let (len, n) = decode_varint(&self.buf[self.pos..])?;
+                        self.pos += n;
+                        let len = usize::try_from(len)
+                            .map_err(|_| WireError::TruncatedField { field })?;
+                        let end = self
+                            .pos
+                            .checked_add(len)
+                            .filter(|&e| e <= self.buf.len())
+                            .ok_or(WireError::TruncatedField { field })?;
+                        let bytes = &self.buf[self.pos..end];
+                        self.pos = end;
+                        Payload::Bytes(bytes)
+                    }
+                    WireType::Fixed64 => {
+                        if self.pos + 8 > self.buf.len() {
+                            return Err(WireError::TruncatedField { field });
+                        }
+                        let mut raw = [0u8; 8];
+                        raw.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
+                        self.pos += 8;
+                        Payload::Varint(u64::from_le_bytes(raw))
+                    }
+                    WireType::Fixed32 => {
+                        if self.pos + 4 > self.buf.len() {
+                            return Err(WireError::TruncatedField { field });
+                        }
+                        let mut raw = [0u8; 4];
+                        raw.copy_from_slice(&self.buf[self.pos..self.pos + 4]);
+                        self.pos += 4;
+                        Payload::Varint(u64::from(u32::from_le_bytes(raw)))
+                    }
+                };
+                Ok(Some((field, payload)))
+            }
+        }
+
+        pub fn decode(buf: &[u8]) -> Result<Profile, PprofError> {
+            let mut profile = Profile::default();
+            let mut fields = FieldReader::new(buf);
+            while let Some((field, payload)) = fields.next_field()? {
+                match (field, payload) {
+                    (PROFILE_SAMPLE_TYPE, Payload::Bytes(b)) => {
+                        profile.sample_types.push(decode_value_type(b)?);
+                    }
+                    (PROFILE_SAMPLE, Payload::Bytes(b)) => {
+                        profile.samples.push(decode_sample(b)?);
+                    }
+                    (PROFILE_LOCATION, Payload::Bytes(b)) => {
+                        profile.locations.push(decode_location(b)?);
+                    }
+                    (PROFILE_FUNCTION, Payload::Bytes(b)) => {
+                        profile.functions.push(decode_function(b)?);
+                    }
+                    (PROFILE_STRING_TABLE, Payload::Bytes(b)) => {
+                        let s =
+                            std::str::from_utf8(b).map_err(|_| WireError::InvalidUtf8 { field })?;
+                        profile.string_table.push(s.to_owned());
+                    }
+                    (PROFILE_DURATION_NANOS, Payload::Varint(v)) => {
+                        profile.duration_nanos = v as i64
+                    }
+                    (PROFILE_PERIOD_TYPE, Payload::Bytes(b)) => {
+                        profile.period_type = Some(decode_value_type(b)?);
+                    }
+                    (PROFILE_PERIOD, Payload::Varint(v)) => profile.period = v as i64,
+                    _ => {}
+                }
+            }
+            Ok(profile)
+        }
+
+        fn decode_packed_u64(buf: &[u8]) -> Result<Vec<u64>, WireError> {
+            let mut out = Vec::new();
+            let mut pos = 0;
+            while pos < buf.len() {
+                let (value, n) = decode_varint(&buf[pos..])?;
+                pos += n;
+                out.push(value);
+            }
+            Ok(out)
+        }
+
+        fn decode_value_type(buf: &[u8]) -> Result<ValueType, WireError> {
+            let mut vt = ValueType::default();
+            let mut fields = FieldReader::new(buf);
+            while let Some((field, payload)) = fields.next_field()? {
+                match (field, payload) {
+                    (VALUE_TYPE_TYPE, Payload::Varint(v)) => vt.kind = v,
+                    (VALUE_TYPE_UNIT, Payload::Varint(v)) => vt.unit = v,
+                    _ => {}
+                }
+            }
+            Ok(vt)
+        }
+
+        fn decode_sample(buf: &[u8]) -> Result<Sample, WireError> {
+            let mut sample = Sample::default();
+            let mut fields = FieldReader::new(buf);
+            while let Some((field, payload)) = fields.next_field()? {
+                match (field, payload) {
+                    (SAMPLE_LOCATION_ID, Payload::Bytes(b)) => {
+                        sample.location_ids.extend(decode_packed_u64(b)?);
+                    }
+                    (SAMPLE_LOCATION_ID, Payload::Varint(v)) => sample.location_ids.push(v),
+                    (SAMPLE_VALUE, Payload::Bytes(b)) => {
+                        sample
+                            .values
+                            .extend(decode_packed_u64(b)?.into_iter().map(|v| v as i64));
+                    }
+                    (SAMPLE_VALUE, Payload::Varint(v)) => sample.values.push(v as i64),
+                    (SAMPLE_LABEL, Payload::Bytes(b)) => {
+                        let mut label = Label {
+                            key: 0,
+                            str_value: 0,
+                        };
+                        let mut lab = FieldReader::new(b);
+                        while let Some((f, p)) = lab.next_field()? {
+                            match (f, p) {
+                                (LABEL_KEY, Payload::Varint(v)) => label.key = v,
+                                (LABEL_STR, Payload::Varint(v)) => label.str_value = v,
+                                _ => {}
+                            }
+                        }
+                        sample.labels.push(label);
+                    }
+                    _ => {}
+                }
+            }
+            Ok(sample)
+        }
+
+        fn decode_location(buf: &[u8]) -> Result<Location, WireError> {
+            let mut loc = Location {
+                id: 0,
+                function_id: 0,
+            };
+            let mut fields = FieldReader::new(buf);
+            while let Some((field, payload)) = fields.next_field()? {
+                match (field, payload) {
+                    (LOCATION_ID, Payload::Varint(v)) => loc.id = v,
+                    (LOCATION_LINE, Payload::Bytes(b)) => {
+                        let mut line = FieldReader::new(b);
+                        while let Some((f, p)) = line.next_field()? {
+                            if let (LINE_FUNCTION_ID, Payload::Varint(v)) = (f, p) {
+                                loc.function_id = v;
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            Ok(loc)
+        }
+
+        fn decode_function(buf: &[u8]) -> Result<Function, WireError> {
+            let mut func = Function { id: 0, name: 0 };
+            let mut fields = FieldReader::new(buf);
+            while let Some((field, payload)) = fields.next_field()? {
+                match (field, payload) {
+                    (FUNCTION_ID, Payload::Varint(v)) => func.id = v,
+                    (FUNCTION_NAME, Payload::Varint(v)) => func.name = v,
+                    _ => {}
+                }
+            }
+            Ok(func)
+        }
+    }
+
+    /// A stack profile shaped like the fleet's `stacks.pb`: two sample
+    /// dimensions, leaf-first stacks over shared locations, category
+    /// labels, and negative values now and then.
+    fn random_profile(rng: &mut StdRng) -> Profile {
+        let frames = rng.random_range(1u64..12);
+        let mut string_table = vec![String::new()];
+        string_table
+            .extend(["samples", "count", "cpu", "nanoseconds", "category"].map(String::from));
+        string_table.extend((0..frames).map(|i| format!("frame{i};ä")));
+        let strings = string_table.len() as u64;
+        Profile {
+            sample_types: vec![
+                ValueType { kind: 1, unit: 2 },
+                ValueType { kind: 3, unit: 4 },
+            ],
+            samples: (0..rng.random_range(0usize..10))
+                .map(|_| Sample {
+                    location_ids: (0..rng.random_range(1usize..6))
+                        .map(|_| rng.random_range(1..=frames))
+                        .collect(),
+                    values: vec![rng.random_range(-2i64..200), rng.random::<i64>() >> 20],
+                    labels: vec![Label {
+                        key: 5,
+                        str_value: rng.random_range(0..strings),
+                    }],
+                })
+                .collect(),
+            locations: (1..=frames)
+                .map(|id| Location {
+                    id,
+                    function_id: id,
+                })
+                .collect(),
+            functions: (1..=frames)
+                .map(|id| Function { id, name: 5 + id })
+                .collect(),
+            string_table,
+            duration_nanos: rng.random::<i64>() >> rng.random_range(0u32..64),
+            period_type: Some(ValueType { kind: 3, unit: 4 }),
+            period: rng.random_range(0i64..5_000),
+        }
+    }
+
+    #[test]
+    fn mutated_profiles_decode_like_the_former_reader() {
+        let mut rng = StdRng::seed_from_u64(0x9970_F11B);
+        let mut outcomes = [0usize; 2];
+        for _ in 0..20 {
+            let bytes = random_profile(&mut rng).encode();
+            let mut cases: Vec<Vec<u8>> =
+                (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+            for _ in 0..150 {
+                let mut flipped = bytes.clone();
+                flipped[rng.random_range(0..bytes.len())] ^= 1 << rng.random_range(0u32..8);
+                cases.push(flipped);
+                let mut inserted = bytes.clone();
+                inserted.insert(rng.random_range(0..=bytes.len()), 0xff);
+                cases.push(inserted);
+            }
+            for case in &cases {
+                let decoded = Profile::decode(case);
+                assert_eq!(decoded, former_reader::decode(case), "input {case:02x?}");
+                outcomes[usize::from(decoded.is_err())] += 1;
+            }
+        }
+        // The mutations reach both outcomes, not only one of them.
+        assert!(outcomes.iter().all(|&n| n > 500), "ok/err: {outcomes:?}");
+    }
+
+    #[test]
+    fn scalar_fields_read_any_fixed_width_payload_as_their_number() {
+        let mut bytes = Vec::new();
+        // duration_nanos as fixed64, period as fixed32.
+        put_fixed64(PROFILE_DURATION_NANOS, (-3i64) as u64, &mut bytes);
+        put_fixed32(PROFILE_PERIOD, 7, &mut bytes);
+        let decoded = Profile::decode(&bytes).expect("decodes");
+        assert_eq!((decoded.duration_nanos, decoded.period), (-3, 7));
+        assert_eq!(former_reader::decode(&bytes), Ok(decoded));
     }
 }

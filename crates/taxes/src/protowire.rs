@@ -4,9 +4,22 @@
 //! identifies (Figure 5, 20–25% of tax cycles). This module implements the
 //! protobuf wire format — varint/zigzag scalars, fixed-width scalars,
 //! length-delimited strings/bytes/submessages, tag encoding, unknown-field
-//! skipping — over *dynamic* messages described by runtime
-//! [`MessageDescriptor`]s, in the spirit of HyperProtoBench's
-//! fleet-representative message shapes.
+//! skipping — and everything protobuf in the repo reads and writes through
+//! it:
+//!
+//! - [`FieldReader`] is the one wire reader. It yields each field of a
+//!   message body as `(number, `[`Field`]`)` and checks every declared
+//!   length against the bytes left, so hostile input is an error, never an
+//!   overflow or an out-of-bounds slice.
+//! - [`put_varint`], [`put_fixed64`], [`put_fixed32`] and [`put_bytes`]
+//!   are the writers.
+//! - [`Message`] is a *dynamic* message described by a runtime
+//!   [`MessageDescriptor`], in the spirit of HyperProtoBench's
+//!   fleet-representative message shapes: the modeled protobuf workload
+//!   (Spanner's commit record, the Table 8 corpus).
+//!
+//! The pprof export and the profile-history snapshots are typed codecs over
+//! the reader and the writers.
 //!
 //! # Examples
 //!
@@ -45,7 +58,7 @@ pub const RECURSION_LIMIT: usize = 64;
 
 /// Protobuf wire types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireType {
+pub(crate) enum WireType {
     /// Base-128 varint.
     Varint,
     /// Little-endian 64-bit scalar.
@@ -86,7 +99,7 @@ impl WireType {
 }
 
 /// Encodes a field tag (field number + wire type).
-pub fn encode_tag(field: u32, wire_type: WireType, out: &mut Vec<u8>) {
+pub(crate) fn encode_tag(field: u32, wire_type: WireType, out: &mut Vec<u8>) {
     encode_varint(
         (u64::from(field) << 3) | u64::from(wire_type.discriminant()),
         out,
@@ -94,12 +107,13 @@ pub fn encode_tag(field: u32, wire_type: WireType, out: &mut Vec<u8>) {
 }
 
 /// Decodes a field tag, returning `(field, wire type, bytes consumed)`.
+/// [`FieldReader`] is its one library caller.
 ///
 /// # Errors
 ///
 /// Propagates varint errors; rejects field number 0 and numbers above the
 /// protobuf maximum.
-pub fn decode_tag(buf: &[u8]) -> Result<(u32, WireType, usize), WireError> {
+pub(crate) fn decode_tag(buf: &[u8]) -> Result<(u32, WireType, usize), WireError> {
     let (raw, consumed) = decode_varint(buf)?;
     let field = raw >> 3;
     if field == 0 || field > MAX_FIELD_NUMBER {
@@ -107,6 +121,111 @@ pub fn decode_tag(buf: &[u8]) -> Result<(u32, WireType, usize), WireError> {
     }
     let wire_type = WireType::from_discriminant((raw & 0x7) as u8)?;
     Ok((field as u32, wire_type, consumed))
+}
+
+/// Appends a varint field.
+pub fn put_varint(field: u32, value: u64, out: &mut Vec<u8>) {
+    encode_tag(field, WireType::Varint, out);
+    encode_varint(value, out);
+}
+
+/// Appends a 64-bit little-endian field (`fixed64`, or a `double`'s bits).
+pub fn put_fixed64(field: u32, value: u64, out: &mut Vec<u8>) {
+    encode_tag(field, WireType::Fixed64, out);
+    out.extend_from_slice(&value.to_le_bytes());
+}
+
+/// Appends a 32-bit little-endian field (`fixed32`, or a `float`'s bits).
+pub fn put_fixed32(field: u32, value: u32, out: &mut Vec<u8>) {
+    encode_tag(field, WireType::Fixed32, out);
+    out.extend_from_slice(&value.to_le_bytes());
+}
+
+/// Appends a length-delimited field: a string, bytes, an encoded
+/// submessage or a packed run.
+pub fn put_bytes(field: u32, payload: &[u8], out: &mut Vec<u8>) {
+    put_len(field, payload.len(), out);
+    out.extend_from_slice(payload);
+}
+
+/// The tag and length of a length-delimited field whose `len`-byte payload
+/// the caller appends next.
+fn put_len(field: u32, len: usize, out: &mut Vec<u8>) {
+    encode_tag(field, WireType::LengthDelimited, out);
+    encode_varint(len as u64, out);
+}
+
+/// One field's payload, as the wire carries it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Field<'a> {
+    /// A varint (wire type 0), as its raw 64 bits: sign and zigzag are the
+    /// schema's to apply.
+    Varint(u64),
+    /// A little-endian 64-bit word (wire type 1).
+    Fixed64(u64),
+    /// A little-endian 32-bit word (wire type 5).
+    Fixed32(u32),
+    /// A length-delimited payload (wire type 2).
+    Bytes(&'a [u8]),
+}
+
+/// Streams `(field number, payload)` pairs off a message body: the one
+/// protobuf wire reader.
+///
+/// A declared length is compared with the bytes left, never added to an
+/// offset, so a length near `u64::MAX` is [`WireError::TruncatedField`]
+/// like any other that runs past the end. Unknown fields are the caller's
+/// to skip: it matches on the numbers and payloads it knows.
+#[derive(Debug, Clone)]
+pub struct FieldReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> FieldReader<'a> {
+    /// A reader over one message body.
+    #[must_use]
+    pub fn new(body: &'a [u8]) -> Self {
+        FieldReader { rest: body }
+    }
+
+    /// The next field, or `None` at the end of the body.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] for a bad tag, a malformed varint, or a
+    /// payload that runs past the end of the body.
+    pub fn next_field(&mut self) -> Result<Option<(u32, Field<'a>)>, WireError> {
+        if self.rest.is_empty() {
+            return Ok(None);
+        }
+        let (field, wire_type, tag_len) = decode_tag(self.rest)?;
+        let rest = &self.rest[tag_len..];
+        let truncated = WireError::TruncatedField { field };
+        let (payload, rest) = match wire_type {
+            WireType::Varint => {
+                let (value, n) = decode_varint(rest)?;
+                (Field::Varint(value), &rest[n..])
+            }
+            WireType::Fixed64 => {
+                let (word, rest) = rest.split_first_chunk().ok_or(truncated)?;
+                (Field::Fixed64(u64::from_le_bytes(*word)), rest)
+            }
+            WireType::Fixed32 => {
+                let (word, rest) = rest.split_first_chunk().ok_or(truncated)?;
+                (Field::Fixed32(u32::from_le_bytes(*word)), rest)
+            }
+            WireType::LengthDelimited => {
+                let (len, n) = decode_varint(rest)?;
+                let (bytes, rest) = usize::try_from(len)
+                    .ok()
+                    .and_then(|len| rest[n..].split_at_checked(len))
+                    .ok_or(truncated)?;
+                (Field::Bytes(bytes), rest)
+            }
+        };
+        self.rest = rest;
+        Ok(Some((field, payload)))
+    }
 }
 
 /// Field value types understood by the codec.
@@ -137,21 +256,6 @@ pub enum FieldType {
 }
 
 impl FieldType {
-    /// The wire type values of this field type use.
-    #[must_use]
-    pub fn wire_type(&self) -> WireType {
-        match self {
-            FieldType::Uint64 | FieldType::Int64 | FieldType::Sint64 | FieldType::Bool => {
-                WireType::Varint
-            }
-            FieldType::Fixed64 | FieldType::Double => WireType::Fixed64,
-            FieldType::Fixed32 | FieldType::Float => WireType::Fixed32,
-            FieldType::String | FieldType::Bytes | FieldType::Message(_) => {
-                WireType::LengthDelimited
-            }
-        }
-    }
-
     /// Human-readable type name (for errors).
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -342,12 +446,6 @@ impl Message {
         }
     }
 
-    /// The message's descriptor.
-    #[must_use]
-    pub fn descriptor(&self) -> &Arc<MessageDescriptor> {
-        &self.descriptor
-    }
-
     /// Sets a singular field (replacing any existing value).
     ///
     /// # Errors
@@ -355,8 +453,7 @@ impl Message {
     /// Returns [`WireError::InvalidFieldNumber`] for fields not in the schema
     /// and [`WireError::TypeMismatch`] for wrongly-typed values.
     pub fn set(&mut self, number: u32, value: Value) -> Result<(), WireError> {
-        let field = self.check(number, &value)?;
-        let _ = field;
+        self.check(number, &value)?;
         self.values.insert(number, vec![value]);
         Ok(())
     }
@@ -372,7 +469,7 @@ impl Message {
         Ok(())
     }
 
-    fn check(&self, number: u32, value: &Value) -> Result<&FieldDescriptor, WireError> {
+    fn check(&self, number: u32, value: &Value) -> Result<(), WireError> {
         let field = self
             .descriptor
             .field(number)
@@ -385,19 +482,13 @@ impl Message {
                 expected: field.ty.name(),
             });
         }
-        Ok(field)
+        Ok(())
     }
 
     /// The first value of a field, if present.
     #[must_use]
     pub fn get(&self, number: u32) -> Option<&Value> {
         self.values.get(&number).and_then(|v| v.first())
-    }
-
-    /// All values of a field (empty slice if unset).
-    #[must_use]
-    pub fn get_all(&self, number: u32) -> &[Value] {
-        self.values.get(&number).map_or(&[], Vec::as_slice)
     }
 
     /// Number of set fields.
@@ -477,20 +568,34 @@ impl Message {
             return Err(WireError::RecursionLimit);
         }
         let mut message = Message::new(Arc::clone(&descriptor));
-        let mut pos = 0;
-        while pos < buf.len() {
-            let (number, wire_type, n) = decode_tag(&buf[pos..])?;
-            pos += n;
-            match descriptor.field(number) {
-                Some(field) if field.ty.wire_type() == wire_type => {
-                    let (value, n) = decode_value(&field.ty, number, &buf[pos..], depth)?;
-                    pos += n;
-                    message.values.entry(number).or_default().push(value);
+        let mut fields = FieldReader::new(buf);
+        while let Some((number, field)) = fields.next_field()? {
+            let Some(known) = descriptor.field(number) else {
+                continue;
+            };
+            let value = match (&known.ty, field) {
+                (FieldType::Uint64, Field::Varint(v)) => Value::Uint64(v),
+                (FieldType::Int64, Field::Varint(v)) => Value::Int64(v as i64),
+                (FieldType::Sint64, Field::Varint(v)) => Value::Sint64(zigzag_decode(v)),
+                (FieldType::Bool, Field::Varint(v)) => Value::Bool(v != 0),
+                (FieldType::Fixed64, Field::Fixed64(v)) => Value::Fixed64(v),
+                (FieldType::Double, Field::Fixed64(v)) => Value::Double(f64::from_bits(v)),
+                (FieldType::Fixed32, Field::Fixed32(v)) => Value::Fixed32(v),
+                (FieldType::Float, Field::Fixed32(v)) => Value::Float(f32::from_bits(v)),
+                (FieldType::String, Field::Bytes(b)) => Value::Str(
+                    std::str::from_utf8(b)
+                        .map_err(|_| WireError::InvalidUtf8 { field: number })?
+                        .to_owned(),
+                ),
+                (FieldType::Bytes, Field::Bytes(b)) => Value::Bytes(b.to_vec()),
+                (FieldType::Message(inner), Field::Bytes(b)) => {
+                    Value::Message(Message::decode_at_depth(Arc::clone(inner), b, depth + 1)?)
                 }
-                // Unknown field, or known field arriving with an unexpected
-                // wire type: skip it per the wire rules.
-                _ => pos += skip_len(wire_type, number, &buf[pos..])?,
-            }
+                // A known field arriving with an unexpected wire type is
+                // skipped, like an unknown one.
+                _ => continue,
+            };
+            message.values.entry(number).or_default().push(value);
         }
         for field in descriptor.fields() {
             if field.required && !message.values.contains_key(&field.number) {
@@ -526,141 +631,20 @@ fn value_len(value: &Value) -> usize {
 
 fn encode_value(number: u32, value: &Value, out: &mut Vec<u8>) {
     match value {
-        Value::Uint64(v) => {
-            encode_tag(number, WireType::Varint, out);
-            encode_varint(*v, out);
-        }
-        Value::Int64(v) => {
-            encode_tag(number, WireType::Varint, out);
-            encode_varint(*v as u64, out);
-        }
-        Value::Sint64(v) => {
-            encode_tag(number, WireType::Varint, out);
-            encode_varint(zigzag_encode(*v), out);
-        }
-        Value::Bool(v) => {
-            encode_tag(number, WireType::Varint, out);
-            out.push(u8::from(*v));
-        }
-        Value::Fixed64(v) => {
-            encode_tag(number, WireType::Fixed64, out);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::Double(v) => {
-            encode_tag(number, WireType::Fixed64, out);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::Fixed32(v) => {
-            encode_tag(number, WireType::Fixed32, out);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::Float(v) => {
-            encode_tag(number, WireType::Fixed32, out);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::Str(s) => {
-            encode_tag(number, WireType::LengthDelimited, out);
-            encode_varint(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Bytes(b) => {
-            encode_tag(number, WireType::LengthDelimited, out);
-            encode_varint(b.len() as u64, out);
-            out.extend_from_slice(b);
-        }
+        Value::Uint64(v) => put_varint(number, *v, out),
+        Value::Int64(v) => put_varint(number, *v as u64, out),
+        Value::Sint64(v) => put_varint(number, zigzag_encode(*v), out),
+        Value::Bool(v) => put_varint(number, u64::from(*v), out),
+        Value::Fixed64(v) => put_fixed64(number, *v, out),
+        Value::Double(v) => put_fixed64(number, v.to_bits(), out),
+        Value::Fixed32(v) => put_fixed32(number, *v, out),
+        Value::Float(v) => put_fixed32(number, v.to_bits(), out),
+        Value::Str(s) => put_bytes(number, s.as_bytes(), out),
+        Value::Bytes(b) => put_bytes(number, b, out),
         Value::Message(m) => {
-            encode_tag(number, WireType::LengthDelimited, out);
-            encode_varint(m.encoded_len() as u64, out);
+            put_len(number, m.encoded_len(), out);
             m.encode_raw(out);
         }
-    }
-}
-
-/// Converts a slice whose length [`take`] has already verified into the
-/// fixed-size array the `from_le_bytes` constructors want.
-fn arr<const N: usize>(bytes: &[u8]) -> [u8; N] {
-    // audit: allow(panic, take() has already verified the slice is exactly N bytes)
-    bytes.try_into().expect("length checked by take()")
-}
-
-fn decode_value(
-    ty: &FieldType,
-    number: u32,
-    buf: &[u8],
-    depth: usize,
-) -> Result<(Value, usize), WireError> {
-    match ty {
-        FieldType::Uint64 => {
-            let (v, n) = decode_varint(buf)?;
-            Ok((Value::Uint64(v), n))
-        }
-        FieldType::Int64 => {
-            let (v, n) = decode_varint(buf)?;
-            Ok((Value::Int64(v as i64), n))
-        }
-        FieldType::Sint64 => {
-            let (v, n) = decode_varint(buf)?;
-            Ok((Value::Sint64(zigzag_decode(v)), n))
-        }
-        FieldType::Bool => {
-            let (v, n) = decode_varint(buf)?;
-            Ok((Value::Bool(v != 0), n))
-        }
-        FieldType::Fixed64 => {
-            let bytes = take(buf, 8, number)?;
-            Ok((Value::Fixed64(u64::from_le_bytes(arr(bytes))), 8))
-        }
-        FieldType::Double => {
-            let bytes = take(buf, 8, number)?;
-            Ok((Value::Double(f64::from_le_bytes(arr(bytes))), 8))
-        }
-        FieldType::Fixed32 => {
-            let bytes = take(buf, 4, number)?;
-            Ok((Value::Fixed32(u32::from_le_bytes(arr(bytes))), 4))
-        }
-        FieldType::Float => {
-            let bytes = take(buf, 4, number)?;
-            Ok((Value::Float(f32::from_le_bytes(arr(bytes))), 4))
-        }
-        FieldType::String => {
-            let (payload, n) = take_length_delimited(buf, number)?;
-            let s = std::str::from_utf8(payload)
-                .map_err(|_| WireError::InvalidUtf8 { field: number })?;
-            Ok((Value::Str(s.to_owned()), n))
-        }
-        FieldType::Bytes => {
-            let (payload, n) = take_length_delimited(buf, number)?;
-            Ok((Value::Bytes(payload.to_vec()), n))
-        }
-        FieldType::Message(desc) => {
-            let (payload, n) = take_length_delimited(buf, number)?;
-            let inner = Message::decode_at_depth(Arc::clone(desc), payload, depth + 1)?;
-            Ok((Value::Message(inner), n))
-        }
-    }
-}
-
-fn take(buf: &[u8], len: usize, field: u32) -> Result<&[u8], WireError> {
-    buf.get(..len).ok_or(WireError::TruncatedField { field })
-}
-
-fn take_length_delimited(buf: &[u8], field: u32) -> Result<(&[u8], usize), WireError> {
-    let (len, n) = decode_varint(buf)?;
-    let len = usize::try_from(len).map_err(|_| WireError::TruncatedField { field })?;
-    let payload = buf
-        .get(n..n + len)
-        .ok_or(WireError::TruncatedField { field })?;
-    Ok((payload, n + len))
-}
-
-/// The number of bytes a field of `wire_type` occupies at the front of `buf`
-/// (used to skip unknown fields).
-fn skip_len(wire_type: WireType, field: u32, buf: &[u8]) -> Result<usize, WireError> {
-    match wire_type {
-        WireType::Varint => decode_varint(buf).map(|(_, n)| n),
-        WireType::Fixed64 => take(buf, 8, field).map(|_| 8),
-        WireType::Fixed32 => take(buf, 4, field).map(|_| 4),
-        WireType::LengthDelimited => take_length_delimited(buf, field).map(|(_, n)| n),
     }
 }
 
@@ -813,7 +797,6 @@ mod tests {
         let bytes = outer.encode_to_vec();
         let decoded = Message::decode(outer_desc, &bytes).unwrap();
         assert_eq!(outer, decoded);
-        assert_eq!(decoded.get_all(2).len(), 2);
     }
 
     #[test]
@@ -887,6 +870,62 @@ mod tests {
             Message::decode(simple_desc(), &bad).unwrap_err(),
             WireError::TruncatedField { field: 2 }
         ));
+    }
+
+    #[test]
+    fn lengths_that_overflow_an_offset_are_truncation() {
+        // A length of 2^64 - 1 after a one-byte tag: added to the offset it
+        // would wrap, so it must be compared with the bytes left instead.
+        let blob = Arc::new(
+            MessageDescriptor::new(
+                "Blob",
+                vec![FieldDescriptor::optional(1, "blob", FieldType::Bytes)],
+            )
+            .unwrap(),
+        );
+        for (tag, field) in [(0x0a, 1), (0x12, 2)] {
+            let mut bytes = vec![tag];
+            bytes.extend([0xff; 9]);
+            bytes.push(0x01);
+            assert_eq!(
+                Message::decode(Arc::clone(&blob), &bytes),
+                Err(WireError::TruncatedField { field }),
+                "field {field}"
+            );
+        }
+    }
+
+    #[test]
+    fn reader_yields_what_the_writers_wrote() {
+        let mut bytes = Vec::new();
+        put_varint(1, 300, &mut bytes);
+        put_fixed64(2, 0x0123_4567_89ab_cdef, &mut bytes);
+        put_fixed32(3, 0xdead_beef, &mut bytes);
+        put_bytes(4, b"abc", &mut bytes);
+        put_bytes(1 << 20, b"", &mut bytes);
+        let mut fields = FieldReader::new(&bytes);
+        let mut got = Vec::new();
+        while let Some(field) = fields.next_field().unwrap() {
+            got.push(field);
+        }
+        assert_eq!(
+            got,
+            [
+                (1, Field::Varint(300)),
+                (2, Field::Fixed64(0x0123_4567_89ab_cdef)),
+                (3, Field::Fixed32(0xdead_beef)),
+                (4, Field::Bytes(b"abc")),
+                (1 << 20, Field::Bytes(b"")),
+            ]
+        );
+        // Every strict prefix that cuts a field is an error, never a panic.
+        let ends = [3, 12, 17, 22, bytes.len()];
+        for cut in 1..bytes.len() {
+            let mut fields = FieldReader::new(&bytes[..cut]);
+            let read = std::iter::from_fn(|| fields.next_field().transpose())
+                .collect::<Result<Vec<_>, _>>();
+            assert_eq!(read.is_ok(), ends.contains(&cut), "cut {cut}");
+        }
     }
 
     #[test]

@@ -250,9 +250,13 @@ mod tests {
         let mut rng = rng();
         let msgs = corpus(40, &mut rng);
         assert_eq!(msgs.len(), 40);
-        let names: std::collections::HashSet<&str> =
-            msgs.iter().map(|m| m.descriptor().name()).collect();
-        assert_eq!(names.len(), 4, "all four shapes present");
+        // Message `i` has shape `i % 4`: it decodes under that descriptor
+        // to itself, descriptor included.
+        for (i, msg) in msgs.iter().enumerate() {
+            let shape = MessageShape::ALL[i % MessageShape::ALL.len()];
+            let decoded = Message::decode(descriptor(shape), &msg.encode_to_vec());
+            assert_eq!(decoded.as_ref(), Ok(msg), "message {i}");
+        }
     }
 
     #[test]
