@@ -86,15 +86,15 @@ impl BigQuery {
         self.partitions.clear();
         for w in 0..WORKERS {
             let table = ColumnTable::from_rows(rows.iter().skip(w).step_by(WORKERS));
-            let encoded = table.encode_compressed();
-            let column_files = encoded
-                .iter()
+            let column_files = table
+                .encode_compressed()
+                .into_iter()
                 .enumerate()
                 .map(|(c, (compressed, raw))| {
                     let key = (w as u64) << 8 | c as u64;
-                    let bytes = compressed.len() as u64;
+                    let bytes = compressed as u64;
                     self.stores[w].write(key, bytes);
-                    (key, bytes, *raw as u64)
+                    (key, bytes, raw as u64)
                 })
                 .collect();
             self.partitions.push(StoredPartition {

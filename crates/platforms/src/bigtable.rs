@@ -196,10 +196,11 @@ fn charge_proto(meter: &mut WorkMeter, bytes: u64, decode: bool) {
 }
 
 /// Encodes SSTable entries: varint-length-prefixed pairs, compressed,
-/// checksummed. Returns the (encoded, raw) lengths in bytes and charges the
-/// work. Nothing reads the encoded bytes or their checksum, so the
-/// checksum is charged at its simulated cost and not computed.
-fn encode_sstable(meter: &mut WorkMeter, entries: &[(Vec<u8>, Vec<u8>)]) -> (u64, u64) {
+/// checksummed. Returns the encoded length in bytes and charges the work.
+/// Nothing reads the compressed bytes or their checksum, so the stream is
+/// only measured (`compressed_len`) and the checksum is charged at its
+/// simulated cost and not computed.
+fn encode_sstable(meter: &mut WorkMeter, entries: &[(Vec<u8>, Vec<u8>)]) -> u64 {
     let mut meter = meter.scope("sstable_encode");
     let mut raw = Vec::new();
     for (k, v) in entries {
@@ -209,7 +210,7 @@ fn encode_sstable(meter: &mut WorkMeter, entries: &[(Vec<u8>, Vec<u8>)]) -> (u64
         raw.extend_from_slice(v);
     }
     let raw_len = raw.len() as u64;
-    let encoded_len = hsdp_taxes::compress::compress(&raw).len() as u64;
+    let encoded_len = hsdp_taxes::compress::compressed_len(&raw) as u64;
     meter.charge_bytes(
         DatacenterTax::Compression,
         "block_compress",
@@ -228,7 +229,7 @@ fn encode_sstable(meter: &mut WorkMeter, entries: &[(Vec<u8>, Vec<u8>)]) -> (u64
         raw_len,
         costs::MEMCPY_NS_PER_BYTE,
     );
-    (encoded_len, raw_len)
+    encoded_len
 }
 
 /// Charges the filesystem-client write taxes for a new run of `bytes`.
@@ -269,7 +270,7 @@ fn flush_run(meter: &mut WorkMeter, entries: &[Entry]) -> u64 {
         entries.len() as u64,
         costs::STL_NS_PER_ENTRY,
     );
-    let (encoded, _raw) = encode_sstable(&mut scope, entries);
+    let encoded = encode_sstable(&mut scope, entries);
     charge_run_write(&mut scope, encoded);
     encoded
 }
@@ -311,7 +312,7 @@ fn merge_run(meter: &mut WorkMeter, inputs: Vec<SsTable>) -> (Vec<Entry>, u64, u
         input_entries,
         costs::STL_NS_PER_ENTRY,
     );
-    let (encoded, _raw) = encode_sstable(&mut scope, &entries);
+    let encoded = encode_sstable(&mut scope, &entries);
     charge_run_write(&mut scope, encoded);
     (entries, encoded, input_entries)
 }

@@ -2,7 +2,11 @@
 //!
 //! Simulated hyperscale data processing platforms — the synthetic stand-ins
 //! for the paper's three production systems (Figure 1), built on the
-//! workspace substrates and executing *real* data-structure and codec work:
+//! workspace substrates and executing *real* data-structure and codec work
+//! wherever something reads its result. A kernel whose output nothing reads
+//! is charged, not run: Spanner sizes its commit records without encoding,
+//! checksumming or hashing them, and BigTable and BigQuery count compressed
+//! bytes without writing them (`hsdp_taxes::compress::compressed_len`).
 //!
 //! - [`spanner`] — a leader-led consensus group: replicated write log with
 //!   quorum waits, strong reads, SQL-style scans.

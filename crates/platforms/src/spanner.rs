@@ -9,7 +9,6 @@
 //! remote-heavy queries.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use hsdp_core::category::{CoreComputeOp, DatacenterTax, Platform, SystemTax};
 use hsdp_rpc::latency::LatencyModel;
@@ -17,8 +16,7 @@ use hsdp_rpc::span::SpanKind;
 use hsdp_simcore::time::SimDuration;
 use hsdp_storage::cache::PolicyKind;
 use hsdp_storage::tiered::TieredStore;
-use hsdp_taxes::crc::crc32c;
-use hsdp_taxes::protowire::{FieldDescriptor, FieldType, Message, MessageDescriptor, Value};
+use hsdp_taxes::protowire::{bytes_field_len, fixed64_field_len};
 
 use crate::costs;
 use crate::exec::{OpenQuery, QueryExecution, QueryRecorder};
@@ -40,17 +38,6 @@ const _: () = assert!(
     "quorum must be within the replica set"
 );
 
-/// One replicated log entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogEntry {
-    /// Log position.
-    pub index: u64,
-    /// Affected key.
-    pub key: Vec<u8>,
-    /// CRC of the value (the log stores digests in this model).
-    pub value_crc: u32,
-}
-
 /// The consensus-group simulator (leader's view).
 #[derive(Debug)]
 pub struct Spanner {
@@ -58,9 +45,9 @@ pub struct Spanner {
     pub recorder: QueryRecorder,
     store: TieredStore,
     state: BTreeMap<Vec<u8>, Vec<u8>>,
-    log: Vec<LogEntry>,
+    /// Commits replicated so far: the log's length.
+    commits: usize,
     net_region: LatencyModel,
-    txn_desc: Arc<MessageDescriptor>,
     seed: u64,
 }
 
@@ -69,30 +56,17 @@ impl Spanner {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         let (ram, ssd, hdd) = TIER_BYTES;
-        let txn_desc = Arc::new(
-            MessageDescriptor::new(
-                "TxnRequest",
-                vec![
-                    FieldDescriptor::required(1, "key", FieldType::Bytes),
-                    FieldDescriptor::optional(2, "value", FieldType::Bytes),
-                    FieldDescriptor::required(3, "timestamp", FieldType::Fixed64),
-                ],
-            )
-            // audit: allow(panic, the schema literal above is statically valid)
-            .expect("static schema is valid"),
-        );
         Spanner {
             recorder: QueryRecorder::new(),
             store: TieredStore::new(ram, ssd, hdd, PolicyKind::Lru),
             state: BTreeMap::new(),
-            log: Vec::new(),
+            commits: 0,
             // Regional quorums: replicas in nearby zones, not continents.
             net_region: LatencyModel {
                 base: hsdp_simcore::time::SimDuration::from_micros(250),
                 bandwidth: 2e9,
                 jitter_frac: 0.3,
             },
-            txn_desc,
             seed,
         }
     }
@@ -100,7 +74,7 @@ impl Spanner {
     /// The committed log length.
     #[must_use]
     pub fn log_len(&self) -> usize {
-        self.log.len()
+        self.commits
     }
 
     fn charge_rpc(&self, meter: &mut WorkMeter, bytes: u64) {
@@ -156,24 +130,19 @@ impl Spanner {
         );
     }
 
-    fn encode_txn(&self, meter: &mut WorkMeter, key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
+    /// Charges encoding the commit's `TxnRequest { key = 1: bytes, value =
+    /// 2: bytes, timestamp = 3: fixed64 }` and returns its encoded length.
+    /// Only the length is read, by replication and the integrity charges,
+    /// so the record is sized, not written.
+    fn encode_txn(meter: &mut WorkMeter, key: &[u8], value: &[u8]) -> u64 {
         let mut meter = meter.scope("txn_encode");
-        let mut msg = Message::new(Arc::clone(&self.txn_desc));
-        msg.set(1, Value::Bytes(key.to_vec()))
-            // audit: allow(panic, field ids match the static schema defined in new())
-            .expect("schema field");
-        if let Some(v) = value {
-            // audit: allow(panic, field ids match the static schema defined in new())
-            msg.set(2, Value::Bytes(v.to_vec())).expect("schema field");
-        }
-        msg.set(3, Value::Fixed64(self.recorder.clock.as_nanos()))
-            // audit: allow(panic, field ids match the static schema defined in new())
-            .expect("schema field");
-        let bytes = msg.encode_to_vec();
+        let len = (bytes_field_len(1, key.len())
+            + bytes_field_len(2, value.len())
+            + fixed64_field_len(3)) as u64;
         meter.charge_bytes(
             DatacenterTax::Protobuf,
             "proto_encode",
-            bytes.len() as u64,
+            len,
             costs::PROTO_ENCODE_NS_PER_BYTE,
         );
         meter.charge_ops(
@@ -191,10 +160,10 @@ impl Spanner {
         meter.charge_bytes(
             DatacenterTax::DataMovement,
             "memcpy",
-            bytes.len() as u64,
+            len,
             costs::MEMCPY_NS_PER_BYTE,
         );
-        bytes
+        len
     }
 
     /// The consensus round: replicate `bytes` to followers, wait for a
@@ -282,34 +251,25 @@ impl Spanner {
             let mut op = meter.scope("spanner.commit");
             let request_bytes = (key.len() + value.len() + 64) as u64;
             self.charge_rpc(&mut op, request_bytes);
-            let encoded = self.encode_txn(&mut op, &key, Some(&value));
-            let crc = crc32c(&encoded);
+            let encoded = Self::encode_txn(&mut op, &key, &value);
             {
+                // The checksum and digest are charged at their simulated
+                // cost; nothing reads either, so neither is computed.
                 let mut integrity = op.scope("integrity");
-                integrity.charge_bytes(
-                    SystemTax::Edac,
-                    "crc32c",
-                    encoded.len() as u64,
-                    costs::CRC_NS_PER_BYTE,
-                );
-                let _digest = hsdp_taxes::sha3::Sha3_256::digest(&encoded);
+                integrity.charge_bytes(SystemTax::Edac, "crc32c", encoded, costs::CRC_NS_PER_BYTE);
                 integrity.charge_bytes(
                     DatacenterTax::Cryptography,
                     "txn_digest",
-                    encoded.len() as u64,
+                    encoded,
                     costs::SHA3_NS_PER_BYTE,
                 );
             }
 
             // Replicate through consensus.
-            let remote = self.consensus_round(&mut op, encoded.len() as u64, query.root.trace().0);
+            let remote = self.consensus_round(&mut op, encoded, query.root.trace().0);
 
             // Apply to the state machine and persist.
-            self.log.push(LogEntry {
-                index: self.log.len() as u64 + 1,
-                key: key.clone(),
-                value_crc: crc,
-            });
+            self.commits += 1;
             let io = {
                 let mut apply = op.scope("apply");
                 apply.charge_ops(
@@ -581,7 +541,7 @@ impl Spanner {
         }
         recorder
             .telemetry
-            .gauge_max(("spanner", "log_len_peak", ""), self.log.len() as u64);
+            .gauge_max(("spanner", "log_len_peak", ""), self.commits as u64);
         recorder.finish(Platform::Spanner, query, meter, label)
     }
 }
@@ -590,9 +550,60 @@ impl Spanner {
 mod tests {
     use super::*;
     use hsdp_core::category::CpuCategory;
+    use hsdp_rng::{Rng, StdRng};
+    use hsdp_taxes::protowire::{FieldDescriptor, FieldType, Message, MessageDescriptor, Value};
+    use std::sync::Arc;
 
     fn db() -> Spanner {
         Spanner::new(7)
+    }
+
+    /// The commit record encoded as a dynamic `Message`: the oracle for
+    /// `encode_txn`'s length.
+    fn txn_message(key: &[u8], value: &[u8], clock: u64) -> Vec<u8> {
+        let desc = Arc::new(
+            MessageDescriptor::new(
+                "TxnRequest",
+                vec![
+                    FieldDescriptor::required(1, "key", FieldType::Bytes),
+                    FieldDescriptor::optional(2, "value", FieldType::Bytes),
+                    FieldDescriptor::required(3, "timestamp", FieldType::Fixed64),
+                ],
+            )
+            .unwrap(),
+        );
+        let mut msg = Message::new(desc);
+        msg.set(1, Value::Bytes(key.to_vec())).unwrap();
+        msg.set(2, Value::Bytes(value.to_vec())).unwrap();
+        msg.set(3, Value::Fixed64(clock)).unwrap();
+        msg.encode_to_vec()
+    }
+
+    #[test]
+    fn txn_length_matches_the_message_encoding() {
+        let mut rng = StdRng::seed_from_u64(0x7A11);
+        let boundaries = [0, 1, 127, 128, 16_383, 16_384];
+        let lens = boundaries
+            .iter()
+            .flat_map(|&k| boundaries.map(|v| (k, v)))
+            .chain((0..200).map(|_| {
+                (
+                    rng.random_range(0..300usize),
+                    rng.random_range(0..20_000usize),
+                )
+            }))
+            .collect::<Vec<_>>();
+        for (key_len, value_len) in lens {
+            let (key, value) = (vec![b'k'; key_len], vec![b'v'; value_len]);
+            let len = Spanner::encode_txn(&mut WorkMeter::new(), &key, &value);
+            for clock in [0, u64::MAX] {
+                assert_eq!(
+                    len,
+                    txn_message(&key, &value, clock).len() as u64,
+                    "key {key_len} value {value_len} clock {clock}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Known answers for the block compressor: the length and CRC32C of the
-//! stream `compress` emits on three fixed 64 KiB-class corpora.
+//! stream `compress` emits on three fixed 64 KiB-class corpora, and the
+//! same length from `compressed_len`.
 //!
-//! SSTable block bytes and their checksums are a pure function of the
-//! encoder's match decisions, so any change to those decisions — a new hash,
-//! a different skip schedule, another table-insert policy — changes stored
-//! bytes even when every round trip still succeeds. These pins catch that.
+//! The stream, and so the SSTable and column-file lengths the platforms
+//! charge for, is a pure function of the encoder's match decisions, so any
+//! change to those decisions — a new hash, a different skip schedule,
+//! another table-insert policy — changes simulated time even when every
+//! round trip still succeeds. These pins catch that.
 //! The corpora cover the encoder's regimes:
 //!
 //! - `fleet-log`: the log-like row traffic `hsdp bench` times (short,
@@ -18,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use hsdp_rng::{Rng, StdRng};
-use hsdp_taxes::compress::{compress, decompress};
+use hsdp_taxes::compress::{compress, compressed_len, decompress};
 use hsdp_taxes::crc::crc32c;
 use hsdp_taxes::varint::encode_varint;
 use hsdp_workload::keys::{KeyGen, ValueGen};
@@ -96,5 +98,6 @@ fn compress_emits_the_pinned_bytes() {
             Ok(&corpus),
             "{name}: round trip"
         );
+        assert_eq!(compressed_len(&corpus), want_len, "{name}: compressed_len");
     }
 }

@@ -24,12 +24,21 @@ fn scan_store(store: &HistoryStore) -> (Vec<ProfileSnapshot>, Option<framed::Fra
     (snapshots, scan.damage)
 }
 
+/// A store in a fresh directory of the test's own: the tests run on
+/// parallel threads of one process, so each removes only what it made
+/// (`remove_store`).
 fn temp_store(tag: &str) -> HistoryStore {
-    let dir = std::env::temp_dir().join(format!("hsdp-history-prop-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("hsdp-history-prop-{}-{tag}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(format!("{tag}.bin"));
-    std::fs::remove_file(&path).ok();
-    HistoryStore::open(path)
+    HistoryStore::open(dir.join("store.bin"))
+}
+
+/// Removes a `temp_store` store and its directory.
+fn remove_store(store: &HistoryStore) {
+    if let Some(dir) = store.path().parent() {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
 
 /// A snapshot with seeded-random content: variable key counts, arbitrary
@@ -112,7 +121,7 @@ fn store_round_trips_many_snapshots() {
         assert!(!outcome.recovered);
     }
     assert_eq!(store.load().expect("strict load"), snapshots);
-    std::fs::remove_file(store.path()).ok();
+    remove_store(&store);
 }
 
 #[test]
@@ -159,7 +168,7 @@ fn append_recovers_from_any_torn_tail() {
         assert_eq!(recovered[..2], intact[..2]);
         assert_eq!(recovered[2], replacement, "cut {cut}");
     }
-    std::fs::remove_file(store.path()).ok();
+    remove_store(&store);
 }
 
 #[test]
@@ -198,5 +207,5 @@ fn corrupted_frame_is_detected_not_silently_read() {
         damage,
         Some(framed::FramedError::Corrupt { frame: 1, .. })
     ));
-    std::fs::remove_file(store.path()).ok();
+    remove_store(&store);
 }

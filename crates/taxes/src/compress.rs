@@ -6,15 +6,18 @@
 //! literal runs and back-reference copies.
 //!
 //! [`compress`] extends matches a 64-bit word at a time and skips ahead over
-//! incompressible runs (LZ4-style acceleration); [`decompress`]
-//! batch-copies literal runs and back-references with overlap-safe chunked
-//! copies. Each is the codec's only production implementation: AVX2 tiers
-//! of both were measured on the blocks a fleet run compresses, did not pay
-//! for themselves, and were deleted (DESIGN.md, "One implementation per
-//! kernel"). The original byte-at-a-time encoder stays private as the
-//! fallback for inputs the fast path's u32 hash table cannot address
-//! (4 GiB and up); the byte-at-a-time decoder lives in this module's tests
-//! as the oracle every encoder x decoder pairing is checked against.
+//! incompressible runs (LZ4-style acceleration); [`compressed_len`] runs the
+//! same match finder and only counts the bytes, for the BigTable and
+//! BigQuery blocks whose stream nothing reads; [`decompress`] batch-copies
+//! literal runs and back-references with overlap-safe chunked copies. The
+//! encoder and the decoder are the codec's only production implementations:
+//! AVX2 tiers of both were measured on the blocks a fleet run compresses,
+//! did not pay for themselves, and were deleted (DESIGN.md, "One
+//! implementation per kernel"). The original byte-at-a-time encoder stays
+//! private as the fallback for inputs the fast path's u32 hash table cannot
+//! address (4 GiB and up); the byte-at-a-time decoder lives in this
+//! module's tests as the oracle every encoder x decoder pairing is checked
+//! against.
 //!
 //! ## Stream layout
 //!
@@ -40,7 +43,7 @@
 //! ```
 
 use crate::error::CompressError;
-use crate::varint::{decode_varint, encode_varint};
+use crate::varint::{decode_varint, encode_varint, varint_len};
 
 /// Stream magic bytes.
 const MAGIC: [u8; 2] = *b"HZ";
@@ -102,7 +105,53 @@ fn common_prefix_len(data: &[u8], a: usize, b: usize) -> usize {
     b - start
 }
 
-fn emit_literals(data: &[u8], out: &mut Vec<u8>) {
+/// Where an encoder's stream goes: [`compress`] writes it into a `Vec`,
+/// [`compressed_len`] only counts its bytes.
+trait Sink {
+    fn push(&mut self, byte: u8);
+    fn put_slice(&mut self, bytes: &[u8]);
+    fn put_varint(&mut self, value: u64);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+
+    #[inline]
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    #[inline]
+    fn put_varint(&mut self, value: u64) {
+        encode_varint(value, self);
+    }
+}
+
+/// A sink that keeps only the length of what it is given.
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    #[inline]
+    fn push(&mut self, _byte: u8) {
+        self.0 += 1;
+    }
+
+    #[inline]
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    #[inline]
+    fn put_varint(&mut self, value: u64) {
+        self.0 += varint_len(value);
+    }
+}
+
+#[inline]
+fn emit_literals<S: Sink>(data: &[u8], out: &mut S) {
     if data.is_empty() {
         return;
     }
@@ -111,20 +160,21 @@ fn emit_literals(data: &[u8], out: &mut Vec<u8>) {
         out.push(((len - 1) as u8) << 1);
     } else {
         out.push(0x7f << 1);
-        encode_varint(len as u64, out);
+        out.put_varint(len as u64);
     }
-    out.extend_from_slice(data);
+    out.put_slice(data);
 }
 
-fn emit_copy(len: usize, offset: usize, out: &mut Vec<u8>) {
+#[inline]
+fn emit_copy<S: Sink>(len: usize, offset: usize, out: &mut S) {
     debug_assert!(len >= MIN_MATCH && offset >= 1);
     if len - MIN_MATCH < 0x7f {
         out.push((((len - MIN_MATCH) as u8) << 1) | 1);
     } else {
         out.push((0x7f << 1) | 1);
-        encode_varint(len as u64, out);
+        out.put_varint(len as u64);
     }
-    encode_varint(offset as u64, out);
+    out.put_varint(offset as u64);
 }
 
 /// Compresses `data` into a self-describing block.
@@ -132,21 +182,43 @@ fn emit_copy(len: usize, offset: usize, out: &mut Vec<u8>) {
 /// Same greedy hash-table match finder as the byte-at-a-time original, but
 /// match extension runs a 64-bit word at a time and consecutive misses grow
 /// the probe stride, so incompressible stretches cost sub-linear probe
-/// counts. Output is a pure function of `data`: SSTable block bytes and
-/// their checksums never depend on the host.
+/// counts. Output is a pure function of `data`: the stream never depends
+/// on the host.
 #[must_use]
 pub fn compress(data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+    encode(data, &mut out);
+    out
+}
+
+/// The length of [`compress`]`(data)`, from the same match decisions, with
+/// no stream written: for callers that charge for compressed bytes they
+/// never read.
+#[must_use]
+pub fn compressed_len(data: &[u8]) -> usize {
+    let mut len = ByteCount(0);
+    encode(data, &mut len);
+    len.0
+}
+
+/// Writes the stream header and then `data`'s ops into `out`.
+fn encode<S: Sink>(data: &[u8], out: &mut S) {
+    out.put_slice(&MAGIC);
+    out.push(VERSION);
+    out.put_varint(data.len() as u64);
     // The fast table stores `pos + 1` as u32 (0 = empty) — half the
     // footprint of a usize table, so it stays cache-resident. Inputs too
-    // large for that encoding take the reference path (same format).
+    // large for that encoding take the reference match finder (same
+    // format).
     if data.len() >= u32::MAX as usize {
-        return compress_reference(data);
+        find_matches_reference(data, out);
+    } else {
+        find_matches(data, out);
     }
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    encode_varint(data.len() as u64, &mut out);
+}
 
+/// The match finder: emits `data` as literal runs and back-references.
+fn find_matches<S: Sink>(data: &[u8], out: &mut S) {
     // A fixed-size boxed array (not a Vec): `hash4`'s range is provably in
     // bounds, so every probe indexes without a bounds check.
     let mut table: Box<[u32; 1 << HASH_BITS]> = Box::new([0u32; 1 << HASH_BITS]);
@@ -180,8 +252,8 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         } else {
             8 + common_prefix_len(data, candidate + 8, pos + 8)
         };
-        emit_literals(&data[literal_start..pos], &mut out);
-        emit_copy(len, pos - candidate, &mut out);
+        emit_literals(&data[literal_start..pos], out);
+        emit_copy(len, pos - candidate, out);
         // LZ4-style: one table insert near the match end is enough — the
         // main loop re-seeds every probed position anyway.
         let end = pos + len;
@@ -209,27 +281,21 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
                     .zip(&data[candidate + MIN_MATCH..])
                     .take_while(|(x, y)| x == y)
                     .count();
-            emit_literals(&data[literal_start..pos], &mut out);
-            emit_copy(len, pos - candidate, &mut out);
+            emit_literals(&data[literal_start..pos], out);
+            emit_copy(len, pos - candidate, out);
             pos += len;
             literal_start = pos;
         } else {
             pos += 1;
         }
     }
-    emit_literals(&data[literal_start..], &mut out);
-    out
+    emit_literals(&data[literal_start..], out);
 }
 
-/// The original byte-at-a-time compressor: [`compress`]'s fallback for
+/// The original byte-at-a-time match finder: [`compress`]'s fallback for
 /// inputs its u32 hash table cannot address, and the second encoder the
 /// tests pair with every decoder. Same stream format.
-fn compress_reference(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    encode_varint(data.len() as u64, &mut out);
-
+fn find_matches_reference<S: Sink>(data: &[u8], out: &mut S) {
     let mut table = vec![usize::MAX; 1 << HASH_BITS];
     let mut pos = 0;
     let mut literal_start = 0;
@@ -248,8 +314,8 @@ fn compress_reference(data: &[u8]) -> Vec<u8> {
             while pos + len < data.len() && data[candidate + len] == data[pos + len] {
                 len += 1;
             }
-            emit_literals(&data[literal_start..pos], &mut out);
-            emit_copy(len, pos - candidate, &mut out);
+            emit_literals(&data[literal_start..pos], out);
+            emit_copy(len, pos - candidate, out);
             let end = pos + len;
             let mut seed = pos + 1;
             while seed + MIN_MATCH <= end.min(data.len()) && seed < pos + 16 {
@@ -262,8 +328,7 @@ fn compress_reference(data: &[u8]) -> Vec<u8> {
             pos += 1;
         }
     }
-    emit_literals(&data[literal_start..], &mut out);
-    out
+    emit_literals(&data[literal_start..], out);
 }
 
 /// Decodes one op length, shared by both length classes.
@@ -427,6 +492,13 @@ mod tests {
             });
         }
         Ok(out)
+    }
+
+    /// The byte-at-a-time encoder's whole stream.
+    fn compress_reference(data: &[u8]) -> Vec<u8> {
+        let mut out = header(data.len() as u64);
+        find_matches_reference(data, &mut out);
+        out
     }
 
     /// Round-trips through every encoder x decoder combination: both
@@ -691,6 +763,89 @@ mod tests {
         let mut repeats: Vec<u8> = b"0123456789abcdef".repeat(1000);
         repeats.extend_from_slice(b"xyz");
         roundtrip(&repeats);
+    }
+
+    /// A valid stream's ops as `(output position, length, offset)`, with
+    /// offset 0 for a literal run.
+    fn ops(stream: &[u8]) -> Vec<(usize, usize, usize)> {
+        let (_, n) = decode_varint(&stream[3..]).unwrap();
+        let mut pos = 3 + n;
+        let mut at = 0;
+        let mut ops = Vec::new();
+        while pos < stream.len() {
+            let tag = stream[pos];
+            pos += 1;
+            let short_len = (tag >> 1) as usize;
+            let (len, offset) = if tag & 1 == 1 {
+                let len = decode_op_len(stream, &mut pos, short_len, MIN_MATCH).unwrap();
+                let (offset, n) = decode_varint(&stream[pos..]).unwrap();
+                pos += n;
+                (len, offset as usize)
+            } else {
+                let len = decode_op_len(stream, &mut pos, short_len, 1).unwrap();
+                pos += len;
+                (len, 0)
+            };
+            ops.push((at, len, offset));
+            at += len;
+        }
+        ops
+    }
+
+    /// Up to 70,000 bytes of noise runs and of copies of earlier bytes,
+    /// from anywhere in the window.
+    fn seeded_input(rng: &mut StdRng) -> Vec<u8> {
+        let target = rng.random_range(0..=70_000usize);
+        let mut data = Vec::with_capacity(target);
+        while data.len() < target {
+            let len = rng.random_range(1..=400usize).min(target - data.len());
+            if data.is_empty() || rng.random_range(0..3) == 0 {
+                data.extend((0..len).map(|_| rng.random::<u8>()));
+            } else {
+                let from = rng.random_range(data.len().saturating_sub(MAX_OFFSET)..data.len());
+                for i in 0..len {
+                    data.push(data[from + i]);
+                }
+            }
+        }
+        data
+    }
+
+    #[test]
+    fn compressed_len_counts_what_compress_writes() {
+        let mut rng = StdRng::seed_from_u64(0x7126);
+        let mut inputs: Vec<Vec<u8>> = (0..64).map(|_| seeded_input(&mut rng)).collect();
+        // 20 noise bytes, then a repeat of the first six: the one match
+        // starts inside the last eight bytes.
+        let mut tail: Vec<u8> = (0..20).map(|_| rng.random()).collect();
+        tail.extend_from_within(..6);
+        inputs.push(tail);
+        inputs.push(vec![0; 70_000]);
+
+        // Every op shape whose encoding changes width: literal runs and
+        // copies past the short form, and offsets of two and three varint
+        // bytes; and a copy found by the sub-8-byte tail loop.
+        let (mut long_literal, mut long_copy, mut tail_copy) = (false, false, false);
+        let (mut offset_2, mut offset_3) = (false, false);
+        for data in &inputs {
+            let packed = compress(data);
+            assert_eq!(compressed_len(data), packed.len(), "{} bytes", data.len());
+            for (at, len, offset) in ops(&packed) {
+                if offset == 0 {
+                    long_literal |= len >= 128;
+                } else {
+                    long_copy |= len >= 131;
+                    tail_copy |= at + 8 > data.len();
+                    offset_2 |= (128..16_384).contains(&offset);
+                    offset_3 |= offset >= 16_384;
+                }
+            }
+        }
+        assert_eq!(
+            (long_literal, long_copy, tail_copy, offset_2, offset_3),
+            (true, true, true, true, true),
+            "(literal run >= 128, copy >= 131, tail-loop copy, offset >= 128, offset >= 16384)"
+        );
     }
 
     #[test]

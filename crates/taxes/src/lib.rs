@@ -6,23 +6,26 @@
 //!
 //! | Paper tax | Module | Run by |
 //! |---|---|---|
-//! | Protobuf (de)serialization | [`protowire`] (+ [`varint`]) | Spanner transactions, SSTable blocks, pprof export, history store |
-//! | Compression | [`compress`](mod@compress) | BigTable SSTable blocks, BigQuery column chunks |
-//! | Cryptography | [`sha3`] | Spanner commit digests |
-//! | EDAC / checksums (system tax) | [`crc`] | Spanner replication, SSTable blocks, tablet routing, history frames |
+//! | Protobuf (de)serialization | [`protowire`] (+ [`varint`]) | accelsim's Table 8 pipeline, pprof export, history store; SSTable blocks (varints) |
+//! | Compression | [`compress`](mod@compress) | BigTable SSTable blocks and BigQuery column files, as [`compressed_len`](compress::compressed_len) |
+//! | Cryptography | [`sha3`] | accelsim's Table 8 pipeline, `hsdp bench` |
+//! | EDAC / checksums (system tax) | [`crc`] | tablet routing, the `profile.json` record digest, history frames |
 //!
 //! [`pprof`] dogfoods [`protowire`] to serialize profiler output in the
 //! standard `profile.proto` format, and [`framed`] wraps protowire payloads
 //! in the length-prefixed, CRC32C-checked container the per-commit
 //! profile-history store (`hsdp-profiling::history`) appends to.
 //!
-//! The platforms run these kernels on real bytes, but simulated time never
-//! comes from their speed: every tax category, including the
-//! mem-allocation, RPC and data-movement taxes that have no kernel here, is
-//! charged through `hsdp-platforms`' `WorkMeter` at `costs` rates. The
-//! chained-accelerator validation in `hsdp-accelsim` uses [`protowire`] and
-//! [`sha3`] as its pipeline stages, mirroring the paper's ProtoAcc → SHA3
-//! RTL experiment (Section 6.4).
+//! Simulated time never comes from these kernels' speed: every tax
+//! category, including the mem-allocation, RPC and data-movement taxes that
+//! have no kernel here, is charged through `hsdp-platforms`' `WorkMeter` at
+//! `costs` rates on the bytes each step handles. The platforms run a kernel
+//! only where something reads its output: Spanner sizes its transactions
+//! with protowire's size helpers and charges their checksum and digest
+//! without computing either, and BigTable and BigQuery count compressed
+//! bytes without writing them. The chained-accelerator validation in
+//! `hsdp-accelsim` uses [`protowire`] and [`sha3`] as its pipeline stages,
+//! mirroring the paper's ProtoAcc → SHA3 RTL experiment (Section 6.4).
 //!
 //! Each kernel ships one implementation. CRC32C alone keeps two tiers, the
 //! hardware `crc32` instruction ([`simd::crc`]) and portable slicing-by-8,

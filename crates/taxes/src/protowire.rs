@@ -12,11 +12,15 @@
 //!   length against the bytes left, so hostile input is an error, never an
 //!   overflow or an out-of-bounds slice.
 //! - [`put_varint`], [`put_fixed64`], [`put_fixed32`] and [`put_bytes`]
-//!   are the writers.
+//!   are the writers. Each has a size helper that counts the bytes it
+//!   appends without writing them ([`fixed64_field_len`],
+//!   [`bytes_field_len`], and private ones for varints and fixed32s):
+//!   [`Message::encoded_len`] sums them, and Spanner sizes its commit
+//!   records with them.
 //! - [`Message`] is a *dynamic* message described by a runtime
 //!   [`MessageDescriptor`], in the spirit of HyperProtoBench's
 //!   fleet-representative message shapes: the modeled protobuf workload
-//!   (Spanner's commit record, the Table 8 corpus).
+//!   (the Table 8 corpus).
 //!
 //! The pprof export and the profile-history snapshots are typed codecs over
 //! the reader and the writers.
@@ -153,6 +157,34 @@ pub fn put_bytes(field: u32, payload: &[u8], out: &mut Vec<u8>) {
 fn put_len(field: u32, len: usize, out: &mut Vec<u8>) {
     encode_tag(field, WireType::LengthDelimited, out);
     encode_varint(len as u64, out);
+}
+
+/// The bytes [`put_varint`] appends for `value` on field `field`.
+fn varint_field_len(field: u32, value: u64) -> usize {
+    tag_len(field) + varint_len(value)
+}
+
+/// The bytes [`put_fixed64`] appends on field `field`.
+#[must_use]
+pub fn fixed64_field_len(field: u32) -> usize {
+    tag_len(field) + 8
+}
+
+/// The bytes [`put_fixed32`] appends on field `field`.
+fn fixed32_field_len(field: u32) -> usize {
+    tag_len(field) + 4
+}
+
+/// The bytes [`put_bytes`] appends for a `len`-byte payload on field
+/// `field`.
+#[must_use]
+pub fn bytes_field_len(field: u32, len: usize) -> usize {
+    tag_len(field) + varint_len(len as u64) + len
+}
+
+/// The bytes of a field tag: the wire type takes the low three bits.
+fn tag_len(field: u32) -> usize {
+    varint_len(u64::from(field) << 3)
 }
 
 /// One field's payload, as the wire carries it.
@@ -509,7 +541,7 @@ impl Message {
         let mut len = 0;
         for (&number, values) in &self.values {
             for value in values {
-                len += tag_len(number) + value_len(value);
+                len += field_len(number, value);
             }
         }
         len
@@ -608,24 +640,18 @@ impl Message {
     }
 }
 
-fn tag_len(number: u32) -> usize {
-    varint_len(u64::from(number) << 3)
-}
-
-fn value_len(value: &Value) -> usize {
+/// The bytes [`encode_value`] appends, from the writers' size helpers.
+fn field_len(number: u32, value: &Value) -> usize {
     match value {
-        Value::Uint64(v) => varint_len(*v),
-        Value::Int64(v) => varint_len(*v as u64),
-        Value::Sint64(v) => varint_len(zigzag_encode(*v)),
-        Value::Bool(_) => 1,
-        Value::Fixed64(_) | Value::Double(_) => 8,
-        Value::Fixed32(_) | Value::Float(_) => 4,
-        Value::Str(s) => varint_len(s.len() as u64) + s.len(),
-        Value::Bytes(b) => varint_len(b.len() as u64) + b.len(),
-        Value::Message(m) => {
-            let inner = m.encoded_len();
-            varint_len(inner as u64) + inner
-        }
+        Value::Uint64(v) => varint_field_len(number, *v),
+        Value::Int64(v) => varint_field_len(number, *v as u64),
+        Value::Sint64(v) => varint_field_len(number, zigzag_encode(*v)),
+        Value::Bool(v) => varint_field_len(number, u64::from(*v)),
+        Value::Fixed64(_) | Value::Double(_) => fixed64_field_len(number),
+        Value::Fixed32(_) | Value::Float(_) => fixed32_field_len(number),
+        Value::Str(s) => bytes_field_len(number, s.len()),
+        Value::Bytes(b) => bytes_field_len(number, b.len()),
+        Value::Message(m) => bytes_field_len(number, m.encoded_len()),
     }
 }
 
@@ -925,6 +951,44 @@ mod tests {
             let read = std::iter::from_fn(|| fields.next_field().transpose())
                 .collect::<Result<Vec<_>, _>>();
             assert_eq!(read.is_ok(), ends.contains(&cut), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn size_helpers_count_what_the_writers_append() {
+        let fields = [1, 15, 16, 2047, 2048, MAX_FIELD_NUMBER as u32];
+        let lens = [0usize, 127, 128, 16_383, 16_384];
+        for field in fields {
+            let appended = |put: &dyn Fn(&mut Vec<u8>)| {
+                let mut out = vec![0xaa];
+                put(&mut out);
+                out.len() - 1
+            };
+            for value in lens.map(|len| len as u64).into_iter().chain([u64::MAX]) {
+                assert_eq!(
+                    varint_field_len(field, value),
+                    appended(&|out| put_varint(field, value, out)),
+                    "varint field {field} value {value}"
+                );
+            }
+            assert_eq!(
+                fixed64_field_len(field),
+                appended(&|out| put_fixed64(field, u64::MAX, out)),
+                "fixed64 field {field}"
+            );
+            assert_eq!(
+                fixed32_field_len(field),
+                appended(&|out| put_fixed32(field, u32::MAX, out)),
+                "fixed32 field {field}"
+            );
+            for len in lens {
+                let payload = vec![0x5a; len];
+                assert_eq!(
+                    bytes_field_len(field, len),
+                    appended(&|out| put_bytes(field, &payload, out)),
+                    "bytes field {field} len {len}"
+                );
+            }
         }
     }
 

@@ -3,15 +3,16 @@
 //! The paper's model-validation experiment (Section 6.4, Table 8) chains a
 //! protobuf-serialization accelerator into a SHA3 accelerator; this module is
 //! the software baseline for that pipeline. It implements Keccak-f\[1600\] per
-//! FIPS 202 and the fixed-output sponge [`Sha3`] over it. The platforms hash
-//! with [`Sha3_256`]; the tests also pin the sponge at the SHA3-224, -384
-//! and -512 rates.
+//! FIPS 202 and the fixed-output sponge [`Sha3`] over it. The Table 8
+//! pipeline (`hsdp-accelsim`) hashes with [`Sha3_256`], and `hsdp bench`
+//! times [`keccak_f1600`]; the tests also pin the sponge at the SHA3-224,
+//! -384 and -512 rates.
 //!
 //! The permutation ([`keccak_f1600`]) is the structured 5x5 formulation
 //! straight from the specification. A flat, unrolled 25-lane variant was
-//! measured at 1.14–1.19x on the commit digests Spanner hashes in a fleet
-//! run, below the 1.2x a second implementation must earn, and was deleted
-//! (DESIGN.md, "One implementation per kernel").
+//! measured at 1.14–1.19x on the commit digests Spanner then hashed in a
+//! fleet run, below the 1.2x a second implementation must earn, and was
+//! deleted (DESIGN.md, "One implementation per kernel").
 //!
 //! # Examples
 //!

@@ -89,14 +89,19 @@ impl KeyGen {
         self.key_for_rank(rank)
     }
 
-    /// The key bytes for a specific popularity rank.
+    /// The key bytes for a specific popularity rank: the prefix, `:` and
+    /// the scattered rank in 16 lower-case hex digits.
     #[must_use]
     pub fn key_for_rank(&self, rank: u64) -> Vec<u8> {
         let scattered = rank
             .wrapping_mul(0x100_0000_01b3)
             .wrapping_add(0xcbf2_9ce4_8422_2325)
             % self.zipf.n;
-        format!("{}:{scattered:016x}", self.prefix).into_bytes()
+        let mut key = Vec::with_capacity(self.prefix.len() + 17);
+        key.extend_from_slice(self.prefix.as_bytes());
+        key.push(b':');
+        push_hex16(&mut key, scattered);
+        key
     }
 }
 
@@ -148,6 +153,14 @@ impl ValueGen {
         }
         value
     }
+}
+
+/// Appends `n` as 16 lower-case hex digits, as `format!("{n:016x}")`
+/// spells it.
+fn push_hex16(out: &mut Vec<u8>, n: u64) {
+    let digits: [u8; 16] =
+        std::array::from_fn(|i| b"0123456789abcdef"[(n >> (60 - 4 * i)) as usize & 0xf]);
+    out.extend_from_slice(&digits);
 }
 
 /// Appends `n` in decimal, as `format!("{n}")` spells it.
@@ -277,6 +290,27 @@ mod tests {
             let mut out = b"x".to_vec();
             push_decimal(&mut out, n);
             assert_eq!(out, format!("x{n}").into_bytes());
+        }
+    }
+
+    #[test]
+    fn keys_match_format() {
+        let gen = KeyGen::new("user", 20_000, 0.99);
+        for rank in 0..20_000u64 {
+            let scattered = rank
+                .wrapping_mul(0x100_0000_01b3)
+                .wrapping_add(0xcbf2_9ce4_8422_2325)
+                % 20_000;
+            assert_eq!(
+                gen.key_for_rank(rank),
+                format!("user:{scattered:016x}").into_bytes(),
+                "rank {rank}"
+            );
+        }
+        for n in [0, 0xa, 0x0123_4567_89ab_cdef, u64::MAX] {
+            let mut out = b"x:".to_vec();
+            push_hex16(&mut out, n);
+            assert_eq!(out, format!("x:{n:016x}").into_bytes());
         }
     }
 
