@@ -31,8 +31,8 @@ use hsdp_core::category::Platform;
 use hsdp_platforms::bloom::Bloom;
 use hsdp_platforms::merge::{merge_sorted_runs, Entry};
 use hsdp_platforms::runner::{
-    default_parallelism, platform_key, platform_plan, run_bigquery_shard, run_bigtable_tablet,
-    run_fleet_telemetry, run_spanner_shard, FleetConfig,
+    default_parallelism, merge_fleet_metrics, platform_key, platform_plan, run_bigquery_shard,
+    run_bigtable_tablet, run_fleet_telemetry, run_spanner_shard, FleetConfig,
 };
 use hsdp_rng::{Rng, StdRng};
 use hsdp_taxes::compress::{compress, decompress};
@@ -556,43 +556,47 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         ..fleet_config
     };
 
-    // --- Tail-attribution overhead: report build on top of the fleet. -----
-    // Attribution off is the instrumented fleet run alone; attribution on
-    // adds everything the tail report does — request-id exemplar joins,
-    // per-shard space-saving sketches merged in canonical order, cohort
-    // splits, and blame rendering. The attribution pass is pure folding
-    // over already-produced records, so it must stay within 10% of the
-    // fleet run it decorates.
-    let attribution_off_ns = best_of(5, || time_ns(1, || run_fleet_telemetry(probe_config)));
-    let attribution_on_ns = best_of(5, || {
-        time_ns(1, || {
-            render_json(&FleetRun::new(probe_config).tail("")).len()
-        })
+    // --- Tail-attribution overhead: the tail pass against the fleet run. ---
+    // The tail pass is everything the tail report adds to a fleet run's
+    // records: request-id exemplar joins, per-shard space-saving sketches
+    // merged in canonical order, cohort splits, and blame rendering. It is
+    // pure folding over already-produced records, so it must stay within
+    // 10% of the instrumented fleet run it decorates. Each is timed alone,
+    // best of 5, on the same config; the pass reads the last timed run,
+    // whose records are dropped outside the timed region.
+    let mut runs = Vec::new();
+    let fleet_run_ns = best_of(5, || {
+        runs = Vec::new();
+        time_ns(1, || runs = run_fleet_telemetry(probe_config))
     });
-    report.push(BenchRecord {
-        id: "fleet/tail_attribution/off".to_owned(),
-        ns_per_iter: attribution_off_ns,
-        bytes_per_iter: None,
-        parallelism: parallel_threads,
-        seed: SEED,
-    });
-    report.push(BenchRecord {
-        id: "fleet/tail_attribution/on".to_owned(),
-        ns_per_iter: attribution_on_ns,
-        bytes_per_iter: None,
-        parallelism: parallel_threads,
-        seed: SEED,
-    });
+    let probe_run = FleetRun {
+        config: probe_config,
+        metrics: merge_fleet_metrics(&runs),
+        runs,
+    };
+    let tail_pass_ns = best_of(5, || time_ns(1, || render_json(&probe_run.tail("")).len()));
+    for (id, ns) in [
+        ("fleet/tail_attribution/fleet_run", fleet_run_ns),
+        ("fleet/tail_attribution/tail_pass", tail_pass_ns),
+    ] {
+        report.push(BenchRecord {
+            id: id.to_owned(),
+            ns_per_iter: ns,
+            bytes_per_iter: None,
+            parallelism: parallel_threads,
+            seed: SEED,
+        });
+    }
     println!(
-        "fleet tail attribution: off {:.1} ms, on {:.1} ms ({:.1}% overhead)",
-        attribution_off_ns / 1e6,
-        attribution_on_ns / 1e6,
-        (attribution_on_ns / attribution_off_ns - 1.0) * 100.0,
+        "fleet tail attribution: fleet run {:.1} ms, tail pass {:.1} ms ({:.1}% of the run)",
+        fleet_run_ns / 1e6,
+        tail_pass_ns / 1e6,
+        tail_pass_ns / fleet_run_ns * 100.0,
     );
-    gate(attribution_on_ns <= attribution_off_ns * 1.10, || {
+    gate(tail_pass_ns <= fleet_run_ns * 0.10, || {
         format!(
-            "tail attribution overhead above 10%: on {attribution_on_ns:.0} ns vs \
-             off {attribution_off_ns:.0} ns"
+            "tail attribution overhead above 10%: tail pass {tail_pass_ns:.0} ns vs \
+             fleet run {fleet_run_ns:.0} ns"
         )
     })?;
 

@@ -19,7 +19,7 @@ use hsdp_platforms::runner::{
 };
 use hsdp_platforms::QueryExecution;
 use hsdp_profiling::e2e::{figure2, Figure2};
-use hsdp_profiling::gwp::{CycleProfile, GwpConfig, GwpProfiler};
+use hsdp_profiling::gwp::{CycleProfile, GwpProfiler};
 use hsdp_profiling::history::{ProfileSnapshot, QuantileRow, SnapshotMeta};
 use hsdp_profiling::stacks::StackProfile;
 use hsdp_simcore::time::SimDuration;
@@ -37,9 +37,7 @@ fn sample_period() -> SimDuration {
 
 /// Feeds `executions`' metered work, in order, through one GWP profiler.
 fn gwp_pass<'a>(executions: impl IntoIterator<Item = &'a QueryExecution>) -> GwpProfiler {
-    let mut profiler = GwpProfiler::new(GwpConfig {
-        sample_period: sample_period(),
-    });
+    let mut profiler = GwpProfiler::new(sample_period());
     for exec in executions {
         for &(site, time) in exec.cpu_work.entries() {
             profiler.observe_site(site, time);

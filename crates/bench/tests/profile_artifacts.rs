@@ -7,6 +7,7 @@ use std::process::Command;
 use hsdp_bench::FleetRun;
 use hsdp_core::category::CpuCategory;
 use hsdp_core::category::SystemTax;
+use hsdp_core::stack::{empty_path, Site};
 use hsdp_platforms::runner::FleetConfig;
 use hsdp_profiling::stacks::{max_abs_delta, pprof_category_shares, share_deltas, StackProfile};
 use hsdp_simcore::time::SimDuration;
@@ -111,9 +112,11 @@ fn diff_gate_passes_identical_and_fails_shifted() {
     let mut shifted = stacks.clone();
     let total = stacks.total_exact().as_nanos();
     shifted.record(
-        &["injected.root"],
-        "injected_leaf",
-        CpuCategory::System(SystemTax::MiscSystem),
+        Site::intern(
+            empty_path().child("injected.root"),
+            "injected_leaf",
+            CpuCategory::System(SystemTax::MiscSystem),
+        ),
         SimDuration::from_nanos(total / 15),
         0,
     );

@@ -7,7 +7,8 @@ use hsdp_bench::telemetry_out::platform_agreement;
 use hsdp_bench::FleetRun;
 use hsdp_core::category::Platform;
 use hsdp_platforms::runner::{run_fleet_telemetry, FleetConfig, ShardRun};
-use hsdp_profiling::{GwpConfig, GwpProfiler};
+use hsdp_profiling::GwpProfiler;
+use hsdp_simcore::time::SimDuration;
 use hsdp_telemetry::critical_path::PathCategory;
 use hsdp_telemetry::json;
 
@@ -135,7 +136,8 @@ fn critical_path_cpu_agrees_with_gwp_universe() {
 
         // GWP samples cycles from the same metered universe: the sample
         // count must reconstruct the metered CPU within sampling noise.
-        let mut profiler = GwpProfiler::new(GwpConfig::default());
+        let period = SimDuration::from_micros(10);
+        let mut profiler = GwpProfiler::new(period);
         for run in runs.iter().filter(|r| r.platform == platform) {
             for exec in &run.executions {
                 for &(site, time) in exec.cpu_work.entries() {
@@ -143,8 +145,7 @@ fn critical_path_cpu_agrees_with_gwp_universe() {
                 }
             }
         }
-        let period = profiler.sample_period().as_nanos();
-        let reconstructed = profiler.profile().total_samples() * period;
+        let reconstructed = profiler.into_stack_profile().total_samples() * period.as_nanos();
         let metered = report.metered_cpu.as_nanos();
         // audit: allow(cast, nanosecond totals to f64 for a tolerance ratio)
         let relative = (reconstructed as f64 - metered as f64).abs() / metered as f64;

@@ -49,26 +49,6 @@ impl CpuBreakdown {
         Self::default()
     }
 
-    /// Builds a breakdown from absolute component times.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::DuplicateComponent`] if a category appears twice.
-    pub fn from_times<I>(times: I) -> Result<Self, ModelError>
-    where
-        I: IntoIterator<Item = (CpuCategory, Seconds)>,
-    {
-        let mut components = BTreeMap::new();
-        for (category, time) in times {
-            if components.insert(category, time).is_some() {
-                return Err(ModelError::DuplicateComponent {
-                    category: category.to_string(),
-                });
-            }
-        }
-        Ok(CpuBreakdown { components })
-    }
-
     /// Builds a breakdown from a total CPU time and fractional shares.
     ///
     /// The shares must sum to 1 within a small tolerance; this mirrors how the
@@ -258,16 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn from_times_rejects_duplicates() {
-        let err = CpuBreakdown::from_times([
-            (cat_read(), Seconds::new(1.0)),
-            (cat_read(), Seconds::new(2.0)),
-        ])
-        .unwrap_err();
-        assert!(matches!(err, ModelError::DuplicateComponent { .. }));
-    }
-
-    #[test]
     fn broad_rollups() {
         let b = CpuBreakdown::from_shares(
             Seconds::new(1.0),
@@ -310,12 +280,13 @@ mod tests {
 
     #[test]
     fn merge_sums_components() {
-        let mut a = CpuBreakdown::from_times([(cat_read(), Seconds::new(1.0))]).unwrap();
-        let b = CpuBreakdown::from_times([
+        let mut a: CpuBreakdown = [(cat_read(), Seconds::new(1.0))].into_iter().collect();
+        let b: CpuBreakdown = [
             (cat_read(), Seconds::new(2.0)),
             (cat_os(), Seconds::new(1.0)),
-        ])
-        .unwrap();
+        ]
+        .into_iter()
+        .collect();
         a.merge(&b);
         assert!((a.time(cat_read()).as_secs() - 3.0).abs() < 1e-9);
         assert_eq!(a.len(), 2);

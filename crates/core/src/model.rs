@@ -49,12 +49,6 @@ impl QueryPhases {
         QueryPhases { cpu, dep, overlap }
     }
 
-    /// Phases for a purely CPU-bound query (`t_dep = 0` in Equation 1).
-    #[must_use]
-    pub fn cpu_only(cpu: Seconds) -> Self {
-        QueryPhases::new(cpu, Seconds::ZERO, OverlapFactor::SYNCHRONOUS)
-    }
-
     /// The CPU time `t_cpu` of Equation 1.
     #[must_use]
     pub fn cpu(&self) -> Seconds {

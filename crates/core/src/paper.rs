@@ -34,15 +34,6 @@ pub struct StorageRatio {
     pub hdd: f64,
 }
 
-impl StorageRatio {
-    /// SSD-to-HDD ratio (the paper notes it is "approx. 10x to 110x",
-    /// Section 5).
-    #[must_use]
-    pub fn hdd_per_ssd(&self) -> f64 {
-        self.hdd / self.ssd
-    }
-}
-
 /// Table 1 ratios. The text fixes the HDD column: "For every 90, 164, or 777
 /// bytes in HDD, a byte is allocated in RAM across Spanner, BigTable, and
 /// BigQuery, respectively."
@@ -849,7 +840,8 @@ mod tests {
         // "approx. 10x to 110x" SSD-to-HDD.
         for p in Platform::ALL {
             let r = storage_ratio(p);
-            assert!(r.hdd_per_ssd() > 9.0 && r.hdd_per_ssd() < 115.0, "{p}");
+            let hdd_per_ssd = r.hdd / r.ssd;
+            assert!(hdd_per_ssd > 9.0 && hdd_per_ssd < 115.0, "{p}");
         }
         assert_eq!(storage_ratio(Platform::BigQuery).hdd, 777.0);
     }

@@ -94,7 +94,7 @@ pub struct PlanOutcome {
 /// # Examples
 ///
 /// ```
-/// use hsdp_core::accel::Speedup;
+/// use hsdp_core::accel::{OverlapFactor, Speedup};
 /// use hsdp_core::category::{CpuCategory, DatacenterTax};
 /// use hsdp_core::component::CpuBreakdown;
 /// use hsdp_core::model::QueryPhases;
@@ -112,7 +112,9 @@ pub struct PlanOutcome {
 ///     Seconds::new(1.0),
 ///     &[(compression, 0.5), (rpc, 0.5)],
 /// )?;
-/// let outcome = plan.evaluate(&QueryPhases::cpu_only(Seconds::new(1.0)), &breakdown);
+/// // A CPU-bound query: no dependency time (`t_dep = 0` in Equation 1).
+/// let phases = QueryPhases::new(Seconds::new(1.0), Seconds::ZERO, OverlapFactor::SYNCHRONOUS);
+/// let outcome = plan.evaluate(&phases, &breakdown);
 /// assert!(outcome.speedup > 7.9);
 /// # Ok::<(), hsdp_core::error::ModelError>(())
 /// ```
@@ -139,6 +141,7 @@ impl AccelerationPlan {
     /// # Errors
     ///
     /// Returns [`ModelError::DuplicateComponent`] if a category repeats.
+    // audit: allow(reach, the quickstart doctests in src/lib.rs, the hsdp_core root and this module build their plans with it; doctests are not scanned)
     pub fn uniform<I>(
         categories: I,
         speedup: Speedup,
@@ -391,7 +394,7 @@ mod tests {
     #[test]
     fn empty_plan_reproduces_baseline() {
         let plan = AccelerationPlan::new(InvocationModel::Synchronous);
-        let phases = QueryPhases::cpu_only(Seconds::new(1.0));
+        let phases = QueryPhases::new(Seconds::new(1.0), Seconds::ZERO, OverlapFactor::SYNCHRONOUS);
         let outcome = plan.evaluate(&phases, &even_breakdown());
         assert!((outcome.speedup - 1.0).abs() < 1e-9);
         assert!(outcome.cpu.components.is_empty());
@@ -500,7 +503,7 @@ mod tests {
         )
         .unwrap();
         // Breakdown only covers 0.5s of a 2s CPU time.
-        let b = CpuBreakdown::from_times([(proto(), Seconds::new(0.5))]).unwrap();
+        let b: CpuBreakdown = [(proto(), Seconds::new(0.5))].into_iter().collect();
         let est = plan.accelerated_cpu(Seconds::new(2.0), &b);
         assert!((est.unaccelerated.as_secs() - 1.5).abs() < 1e-9);
         assert!(est.total.as_secs() > 1.5);
@@ -519,8 +522,8 @@ mod tests {
         .unwrap()
         .with_placement(Placement::off_chip_pcie_gen5())
         .with_payload(Bytes::from_gib(10.0));
-        let b = CpuBreakdown::from_times([(proto(), Seconds::new(1.0))]).unwrap();
-        let phases = QueryPhases::cpu_only(Seconds::new(1.0));
+        let b: CpuBreakdown = [(proto(), Seconds::new(1.0))].into_iter().collect();
+        let phases = QueryPhases::new(Seconds::new(1.0), Seconds::ZERO, OverlapFactor::SYNCHRONOUS);
         let outcome = plan.evaluate(&phases, &b);
         assert!(outcome.speedup < 1.0, "speedup {}", outcome.speedup);
     }

@@ -148,6 +148,7 @@ pub fn empty_path() -> FramePath {
 
 /// The interned path of `frames`.
 #[must_use]
+// audit: allow(reach, stack_fold_equivalence.rs and record_oracle.rs build their paths from frame lists with it)
 pub fn path_of(frames: &[&'static str]) -> FramePath {
     frames
         .iter()

@@ -246,12 +246,6 @@ impl Bytes {
         Bytes::new(kib * 1024.0)
     }
 
-    /// Creates a byte count from MiB.
-    #[must_use]
-    pub fn from_mib(mib: f64) -> Self {
-        Bytes::new(mib * 1024.0 * 1024.0)
-    }
-
     /// Creates a byte count from GiB.
     #[must_use]
     pub fn from_gib(gib: f64) -> Self {
@@ -448,10 +442,9 @@ mod tests {
     #[test]
     fn bytes_units_and_ratio() {
         assert_eq!(Bytes::from_kib(1.0).as_f64(), 1024.0);
-        assert_eq!(Bytes::from_mib(1.0).as_f64(), 1024.0 * 1024.0);
         assert_eq!(Bytes::from_gib(1.0).as_f64(), 1024f64.powi(3));
-        assert_eq!(Bytes::from_mib(2.0).ratio(Bytes::from_mib(1.0)), Some(2.0));
-        assert_eq!(Bytes::from_mib(2.0).ratio(Bytes::ZERO), None);
+        assert_eq!(Bytes::from_kib(2.0).ratio(Bytes::from_kib(1.0)), Some(2.0));
+        assert_eq!(Bytes::from_kib(2.0).ratio(Bytes::ZERO), None);
     }
 
     #[test]

@@ -228,9 +228,6 @@ impl Column {
     }
 }
 
-/// The fact-table schema: column names in storage order.
-pub const FACT_COLUMNS: [&str; 6] = ["user_id", "region", "latency_ms", "bytes", "url", "success"];
-
 /// A columnar table (one partition of the fact table).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnTable {
@@ -267,7 +264,8 @@ impl ColumnTable {
         self.rows
     }
 
-    /// A column by index (see [`FACT_COLUMNS`]).
+    /// A column by index, in storage order: `user_id`, `region`,
+    /// `latency_ms`, `bytes`, `url`, `success`.
     ///
     /// # Panics
     ///
@@ -337,8 +335,9 @@ mod tests {
         let rows = sample_rows(100);
         let table = ColumnTable::from_rows(&rows);
         assert_eq!(table.rows(), 100);
-        for i in 0..FACT_COLUMNS.len() {
-            assert_eq!(table.column(i).len(), 100, "column {i}");
+        assert_eq!(table.columns.len(), 6);
+        for (i, column) in table.columns.iter().enumerate() {
+            assert_eq!(column.len(), 100, "column {i}");
         }
         // Spot-check a value.
         if let Column::Str(urls) = table.column(4) {

@@ -71,12 +71,6 @@ impl Spanner {
         }
     }
 
-    /// The committed log length.
-    #[must_use]
-    pub fn log_len(&self) -> usize {
-        self.commits
-    }
-
     fn charge_rpc(&self, meter: &mut WorkMeter, bytes: u64) {
         let mut meter = meter.scope("rpc");
         meter.charge_ops(DatacenterTax::Rpc, "rpc_dispatch", 1, costs::RPC_FIXED_NS);
@@ -613,7 +607,7 @@ mod tests {
         let d = exec.decomposition();
         // Regional quorum wait: hundreds of microseconds of remote work.
         assert!(d.remote.as_secs_f64() > 2e-4, "remote {}", d.remote);
-        assert_eq!(s.log_len(), 1);
+        assert_eq!(s.commits, 1);
         assert_eq!(s.state.get(b"k1".as_slice()), Some(&b"v1".to_vec()));
         // Consensus CPU was charged.
         let b = crate::meter::items_breakdown(&exec.cpu_work);
@@ -661,6 +655,6 @@ mod tests {
             d.remote.as_secs_f64() > 2e-4,
             "the commit leg pays consensus"
         );
-        assert_eq!(s.log_len(), 2);
+        assert_eq!(s.commits, 2);
     }
 }

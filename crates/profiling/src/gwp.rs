@@ -12,25 +12,10 @@
 use std::collections::BTreeMap;
 
 use hsdp_core::category::{BroadCategory, CoreComputeOp, CpuCategory, DatacenterTax, SystemTax};
-use hsdp_core::stack::{Site, SiteMap};
+use hsdp_core::stack::Site;
 use hsdp_simcore::time::SimDuration;
 
 use crate::stacks::StackProfile;
-
-/// The profiler configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GwpConfig {
-    /// Sampling period (simulated CPU time between samples).
-    pub sample_period: SimDuration,
-}
-
-impl Default for GwpConfig {
-    fn default() -> Self {
-        GwpConfig {
-            sample_period: SimDuration::from_micros(10),
-        }
-    }
-}
 
 /// An aggregated CPU profile: sample counts by (category, leaf).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -51,12 +36,6 @@ impl CycleProfile {
             }
         }
         profile
-    }
-
-    /// Total samples collected.
-    #[must_use]
-    pub fn total_samples(&self) -> u64 {
-        self.total
     }
 
     /// Samples attributed to one fine category.
@@ -135,42 +114,33 @@ impl CycleProfile {
 /// The sampling profiler.
 #[derive(Debug)]
 pub struct GwpProfiler {
-    config: GwpConfig,
+    /// Simulated CPU time between samples, in nanoseconds (at least 1).
+    period_ns: u64,
     stacks: StackProfile,
     /// Time carried over until the next sample fires.
     residual: SimDuration,
-    /// The stack-profile cell of each site observed, keyed by identity.
-    site_cells: SiteMap<usize>,
 }
 
 impl GwpProfiler {
-    /// A fresh profiler.
+    /// A fresh profiler sampling every `period` of cumulative CPU time.
     #[must_use]
-    pub fn new(config: GwpConfig) -> Self {
+    pub fn new(period: SimDuration) -> Self {
         GwpProfiler {
-            config,
+            period_ns: period.as_nanos().max(1),
             stacks: StackProfile::new(),
             residual: SimDuration::ZERO,
-            site_cells: SiteMap::default(),
         }
     }
 
     /// Offers `time` of CPU work charged at `site`: samples fire every
-    /// `sample_period` of cumulative CPU time, each attributed to the
-    /// site's leaf. The site's full frame path is folded into the stack
-    /// profile regardless of whether a sample fires, so the stack tree
-    /// carries both exact nanoseconds and sampled counts. The site's
-    /// content is looked up in the stack profile once; later charges at the
-    /// same site go straight to its cell.
+    /// period of cumulative CPU time, each attributed to the site's leaf.
+    /// The site's full frame path is folded into the stack profile
+    /// regardless of whether a sample fires, so the stack tree carries both
+    /// exact nanoseconds and sampled counts.
     pub fn observe_site(&mut self, site: &'static Site, time: SimDuration) {
-        let period = self.config.sample_period.as_nanos().max(1);
         let budget = self.residual.as_nanos() + time.as_nanos();
-        self.residual = SimDuration::from_nanos(budget % period);
-        let cell = *self.site_cells.entry(site).or_insert_with(|| {
-            self.stacks
-                .cell_of(&site.stack(), site.leaf(), site.category())
-        });
-        self.stacks.add(cell, time, budget / period);
+        self.residual = SimDuration::from_nanos(budget % self.period_ns);
+        self.stacks.record(site, time, budget / self.period_ns);
     }
 
     /// The aggregated profile, rolled up from the stack profile.
@@ -191,16 +161,11 @@ impl GwpProfiler {
     pub fn into_stack_profile(self) -> StackProfile {
         self.stacks
     }
-
-    /// The sample period in use.
-    #[must_use]
-    pub fn sample_period(&self) -> SimDuration {
-        self.config.sample_period
-    }
 }
 
 /// A profiler may be built on one thread and returned from another, as a
-/// per-shard fold would; its site map keys must not cost it `Send`/`Sync`.
+/// per-shard fold would; its stack profile's site map keys must not cost it
+/// `Send`/`Sync`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<GwpProfiler>();
@@ -227,9 +192,7 @@ mod tests {
 
     #[test]
     fn samples_proportional_to_time() {
-        let mut profiler = GwpProfiler::new(GwpConfig {
-            sample_period: SimDuration::from_micros(1),
-        });
+        let mut profiler = GwpProfiler::new(SimDuration::from_micros(1));
         observe(&mut profiler, CoreComputeOp::Read, "read_path", 3000);
         observe(&mut profiler, DatacenterTax::Protobuf, "proto_encode", 1000);
         let p = profiler.profile();
@@ -241,22 +204,20 @@ mod tests {
 
     #[test]
     fn sub_period_work_accumulates_via_residual() {
-        let mut profiler = GwpProfiler::new(GwpConfig {
-            sample_period: SimDuration::from_micros(10),
-        });
+        let mut profiler = GwpProfiler::new(SimDuration::from_micros(10));
         // 100 items of 1us each = 100us total = ~10 samples.
         for _ in 0..100 {
             observe(&mut profiler, SystemTax::Stl, "vector_push", 1);
         }
-        let total = profiler.profile().total_samples();
+        let total = profiler
+            .profile()
+            .category_samples(CpuCategory::System(SystemTax::Stl));
         assert_eq!(total, 10, "residual carries across items");
     }
 
     #[test]
     fn broad_and_within_shares() {
-        let mut profiler = GwpProfiler::new(GwpConfig {
-            sample_period: SimDuration::from_micros(1),
-        });
+        let mut profiler = GwpProfiler::new(SimDuration::from_micros(1));
         observe(&mut profiler, CoreComputeOp::Read, "a", 500);
         observe(&mut profiler, CoreComputeOp::Write, "b", 500);
         observe(&mut profiler, DatacenterTax::Rpc, "c", 1000);

@@ -36,7 +36,7 @@ pub mod stacks;
 
 pub use crosscheck::{agree, wilson_interval, PathAgreement};
 pub use e2e::{classify, figure2, Figure2, Figure2Row};
-pub use gwp::{CycleProfile, GwpConfig, GwpProfiler};
+pub use gwp::{CycleProfile, GwpProfiler};
 pub use heavy::{HitterEntry, SpaceSaving};
 pub use history::{
     detect_anomalies, regressions_since, DriftReport, DriftThresholds, HistoryStore,

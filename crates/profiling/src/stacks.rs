@@ -1,18 +1,18 @@
 //! Deterministic stack-tree profiles: frame interning, flamegraph-ready
 //! collapsed output, and pprof export.
 //!
-//! The platforms charge every unit of CPU work at a site that carries the
-//! call-frame path active when the work was charged (outermost-first, e.g.
-//! `spanner.commit → consensus`). [`StackProfile`]
-//! aggregates those paths two ways at once:
+//! The platforms charge every unit of CPU work at an interned
+//! [`Site`]: the call-frame path active when the work was charged
+//! (outermost-first, e.g. `spanner.commit → consensus`), the leaf and the
+//! category. [`StackProfile`] aggregates those sites two ways at once:
 //!
 //! - **exact** nanoseconds from the meter (ground truth), and
 //! - **sampled** counts from the GWP estimator,
 //!
-//! keyed by `(full path incl. leaf, category)`. Frame names are interned
-//! into dense ids in first-seen order, so feeding the same work stream
-//! always produces the same profile — byte-identical folded text and pprof
-//! bytes at any thread count.
+//! one cell per site. Frame names are interned into dense ids in
+//! first-seen order, so feeding the same work stream always produces the
+//! same profile — byte-identical folded text and pprof bytes at any thread
+//! count.
 //!
 //! Export formats:
 //!
@@ -32,6 +32,7 @@
 use std::collections::BTreeMap;
 
 use hsdp_core::category::CpuCategory;
+use hsdp_core::stack::{Site, SiteMap};
 use hsdp_simcore::time::SimDuration;
 use hsdp_taxes::pprof::{Function, Label, Location, Profile, Sample, ValueType};
 use hsdp_telemetry::category_key;
@@ -45,48 +46,46 @@ pub struct StackWeight {
     pub exact_ns: u64,
 }
 
-/// One distinct call-frame path (leaf excluded) and the cells under it.
+/// One site's cell.
 #[derive(Debug, Clone, PartialEq)]
-struct PathCells {
-    /// Interned frame ids, outermost first.
-    ids: Vec<u32>,
-    /// `(leaf, category)` → index into the profile's cells, in first-seen
-    /// order. A path carries a handful of leaves; the list is scanned.
-    cells: Vec<(&'static str, CpuCategory, usize)>,
-}
-
-/// One `(path, leaf, category)` cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
 struct Cell {
-    /// Index into the profile's paths.
-    path: usize,
-    /// Interned leaf id.
-    leaf: u32,
-    category: CpuCategory,
+    site: &'static Site,
+    /// Interned frame ids of the site's path, outermost first, then its
+    /// leaf.
+    ids: Box<[u32]>,
     weight: StackWeight,
 }
 
 /// A deterministic aggregated stack-tree profile.
 ///
-/// Cells accumulate in first-seen order. A record finds its cell through
-/// the frame-path interner only when its path differs from the previous
-/// record's, then through the path's short `(leaf, category)` list, so a
-/// record costs constant work and allocates nothing once its cell exists.
-/// The canonical `(path ids + leaf, category)` order is produced by one
-/// sort at export time.
+/// Cells accumulate in first-seen order, one per [`Site`], found by the
+/// site's identity: a record costs one map lookup and allocates nothing
+/// once its cell exists. Sites are interned by content, so equal
+/// `(path, leaf, category)` text is one cell. The canonical
+/// `(path ids + leaf, category)` order is produced by one sort at export
+/// time.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StackProfile {
     /// Interned frame names, dense ids in first-seen order.
     frames: Vec<&'static str>,
     index: BTreeMap<&'static str, u32>,
-    /// Distinct paths by content → index into `paths`.
-    path_index: BTreeMap<Box<[&'static str]>, usize>,
-    paths: Vec<PathCells>,
-    /// The previous record's path.
-    last_path: Option<usize>,
+    /// Each recorded site's index into `cells`.
+    site_cells: SiteMap<usize>,
     cells: Vec<Cell>,
     total_samples: u64,
     total_exact_ns: u64,
+}
+
+/// The id of frame `name`, interned at the next id when new.
+fn intern(
+    frames: &mut Vec<&'static str>,
+    index: &mut BTreeMap<&'static str, u32>,
+    name: &'static str,
+) -> u32 {
+    *index.entry(name).or_insert_with(|| {
+        frames.push(name);
+        u32::try_from(frames.len() - 1).unwrap_or(u32::MAX)
+    })
 }
 
 impl StackProfile {
@@ -96,93 +95,27 @@ impl StackProfile {
         StackProfile::default()
     }
 
-    fn intern(&mut self, name: &'static str) -> u32 {
-        if let Some(&id) = self.index.get(name) {
-            return id;
-        }
-        let id = u32::try_from(self.frames.len()).unwrap_or(u32::MAX);
-        self.frames.push(name);
-        self.index.insert(name, id);
-        id
-    }
-
-    /// The index of `stack` in `paths`, interning its frames (in order)
-    /// when the path is new.
-    fn intern_path(&mut self, stack: &[&'static str]) -> usize {
-        if let Some(&path) = self.path_index.get(stack) {
-            return path;
-        }
-        let mut ids = Vec::with_capacity(stack.len());
-        for frame in stack {
-            ids.push(self.intern(frame));
-        }
-        let path = self.paths.len();
-        self.paths.push(PathCells {
-            ids,
-            cells: Vec::new(),
+    /// Records `exact` metered time and `samples` GWP samples charged at
+    /// `site`. A site's first record makes its cell and interns its path
+    /// frames, outermost first, then its leaf: the order a walk of every
+    /// record's `path + leaf` would first meet them.
+    pub fn record(&mut self, site: &'static Site, exact: SimDuration, samples: u64) {
+        let (frames, index, cells) = (&mut self.frames, &mut self.index, &mut self.cells);
+        let cell = *self.site_cells.entry(site).or_insert_with(|| {
+            let ids = site
+                .stack()
+                .iter()
+                .copied()
+                .chain([site.leaf()])
+                .map(|name| intern(frames, index, name))
+                .collect();
+            cells.push(Cell {
+                site,
+                ids,
+                weight: StackWeight::default(),
+            });
+            cells.len() - 1
         });
-        self.path_index.insert(stack.into(), path);
-        path
-    }
-
-    /// Records one work item: `stack` is outermost-first and does *not*
-    /// include the leaf, matching the meter's frame convention.
-    ///
-    /// Frames are interned in the order a per-item walk of `stack` then
-    /// `leaf` would first meet them: a new path interns its frames, and a
-    /// new `(leaf, category)` on a path interns the leaf.
-    pub fn record(
-        &mut self,
-        stack: &[&'static str],
-        leaf: &'static str,
-        category: CpuCategory,
-        exact: SimDuration,
-        samples: u64,
-    ) {
-        let cell = self.cell_of(stack, leaf, category);
-        self.add(cell, exact, samples);
-    }
-
-    /// The index of the `(stack, leaf, category)` cell, made when new with
-    /// the interning [`StackProfile::record`] describes. A caller that
-    /// keeps the index may [`StackProfile::add`] later records of the same
-    /// cell without this lookup.
-    pub(crate) fn cell_of(
-        &mut self,
-        stack: &[&'static str],
-        leaf: &'static str,
-        category: CpuCategory,
-    ) -> usize {
-        let path = match self.last_path {
-            Some(last) if self.path_matches(last, stack) => last,
-            _ => self.intern_path(stack),
-        };
-        self.last_path = Some(path);
-        let found = self.paths[path]
-            .cells
-            .iter()
-            .find(|&&(l, c, _)| l == leaf && c == category)
-            .map(|&(_, _, cell)| cell);
-        match found {
-            Some(cell) => cell,
-            None => {
-                let leaf_id = self.intern(leaf);
-                let cell = self.cells.len();
-                self.cells.push(Cell {
-                    path,
-                    leaf: leaf_id,
-                    category,
-                    weight: StackWeight::default(),
-                });
-                self.paths[path].cells.push((leaf, category, cell));
-                cell
-            }
-        }
-    }
-
-    /// Adds one record's weight to cell `cell` (from
-    /// [`StackProfile::cell_of`]).
-    pub(crate) fn add(&mut self, cell: usize, exact: SimDuration, samples: u64) {
         let weight = &mut self.cells[cell].weight;
         weight.samples += samples;
         weight.exact_ns += exact.as_nanos();
@@ -190,25 +123,11 @@ impl StackProfile {
         self.total_exact_ns += exact.as_nanos();
     }
 
-    /// True when `paths[path]` holds exactly the frames of `stack`.
-    fn path_matches(&self, path: usize, stack: &[&'static str]) -> bool {
-        let ids = &self.paths[path].ids;
-        ids.len() == stack.len()
-            && ids
-                .iter()
-                .zip(stack)
-                .all(|(&id, frame)| self.frames[id as usize] == *frame)
-    }
-
     /// The cells in canonical `(path ids + leaf, category)` order, the
     /// order every export emits.
     fn sorted_cells(&self) -> Vec<&Cell> {
         let mut order: Vec<&Cell> = self.cells.iter().collect();
-        order.sort_by(|a, b| {
-            let a_ids = self.paths[a.path].ids.iter().chain([&a.leaf]);
-            let b_ids = self.paths[b.path].ids.iter().chain([&b.leaf]);
-            a_ids.cmp(b_ids).then(a.category.cmp(&b.category))
-        });
+        order.sort_by(|a, b| (&a.ids, a.site.category()).cmp(&(&b.ids, b.site.category())));
         order
     }
 
@@ -217,13 +136,9 @@ impl StackProfile {
     pub(crate) fn leaf_samples(
         &self,
     ) -> impl Iterator<Item = (CpuCategory, &'static str, u64)> + '_ {
-        self.cells.iter().map(|cell| {
-            (
-                cell.category,
-                self.frames[cell.leaf as usize],
-                cell.weight.samples,
-            )
-        })
+        self.cells
+            .iter()
+            .map(|cell| (cell.site.category(), cell.site.leaf(), cell.weight.samples))
     }
 
     /// Total GWP samples recorded.
@@ -250,13 +165,12 @@ impl StackProfile {
         &self,
     ) -> impl Iterator<Item = (Vec<&'static str>, CpuCategory, StackWeight)> + '_ {
         self.sorted_cells().into_iter().map(|cell| {
-            let names = self.paths[cell.path]
+            let names = cell
                 .ids
                 .iter()
-                .chain([&cell.leaf])
                 .map(|&id| self.frames[id as usize])
-                .collect::<Vec<_>>();
-            (names, cell.category, cell.weight)
+                .collect();
+            (names, cell.site.category(), cell.weight)
         })
     }
 
@@ -288,7 +202,7 @@ impl StackProfile {
         let mut totals: BTreeMap<String, u64> = BTreeMap::new();
         for cell in &self.cells {
             *totals
-                .entry(category_key(cell.category).to_owned())
+                .entry(category_key(cell.site.category()).to_owned())
                 .or_insert(0) += cell.weight.exact_ns;
         }
         totals
@@ -356,18 +270,14 @@ impl StackProfile {
             .sorted_cells()
             .into_iter()
             .map(|cell| Sample {
-                location_ids: [cell.leaf]
-                    .iter()
-                    .chain(self.paths[cell.path].ids.iter().rev())
-                    .map(|&id| u64::from(id) + 1)
-                    .collect(),
+                location_ids: cell.ids.iter().rev().map(|&id| u64::from(id) + 1).collect(),
                 values: vec![
                     i64::try_from(cell.weight.samples).unwrap_or(i64::MAX),
                     i64::try_from(cell.weight.exact_ns).unwrap_or(i64::MAX),
                 ],
                 labels: vec![Label {
                     key: label_key,
-                    str_value: intern_str(category_key(cell.category)),
+                    str_value: intern_str(category_key(cell.site.category())),
                 }],
             })
             .collect();
@@ -517,34 +427,44 @@ pub fn max_abs_delta(deltas: &[ShareDelta]) -> f64 {
 mod tests {
     use super::*;
     use hsdp_core::category::{CoreComputeOp, DatacenterTax};
+    use hsdp_core::stack::path_of;
 
     fn micros(n: u64) -> SimDuration {
         SimDuration::from_micros(n)
     }
 
+    /// The interned site of `leaf` under `frames`.
+    fn site(
+        frames: &[&'static str],
+        leaf: &'static str,
+        category: impl Into<CpuCategory>,
+    ) -> &'static Site {
+        Site::intern(path_of(frames), leaf, category.into())
+    }
+
+    /// `text` at an address of its own.
+    fn twin(text: &str) -> &'static str {
+        Box::leak(text.to_owned().into_boxed_str())
+    }
+
     fn sample_profile() -> StackProfile {
-        let mut p = StackProfile::new();
-        p.record(
+        let consensus = site(
             &["spanner.commit", "consensus"],
             "paxos_propose",
-            CoreComputeOp::Consensus.into(),
-            micros(30),
-            3,
+            CoreComputeOp::Consensus,
         );
+        let mut p = StackProfile::new();
+        p.record(consensus, micros(30), 3);
         p.record(
-            &["spanner.commit", "rpc"],
-            "proto_encode",
-            DatacenterTax::Protobuf.into(),
+            site(
+                &["spanner.commit", "rpc"],
+                "proto_encode",
+                DatacenterTax::Protobuf,
+            ),
             micros(10),
             1,
         );
-        p.record(
-            &["spanner.commit", "consensus"],
-            "paxos_propose",
-            CoreComputeOp::Consensus.into(),
-            micros(30),
-            3,
-        );
+        p.record(consensus, micros(30), 3);
         p
     }
 
@@ -573,14 +493,74 @@ mod tests {
 
     #[test]
     fn interning_is_first_seen_order() {
-        let mut a = StackProfile::new();
-        a.record(&["x"], "y", CoreComputeOp::Read.into(), micros(1), 0);
-        a.record(&["x"], "z", CoreComputeOp::Read.into(), micros(1), 0);
-        let mut b = StackProfile::new();
-        b.record(&["x"], "y", CoreComputeOp::Read.into(), micros(1), 0);
-        b.record(&["x"], "z", CoreComputeOp::Read.into(), micros(1), 0);
+        let feed = |p: &mut StackProfile| {
+            p.record(site(&["x"], "y", CoreComputeOp::Read), micros(1), 0);
+            p.record(site(&["x"], "z", CoreComputeOp::Read), micros(1), 0);
+        };
+        let (mut a, mut b) = (StackProfile::new(), StackProfile::new());
+        feed(&mut a);
+        feed(&mut b);
         assert_eq!(a, b, "same feed, same profile");
         assert_eq!(a.frame_count(), 3);
+    }
+
+    #[test]
+    fn equal_text_at_two_addresses_is_one_cell_and_one_frame() {
+        let (frame, leaf) = (twin("stacks.twin"), twin("twin_leaf"));
+        assert!(!std::ptr::eq(frame, "stacks.twin"));
+        let mut p = StackProfile::new();
+        p.record(
+            site(&["stacks.twin"], "twin_leaf", CoreComputeOp::Read),
+            micros(1),
+            1,
+        );
+        p.record(site(&[frame], leaf, CoreComputeOp::Read), micros(2), 1);
+        assert_eq!(p.cells().count(), 1);
+        assert_eq!(p.frame_count(), 2);
+        // A leaf named like a frame shares the frame's id.
+        p.record(
+            site(&["stacks.twin"], twin("stacks.twin"), CoreComputeOp::Read),
+            micros(4),
+            0,
+        );
+        assert_eq!(p.frame_count(), 2);
+        assert_eq!(
+            p.folded(),
+            "stacks.twin;stacks.twin 4000\nstacks.twin;twin_leaf 3000\n"
+        );
+    }
+
+    #[test]
+    fn a_revisited_path_keeps_its_frame_ids() {
+        let a = ["stacks.a", "stacks.mid"];
+        let mut p = StackProfile::new();
+        p.record(site(&a, "x", CoreComputeOp::Read), micros(1), 1);
+        p.record(site(&["stacks.b"], "y", CoreComputeOp::Read), micros(2), 2);
+        p.record(site(&a, "z", CoreComputeOp::Read), micros(3), 3);
+        // stacks.a, stacks.mid, x, stacks.b, y, z.
+        assert_eq!(p.frame_count(), 6);
+        assert_eq!(
+            p.folded(),
+            "stacks.a;stacks.mid;x 1000\n\
+             stacks.a;stacks.mid;z 3000\n\
+             stacks.b;y 2000\n"
+        );
+        let pprof = p.to_pprof(micros(1));
+        let functions: Vec<&str> = pprof
+            .functions
+            .iter()
+            .map(|f| pprof.string(f.name))
+            .collect();
+        assert_eq!(
+            functions,
+            ["stacks.a", "stacks.mid", "x", "stacks.b", "y", "z"]
+        );
+        let locations: Vec<&[u64]> = pprof
+            .samples
+            .iter()
+            .map(|s| s.location_ids.as_slice())
+            .collect();
+        assert_eq!(locations, [&[3, 2, 1][..], &[6, 2, 1], &[5, 4]]);
     }
 
     #[test]

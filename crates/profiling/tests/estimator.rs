@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use hsdp_core::category::{CoreComputeOp, CpuCategory, DatacenterTax, SystemTax};
 use hsdp_core::stack::{empty_path, Site};
 use hsdp_profiling::crosscheck::wilson_interval;
-use hsdp_profiling::gwp::{GwpConfig, GwpProfiler};
+use hsdp_profiling::gwp::GwpProfiler;
 use hsdp_profiling::stacks::StackProfile;
 use hsdp_rng::{Rng, StdRng};
 use hsdp_simcore::time::SimDuration;
@@ -172,9 +172,7 @@ fn workload(seed: u64, items: usize) -> Vec<Work> {
 }
 
 fn run_at(period: SimDuration, work: &[Work]) -> (f64, f64, u64) {
-    let mut profiler = GwpProfiler::new(GwpConfig {
-        sample_period: period,
-    });
+    let mut profiler = GwpProfiler::new(period);
     for &(site, time) in work {
         profiler.observe_site(site, time);
     }
@@ -244,9 +242,7 @@ fn exact_shares_are_period_invariant() {
     // sampler: it must be identical at every period.
     let work = workload(0xBEEF, 5_000);
     let exact_at = |period_us: u64| {
-        let mut profiler = GwpProfiler::new(GwpConfig {
-            sample_period: SimDuration::from_micros(period_us),
-        });
+        let mut profiler = GwpProfiler::new(SimDuration::from_micros(period_us));
         for &(site, time) in &work {
             profiler.observe_site(site, time);
         }
@@ -263,17 +259,14 @@ fn exact_shares_are_period_invariant() {
 fn category_estimates_pair_exact_and_sampled() {
     let mut stacks = StackProfile::new();
     // 75% read, 25% rpc by exact time; sampled counts slightly off.
+    let root = empty_path().child("root");
     stacks.record(
-        &["root"],
-        "read",
-        CoreComputeOp::Read.into(),
+        Site::intern(root, "read", CoreComputeOp::Read.into()),
         SimDuration::from_micros(75),
         70,
     );
     stacks.record(
-        &["root"],
-        "rpc",
-        DatacenterTax::Rpc.into(),
+        Site::intern(root, "rpc", DatacenterTax::Rpc.into()),
         SimDuration::from_micros(25),
         30,
     );

@@ -1,11 +1,11 @@
 //! The GWP stack fold against its reference.
 //!
 //! `GwpProfiler` folds each work item into first-seen cells, finds a cell
-//! through a frame-path interner consulted only when the path changes, and
-//! rolls the leaf-level cycle profile up from the cells. The reference
-//! below is the fold it replaced: one sampling-loop turn per sample, a
-//! `(category, leaf)` map update per sampled item, and a `BTreeMap` insert
-//! with a fresh `(path ids + leaf, category)` key per item. Every export
+//! by its site's identity, and rolls the leaf-level cycle profile up from
+//! the cells. The reference below is the fold it replaced: one
+//! sampling-loop turn per sample, a `(category, leaf)` map update per
+//! sampled item, and a `BTreeMap` insert with a fresh
+//! `(path ids + leaf, category)` key per item. Every export
 //! must agree byte for byte on a small fleet run's records and on synthetic
 //! streams built to hit the fast path's edges.
 
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use hsdp_core::category::{CoreComputeOp, CpuCategory, DatacenterTax, SystemTax};
 use hsdp_core::stack::{empty_path, path_of, FramePath, Site};
 use hsdp_platforms::runner::{run_fleet_telemetry, FleetConfig};
-use hsdp_profiling::gwp::{GwpConfig, GwpProfiler};
+use hsdp_profiling::gwp::GwpProfiler;
 use hsdp_profiling::stacks::{StackProfile, StackWeight};
 use hsdp_simcore::time::SimDuration;
 use hsdp_taxes::pprof::{Function, Label, Location, Profile, Sample, ValueType};
@@ -190,11 +190,23 @@ impl ReferenceFold {
     }
 }
 
+/// Every fine category, once.
+fn every_category() -> Vec<CpuCategory> {
+    let mut all: Vec<CpuCategory> = CoreComputeOp::DATABASE_OPS
+        .iter()
+        .chain(&CoreComputeOp::ANALYTICS_OPS)
+        .map(|&op| CpuCategory::Core(op))
+        .chain(DatacenterTax::ALL.map(CpuCategory::Datacenter))
+        .chain(SystemTax::ALL.map(CpuCategory::System))
+        .collect();
+    all.sort();
+    all.dedup();
+    all
+}
+
 /// Feeds `work` through both folds and checks every export.
 fn assert_folds_agree(work: &[WorkItem], period: SimDuration, what: &str) {
-    let mut profiler = GwpProfiler::new(GwpConfig {
-        sample_period: period,
-    });
+    let mut profiler = GwpProfiler::new(period);
     let mut reference = ReferenceFold::new(period);
     for item in work {
         profiler.observe_site(
@@ -223,7 +235,11 @@ fn assert_folds_agree(work: &[WorkItem], period: SimDuration, what: &str) {
         reference.to_pprof(period).encode(),
         "{what}: pprof bytes"
     );
-    assert_eq!(profile.total_samples(), reference.leaf_total, "{what}");
+    let rolled_up: u64 = every_category()
+        .into_iter()
+        .map(|category| profile.category_samples(category))
+        .sum();
+    assert_eq!(rolled_up, reference.leaf_total, "{what}");
     for (category, count) in reference.category_samples() {
         assert_eq!(
             profile.category_samples(category),

@@ -4,7 +4,7 @@
 //! "distributed caching and file system layers" the paper's platforms sit
 //! on (Section 2.2), plus the provisioning model behind Table 1.
 //!
-//! - [`tier`] — RAM/SSD/HDD device models and per-tier statistics.
+//! - [`tier`] — RAM/SSD/HDD device models.
 //! - [`cache`] — pluggable byte-capacity cache policies (LRU, LFU, 2Q).
 //! - [`tiered`] — a three-tier read-through / write-through stack.
 //! - [`provision`](mod@provision) — sizing tiers from zipfian hit-rate targets,
@@ -23,5 +23,5 @@ pub mod tiered;
 pub use cache::{CachePolicy, LfuCache, LruCache, PolicyKind, TwoQCache};
 pub use predictive::PredictiveCache;
 pub use provision::{provision, PlatformClass, ProvisionSpec, Provisioned, ZipfWorkingSet};
-pub use tier::{TierKind, TierSpec, TierStats};
+pub use tier::{TierKind, TierSpec};
 pub use tiered::TieredStore;

@@ -38,23 +38,9 @@ impl ZipfWorkingSet {
         (k.powf(1.0 - self.theta) - 1.0) / (1.0 - self.theta)
     }
 
-    /// Expected hit rate when the most popular `fraction` of items is cached.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `fraction ∈ [0, 1]`.
-    #[must_use]
-    pub fn hit_rate(&self, fraction: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&fraction), "fraction in [0, 1]");
-        if fraction <= 0.0 {
-            return 0.0;
-        }
-        let k = (self.items * fraction).max(1.0);
-        (self.h(k) / self.h(self.items)).min(1.0)
-    }
-
-    /// The smallest cached fraction achieving `target` hit rate (inverse of
-    /// [`ZipfWorkingSet::hit_rate`]).
+    /// The smallest cached fraction achieving `target` hit rate: caching
+    /// the most popular `k` of `n` items hits `H_k(θ) / H_n(θ)` of accesses,
+    /// inverted for `k`.
     ///
     /// # Panics
     ///
@@ -177,26 +163,37 @@ pub fn paper_spec(class: PlatformClass) -> ProvisionSpec {
 mod tests {
     use super::*;
 
+    /// Expected hit rate when the most popular `fraction` of items is
+    /// cached: the forward model `fraction_for_hit_rate` inverts.
+    fn hit_rate(ws: &ZipfWorkingSet, fraction: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&fraction), "fraction in [0, 1]");
+        if fraction <= 0.0 {
+            return 0.0;
+        }
+        let k = (ws.items * fraction).max(1.0);
+        (ws.h(k) / ws.h(ws.items)).min(1.0)
+    }
+
     #[test]
     fn hit_rate_monotone_in_fraction() {
         let ws = ZipfWorkingSet::new(1e9, 0.9);
         let mut last = 0.0;
         for i in 0..=20 {
             let f = i as f64 / 20.0;
-            let h = ws.hit_rate(f);
+            let h = hit_rate(&ws, f);
             assert!(h >= last - 1e-12, "hit rate must not decrease");
             assert!((0.0..=1.0).contains(&h));
             last = h;
         }
-        assert_eq!(ws.hit_rate(0.0), 0.0);
-        assert!((ws.hit_rate(1.0) - 1.0).abs() < 1e-9);
+        assert_eq!(hit_rate(&ws, 0.0), 0.0);
+        assert!((hit_rate(&ws, 1.0) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn skew_concentrates_hits() {
         // 1% of items captures far more than 1% of accesses under zipf.
         let ws = ZipfWorkingSet::new(1e9, 0.9);
-        assert!(ws.hit_rate(0.01) > 0.5);
+        assert!(hit_rate(&ws, 0.01) > 0.5);
     }
 
     #[test]
@@ -204,7 +201,7 @@ mod tests {
         let ws = ZipfWorkingSet::new(1e9, 0.9);
         for target in [0.1, 0.3, 0.5, 0.7, 0.9] {
             let f = ws.fraction_for_hit_rate(target);
-            let back = ws.hit_rate(f);
+            let back = hit_rate(&ws, f);
             assert!((back - target).abs() < 0.01, "target {target} got {back}");
         }
         assert_eq!(ws.fraction_for_hit_rate(0.0), 0.0);

@@ -78,32 +78,6 @@ impl TierSpec {
     }
 }
 
-/// Per-tier access statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TierStats {
-    /// Accesses that hit this tier.
-    pub hits: u64,
-    /// Accesses that had to fall through to a slower tier.
-    pub misses: u64,
-    /// Bytes read from this tier.
-    pub bytes_read: u64,
-    /// Bytes written into this tier (fills + writes).
-    pub bytes_written: u64,
-}
-
-impl TierStats {
-    /// Hit rate among accesses that consulted this tier (0 when unused).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,16 +103,5 @@ mod tests {
         let ssd = TierSpec::typical(TierKind::Ssd, 1).access_time(4096);
         let hdd = TierSpec::typical(TierKind::Hdd, 1).access_time(4096);
         assert!(ram < ssd && ssd < hdd);
-    }
-
-    #[test]
-    fn hit_rate_arithmetic() {
-        let stats = TierStats {
-            hits: 3,
-            misses: 1,
-            ..TierStats::default()
-        };
-        assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(TierStats::default().hit_rate(), 0.0);
     }
 }

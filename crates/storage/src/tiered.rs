@@ -8,7 +8,7 @@
 use hsdp_simcore::time::SimDuration;
 
 use crate::cache::{build_cache, CachePolicy, PolicyKind};
-use crate::tier::{TierKind, TierSpec, TierStats};
+use crate::tier::{TierKind, TierSpec};
 
 /// Outcome of one read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,9 +27,6 @@ pub struct TieredStore {
     hdd_spec: TierSpec,
     ram: Box<dyn CachePolicy + Send>,
     ssd: Box<dyn CachePolicy + Send>,
-    ram_stats: TierStats,
-    ssd_stats: TierStats,
-    hdd_stats: TierStats,
 }
 
 impl TieredStore {
@@ -43,9 +40,6 @@ impl TieredStore {
             hdd_spec: TierSpec::typical(TierKind::Hdd, hdd_bytes),
             ram: build_cache(policy, ram_bytes),
             ssd: build_cache(policy, ssd_bytes),
-            ram_stats: TierStats::default(),
-            ssd_stats: TierStats::default(),
-            hdd_stats: TierStats::default(),
         }
     }
 
@@ -53,35 +47,24 @@ impl TieredStore {
     /// simulated latency. Misses fill the faster tiers (read-through).
     pub fn read(&mut self, key: u64, bytes: u64) -> ReadOutcome {
         if self.ram.access(key) {
-            self.ram_stats.hits += 1;
-            self.ram_stats.bytes_read += bytes;
             return ReadOutcome {
                 served_by: TierKind::Ram,
                 latency: self.ram_spec.access_time(bytes),
             };
         }
-        self.ram_stats.misses += 1;
 
         if self.ssd.access(key) {
-            self.ssd_stats.hits += 1;
-            self.ssd_stats.bytes_read += bytes;
             // Fill RAM on the way back.
             self.ram.insert(key, bytes);
-            self.ram_stats.bytes_written += bytes;
             return ReadOutcome {
                 served_by: TierKind::Ssd,
                 latency: self.ram_spec.access_time(0) + self.ssd_spec.access_time(bytes),
             };
         }
-        self.ssd_stats.misses += 1;
 
         // HDD always has the data (capacity tier).
-        self.hdd_stats.hits += 1;
-        self.hdd_stats.bytes_read += bytes;
         self.ssd.insert(key, bytes);
-        self.ssd_stats.bytes_written += bytes;
         self.ram.insert(key, bytes);
-        self.ram_stats.bytes_written += bytes;
         ReadOutcome {
             served_by: TierKind::Hdd,
             latency: self.ram_spec.access_time(0)
@@ -95,8 +78,6 @@ impl TieredStore {
     /// replicated durability the platforms require.
     pub fn write(&mut self, key: u64, bytes: u64) -> SimDuration {
         self.ram.insert(key, bytes);
-        self.ram_stats.bytes_written += bytes;
-        self.hdd_stats.bytes_written += bytes;
         self.ram_spec.access_time(bytes) + self.hdd_spec.access_time(bytes)
     }
 
@@ -105,9 +86,7 @@ impl TieredStore {
     /// reach HDD later via background migration the queries never wait on).
     pub fn write_fast(&mut self, key: u64, bytes: u64) -> SimDuration {
         self.ram.insert(key, bytes);
-        self.ram_stats.bytes_written += bytes;
         self.ssd.insert(key, bytes);
-        self.ssd_stats.bytes_written += bytes;
         self.ram_spec.access_time(bytes) + self.ssd_spec.access_time(bytes)
     }
 
@@ -123,26 +102,6 @@ impl TieredStore {
     pub fn invalidate(&mut self, key: u64) {
         self.ram.remove(key);
         self.ssd.remove(key);
-    }
-
-    /// Statistics for one tier.
-    #[must_use]
-    pub fn stats(&self, tier: TierKind) -> TierStats {
-        match tier {
-            TierKind::Ram => self.ram_stats,
-            TierKind::Ssd => self.ssd_stats,
-            TierKind::Hdd => self.hdd_stats,
-        }
-    }
-
-    /// The device spec of one tier.
-    #[must_use]
-    pub fn spec(&self, tier: TierKind) -> TierSpec {
-        match tier {
-            TierKind::Ram => self.ram_spec,
-            TierKind::Ssd => self.ssd_spec,
-            TierKind::Hdd => self.hdd_spec,
-        }
     }
 }
 
@@ -178,20 +137,6 @@ mod tests {
             TierKind::Ssd,
             "evicted from RAM, kept in SSD"
         );
-    }
-
-    #[test]
-    fn stats_account_hits_and_misses() {
-        let mut s = store();
-        s.read(1, 100);
-        s.read(1, 100);
-        s.read(2, 100);
-        let ram = s.stats(TierKind::Ram);
-        assert_eq!(ram.hits, 1);
-        assert_eq!(ram.misses, 2);
-        let hdd = s.stats(TierKind::Hdd);
-        assert_eq!(hdd.hits, 2);
-        assert!((s.stats(TierKind::Ram).hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

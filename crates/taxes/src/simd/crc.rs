@@ -129,6 +129,7 @@ pub(crate) fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
 /// The dispatched entry ([`crate::crc::crc32c_append`]) when it runs the
 /// hardware tier, or `None` when the host has no fast path (or scalar is
 /// forced): lets the equivalence tests drive the exact path production uses.
+// audit: allow(reach, simd_equivalence.rs and this module's tests drive the hardware tier through it)
 pub fn crc32c_fn() -> Option<fn(u32, &[u8]) -> u32> {
     hardware_crc().then_some(crate::crc::crc32c_append as fn(u32, &[u8]) -> u32)
 }

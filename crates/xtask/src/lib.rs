@@ -18,7 +18,7 @@
 //! | `unsafe`   | quarantine discipline: `unsafe` only inside `simd`/`hw`        |
 //! |            | submodules, and every `unsafe` block carries `// SAFETY:`      |
 //! | `reach`    | no dead surface: every library `pub` item is named by some     |
-//! |            | code besides its own definition and its own unit tests         |
+//! |            | production code besides its own definition, not only by tests  |
 //!
 //! Every rule shares one escape hatch, the inline pragma
 //! `// audit: allow(<rule>, <reason>)` (or `# audit: allow(dep, <reason>)`

@@ -33,7 +33,7 @@ pub enum RuleKind {
     /// `unsafe` code outside the `simd`/`hw` quarantine submodules, or an
     /// `unsafe` block inside them lacking a `// SAFETY:` comment.
     Unsafe,
-    /// A library `pub` item that nothing but its own unit tests names.
+    /// A library `pub` item that no production code names.
     Reach,
     /// A malformed `audit: allow` pragma (bad rule name or empty reason).
     Pragma,

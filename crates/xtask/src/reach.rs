@@ -1,37 +1,31 @@
-//! Rule `reach`: every library item is reached by something besides its
-//! own unit tests.
+//! Rule `reach`: every library item is reached by production code.
 //!
 //! The paper counts cost only for code the fleet runs; the workspace keeps
-//! only code some artifact, binary, benchmark or test reaches. A public
-//! item of a library crate (bare-`pub` `fn`, `struct`, `enum`, `trait`,
-//! `const`, `static` or `type` on a non-test line of `crates/*/src/**`,
-//! binaries and xtask excluded) must be named as a code token somewhere
-//! besides its own definition:
+//! only code some artifact, binary or benchmark reaches. A public item of a
+//! library crate (bare-`pub` `fn`, `struct`, `enum`, `trait`, `const`,
+//! `static` or `type` on a non-test line of `crates/*/src/**`, binaries and
+//! xtask excluded) must be named as a code token somewhere besides its own
+//! definition, on a production line: non-test code of any library, the
+//! `hsdp` binary or the `fleetbench/` benchmark.
 //!
-//! - in its own file's non-test code, or
-//! - in any other Rust file of the tree: library, binary, integration test
-//!   or the `fleetbench/` benchmark.
-//!
-//! Integration tests count because some hooks exist for them (an oracle
-//! that needs private state). Mentions in the item's own test module, in
-//! comments or strings, and on `pub use` re-export lines do not: a
-//! re-export reaches nothing by itself.
+//! Test code reaches nothing: a mention inside any `#[cfg(test)]` region,
+//! in `crates/*/tests/` or in `tests/` does not count, so API that only
+//! tests call is a finding. Nor do comments, strings and `pub use`
+//! re-export lines: a re-export reaches nothing by itself.
 //!
 //! The match is by name, so a dead item whose name a live item shares goes
-//! unflagged. Deliberate API that nothing reaches yet is whitelisted with
-//! `// audit: allow(reach, <reason>)` above the item.
+//! unflagged. A hook that a test suite needs (an oracle over private state,
+//! a test entry into a dispatched kernel) is kept with
+//! `// audit: allow(reach, <reason>)` above the item, the reason naming
+//! the suite.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::citations::public_item;
 use crate::lexer::{self, Line};
 
 /// A raw finding: `(file index, line, message)`.
 pub type ReachFinding = (usize, usize, String);
-
-/// One mention of a subject's name: file index, and whether the line sits
-/// in a test region.
-type Mention = (usize, bool);
 
 /// True when the file's public items are subjects of the rule.
 fn in_scope(rel: &str) -> bool {
@@ -40,6 +34,11 @@ fn in_scope(rel: &str) -> bool {
         && !rel.contains("/src/bin/")
         && !rel.ends_with("/main.rs")
         && !rel.starts_with("crates/xtask/")
+}
+
+/// True when the file is an integration test, whose every line is test code.
+fn is_test_file(rel: &str) -> bool {
+    rel.starts_with("tests/") || rel.contains("/tests/")
 }
 
 /// Checks every subject in `files` (workspace-relative path, scanned
@@ -63,19 +62,22 @@ pub fn check(files: &[(&str, &[Line])]) -> Vec<ReachFinding> {
         .map(|(fi, line, _, name)| (name.as_str(), *fi, *line))
         .collect();
 
-    let mut mentions: BTreeMap<&str, Vec<Mention>> = BTreeMap::new();
-    for (fi, (_, lines)) in files.iter().enumerate() {
+    let mut reached: BTreeSet<&str> = BTreeSet::new();
+    for (fi, (rel, lines)) in files.iter().enumerate() {
+        if is_test_file(rel) {
+            continue;
+        }
         let mut in_reexport = false;
         for line in lines.iter() {
             let toks = lexer::tokens(&line.code);
             in_reexport |= is_reexport(&toks);
-            if !in_reexport {
+            if !in_reexport && !line.in_test {
                 for tok in &toks {
                     let Some(&name) = names.get(tok.as_str()) else {
                         continue;
                     };
                     if !defs.contains(&(name, fi, line.number)) {
-                        mentions.entry(name).or_default().push((fi, line.in_test));
+                        reached.insert(name);
                     }
                 }
             }
@@ -85,20 +87,15 @@ pub fn check(files: &[(&str, &[Line])]) -> Vec<ReachFinding> {
         }
     }
 
-    let reached = |fi: usize, name: &str| {
-        mentions
-            .get(name)
-            .is_some_and(|ms| ms.iter().any(|&(mfi, in_test)| mfi != fi || !in_test))
-    };
     subjects
         .iter()
-        .filter(|(fi, _, _, name)| !reached(*fi, name))
+        .filter(|(_, _, _, name)| !reached.contains(name.as_str()))
         .map(|(fi, line, kind, name)| {
             (
                 *fi,
                 *line,
                 format!(
-                    "public {kind} `{name}` is reached by nothing but its own unit tests; \
+                    "public {kind} `{name}` is reached by no production code; \
                      delete it or whitelist with `// audit: allow(reach, <reason>)`"
                 ),
             )
@@ -134,6 +131,15 @@ mod tests {
         assert!(!in_scope("crates/xtask/src/lib.rs"));
         assert!(!in_scope("src/lib.rs"));
         assert!(!in_scope("crates/core/tests/model_properties.rs"));
+    }
+
+    #[test]
+    fn integration_tests_are_test_files() {
+        assert!(is_test_file("tests/end_to_end.rs"));
+        assert!(is_test_file("crates/core/tests/model_properties.rs"));
+        assert!(!is_test_file("crates/core/src/model.rs"));
+        assert!(!is_test_file("crates/bench/src/bin/hsdp/main.rs"));
+        assert!(!is_test_file("fleetbench/api.rs"));
     }
 
     #[test]

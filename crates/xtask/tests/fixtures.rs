@@ -516,15 +516,47 @@ fn reach_rule_ignores_the_items_own_unit_tests() {
 }
 
 #[test]
-fn reach_rule_is_cleared_by_an_integration_test() {
+fn reach_rule_is_not_cleared_by_test_code() {
     let fx = Fixture::new("reach-itest");
     fx.write("crates/demo/src/lib.rs", UNREACHED);
     fx.write(
         "crates/demo/tests/oracle.rs",
         "#[test]\nfn t() {\n    assert_eq!(demo::helper(), 7);\n}\n",
     );
+    fx.write(
+        "tests/end_to_end.rs",
+        "#[test]\nfn t() {\n    assert_eq!(demo::helper(), 7);\n}\n",
+    );
+    fx.write(
+        "crates/user/src/lib.rs",
+        "pub fn live() -> u8 {\n    1\n}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        assert_eq!(demo::helper(), 7);\n    }\n}\n",
+    );
+    fx.write(
+        "fleetbench/main.rs",
+        "fn main() {\n    println!(\"{}\", user::live());\n}\n",
+    );
     let report = fx.audit_rule(RuleKind::Reach);
-    assert_eq!(count(&report, RuleKind::Reach), 0, "{:?}", report.findings);
+    assert_eq!(count(&report, RuleKind::Reach), 1, "{:?}", report.findings);
+    assert_eq!(report.findings[0].file, "crates/demo/src/lib.rs");
+    assert!(report.findings[0].message.contains("fn `helper`"));
+}
+
+#[test]
+fn reach_rule_honours_a_pragma_d_integration_test_hook() {
+    let fx = Fixture::new("reach-itest-hook");
+    fx.write(
+        "crates/demo/src/lib.rs",
+        &format!(
+            "// audit: allow(reach, oracle.rs checks the private state through it)\n{UNREACHED}"
+        ),
+    );
+    fx.write(
+        "crates/demo/tests/oracle.rs",
+        "#[test]\nfn t() {\n    assert_eq!(demo::helper(), 7);\n}\n",
+    );
+    let report = fx.audit_rule(RuleKind::Reach);
+    assert!(report.is_clean(), "{:?}", report.findings);
+    assert_eq!(report.pragmas_honoured, 1);
 }
 
 #[test]

@@ -3,7 +3,9 @@
 //! the paper's qualitative findings.
 
 use hsdp::core::accel::Speedup;
-use hsdp::core::category::{BroadCategory, Platform};
+use hsdp::core::category::{
+    BroadCategory, CoreComputeOp, CpuCategory, DatacenterTax, Platform, SystemTax,
+};
 use hsdp::core::paper;
 use hsdp::core::plan::{AccelerationPlan, InvocationModel};
 use hsdp::core::profile::QueryGroup;
@@ -30,7 +32,14 @@ fn fleet_covers_all_three_platforms() {
     );
     for run in &runs {
         assert!(!run.executions.is_empty());
-        assert!(run.profile.total_samples() > 100, "{}", run.platform);
+        let sampled: u64 = CoreComputeOp::for_platform(run.platform)
+            .iter()
+            .map(|&op| CpuCategory::Core(op))
+            .chain(DatacenterTax::ALL.map(CpuCategory::Datacenter))
+            .chain(SystemTax::ALL.map(CpuCategory::System))
+            .map(|category| run.profile.category_samples(category))
+            .sum();
+        assert!(sampled > 100, "{}", run.platform);
     }
 }
 
