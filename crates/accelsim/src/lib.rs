@@ -16,5 +16,5 @@
 pub mod pipeline;
 pub mod validate;
 
-pub use pipeline::{run_chained, run_sequential, FnStage, PipelineRun, PipelineStage};
+pub use pipeline::{run_chained, run_sequential, PipelineRun, Stage};
 pub use validate::{paper_replay, software_validation, PaperReplay, SoftwareValidation};

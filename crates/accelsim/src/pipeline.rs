@@ -7,45 +7,8 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// One pipeline stage: transforms byte payloads.
-pub trait PipelineStage: Send {
-    /// The stage's display name.
-    fn name(&self) -> &'static str;
-
-    /// Processes one item.
-    fn process(&mut self, item: Vec<u8>) -> Vec<u8>;
-}
-
-/// A closure-backed stage.
-pub struct FnStage<F> {
-    name: &'static str,
-    f: F,
-}
-
-impl<F> std::fmt::Debug for FnStage<F> {
-    fn fmt(&self, fmt: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fmt.debug_struct("FnStage")
-            .field("name", &self.name)
-            .finish()
-    }
-}
-
-impl<F: FnMut(Vec<u8>) -> Vec<u8> + Send> FnStage<F> {
-    /// Wraps a closure as a stage.
-    pub fn new(name: &'static str, f: F) -> Self {
-        FnStage { name, f }
-    }
-}
-
-impl<F: FnMut(Vec<u8>) -> Vec<u8> + Send> PipelineStage for FnStage<F> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn process(&mut self, item: Vec<u8>) -> Vec<u8> {
-        (self.f)(item)
-    }
-}
+/// One pipeline stage: transforms one byte payload into the next.
+pub type Stage = Box<dyn FnMut(Vec<u8>) -> Vec<u8> + Send>;
 
 /// The result of running a pipeline over a batch of items.
 #[derive(Debug)]
@@ -58,7 +21,7 @@ pub struct PipelineRun {
 
 /// Runs items through the stages sequentially on the calling thread — the
 /// unchained, core-coordinated baseline.
-pub fn run_sequential(stages: Vec<Box<dyn PipelineStage>>, inputs: Vec<Vec<u8>>) -> PipelineRun {
+pub fn run_sequential(stages: Vec<Stage>, inputs: Vec<Vec<u8>>) -> PipelineRun {
     let mut stages = stages;
     // audit: allow(determinism, hardware-validation experiment: measures real host wall time by design; never feeds simulated fleet artifacts)
     let start = Instant::now();
@@ -66,7 +29,7 @@ pub fn run_sequential(stages: Vec<Box<dyn PipelineStage>>, inputs: Vec<Vec<u8>>)
         .into_iter()
         .map(|mut item| {
             for stage in &mut stages {
-                item = stage.process(item);
+                item = stage(item);
             }
             item
         })
@@ -80,7 +43,7 @@ pub fn run_sequential(stages: Vec<Box<dyn PipelineStage>>, inputs: Vec<Vec<u8>>)
 /// Runs items through the stages as a chained pipeline: one thread per
 /// stage, connected by FIFO channels. While stage `i` processes item `k`,
 /// stage `i+1` processes item `k-1` — the paper's chained execution model.
-pub fn run_chained(stages: Vec<Box<dyn PipelineStage>>, inputs: Vec<Vec<u8>>) -> PipelineRun {
+pub fn run_chained(stages: Vec<Stage>, inputs: Vec<Vec<u8>>) -> PipelineRun {
     assert!(!stages.is_empty(), "pipeline needs at least one stage");
     let n = inputs.len();
     // audit: allow(determinism, hardware-validation experiment: measures real host wall time by design; never feeds simulated fleet artifacts)
@@ -93,7 +56,7 @@ pub fn run_chained(stages: Vec<Box<dyn PipelineStage>>, inputs: Vec<Vec<u8>>) ->
         let input = prev_rx;
         handles.push(thread::spawn(move || {
             while let Ok(item) = input.recv() {
-                let out = stage.process(item);
+                let out = stage(item);
                 if tx.send(out).is_err() {
                     break;
                 }
@@ -132,18 +95,16 @@ pub fn run_chained(stages: Vec<Box<dyn PipelineStage>>, inputs: Vec<Vec<u8>>) ->
 mod tests {
     use super::*;
 
-    fn doubler() -> Box<dyn PipelineStage> {
-        Box::new(FnStage::new("double", |mut v: Vec<u8>| {
+    fn doubler() -> Stage {
+        Box::new(|mut v: Vec<u8>| {
             let copy = v.clone();
             v.extend(copy);
             v
-        }))
+        })
     }
 
-    fn len_tag() -> Box<dyn PipelineStage> {
-        Box::new(FnStage::new("len", |v: Vec<u8>| {
-            (v.len() as u64).to_le_bytes().to_vec()
-        }))
+    fn len_tag() -> Stage {
+        Box::new(|v: Vec<u8>| (v.len() as u64).to_le_bytes().to_vec())
     }
 
     #[test]
@@ -158,10 +119,7 @@ mod tests {
     #[test]
     fn order_is_preserved() {
         let inputs: Vec<Vec<u8>> = (0..100u8).map(|i| vec![i]).collect();
-        let run = run_chained(
-            vec![Box::new(FnStage::new("id", |v: Vec<u8>| v))],
-            inputs.clone(),
-        );
+        let run = run_chained(vec![Box::new(|v: Vec<u8>| v)], inputs.clone());
         assert_eq!(run.outputs, inputs);
     }
 
@@ -177,8 +135,8 @@ mod tests {
         // outputs equal the sequential run's and carry both stages' marks.
         // Whether chaining beats sequential depends on host cores and load,
         // so wall-clock is left to `hsdp bench`.
-        let busy = |name| {
-            Box::new(FnStage::new(name, |v: Vec<u8>| {
+        let busy = || -> Stage {
+            Box::new(|v: Vec<u8>| {
                 let mut acc = 0u64;
                 for i in 0..800_000u64 {
                     acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
@@ -186,11 +144,11 @@ mod tests {
                 let mut out = v;
                 out.push((acc & 0xff) as u8);
                 out
-            })) as Box<dyn PipelineStage>
+            })
         };
         let inputs: Vec<Vec<u8>> = (0..48u8).map(|i| vec![i]).collect();
-        let seq = run_sequential(vec![busy("a"), busy("b")], inputs.clone());
-        let chained = run_chained(vec![busy("a"), busy("b")], inputs);
+        let seq = run_sequential(vec![busy(), busy()], inputs.clone());
+        let chained = run_chained(vec![busy(), busy()], inputs);
         assert_eq!(seq.outputs, chained.outputs);
         assert!(chained.outputs.iter().all(|out| out.len() == 3));
     }

@@ -20,7 +20,7 @@ use hsdp_rng::StdRng;
 use hsdp_taxes::sha3::Sha3_256;
 use hsdp_workload::proto_corpus;
 
-use crate::pipeline::{run_chained, run_sequential, FnStage, PipelineStage};
+use crate::pipeline::{run_chained, run_sequential, Stage};
 
 /// The paper-replay result: Table 8's arithmetic recomputed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,17 +70,13 @@ pub struct SoftwareValidation {
     pub model_vs_measured: f64,
 }
 
-fn serialize_stage(messages: Vec<hsdp_taxes::protowire::Message>) -> Box<dyn PipelineStage> {
+fn serialize_stage(messages: Vec<hsdp_taxes::protowire::Message>) -> Stage {
     let mut iter = messages.into_iter();
-    Box::new(FnStage::new("proto_serialize", move |_trigger: Vec<u8>| {
-        iter.next().map(|m| m.encode_to_vec()).unwrap_or_default()
-    }))
+    Box::new(move |_trigger: Vec<u8>| iter.next().map(|m| m.encode_to_vec()).unwrap_or_default())
 }
 
-fn sha3_stage() -> Box<dyn PipelineStage> {
-    Box::new(FnStage::new("sha3_256", |bytes: Vec<u8>| {
-        Sha3_256::digest(&bytes).to_vec()
-    }))
+fn sha3_stage() -> Stage {
+    Box::new(|bytes: Vec<u8>| Sha3_256::digest(&bytes).to_vec())
 }
 
 /// Runs the software chained-validation experiment over `messages`

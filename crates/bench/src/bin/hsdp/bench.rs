@@ -12,26 +12,34 @@
 //!
 //! Entries: the two CRC32C tiers (slicing-by-8 and the dispatched hardware
 //! path), protowire encode/varint, compress/decompress, the blocked bloom
-//! probe, the loser-tree compaction merge and Keccak-f[1600], the
-//! sequential-vs-parallel fleet wall-clock comparison (same seed — the
-//! outputs are byte-identical by construction, only the wall-clock
-//! differs), every schedulable unit's wall-clock (the straggler gate) and
-//! each platform's warmup, the three serial artifact folds (GWP stacks,
-//! trace export, tail report) on one sequential run's records, and the
-//! Table 8 software pipeline's chained-vs-sequential and model-vs-measured
-//! times. Gates exit 1; the per-platform warmup, artifact-fold and pipeline
-//! times are reported ungated, since they measure the host.
+//! probe, the loser-tree compaction merge and Keccak-f[1600]; the
+//! sequential and hardware-parallel fleet wall clocks (same seed — the
+//! outputs are byte-identical by construction, only the wall clock
+//! differs); every BigTable tablet job's wall clock; the tail pass against
+//! the fleet run it decorates; and the Table 8 software pipeline's
+//! chained-vs-sequential and model-vs-measured times. fleetbench times
+//! the fleet's layers (warmup and traffic per platform, the artifact folds)
+//! inside one run with interleaved medians, so they are not re-timed here.
+//!
+//! `--out` is opened before anything is measured, so an unwritable path
+//! exits 2 at once. The three correctness self-checks (CRC32C tiers agree,
+//! compress round-trips, the bloom filter has no false negative) stop the
+//! run where they fail, leaving `--out` empty. The four timing gates
+//! (hardware CRC32C, parallel speedup, straggler, tail overhead) are judged
+//! after the report is written; any that trip exit 1, naming each one.
+
+use std::fs::File;
+use std::io::Write;
 
 use hsdp_accelsim::validate::software_validation;
 use hsdp_bench::harness::{time_ns, BenchRecord, BenchReport};
 use hsdp_bench::tail::render_json;
-use hsdp_bench::telemetry_out::{critical_path_json, trace_groups};
 use hsdp_bench::FleetRun;
 use hsdp_core::category::Platform;
 use hsdp_platforms::bloom::Bloom;
 use hsdp_platforms::merge::{merge_sorted_runs, Entry};
 use hsdp_platforms::runner::{
-    default_parallelism, merge_fleet_metrics, platform_key, platform_plan, run_bigquery_shard,
+    default_parallelism, merge_fleet_metrics, platform_plan, run_bigquery_shard,
     run_bigtable_tablet, run_fleet_telemetry, run_spanner_shard, FleetConfig,
 };
 use hsdp_rng::{Rng, StdRng};
@@ -40,7 +48,6 @@ use hsdp_taxes::crc::{crc32c_append, crc32c_append_slicing8};
 use hsdp_taxes::dispatch::CpuFeatures;
 use hsdp_taxes::sha3::keccak_f1600;
 use hsdp_taxes::varint::encode_varint;
-use hsdp_telemetry::chrome_trace_json;
 use hsdp_workload::proto_corpus;
 
 use crate::args::{CliError, Flags};
@@ -53,12 +60,20 @@ fn best_of(n: usize, mut pass: impl FnMut() -> f64) -> f64 {
     (0..n).map(|_| pass()).fold(f64::INFINITY, f64::min)
 }
 
-/// A bench gate or self-check: fails the command (exit 1) unless `ok`.
-fn gate(ok: bool, message: impl FnOnce() -> String) -> Result<(), CliError> {
+/// A correctness self-check: stops the command (exit 1) unless `ok`.
+fn check(ok: bool, message: &str) -> Result<(), CliError> {
     if ok {
         Ok(())
     } else {
-        Err(CliError::Failed(format!("bench: {}", message())))
+        Err(CliError::Failed(format!("bench: {message}")))
+    }
+}
+
+/// A timing gate: records its message in `tripped` unless `ok`. The run
+/// goes on, and the gates are judged once the report is written.
+fn judge(tripped: &mut Vec<String>, ok: bool, message: impl FnOnce() -> String) {
+    if !ok {
+        tripped.push(message());
     }
 }
 
@@ -75,6 +90,11 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         flags.value("--commit").unwrap_or_default(),
         flags.number("--seq")?.unwrap_or(0),
     );
+    // Open the report before measuring, so a bad path costs no run.
+    let cannot_write =
+        |e: std::io::Error| flags.error(format!("cannot write --out {out_path}: {e}"));
+    let mut out = File::create(out_path).map_err(cannot_write)?;
+    let mut tripped = Vec::new();
     let features = CpuFeatures::get();
     println!(
         "host: {} hardware thread(s), cpu features: {}",
@@ -88,9 +108,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let buf: Vec<u8> = (0..CRC_BUF_LEN).map(|i| (i * 131 % 251) as u8).collect();
     let sliced_ns = best_of(5, || time_ns(200, || crc32c_append_slicing8(0, &buf)));
     let hw_ns = best_of(5, || time_ns(200, || crc32c_append(0, &buf)));
-    gate(
+    check(
         crc32c_append(0, &buf) == crc32c_append_slicing8(0, &buf),
-        || "crc32c tiers must agree".to_owned(),
+        "crc32c tiers must agree",
     )?;
     report.push(BenchRecord {
         id: format!("crc32c/slicing8/{}KiB", CRC_BUF_LEN / 1024),
@@ -111,13 +131,13 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         sliced_ns / hw_ns,
     );
     if features.sse42 || features.aarch64_crc {
-        gate(sliced_ns / hw_ns >= 2.0, || {
+        judge(&mut tripped, sliced_ns / hw_ns >= 2.0, || {
             format!(
                 "hardware CRC32C must be >= 2x over slicing-by-8 on the 64 KiB buffer \
                  (got {:.2}x)",
                 sliced_ns / hw_ns,
             )
-        })?;
+        });
     } else {
         eprintln!(
             "crc32c hw gate: SKIPPED (no CRC32 instruction dispatched; features: {})",
@@ -189,9 +209,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
     corpus.truncate(CRC_BUF_LEN);
     let packed = compress(&corpus);
-    gate(decompress(&packed).as_ref() == Ok(&corpus), || {
-        "compress/decompress must round-trip the corpus".to_owned()
-    })?;
+    check(
+        decompress(&packed).as_ref() == Ok(&corpus),
+        "compress/decompress must round-trip the corpus",
+    )?;
     let compress_ns = best_of(5, || time_ns(50, || compress(&corpus).len()));
     let decompress_ns = best_of(5, || time_ns(50, || decompress(&packed).map(|v| v.len())));
     for (id, ns) in [
@@ -221,9 +242,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     for key in &keys {
         bloom.insert(key);
     }
-    gate(
+    check(
         keys.iter().filter(|k| bloom.may_contain(k)).count() == keys.len(),
-        || "blocked filter must report every inserted key".to_owned(),
+        "blocked filter must report every inserted key",
     )?;
     let bloom_ns = best_of(5, || {
         time_ns(50, || keys.iter().filter(|k| bloom.may_contain(k)).count())
@@ -291,20 +312,22 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     println!("sha3: keccak-f1600 {keccak_ns:.0} ns/perm");
 
     // --- Fleet: sequential vs parallel wall clock, identical output. ------
+    // The speedup gate's inputs: one run on one thread and one at the
+    // host's thread count.
     let fleet_config = FleetConfig {
         seed: SEED,
         ..FleetConfig::default()
     };
-    let parallel_threads = default_parallelism().max(4);
+    let hw_threads = default_parallelism();
     let sequential_ns = time_ns(1, || {
         run_fleet_telemetry(FleetConfig {
             parallelism: 1,
             ..fleet_config
         })
     });
-    let parallel_ns = time_ns(1, || {
+    let parallel_hw_ns = time_ns(1, || {
         run_fleet_telemetry(FleetConfig {
-            parallelism: parallel_threads,
+            parallelism: hw_threads,
             ..fleet_config
         })
     });
@@ -316,34 +339,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         seed: SEED,
     });
     report.push(BenchRecord {
-        id: "fleet/wall_clock/parallel".to_owned(),
-        ns_per_iter: parallel_ns,
-        bytes_per_iter: None,
-        parallelism: parallel_threads,
-        seed: SEED,
-    });
-    println!(
-        "fleet: sequential {:.1} ms, parallel(x{parallel_threads}) {:.1} ms \
-         ({:.2}x speedup on {} hardware thread(s))",
-        sequential_ns / 1e6,
-        parallel_ns / 1e6,
-        sequential_ns / parallel_ns,
-        default_parallelism(),
-    );
-
-    // --- Fleet: parallelism matched to the hardware. -----------------------
-    // The forced-x4 entry above is kept comparable across machines; this one
-    // runs at the host's actual thread count, so the two together expose
-    // oversubscription (on a 1-thread host, x4 pays pure scheduling overhead
-    // over this entry).
-    let hw_threads = default_parallelism();
-    let parallel_hw_ns = time_ns(1, || {
-        run_fleet_telemetry(FleetConfig {
-            parallelism: hw_threads,
-            ..fleet_config
-        })
-    });
-    report.push(BenchRecord {
         id: "fleet/wall_clock/parallel_hw".to_owned(),
         ns_per_iter: parallel_hw_ns,
         bytes_per_iter: None,
@@ -351,7 +346,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         seed: SEED,
     });
     println!(
-        "fleet: parallel(hw x{hw_threads}) {:.1} ms ({:.2}x vs sequential)",
+        "fleet: sequential {:.1} ms, parallel(hw x{hw_threads}) {:.1} ms ({:.2}x)",
+        sequential_ns / 1e6,
         parallel_hw_ns / 1e6,
         sequential_ns / parallel_hw_ns,
     );
@@ -370,60 +366,52 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         );
     } else {
         let floor = if hw_threads >= 4 { 2.0 } else { 1.2 };
-        gate(hw_speedup >= floor, || {
+        println!(
+            "fleet speedup gate: {hw_speedup:.2}x against the {floor:.1}x floor on \
+             {hw_threads} hardware threads"
+        );
+        judge(&mut tripped, hw_speedup >= floor, || {
             format!(
                 "parallel fleet speedup {hw_speedup:.2}x is below the {floor:.1}x \
                  floor on {hw_threads} hardware threads"
             )
-        })?;
-        println!(
-            "fleet speedup gate: {hw_speedup:.2}x >= {floor:.1}x on \
-             {hw_threads} hardware threads"
-        );
+        });
     }
 
-    // --- Fleet: per-unit shard wall-clocks (straggler gate). ---------------
+    // --- Fleet: per-unit wall clocks (straggler gate). ---------------------
     // Times every *schedulable unit* of the fleet in isolation — Spanner and
     // BigQuery shards run whole, BigTable shards run as one job per tablet,
     // exactly the granularity the dispatcher queues. The heaviest unit over
     // the summed unit time bounds parallel speedup (N workers can never beat
-    // 1/max_fraction), so the bench fails when any single unit exceeds 40%
-    // of the total: that is the straggler the per-tablet split removed. Each
-    // unit also runs with zero queries — its warmup alone (preload, or the
-    // fact-table load) — summed per platform into the ungated
-    // `fleet/warmup/*` entries.
+    // 1/max_fraction), so the gate trips when any single unit exceeds 40%
+    // of the total: that is the straggler the per-tablet split removed. Only
+    // the tablet jobs are reported, one entry each.
     const STRAGGLER_CEILING: f64 = 0.40;
     let mut units: Vec<(String, f64)> = Vec::new();
     for &platform in &Platform::ALL {
         let plan = platform_plan(&fleet_config, platform);
-        let mut total_ns = 0.0f64;
-        let mut warmup_ns = 0.0f64;
         for (shard_idx, shard) in plan.shards().iter().enumerate() {
             match platform {
-                Platform::Spanner => {
-                    let unit = |queries| {
-                        time_ns(1, || {
-                            run_spanner_shard(queries, shard.seed, shard_idx, true)
-                        })
-                    };
-                    let unit_ns = unit(shard.items);
-                    warmup_ns += unit(0);
-                    total_ns += unit_ns;
-                    units.push((format!("spanner/s{shard_idx}"), unit_ns));
-                }
+                Platform::Spanner => units.push((
+                    format!("spanner/s{shard_idx}"),
+                    time_ns(1, || {
+                        run_spanner_shard(shard.items, shard.seed, shard_idx, true)
+                    }),
+                )),
                 Platform::BigTable => {
                     let tablets = fleet_config.tablets.max(1);
                     for tablet in 0..tablets {
-                        let unit = |queries| {
-                            time_ns(1, || {
-                                run_bigtable_tablet(
-                                    queries, shard.seed, shard_idx, tablet, tablets, true, None,
-                                )
-                            })
-                        };
-                        let unit_ns = unit(shard.items);
-                        warmup_ns += unit(0);
-                        total_ns += unit_ns;
+                        let unit_ns = time_ns(1, || {
+                            run_bigtable_tablet(
+                                shard.items,
+                                shard.seed,
+                                shard_idx,
+                                tablet,
+                                tablets,
+                                true,
+                                None,
+                            )
+                        });
                         report.push(BenchRecord {
                             id: format!(
                                 "fleet/shard_wall_clock/bigtable_tablet/s{shard_idx}_t{tablet}"
@@ -436,50 +424,20 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
                         units.push((format!("bigtable/s{shard_idx}_t{tablet}"), unit_ns));
                     }
                 }
-                Platform::BigQuery => {
-                    let unit = |queries| {
-                        time_ns(1, || {
-                            run_bigquery_shard(
-                                queries,
-                                fleet_config.fact_rows,
-                                shard.seed,
-                                shard_idx,
-                                true,
-                            )
-                        })
-                    };
-                    let unit_ns = unit(shard.items);
-                    warmup_ns += unit(0);
-                    total_ns += unit_ns;
-                    units.push((format!("bigquery/s{shard_idx}"), unit_ns));
-                }
+                Platform::BigQuery => units.push((
+                    format!("bigquery/s{shard_idx}"),
+                    time_ns(1, || {
+                        run_bigquery_shard(
+                            shard.items,
+                            fleet_config.fact_rows,
+                            shard.seed,
+                            shard_idx,
+                            true,
+                        )
+                    }),
+                )),
             }
         }
-        for (id, ns) in [
-            (
-                format!("fleet/shard_wall_clock/{}", platform_key(platform)),
-                total_ns,
-            ),
-            (
-                format!("fleet/warmup/{}", platform_key(platform)),
-                warmup_ns,
-            ),
-        ] {
-            report.push(BenchRecord {
-                id,
-                ns_per_iter: ns,
-                bytes_per_iter: None,
-                parallelism: 1,
-                seed: SEED,
-            });
-        }
-        println!(
-            "fleet shards: {} total {:.1} ms ({:.1} ms warmup) over {} shard(s)",
-            platform_key(platform),
-            total_ns / 1e6,
-            warmup_ns / 1e6,
-            plan.shards().len(),
-        );
     }
     let units_total_ns: f64 = units.iter().map(|(_, ns)| ns).sum();
     let (worst_unit, worst_ns) = units.iter().fold(("", 0.0f64), |acc, (id, ns)| {
@@ -490,71 +448,24 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         }
     });
     let straggler_fraction = worst_ns / units_total_ns.max(1.0);
+    let (held, ceiling) = (100.0 * straggler_fraction, 100.0 * STRAGGLER_CEILING);
     println!(
-        "fleet straggler gate: heaviest unit {worst_unit} {:.1} ms = {:.0}% of \
-         {:.1} ms total over {} units (ceiling {:.0}%)",
+        "fleet straggler gate: heaviest unit {worst_unit} {:.1} ms = {held:.0}% of \
+         {:.1} ms total over {} units (ceiling {ceiling:.0}%)",
         worst_ns / 1e6,
-        100.0 * straggler_fraction,
         units_total_ns / 1e6,
         units.len(),
-        100.0 * STRAGGLER_CEILING,
     );
-    gate(straggler_fraction <= STRAGGLER_CEILING, || {
-        format!(
-            "straggler unit {worst_unit} holds {:.0}% of fleet shard time \
-             (ceiling {:.0}%): the schedule cannot parallelize past it",
-            100.0 * straggler_fraction,
-            100.0 * STRAGGLER_CEILING,
-        )
-    })?;
-
-    // --- Fleet artifacts: the serial per-record folds. ---------------------
-    // One p=1 run's records through the GWP stack fold, the trace export,
-    // the critical-path walk, the tail report and the profile JSON (the
-    // decomposition sums and the record CRC), each timed alone. Reported
-    // ungated, since they measure the host.
-    let artifact_run = FleetRun::new(FleetConfig {
-        parallelism: 1,
-        ..fleet_config
-    });
-    for (id, ns) in [
-        (
-            "fleet/artifact/stacks",
-            best_of(5, || time_ns(1, || artifact_run.stacks())),
-        ),
-        (
-            "fleet/artifact/trace_json",
-            best_of(5, || {
-                time_ns(1, || chrome_trace_json(&trace_groups(&artifact_run.runs)))
-            }),
-        ),
-        (
-            "fleet/artifact/critical_path_json",
-            best_of(5, || time_ns(1, || critical_path_json(&artifact_run.runs))),
-        ),
-        (
-            "fleet/artifact/tail_json",
-            best_of(5, || time_ns(1, || render_json(&artifact_run.tail("")))),
-        ),
-        (
-            "fleet/artifact/profile_json",
-            best_of(5, || time_ns(1, || artifact_run.profile_json())),
-        ),
-    ] {
-        report.push(BenchRecord {
-            id: id.to_owned(),
-            ns_per_iter: ns,
-            bytes_per_iter: None,
-            parallelism: 1,
-            seed: SEED,
-        });
-        println!("{id}: {:.1} ms", ns / 1e6);
-    }
-
-    let probe_config = FleetConfig {
-        parallelism: parallel_threads,
-        ..fleet_config
-    };
+    judge(
+        &mut tripped,
+        straggler_fraction <= STRAGGLER_CEILING,
+        || {
+            format!(
+                "straggler unit {worst_unit} holds {held:.0}% of fleet shard time \
+                 (ceiling {ceiling:.0}%): the schedule cannot parallelize past it"
+            )
+        },
+    );
 
     // --- Tail-attribution overhead: the tail pass against the fleet run. ---
     // The tail pass is everything the tail report adds to a fleet run's
@@ -562,8 +473,14 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     // merged in canonical order, cohort splits, and blame rendering. It is
     // pure folding over already-produced records, so it must stay within
     // 10% of the instrumented fleet run it decorates. Each is timed alone,
-    // best of 5, on the same config; the pass reads the last timed run,
-    // whose records are dropped outside the timed region.
+    // best of 5, on the same config (at least 4 threads, so the entries
+    // compare across hosts); the pass reads the last timed run, whose
+    // records are dropped outside the timed region.
+    let probe_threads = hw_threads.max(4);
+    let probe_config = FleetConfig {
+        parallelism: probe_threads,
+        ..fleet_config
+    };
     let mut runs = Vec::new();
     let fleet_run_ns = best_of(5, || {
         runs = Vec::new();
@@ -583,7 +500,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             id: id.to_owned(),
             ns_per_iter: ns,
             bytes_per_iter: None,
-            parallelism: parallel_threads,
+            parallelism: probe_threads,
             seed: SEED,
         });
     }
@@ -593,12 +510,12 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         tail_pass_ns / 1e6,
         tail_pass_ns / fleet_run_ns * 100.0,
     );
-    gate(tail_pass_ns <= fleet_run_ns * 0.10, || {
+    judge(&mut tripped, tail_pass_ns <= fleet_run_ns * 0.10, || {
         format!(
             "tail attribution overhead above 10%: tail pass {tail_pass_ns:.0} ns vs \
              fleet run {fleet_run_ns:.0} ns"
         )
-    })?;
+    });
 
     // --- Table 8 software pipeline: chained vs sequential, model vs. -------
     // measured. Real threads on the host, so reported here and never gated.
@@ -639,9 +556,16 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         pipeline.model_vs_measured * 100.0,
     );
 
-    report
-        .write(std::path::Path::new(out_path))
-        .map_err(|e| flags.error(format!("cannot write --out {out_path}: {e}")))?;
+    out.write_all(report.to_json().as_bytes())
+        .map_err(cannot_write)?;
     println!("wrote {out_path} ({} entries)", report.records().len());
-    Ok(())
+    if tripped.is_empty() {
+        Ok(())
+    } else {
+        Err(CliError::Failed(format!(
+            "bench: {} timing gate(s) tripped: {}",
+            tripped.len(),
+            tripped.join("; ")
+        )))
+    }
 }

@@ -423,7 +423,7 @@ pub fn ablation_cache_policy() -> String {
         let config = BigTableConfig {
             memtable_flush_bytes: 8 * 1024,
             // Small caches so policy differences show.
-            tier_bytes: (24 * 1024, 96 * 1024, 1 << 40),
+            tier_bytes: (24 * 1024, 96 * 1024),
             policy,
             ..BigTableConfig::default()
         };

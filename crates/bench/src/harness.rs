@@ -158,15 +158,6 @@ impl BenchReport {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
 }
 
 /// Formats a float as a finite JSON number (JSON has no NaN/Infinity).

@@ -119,6 +119,28 @@ fn unreadable_inputs_name_the_path() {
 }
 
 #[test]
+fn an_unwritable_bench_report_is_rejected_before_anything_runs() {
+    let missing = std::env::temp_dir().join(format!("hsdp-cli-no-dir-{}", std::process::id()));
+    let out = missing.join("b.json");
+    let out = out.to_str().expect("utf-8 temp path");
+    let run = hsdp(&["bench", "--out", out]);
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&run.stdout),
+        String::from_utf8_lossy(&run.stderr),
+    );
+    assert_eq!(run.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains(&format!("--out {out}")) && !stderr.contains("panicked"),
+        "{stderr}"
+    );
+    assert!(
+        !stdout.contains("crc32c") && !stdout.contains("fleet"),
+        "nothing is measured before --out is opened: {stdout}"
+    );
+    assert!(!missing.exists());
+}
+
+#[test]
 fn a_snapshot_length_that_overflows_an_offset_is_damage_not_a_panic() {
     // One intact frame whose payload declares a 2^64 - 1 byte commit.
     let mut bytes = Vec::new();

@@ -2,8 +2,9 @@
 //!
 //! These types carry the per-component parameters of the analytical model
 //! (Figure 7): the acceleration factor `s_sub_i`, the setup time
-//! `t_setup_i`, the offload payload `B_i`, the link bandwidth `BW_i`, and the
-//! overlap factor `g_sub_i`.
+//! `t_setup_i`, the offload payload `B_i` and the link bandwidth `BW_i`;
+//! [`OverlapFactor`] is the overlap `f` of Equation 1 and the `g_sub_i` of
+//! Equation 5, which a plan's invocation model sets.
 
 use std::fmt;
 
@@ -143,7 +144,8 @@ impl fmt::Display for Placement {
 /// Full description of one accelerator assigned to one CPU component.
 ///
 /// Combines the acceleration factor with the invocation penalty parameters of
-/// Equations 7–8 and the overlap factor of Equation 5.
+/// Equations 7–8. Equation 5's overlap factor `g_sub_i` is not a property
+/// of one accelerator: the plan's invocation model sets it.
 ///
 /// # Examples
 ///
@@ -166,12 +168,11 @@ pub struct AcceleratorSpec {
     setup: Seconds,
     payload: Bytes,
     placement: Placement,
-    overlap: OverlapFactor,
 }
 
 impl AcceleratorSpec {
-    /// An ideal on-chip synchronous accelerator with no penalties: zero
-    /// setup and payload. The `with_*` methods configure the rest.
+    /// An ideal on-chip accelerator with no penalties: zero setup and
+    /// payload. The `with_*` methods configure the rest.
     #[must_use]
     pub fn ideal(speedup: Speedup) -> AcceleratorSpec {
         AcceleratorSpec {
@@ -179,7 +180,6 @@ impl AcceleratorSpec {
             setup: Seconds::ZERO,
             payload: Bytes::ZERO,
             placement: Placement::OnChip,
-            overlap: OverlapFactor::SYNCHRONOUS,
         }
     }
 
@@ -207,12 +207,6 @@ impl AcceleratorSpec {
         self.placement
     }
 
-    /// The overlap factor `g_sub_i`.
-    #[must_use]
-    pub fn overlap(&self) -> OverlapFactor {
-        self.overlap
-    }
-
     /// The invocation penalty `t_pen_i = t_setup_i + 2 * B_i / BW_i`
     /// (Equation 8). On-chip placement contributes no transfer term.
     #[must_use]
@@ -237,14 +231,6 @@ impl AcceleratorSpec {
     #[must_use]
     pub fn accelerated_time_no_penalty(&self, original: Seconds) -> Seconds {
         self.speedup.apply(original)
-    }
-
-    /// Returns a copy with a different overlap factor.
-    #[must_use]
-    // audit: allow(reach, Equation 5's per-component g_sub_i; no exhibit varies it, model_properties.rs invocation_model_ordering sweeps it)
-    pub fn with_overlap(mut self, overlap: OverlapFactor) -> AcceleratorSpec {
-        self.overlap = overlap;
-        self
     }
 
     /// Returns a copy with a different placement.
@@ -331,17 +317,14 @@ mod tests {
         let spec = AcceleratorSpec::ideal(Speedup::new(64.0).unwrap());
         assert!(spec.penalty().is_zero());
         assert_eq!(spec.placement(), Placement::OnChip);
-        assert_eq!(spec.overlap(), OverlapFactor::SYNCHRONOUS);
     }
 
     #[test]
     fn with_methods_update_fields() {
         let spec = AcceleratorSpec::ideal(Speedup::new(2.0).unwrap())
-            .with_overlap(OverlapFactor::ASYNCHRONOUS)
             .with_setup(Seconds::new(1.0))
             .with_payload(Bytes::new(8.0))
             .with_placement(Placement::off_chip_pcie_gen5());
-        assert_eq!(spec.overlap(), OverlapFactor::ASYNCHRONOUS);
         assert_eq!(spec.setup(), Seconds::new(1.0));
         assert_eq!(spec.payload(), Bytes::new(8.0));
         assert!((spec.speedup().factor() - 2.0).abs() < 1e-12);

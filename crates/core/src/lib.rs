@@ -16,8 +16,9 @@
 //! - [`model`] — Equations 1–2: end-to-end time under CPU/non-CPU overlap.
 //! - [`accel`] — accelerator specs: speedup, setup, placement, payload
 //!   (Equations 7–8).
-//! - [`plan`] — [`plan::AccelerationPlan`]: sync/async/per-component/chained
-//!   composition (Equations 3–6, 9).
+//! - [`plan`] — [`plan::AccelerationPlan`]: sync/async/chained composition
+//!   (Equations 3–6, 9); the invocation model sets every component's
+//!   overlap `g_sub_i`.
 //! - [`chained`] — the chained-execution extension (Equations 10–12).
 //! - [`profile`] — query populations, Figure 2 groups, platform profiles.
 //! - [`request`] — deterministic per-request identity for tail attribution.

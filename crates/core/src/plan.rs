@@ -8,8 +8,10 @@
 //!   (`g_sub_i = 1`), so `t_acc = Σ t'_sub_i`.
 //! - **Asynchronous** — all invocations overlap (`g_sub_i = 0`), so
 //!   `t_acc = max(t'_sub_i)` (Eq. 6).
-//! - **PerComponent** — each spec's own `g_sub_i` is honored (Eq. 5).
 //! - **Chained** — all assigned accelerators form a pipeline (Eqs. 9–12).
+//!
+//! The invocation model alone sets every component's `g_sub_i`; Eq. 5,
+//! `t_acc = max(Σ g_sub_i · t'_sub_i, t_lsub)`, covers the first two.
 
 use std::collections::BTreeMap;
 
@@ -29,8 +31,6 @@ pub enum InvocationModel {
     Synchronous,
     /// Ideal case: all accelerator invocations execute in parallel.
     Asynchronous,
-    /// Honor each component's own overlap factor `g_sub_i`.
-    PerComponent,
     /// Accelerators stream to one another without core coordination.
     Chained,
 }
@@ -40,7 +40,6 @@ impl std::fmt::Display for InvocationModel {
         let name = match self {
             InvocationModel::Synchronous => "Sync",
             InvocationModel::Asynchronous => "Async",
-            InvocationModel::PerComponent => "PerComponent",
             InvocationModel::Chained => "Chained",
         };
         f.write_str(name)
@@ -258,16 +257,6 @@ impl AccelerationPlan {
         self.assignments.iter().map(|(c, s)| (*c, s))
     }
 
-    /// The effective overlap factor for a component under this plan's
-    /// invocation model.
-    fn effective_overlap(&self, spec: &AcceleratorSpec) -> f64 {
-        match self.invocation {
-            InvocationModel::Synchronous => OverlapFactor::SYNCHRONOUS.value(),
-            InvocationModel::Asynchronous => OverlapFactor::ASYNCHRONOUS.value(),
-            InvocationModel::PerComponent | InvocationModel::Chained => spec.overlap().value(),
-        }
-    }
-
     /// The accelerated CPU time `t'_cpu` for a query whose CPU time divides
     /// per `breakdown` (Equations 3–9).
     ///
@@ -282,6 +271,13 @@ impl AccelerationPlan {
         let mut unaccelerated = uncovered;
         let mut components = Vec::new();
         let mut chain_stages = Vec::new();
+        // Eq. 5's g_sub_i, the same for every component.
+        let g = if self.invocation == InvocationModel::Asynchronous {
+            OverlapFactor::ASYNCHRONOUS
+        } else {
+            OverlapFactor::SYNCHRONOUS
+        }
+        .value();
         let mut weighted_sum = Seconds::ZERO; // Σ g_sub_i * t'_sub_i
         let mut largest = Seconds::ZERO; // t_lsub (Eq. 6)
 
@@ -303,7 +299,6 @@ impl AccelerationPlan {
                             spec: *spec,
                         });
                     } else {
-                        let g = self.effective_overlap(spec);
                         weighted_sum += accelerated.scaled(g);
                         largest = largest.max(accelerated);
                     }
@@ -475,23 +470,6 @@ mod tests {
         let t_chained = chained.accelerated_cpu(Seconds::new(1.0), &b).total;
         // Sync pays the setup twice; chained pays max once.
         assert!(t_sync.as_secs() > t_chained.as_secs() + 0.009);
-    }
-
-    #[test]
-    fn per_component_honors_spec_overlap() {
-        let mut plan = AccelerationPlan::new(InvocationModel::PerComponent);
-        let half = OverlapFactor::new(0.5).unwrap();
-        plan.assign(
-            proto(),
-            AcceleratorSpec::ideal(Speedup::new(1.0).unwrap()).with_overlap(half),
-        );
-        plan.assign(
-            compression(),
-            AcceleratorSpec::ideal(Speedup::new(1.0).unwrap()).with_overlap(half),
-        );
-        let est = plan.accelerated_cpu(Seconds::new(1.0), &even_breakdown());
-        // Σ g t' = 0.5*(0.25+0.25) = 0.25; t_lsub = 0.25 → max = 0.25.
-        assert!((est.accelerated.as_secs() - 0.25).abs() < 1e-9);
     }
 
     #[test]

@@ -104,37 +104,32 @@ fn ideal_acceleration_never_hurts() {
     }
 }
 
-/// Async <= per-component <= sync accelerated CPU time, for any overlap.
+/// Async <= sync accelerated CPU time.
 #[test]
 fn invocation_model_ordering() {
     let mut rng = StdRng::seed_from_u64(0x07DE4);
     for _ in 0..CASES {
         let breakdown = arb_breakdown(&mut rng);
         let speedup = rng.random_range(1.0..64.0);
-        let g = rng.random::<f64>();
+        // Drawn and unused, so the cases keep the specs they always had.
+        let _overlap = rng.random::<f64>();
         let setup = rng.random_range(0.0..0.01);
         let spec = AcceleratorSpec::ideal(Speedup::new(speedup).expect("speedup >= 1"))
-            .with_setup(Seconds::new(setup))
-            .with_overlap(OverlapFactor::new(g).expect("unit interval overlap"));
+            .with_setup(Seconds::new(setup));
         let mut plan = AccelerationPlan::new(InvocationModel::Synchronous);
         for c in CATEGORIES {
             plan.assign(c, spec);
         }
         let total = breakdown.total();
         let t_sync = plan.accelerated_cpu(total, &breakdown).total;
-        let t_per = plan
-            .with_invocation(InvocationModel::PerComponent)
-            .accelerated_cpu(total, &breakdown)
-            .total;
         let t_async = plan
             .with_invocation(InvocationModel::Asynchronous)
             .accelerated_cpu(total, &breakdown)
             .total;
         assert!(
-            t_async <= t_per + Seconds::new(1e-12),
-            "{t_async} > {t_per}"
+            t_async <= t_sync + Seconds::new(1e-12),
+            "{t_async} > {t_sync}"
         );
-        assert!(t_per <= t_sync + Seconds::new(1e-12), "{t_per} > {t_sync}");
     }
 }
 

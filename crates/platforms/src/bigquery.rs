@@ -27,10 +27,10 @@ use crate::meter::WorkMeter;
 /// Stage-1 workers, and shuffle partitions.
 const WORKERS: usize = 8;
 
-/// RAM / SSD / HDD capacities of each worker's storage stack. The caches
-/// are small relative to the table: scans run cold, making the platform
+/// RAM / SSD cache sizes of each worker's storage stack. The caches are
+/// small relative to the table: scans run cold, making the platform
 /// IO-heavy as in Figure 2.
-const TIER_BYTES: (u64, u64, u64) = (4 * 1024, 12 * 1024, 1 << 40);
+const TIER_BYTES: (u64, u64) = (4 * 1024, 12 * 1024);
 
 const _: () = assert!(WORKERS > 0, "need at least one worker");
 
@@ -59,11 +59,11 @@ impl BigQuery {
     /// A fresh engine.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        let (ram, ssd, hdd) = TIER_BYTES;
+        let (ram, ssd) = TIER_BYTES;
         BigQuery {
             recorder: QueryRecorder::new(),
             stores: (0..WORKERS)
-                .map(|_| TieredStore::new(ram, ssd, hdd, PolicyKind::TwoQ))
+                .map(|_| TieredStore::new(ram, ssd, PolicyKind::TwoQ))
                 .collect(),
             partitions: Vec::new(),
             dim: Vec::new(),

@@ -573,11 +573,11 @@ impl ShardJob {
 /// jobs cost rather than a hardcoded platform ranking. The constants were
 /// fitted to the `fleet/shard_wall_clock/*` entries in `BENCH_fleet.json`
 /// while warmup still built full records, and they now overstate the
-/// database jobs. Timing the job runners alone at 0 to 5,000 queries (the
-/// zero-query runs are the `fleet/warmup/*` entries; medians of three
-/// runs on a 2-thread host, which spread by up to a third) puts a Spanner
-/// shard at ≈ 11.5 ms + 6 µs per query and a BigTable tablet job at
-/// ≈ 9.5 ms + 2.4 µs per shard query (building the shard's op stream
+/// database jobs. Timing the job runners alone at 0 to 5,000 queries (zero
+/// queries is the warmup alone; medians of three runs on a 2-thread host,
+/// which spread by up to a third) puts a Spanner shard at ≈ 11.5 ms +
+/// 6 µs per query and a BigTable tablet job at ≈ 9.5 ms + 2.4 µs per
+/// shard query (building the shard's op stream
 /// itself, which in the fleet only the first of a shard's tablet jobs
 /// does). A BigQuery shard timed alone at 0 and 100 queries over 8,000
 /// and 40,000 fact rows (medians of five runs on the same kind of host)

@@ -28,8 +28,8 @@ const REPLICAS: usize = 5;
 /// Votes needed to commit: a majority.
 const QUORUM: usize = 3;
 
-/// RAM / SSD / HDD capacities of the leader's storage stack.
-const TIER_BYTES: (u64, u64, u64) = (8 << 20, 64 << 20, 1 << 40);
+/// RAM / SSD cache sizes of the leader's storage stack.
+const TIER_BYTES: (u64, u64) = (8 << 20, 64 << 20);
 
 // The leader votes for itself, so a commit waits for `QUORUM - 1` follower
 // acks: at least one, and no more than there are followers.
@@ -55,10 +55,10 @@ impl Spanner {
     /// A fresh group.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        let (ram, ssd, hdd) = TIER_BYTES;
+        let (ram, ssd) = TIER_BYTES;
         Spanner {
             recorder: QueryRecorder::new(),
-            store: TieredStore::new(ram, ssd, hdd, PolicyKind::Lru),
+            store: TieredStore::new(ram, ssd, PolicyKind::Lru),
             state: BTreeMap::new(),
             commits: 0,
             // Regional quorums: replicas in nearby zones, not continents.

@@ -29,11 +29,10 @@ impl std::fmt::Display for TierKind {
     }
 }
 
-/// Device characteristics of one tier.
+/// Device characteristics of one tier. A tier's size lives in the cache
+/// policy that fills it; the HDD capacity tier holds everything.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierSpec {
-    /// Capacity in bytes.
-    pub capacity: u64,
     /// Fixed per-access latency.
     pub access_latency: SimDuration,
     /// Sustained bandwidth in bytes per second.
@@ -54,23 +53,20 @@ impl TierSpec {
         self.access_latency + SimDuration::from_secs_f64(bytes as f64 / self.bandwidth)
     }
 
-    /// Representative defaults per tier kind, scaled to `capacity` bytes:
-    /// DRAM ~100 ns / 20 GB/s, SSD ~80 us / 2 GB/s, HDD ~8 ms / 200 MB/s.
+    /// Representative defaults per tier kind: DRAM ~100 ns / 20 GB/s,
+    /// SSD ~80 us / 2 GB/s, HDD ~8 ms / 200 MB/s.
     #[must_use]
-    pub fn typical(kind: TierKind, capacity: u64) -> TierSpec {
+    pub fn typical(kind: TierKind) -> TierSpec {
         match kind {
             TierKind::Ram => TierSpec {
-                capacity,
                 access_latency: SimDuration::from_nanos(100),
                 bandwidth: 20e9,
             },
             TierKind::Ssd => TierSpec {
-                capacity,
                 access_latency: SimDuration::from_micros(80),
                 bandwidth: 2e9,
             },
             TierKind::Hdd => TierSpec {
-                capacity,
                 access_latency: SimDuration::from_millis(8),
                 bandwidth: 200e6,
             },
@@ -89,7 +85,7 @@ mod tests {
 
     #[test]
     fn access_time_scales_with_size() {
-        let spec = TierSpec::typical(TierKind::Ssd, 1 << 30);
+        let spec = TierSpec::typical(TierKind::Ssd);
         let small = spec.access_time(4 * 1024);
         let large = spec.access_time(4 * 1024 * 1024);
         assert!(large > small);
@@ -99,9 +95,9 @@ mod tests {
 
     #[test]
     fn typical_latency_ordering() {
-        let ram = TierSpec::typical(TierKind::Ram, 1).access_time(4096);
-        let ssd = TierSpec::typical(TierKind::Ssd, 1).access_time(4096);
-        let hdd = TierSpec::typical(TierKind::Hdd, 1).access_time(4096);
+        let ram = TierSpec::typical(TierKind::Ram).access_time(4096);
+        let ssd = TierSpec::typical(TierKind::Ssd).access_time(4096);
+        let hdd = TierSpec::typical(TierKind::Hdd).access_time(4096);
         assert!(ram < ssd && ssd < hdd);
     }
 }

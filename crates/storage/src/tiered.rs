@@ -30,14 +30,15 @@ pub struct TieredStore {
 }
 
 impl TieredStore {
-    /// Builds a store with typical device characteristics, the given tier
-    /// capacities, and one cache policy for both cache tiers.
+    /// Builds a store with typical device characteristics, RAM and SSD
+    /// caches of the given sizes under one cache policy, and an HDD tier
+    /// that holds every key.
     #[must_use]
-    pub fn new(ram_bytes: u64, ssd_bytes: u64, hdd_bytes: u64, policy: PolicyKind) -> Self {
+    pub fn new(ram_bytes: u64, ssd_bytes: u64, policy: PolicyKind) -> Self {
         TieredStore {
-            ram_spec: TierSpec::typical(TierKind::Ram, ram_bytes),
-            ssd_spec: TierSpec::typical(TierKind::Ssd, ssd_bytes),
-            hdd_spec: TierSpec::typical(TierKind::Hdd, hdd_bytes),
+            ram_spec: TierSpec::typical(TierKind::Ram),
+            ssd_spec: TierSpec::typical(TierKind::Ssd),
+            hdd_spec: TierSpec::typical(TierKind::Hdd),
             ram: build_cache(policy, ram_bytes),
             ssd: build_cache(policy, ssd_bytes),
         }
@@ -110,7 +111,7 @@ mod tests {
     use super::*;
 
     fn store() -> TieredStore {
-        TieredStore::new(1000, 10_000, 1_000_000, PolicyKind::Lru)
+        TieredStore::new(1000, 10_000, PolicyKind::Lru)
     }
 
     #[test]
