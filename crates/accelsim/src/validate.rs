@@ -38,8 +38,7 @@ pub struct PaperReplay {
 #[must_use]
 pub fn paper_replay() -> PaperReplay {
     let t8 = TABLE8;
-    // audit: allow(panic, the Table 8 chain has two stages)
-    let est = chain_estimate(&table8_stages()).expect("two stages");
+    let est = chain_estimate(&table8_stages());
     // Eq. 9: t'_cpu = t_chnd + t_nacc (no other accelerated components).
     let modeled_us = est.chained_time.as_micros() + t8.nacc_cpu_us;
     PaperReplay {

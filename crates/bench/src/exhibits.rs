@@ -391,10 +391,8 @@ pub fn ablation_chain_penalty() -> String {
 
     let t8 = paper::TABLE8;
     let stages = paper::table8_stages();
-    // audit: allow(panic, the Table 8 chain has two stages)
-    let max_bound = chain_estimate(&stages).expect("two stages");
-    // audit: allow(panic, the Table 8 chain has two stages)
-    let sum_bound = chain_estimate_summed_penalties(&stages).expect("two stages");
+    let max_bound = chain_estimate(&stages);
+    let sum_bound = chain_estimate_summed_penalties(&stages);
     let measured = t8.measured_chained_us - t8.nacc_cpu_us;
     format!(
         "Ablation — chained penalty bound (Table 8 stages)\n\

@@ -2,62 +2,14 @@
 //!
 //! These types carry the per-component parameters of the analytical model
 //! (Figure 7): the acceleration factor `s_sub_i`, the setup time
-//! `t_setup_i`, the offload payload `B_i` and the link bandwidth `BW_i`;
-//! [`OverlapFactor`] is the overlap `f` of Equation 1 and the `g_sub_i` of
-//! Equation 5, which a plan's invocation model sets.
+//! `t_setup_i`, the offload payload `B_i` and the link bandwidth `BW_i`.
+//! [`AcceleratorSpec`] evaluates Equations 7–8 over them. Equation 5's
+//! `g_sub_i` is not among them: a plan's invocation model sets it.
 
 use std::fmt;
 
 use crate::error::ModelError;
 use crate::units::{Bandwidth, Bytes, Seconds};
-
-/// A synchronization/overlap factor in `[0, 1]` (the paper's `f` and
-/// `g_sub_i`).
-///
-/// `1` means fully synchronous (no overlap with other work); `0` means fully
-/// asynchronous (complete overlap).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub struct OverlapFactor(f64);
-
-impl OverlapFactor {
-    /// Fully synchronous: the component serializes with everything else.
-    pub const SYNCHRONOUS: OverlapFactor = OverlapFactor(1.0);
-    /// Fully asynchronous: the component overlaps completely.
-    pub const ASYNCHRONOUS: OverlapFactor = OverlapFactor(0.0);
-
-    /// Creates an overlap factor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidOverlapFactor`] unless `value ∈ [0, 1]`.
-    pub fn new(value: f64) -> Result<Self, ModelError> {
-        if value.is_finite() && (0.0..=1.0).contains(&value) {
-            Ok(OverlapFactor(value))
-        } else {
-            Err(ModelError::InvalidOverlapFactor { value })
-        }
-    }
-
-    /// The raw factor.
-    #[must_use]
-    pub fn value(self) -> f64 {
-        self.0
-    }
-}
-
-impl Default for OverlapFactor {
-    /// Defaults to fully synchronous, the conservative assumption the paper
-    /// uses for its baseline studies (Section 6.2).
-    fn default() -> Self {
-        OverlapFactor::SYNCHRONOUS
-    }
-}
-
-impl fmt::Display for OverlapFactor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.2}", self.0)
-    }
-}
 
 /// An acceleration factor `s_sub_i >= 1`.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
@@ -79,12 +31,6 @@ impl Speedup {
         } else {
             Err(ModelError::InvalidSpeedup { value: factor })
         }
-    }
-
-    /// The raw factor.
-    #[must_use]
-    pub fn factor(self) -> f64 {
-        self.0
     }
 
     /// Applies the speedup to an original component time (`t_sub / s_sub`).
@@ -144,8 +90,8 @@ impl fmt::Display for Placement {
 /// Full description of one accelerator assigned to one CPU component.
 ///
 /// Combines the acceleration factor with the invocation penalty parameters of
-/// Equations 7–8. Equation 5's overlap factor `g_sub_i` is not a property
-/// of one accelerator: the plan's invocation model sets it.
+/// Equations 7–8. Equation 5's `g_sub_i` is not a property of one
+/// accelerator: the plan's invocation model sets it.
 ///
 /// # Examples
 ///
@@ -181,30 +127,6 @@ impl AcceleratorSpec {
             payload: Bytes::ZERO,
             placement: Placement::OnChip,
         }
-    }
-
-    /// The acceleration factor `s_sub_i`.
-    #[must_use]
-    pub fn speedup(&self) -> Speedup {
-        self.speedup
-    }
-
-    /// The setup time `t_setup_i`.
-    #[must_use]
-    pub fn setup(&self) -> Seconds {
-        self.setup
-    }
-
-    /// The offload payload `B_i` (ignored for on-chip placement).
-    #[must_use]
-    pub fn payload(&self) -> Bytes {
-        self.payload
-    }
-
-    /// The placement (on-chip / off-chip).
-    #[must_use]
-    pub fn placement(&self) -> Placement {
-        self.placement
     }
 
     /// The invocation penalty `t_pen_i = t_setup_i + 2 * B_i / BW_i`
@@ -260,16 +182,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn overlap_factor_bounds() {
-        assert!(OverlapFactor::new(0.0).is_ok());
-        assert!(OverlapFactor::new(1.0).is_ok());
-        assert!(OverlapFactor::new(0.5).is_ok());
-        assert!(OverlapFactor::new(-0.1).is_err());
-        assert!(OverlapFactor::new(1.1).is_err());
-        assert!(OverlapFactor::new(f64::NAN).is_err());
-    }
-
-    #[test]
     fn speedup_bounds() {
         assert!(Speedup::new(1.0).is_ok());
         assert!(Speedup::new(64.0).is_ok());
@@ -316,7 +228,7 @@ mod tests {
     fn ideal_spec_has_no_penalty() {
         let spec = AcceleratorSpec::ideal(Speedup::new(64.0).unwrap());
         assert!(spec.penalty().is_zero());
-        assert_eq!(spec.placement(), Placement::OnChip);
+        assert_eq!(spec.placement, Placement::OnChip);
     }
 
     #[test]
@@ -325,16 +237,15 @@ mod tests {
             .with_setup(Seconds::new(1.0))
             .with_payload(Bytes::new(8.0))
             .with_placement(Placement::off_chip_pcie_gen5());
-        assert_eq!(spec.setup(), Seconds::new(1.0));
-        assert_eq!(spec.payload(), Bytes::new(8.0));
-        assert!((spec.speedup().factor() - 2.0).abs() < 1e-12);
-        assert_eq!(spec.placement(), Placement::off_chip_pcie_gen5());
+        assert_eq!(spec.setup, Seconds::new(1.0));
+        assert_eq!(spec.payload, Bytes::new(8.0));
+        assert_eq!(spec.speedup, Speedup::new(2.0).unwrap());
+        assert_eq!(spec.placement, Placement::off_chip_pcie_gen5());
     }
 
     #[test]
     fn display_formats() {
         assert_eq!(Speedup::new(8.0).unwrap().to_string(), "8.0x");
         assert_eq!(Placement::OnChip.to_string(), "On-Chip");
-        assert_eq!(OverlapFactor::SYNCHRONOUS.to_string(), "1.00");
     }
 }

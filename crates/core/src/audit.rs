@@ -5,7 +5,8 @@
 //! these quantities, and this module re-derives the constraints they must
 //! satisfy — cycle-breakdown shares summing to one, the broad tax categories
 //! partitioning total CPU time (Figure 3), Equation 1 end-to-end times
-//! staying between the fully-overlapped and fully-serial extremes, and the
+//! staying between the fully-overlapped and fully-serial extremes, each
+//! Figure 2 row's disjoint phases covering its end-to-end time, and the
 //! Eq. 9 / Eq. 10 aggregate speedups staying at or above 1x and growing
 //! monotonically with the offloaded fraction of CPU work.
 //!
@@ -14,12 +15,13 @@
 //! 1. `debug_assert!` hooks in [`crate::model`] and [`crate::study`] — free
 //!    in release builds, always-on in the test suite;
 //! 2. the [`audit`] umbrella, which sweeps one whole [`QueryPopulation`];
-//! 3. a test that runs [`audit`] over every calibrated platform population
-//!    from [`crate::paper`].
+//! 3. tests that run [`audit`] over every calibrated platform population
+//!    from [`crate::paper`] and over every population the simulated fleet
+//!    measures.
 
 use std::fmt;
 
-use crate::accel::{AcceleratorSpec, OverlapFactor, Speedup};
+use crate::accel::{AcceleratorSpec, Speedup};
 use crate::category::{BroadCategory, CpuCategory};
 use crate::component::CpuBreakdown;
 use crate::plan::{AccelerationPlan, InvocationModel};
@@ -66,7 +68,8 @@ impl fmt::Display for AuditFailure {
 impl std::error::Error for AuditFailure {}
 
 /// True when an Equation 1 result lies within its algebraic bounds:
-/// `max(t_cpu, t_dep) <= t_e2e <= t_cpu + t_dep` for any overlap factor.
+/// `max(t_cpu, t_dep) <= t_e2e <= t_cpu + t_dep`, the range the paper's form
+/// spans as its synchronization factor `f` runs from 0 to 1.
 ///
 /// This is the [`crate::model::end_to_end_time`] `debug_assert!` hook.
 #[must_use]
@@ -206,17 +209,13 @@ pub fn check_offload_monotonicity(
 /// - every record's Equation 1 end-to-end time sits within bounds;
 /// - the weighted fleet breakdown passes [`check_breakdown`];
 /// - the Figure 2 group rows partition the population (query fractions sum
-///   to 1) and, for fully synchronous populations, each populated row's
-///   CPU/remote/IO shares sum to 1.
+///   to 1), and each populated row's CPU/remote/IO shares sum to 1: the
+///   phases are disjoint, so they cover the end-to-end time exactly.
 #[must_use]
 pub fn check_population(population: &QueryPopulation) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut all_synchronous = true;
 
     for (idx, record) in population.records().iter().enumerate() {
-        if record.overlap != OverlapFactor::SYNCHRONOUS {
-            all_synchronous = false;
-        }
         if record.weight <= 0.0 {
             violations.push(Violation {
                 invariant: "weight-positive",
@@ -264,14 +263,7 @@ pub fn check_population(population: &QueryPopulation) -> Vec<Violation> {
         for row in &rows {
             let phase_sum = row.cpu_share + row.remote_share + row.io_share;
             let populated = row.query_fraction > 0.0 && phase_sum > 0.0;
-            // With overlap the disjoint-phase identity no longer holds, but
-            // the phases can never cover *less* than the end-to-end time.
-            let consistent = if all_synchronous {
-                (phase_sum - 1.0).abs() <= TOLERANCE
-            } else {
-                phase_sum >= 1.0 - TOLERANCE
-            };
-            if populated && !consistent {
+            if populated && (phase_sum - 1.0).abs() > TOLERANCE {
                 violations.push(Violation {
                     invariant: "phase-partition",
                     detail: format!(

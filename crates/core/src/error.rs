@@ -14,11 +14,6 @@ pub enum ModelError {
         /// The rejected value.
         value: f64,
     },
-    /// An overlap/synchronization factor was outside `[0, 1]`.
-    InvalidOverlapFactor {
-        /// The rejected value.
-        value: f64,
-    },
     /// An acceleration factor `s_sub` was below 1 or non-finite.
     InvalidSpeedup {
         /// The rejected value.
@@ -34,8 +29,6 @@ pub enum ModelError {
         /// Human-readable name of the duplicated category.
         category: String,
     },
-    /// A chained plan was requested with no chained components.
-    EmptyChain,
     /// A query population was empty where at least one query is required.
     EmptyPopulation,
 }
@@ -49,9 +42,6 @@ impl fmt::Display for ModelError {
                     "invalid {quantity}: {value} (must be finite and in range)"
                 )
             }
-            ModelError::InvalidOverlapFactor { value } => {
-                write!(f, "overlap factor {value} outside [0, 1]")
-            }
             ModelError::InvalidSpeedup { value } => {
                 write!(f, "speedup factor {value} must be finite and >= 1")
             }
@@ -61,7 +51,6 @@ impl fmt::Display for ModelError {
             ModelError::DuplicateComponent { category } => {
                 write!(f, "component {category} assigned more than once")
             }
-            ModelError::EmptyChain => write!(f, "chained plan has no chained components"),
             ModelError::EmptyPopulation => write!(f, "query population is empty"),
         }
     }
@@ -80,13 +69,11 @@ mod tests {
                 quantity: "Seconds",
                 value: -1.0,
             },
-            ModelError::InvalidOverlapFactor { value: 2.0 },
             ModelError::InvalidSpeedup { value: 0.5 },
             ModelError::UnnormalizedBreakdown { sum: 0.8 },
             ModelError::DuplicateComponent {
                 category: "Protobuf".into(),
             },
-            ModelError::EmptyChain,
             ModelError::EmptyPopulation,
         ];
         for e in errs {

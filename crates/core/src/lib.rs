@@ -13,12 +13,13 @@
 //! - [`category`] — platforms and the core-compute / datacenter-tax /
 //!   system-tax taxonomy (Tables 2–5).
 //! - [`component`] — [`component::CpuBreakdown`]: where CPU time goes.
-//! - [`model`] — Equations 1–2: end-to-end time under CPU/non-CPU overlap.
+//! - [`model`] — Equations 1–2: end-to-end time from disjoint CPU and
+//!   dependency phases, before and after acceleration.
 //! - [`accel`] — accelerator specs: speedup, setup, placement, payload
 //!   (Equations 7–8).
 //! - [`plan`] — [`plan::AccelerationPlan`]: sync/async/chained composition
-//!   (Equations 3–6, 9); the invocation model sets every component's
-//!   overlap `g_sub_i`.
+//!   of `t'_cpu` (Equations 3–6 and 9); the invocation model sets Eq. 5's
+//!   `g_sub_i` for every component.
 //! - [`chained`] — the chained-execution extension (Equations 10–12).
 //! - [`profile`] — query populations, Figure 2 groups, platform profiles.
 //! - [`request`] — deterministic per-request identity for tail attribution.
@@ -77,13 +78,13 @@ pub mod stack;
 pub mod study;
 pub mod units;
 
-pub use accel::{AcceleratorSpec, OverlapFactor, Placement, Speedup};
+pub use accel::{AcceleratorSpec, Placement, Speedup};
 pub use audit::{audit, AuditFailure, Violation};
 pub use category::{BroadCategory, CoreComputeOp, CpuCategory, DatacenterTax, Platform, SystemTax};
 pub use component::CpuBreakdown;
 pub use error::ModelError;
 pub use model::QueryPhases;
-pub use plan::{AccelerationPlan, InvocationModel, PlanOutcome};
+pub use plan::{AccelerationPlan, InvocationModel};
 pub use profile::{QueryGroup, QueryPopulation, QueryRecord};
 pub use request::RequestId;
 pub use units::{Bandwidth, Bytes, Seconds};

@@ -523,7 +523,6 @@ pub fn query_population(platform: Platform) -> QueryPopulation {
                 cpu,
                 io: Seconds::new(class.io * base),
                 remote: Seconds::new(class.remote * base),
-                overlap: crate::accel::OverlapFactor::SYNCHRONOUS,
                 breakdown,
                 weight: class.weight,
             }
@@ -965,7 +964,7 @@ mod tests {
                 .map(|r| {
                     let orig = r.end_to_end();
                     let stripped = r.phases().without_dependencies();
-                    let acc = plan.evaluate(&stripped, &r.breakdown).accelerated_e2e;
+                    let acc = plan.evaluate(&stripped, &r.breakdown);
                     orig.as_secs() / acc.as_secs()
                 })
                 .fold(0.0, f64::max);

@@ -8,7 +8,6 @@
 //! groups (Figure 2), and evaluates acceleration plans over the whole
 //! population.
 
-use crate::accel::OverlapFactor;
 use crate::component::CpuBreakdown;
 use crate::error::ModelError;
 use crate::model::{speedup_ratio, QueryPhases};
@@ -72,6 +71,10 @@ impl std::fmt::Display for QueryGroup {
 }
 
 /// One query (or weighted query class) in a population.
+///
+/// The three phase times are disjoint, as the paper's trace attribution
+/// makes them: overlapped time is charged to remote work, then IO, then CPU.
+/// So the end-to-end time is their sum (Equation 1 with `f = 1`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRecord {
     /// CPU time.
@@ -80,12 +83,6 @@ pub struct QueryRecord {
     pub io: Seconds,
     /// Remote-work time (consensus, compaction, shuffle waits).
     pub remote: Seconds,
-    /// Synchronization factor `f` between CPU and its non-CPU dependencies.
-    ///
-    /// Defaults to fully synchronous, consistent with the paper's trace
-    /// attribution: overlapped time is charged to remote work, then IO, then
-    /// CPU, which leaves the three phases disjoint.
-    pub overlap: OverlapFactor,
     /// Absolute CPU-time breakdown across fine categories.
     pub breakdown: CpuBreakdown,
     /// Multiplicity weight of this record in the population.
@@ -93,26 +90,6 @@ pub struct QueryRecord {
 }
 
 impl QueryRecord {
-    /// Builds a record, deriving the breakdown from fleet-level shares
-    /// rescaled to this query's CPU time.
-    #[must_use]
-    pub fn from_shares(
-        cpu: Seconds,
-        io: Seconds,
-        remote: Seconds,
-        fleet_breakdown: &CpuBreakdown,
-        weight: f64,
-    ) -> QueryRecord {
-        QueryRecord {
-            cpu,
-            io,
-            remote,
-            overlap: OverlapFactor::SYNCHRONOUS,
-            breakdown: fleet_breakdown.rescaled(cpu),
-            weight,
-        }
-    }
-
     /// Non-CPU dependency time `t_dep = io + remote`.
     #[must_use]
     pub fn dep(&self) -> Seconds {
@@ -122,7 +99,7 @@ impl QueryRecord {
     /// The phases for the analytical model.
     #[must_use]
     pub fn phases(&self) -> QueryPhases {
-        QueryPhases::new(self.cpu, self.dep(), self.overlap)
+        QueryPhases::new(self.cpu, self.dep())
     }
 
     /// End-to-end time (Eq. 1).
@@ -190,18 +167,6 @@ impl QueryPopulation {
         &self.records
     }
 
-    /// Number of records (query classes, not weighted queries).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Always false: populations are non-empty by construction.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Total weight.
     #[must_use]
     pub fn total_weight(&self) -> f64 {
@@ -218,9 +183,9 @@ impl QueryPopulation {
         let mut original = Seconds::ZERO;
         let mut accelerated = Seconds::ZERO;
         for r in &self.records {
-            let outcome = plan.evaluate(&r.phases(), &r.breakdown);
-            original += outcome.original_e2e.scaled(r.weight);
-            accelerated += outcome.accelerated_e2e.scaled(r.weight);
+            let phases = r.phases();
+            original += phases.end_to_end().scaled(r.weight);
+            accelerated += plan.evaluate(&phases, &r.breakdown).scaled(r.weight);
         }
         speedup_ratio(original, accelerated)
     }
@@ -236,10 +201,7 @@ impl QueryPopulation {
         for r in &self.records {
             original += r.end_to_end().scaled(r.weight);
             let stripped = r.phases().without_dependencies();
-            accelerated += plan
-                .evaluate(&stripped, &r.breakdown)
-                .accelerated_e2e
-                .scaled(r.weight);
+            accelerated += plan.evaluate(&stripped, &r.breakdown).scaled(r.weight);
         }
         speedup_ratio(original, accelerated)
     }
@@ -252,7 +214,7 @@ impl QueryPopulation {
             .map(|r| {
                 let original = r.end_to_end();
                 let stripped = r.phases().without_dependencies();
-                let accelerated = plan.evaluate(&stripped, &r.breakdown).accelerated_e2e;
+                let accelerated = plan.evaluate(&stripped, &r.breakdown);
                 speedup_ratio(original, accelerated)
             })
             .fold(1.0, f64::max)
@@ -358,14 +320,16 @@ mod tests {
         .unwrap()
     }
 
+    /// A record whose breakdown is `breakdown()`'s shares rescaled to `cpu`.
     fn record(cpu: f64, io: f64, remote: f64, weight: f64) -> QueryRecord {
-        QueryRecord::from_shares(
-            Seconds::new(cpu),
-            Seconds::new(io),
-            Seconds::new(remote),
-            &breakdown(),
+        let cpu = Seconds::new(cpu);
+        QueryRecord {
+            cpu,
+            io: Seconds::new(io),
+            remote: Seconds::new(remote),
+            breakdown: breakdown().rescaled(cpu),
             weight,
-        )
+        }
     }
 
     #[test]
@@ -450,7 +414,7 @@ mod tests {
             QueryPopulation::new(vec![record(7.0, 2.0, 1.0, 1.0), record(1.0, 8.0, 1.0, 1.0)])
                 .unwrap();
         let cpu_pop = pop.group_population(QueryGroup::CpuHeavy).unwrap();
-        assert_eq!(cpu_pop.len(), 1);
+        assert_eq!(cpu_pop.records().len(), 1);
         assert!(pop.group_population(QueryGroup::RemoteWorkHeavy).is_none());
     }
 

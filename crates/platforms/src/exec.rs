@@ -53,7 +53,6 @@ impl QueryExecution {
             cpu,
             io: Seconds::new(d.io.as_secs_f64()),
             remote: Seconds::new(d.remote.as_secs_f64()),
-            overlap: hsdp_core::accel::OverlapFactor::SYNCHRONOUS,
             breakdown: items_breakdown(&self.cpu_work).rescaled(cpu),
             weight,
         }

@@ -163,3 +163,18 @@ fn trace_decompositions_are_exhaustive() {
         }
     }
 }
+
+#[test]
+fn measured_populations_audit_clean() {
+    // The invariants `audit` checks on the calibrated populations hold on
+    // the measured ones too: the Section 4.1 attribution leaves CPU, IO and
+    // remote time disjoint, so each Figure 2 row's phase shares sum to 1.
+    for run in small_fleet() {
+        if let Err(failure) = hsdp::core::audit::audit(&run.population) {
+            panic!(
+                "{} measured population violates model invariants:\n{failure}",
+                run.platform
+            );
+        }
+    }
+}
